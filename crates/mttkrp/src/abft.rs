@@ -59,7 +59,8 @@ pub struct KernelReport {
     /// Total kernel executions: `1 + retries`.
     pub attempts: u32,
     /// Scheduler-level faults the simulator injected on the base run
-    /// (bit flips, block aborts, stragglers — from the fault ledger).
+    /// (bit flips, block aborts, stragglers — from the fault ledger; on
+    /// runs without a simulator profile, the bit flips applied).
     pub faults_injected: u64,
     /// Bit flips that actually landed in output data on the base run.
     pub flips_applied: u64,
@@ -153,6 +154,11 @@ where
     };
     report.kernel = abft.kernel.clone();
     report.flips_applied = abft.flips_applied;
+    // Sharded and tiled runs carry no simulator profile, hence no fault
+    // ledger; the flips the ABFT sink applied are then the injected count.
+    if run.profile.is_none() {
+        report.faults_injected = abft.flips_applied;
+    }
     report.corrupted_rows = abft.corrupted_rows.clone();
 
     let mut flagged = verify(&run.y, &abft, opts.tol_scale);

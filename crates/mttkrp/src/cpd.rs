@@ -175,12 +175,7 @@ fn cpd_als_impl(
     let mut factors = random_factors(t, opts.rank, opts.seed);
     let mut lambda = vec![1.0f32; opts.rank];
     let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = t
-        .values()
-        .iter()
-        .map(|&v| (v as f64) * (v as f64))
-        .sum::<f64>()
-        .sqrt();
+    let norm_x = fold_squares(0.0, t.values()).sqrt();
 
     let mut fits = Vec::new();
     let mut prev_fit = 0.0f64;
@@ -194,6 +189,7 @@ fn cpd_als_impl(
         // prefix/suffix partial products across the sweep (Phan et al.
         // 2013) instead of an O(order²) per-iteration refold.
         let mut chain = HadamardChain::new(&grams, opts.rank);
+        let mut inner = 0.0f64;
         for mode in 0..order {
             let mttkrp_start = Instant::now();
             let y = mttkrp(&factors, mode);
@@ -214,11 +210,14 @@ fn cpd_als_impl(
             }
             grams[mode] = a_new.gram();
             chain.advance(&grams[mode]);
+            if mode + 1 == order {
+                inner = inner_from_last_mode(&y, &a_new, &lambda);
+            }
             factors[mode] = a_new;
         }
         iterations += 1;
 
-        let fit = compute_fit(t, &factors, &lambda, &grams, norm_x);
+        let fit = fit_from_inner(inner, &lambda, &grams, norm_x);
         fits.push(fit);
         if let Some(m) = manifest.as_deref_mut() {
             m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
@@ -324,6 +323,17 @@ struct Checkpoint {
 ///    checkpoint and re-jitters the factors (deterministically, from
 ///    `opts.seed` and the rollback count) so the re-run does not retrace
 ///    the corrupted trajectory.
+///
+/// The fit's `⟨X, X̃⟩` is taken from the last mode's MTTKRP output, so
+/// rollback sees corruption there only indirectly. After the least-squares update, an error `E` in that
+/// output adds `tr(E V⁺ Eᵀ) ≥ 0` to `⟨X, X̃⟩`: it raises the fit rather
+/// than dropping it. A blow-up that drives the residual below zero by
+/// more than [`ResilienceOptions::fit_drop_tol`] is caught (the fit
+/// reads as NaN and rolls back). A smaller error is not: it inflates the
+/// best fit, and later honest iterations then spend rollbacks against
+/// it. Feed this driver verified output, e.g. from
+/// [`abft::run_verified`](crate::abft::run_verified), as every caller in
+/// this workspace does.
 ///
 /// Every event is counted in the returned [`ResilienceStats`] and — when a
 /// manifest is supplied — merged into [`RunManifest::resilience`]. With a
@@ -465,12 +475,7 @@ fn cpd_als_resilient_inner(
     let mut factors = random_factors(t, opts.rank, opts.seed);
     let mut lambda = vec![1.0f32; opts.rank];
     let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = t
-        .values()
-        .iter()
-        .map(|&v| (v as f64) * (v as f64))
-        .sum::<f64>()
-        .sqrt();
+    let norm_x = fold_squares(0.0, t.values()).sqrt();
 
     let mut stats = ResilienceStats::default();
     let mut checkpoint: Option<Checkpoint> = None;
@@ -523,6 +528,7 @@ fn cpd_als_resilient_inner(
         let iter_sim_start = ctx.map_or(0.0, |c| c.telemetry.now_us());
         let mut mode_timings: Vec<ModeTiming> = Vec::new();
         let mut chain = HadamardChain::new(&grams, opts.rank);
+        let mut inner = 0.0f64;
         for mode in 0..order {
             let mttkrp_start = Instant::now();
             let mut y = mttkrp(&factors, mode);
@@ -557,11 +563,23 @@ fn cpd_als_resilient_inner(
             }
             grams[mode] = a_new.gram();
             chain.advance(&grams[mode]);
+            if mode + 1 == order {
+                inner = inner_from_last_mode(&y, &a_new, &lambda);
+            }
             factors[mode] = a_new;
         }
         iterations += 1;
 
-        let fit = compute_fit(t, &factors, &lambda, &grams, norm_x);
+        // `inner` comes from the last mode's (possibly corrupt) output. A
+        // residual further below zero than the fit tolerance allows is no
+        // fit at all: it reads as NaN, so it regresses and is never
+        // adopted as the best fit or checkpointed.
+        let resid_sq = residual_sq(inner, &lambda, &grams, norm_x);
+        let fit = if -resid_sq > (ropts.fit_drop_tol * norm_x).powi(2) {
+            f64::NAN
+        } else {
+            fit_from_residual(resid_sq, norm_x)
+        };
         fits.push(fit);
         if let Some(m) = manifest.as_deref_mut() {
             m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
@@ -913,12 +931,9 @@ fn cpd_als_nonneg_impl(
     let order = t.order();
     let mut factors = random_factors(t, opts.rank, opts.seed);
     let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = t
-        .values()
-        .iter()
-        .map(|&v| (v as f64) * (v as f64))
-        .sum::<f64>()
-        .sqrt();
+    let norm_x = fold_squares(0.0, t.values()).sqrt();
+    // The updates stay unnormalized, so the model's weights are all one.
+    let ones = vec![1.0f32; opts.rank];
 
     let mut fits = Vec::new();
     let mut prev_fit = 0.0f64;
@@ -927,6 +942,7 @@ fn cpd_als_nonneg_impl(
         let iter_start = Instant::now();
         let mut mode_timings: Vec<ModeTiming> = Vec::new();
         let mut chain = HadamardChain::new(&grams, opts.rank);
+        let mut inner = 0.0f64;
         for mode in 0..order {
             let mttkrp_start = Instant::now();
             let y = mttkrp(&factors, mode);
@@ -948,10 +964,12 @@ fn cpd_als_nonneg_impl(
             }
             grams[mode] = factors[mode].gram();
             chain.advance(&grams[mode]);
+            if mode + 1 == order {
+                inner = inner_from_last_mode(&y, &factors[mode], &ones);
+            }
         }
         iterations += 1;
-        let lambda_ones = vec![1.0f32; opts.rank];
-        let fit = compute_fit(t, &factors, &lambda_ones, &grams, norm_x);
+        let fit = fit_from_inner(inner, &ones, &grams, norm_x);
         fits.push(fit);
         if let Some(m) = manifest.as_deref_mut() {
             m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
@@ -983,43 +1001,49 @@ fn cpd_als_nonneg_impl(
     }
 }
 
-/// Fit = `1 − ‖X − X̃‖ / ‖X‖`, computed without materializing `X̃`:
-/// `‖X − X̃‖² = ‖X‖² − 2⟨X, X̃⟩ + ‖X̃‖²` with
-/// `⟨X, X̃⟩ = Σ_z val_z Σ_r λ_r Π_m Aₘ(i_m, r)` and
-/// `‖X̃‖² = Σ_{r,s} λ_r λ_s Π_m (AₘᵀAₘ)_{r,s}`.
-fn compute_fit(
-    t: &CooTensor,
-    factors: &[Matrix],
-    lambda: &[f32],
-    grams: &[Matrix],
-    norm_x: f64,
-) -> f64 {
-    let r = lambda.len();
-    let order = t.order();
-    // ⟨X, X̃⟩
-    let mut inner = 0.0f64;
-    let mut prod = vec![0.0f32; r];
-    for z in 0..t.nnz() {
-        for (c, p) in prod.iter_mut().enumerate() {
-            *p = lambda[c];
-        }
-        for m in 0..order {
-            let row = factors[m].row(t.mode_indices(m)[z] as usize);
-            for (p, &f) in prod.iter_mut().zip(row) {
-                *p *= f;
-            }
-        }
-        inner += t.values()[z] as f64 * prod.iter().map(|&p| p as f64).sum::<f64>();
-    }
-    fit_from_inner(inner, lambda, grams, norm_x)
+/// Adds `Σ v²` over `vals` to `acc` in `f64`, one entry at a time in
+/// order. `fold_squares(0.0, t.values()).sqrt()` is `‖X‖`; the streamed
+/// driver carries `acc` across spill chunks, so its `‖X‖` equals the
+/// resident one bit for bit on the same entry order.
+pub(crate) fn fold_squares(acc: f64, vals: &[f32]) -> f64 {
+    vals.iter().fold(acc, |s, &v| s + (v as f64) * (v as f64))
 }
 
-/// The data-independent tail of the fit formula: given the streaming- or
-/// resident-computed `⟨X, X̃⟩`, folds in `‖X̃‖²` from the grams and closes
-/// `1 − ‖X − X̃‖ / ‖X‖`. Shared by [`compute_fit`] and the out-of-core
-/// driver (`gpu::stream`), which computes `inner` over a chunk stream in
-/// the identical entry order — so the two fits agree bit for bit.
+/// `⟨X, X̃⟩` from the last mode's MTTKRP, with no pass over the nonzeros.
+///
+/// With `X̃ = Σ_r λ_r a₁ᵣ ∘ … ∘ a_Nᵣ`,
+/// `⟨X, X̃⟩ = Σ_z val_z Σ_r λ_r Π_m Aₘ(i_m, r) = Σ_r λ_r Σ_i Y(i, r)·A_N(i, r)`,
+/// where `Y = X₍N₎ ⨀ₘ≠N Aₘ` is the last mode's MTTKRP and `a` is `A_N`.
+/// The identity is exact when `Y` was computed from the factors the model
+/// ends the iteration with — true at the last mode of every ALS sweep.
+/// Each column accumulates in `f64` in row order, then is weighted by λ.
+pub(crate) fn inner_from_last_mode(y: &Matrix, a: &Matrix, lambda: &[f32]) -> f64 {
+    let r = lambda.len();
+    if r == 0 {
+        return 0.0;
+    }
+    let mut cols = vec![0.0f64; r];
+    for (yr, ar) in y.data().chunks_exact(r).zip(a.data().chunks_exact(r)) {
+        for ((c, &yv), &av) in cols.iter_mut().zip(yr).zip(ar) {
+            *c += yv as f64 * av as f64;
+        }
+    }
+    cols.iter().zip(lambda).map(|(&c, &l)| l as f64 * c).sum()
+}
+
+/// Fit = `1 − ‖X − X̃‖ / ‖X‖`, computed without materializing `X̃`, from
+/// [`residual_sq`] clamped at zero. Every ALS driver pairs it with
+/// [`inner_from_last_mode`], so a fit costs `O(I_N·R + N·R²)` per
+/// iteration and no pass over the nonzeros.
 pub(crate) fn fit_from_inner(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
+    fit_from_residual(residual_sq(inner, lambda, grams, norm_x), norm_x)
+}
+
+/// `‖X − X̃‖² = ‖X‖² − 2⟨X, X̃⟩ + ‖X̃‖²`, with
+/// `‖X̃‖² = Σ_{r,s} λ_r λ_s Π_m (AₘᵀAₘ)_{r,s}` folded from the grams.
+/// Unclamped: rounding can leave it slightly below zero, and a corrupt
+/// `inner` can leave it far below.
+pub(crate) fn residual_sq(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
     let r = lambda.len();
     // ‖X̃‖²
     let mut model_sq = 0.0f64;
@@ -1032,11 +1056,14 @@ pub(crate) fn fit_from_inner(inner: f64, lambda: &[f32], grams: &[Matrix], norm_
             model_sq += g;
         }
     }
-    let resid_sq = (norm_x * norm_x - 2.0 * inner + model_sq).max(0.0);
+    norm_x * norm_x - 2.0 * inner + model_sq
+}
+
+fn fit_from_residual(resid_sq: f64, norm_x: f64) -> f64 {
     if norm_x == 0.0 {
         return 1.0;
     }
-    1.0 - resid_sq.sqrt() / norm_x
+    1.0 - resid_sq.max(0.0).sqrt() / norm_x
 }
 
 /// Factor match score between two decompositions: greedy one-to-one
@@ -1677,6 +1704,55 @@ mod tests {
         assert!(stats.rollbacks >= 1, "regression must trigger a rollback");
         assert_eq!(manifest.resilience.rollbacks, stats.rollbacks);
         assert_eq!(manifest.resilience.checkpoints, stats.checkpoints);
+        assert!(
+            (res.final_fit() - clean.final_fit()).abs() < 0.01,
+            "healed fit {} vs clean {}",
+            res.final_fit(),
+            clean.final_fit()
+        );
+    }
+
+    #[test]
+    fn resilient_rolls_back_on_last_mode_corruption() {
+        // Same blow-up as above, but in the last mode (iteration 4,
+        // mode 2): the fit is taken from this very MTTKRP output, so the
+        // corruption inflates the reported fit instead of dropping it.
+        let t = sptensor::synth::uniform_random(&[10, 12, 14], 400, 31);
+        let opts = CpdOptions {
+            rank: 3,
+            max_iters: 10,
+            tol: 0.0,
+            seed: 33,
+        };
+        let clean = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let calls = std::cell::Cell::new(0usize);
+        let corrupting = |f: &[Matrix], m: usize| {
+            let mut y = reference::mttkrp(&t, f, m);
+            let n = calls.get();
+            calls.set(n + 1);
+            if n == 11 {
+                for (idx, v) in y.data_mut().iter_mut().enumerate() {
+                    if idx % 3 == 0 {
+                        *v *= -30.0;
+                    }
+                }
+            }
+            y
+        };
+        let (res, stats) = cpd_als_resilient(
+            &t,
+            &opts,
+            &ResilienceOptions::default(),
+            corrupting,
+            None,
+            None,
+        );
+        assert!(
+            res.fits[3].is_nan() && !res.fits.iter().any(|&f| f >= 1.0),
+            "an impossible residual must read as NaN, not as a perfect fit: {:?}",
+            res.fits
+        );
+        assert!(stats.rollbacks >= 1, "regression must trigger a rollback");
         assert!(
             (res.final_fit() - clean.final_fit()).abs() < 0.01,
             "healed fit {} vs clean {}",

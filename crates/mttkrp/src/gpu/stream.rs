@@ -45,7 +45,7 @@ use tensor_formats::{BcsfOptions, Csf, Hbcsf};
 use super::common::GpuContext;
 use super::plan::{Plan, PlanBuilder};
 use super::sharded::shard_ranges;
-use crate::cpd::{fit_from_inner, CpdOptions, CpdResult};
+use crate::cpd::{fit_from_inner, fold_squares, inner_from_last_mode, CpdOptions, CpdResult};
 
 /// On-disk store of serialized shard plans, keyed `(mode, shard)`. Owns a
 /// fresh subdirectory of the root it was created under and removes it on
@@ -192,8 +192,8 @@ pub struct StreamOptions {
     /// Shards per mode — the simulated device count whose `shard_ranges`
     /// cuts bound the resident schedule to `~1/devices` of a mode.
     pub devices: usize,
-    /// Entries per chunk for every streaming pass (format build, norm,
-    /// fit).
+    /// Entries per chunk for every streaming pass (re-sort, format
+    /// build, norm).
     pub chunk_nnz: usize,
     /// HB-CSF construction options.
     pub bcsf: BcsfOptions,
@@ -221,8 +221,8 @@ pub struct StreamedCpd {
     pub store_bytes: u64,
 }
 
-/// `Σ v²` over the spilled stream, folded in the identical entry order as
-/// the resident `norm_x` computation on the materialized tensor.
+/// `‖X‖` over the spilled stream, folded in the identical entry order as
+/// the resident computation on the materialized tensor.
 fn stream_norm_x(spill: &SpilledTensor, chunk_nnz: usize) -> TensorResult<f64> {
     let mut stream = spill.stream()?;
     let mut chunk = CooChunk::default();
@@ -232,46 +232,9 @@ fn stream_norm_x(spill: &SpilledTensor, chunk_nnz: usize) -> TensorResult<f64> {
         if n == 0 {
             break;
         }
-        for &v in &chunk.vals[..n] {
-            sum += (v as f64) * (v as f64);
-        }
+        sum = fold_squares(sum, &chunk.vals[..n]);
     }
     Ok(sum.sqrt())
-}
-
-/// `⟨X, X̃⟩` over the spilled stream — per entry the exact arithmetic of
-/// the resident `compute_fit` inner loop, in the same order.
-fn stream_inner(
-    spill: &SpilledTensor,
-    chunk_nnz: usize,
-    factors: &[Matrix],
-    lambda: &[f32],
-) -> TensorResult<f64> {
-    let order = spill.dims().len();
-    let r = lambda.len();
-    let mut stream = spill.stream()?;
-    let mut chunk = CooChunk::default();
-    let mut inner = 0.0f64;
-    let mut prod = vec![0.0f32; r];
-    loop {
-        let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        for i in 0..n {
-            for (c, p) in prod.iter_mut().enumerate() {
-                *p = lambda[c];
-            }
-            for m in 0..order {
-                let row = factors[m].row(chunk.coords[m][i] as usize);
-                for (p, &f) in prod.iter_mut().zip(row) {
-                    *p *= f;
-                }
-            }
-            inner += chunk.vals[i] as f64 * prod.iter().map(|&p| p as f64).sum::<f64>();
-        }
-    }
-    Ok(inner)
 }
 
 /// CPD-ALS over a spilled tensor without ever materializing it: per-mode
@@ -321,8 +284,8 @@ pub fn cpd_als_streamed(
     let store_bytes = store.bytes_on_disk();
 
     // ALS phase: the exact update sequence of `cpd_als`, with the MTTKRP
-    // served by sequential shard replay and the fit's inner product
-    // streamed off the spill.
+    // served by sequential shard replay. Only `‖X‖` reads the spill; the
+    // fit's inner product comes from the last mode's MTTKRP.
     let mut factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
     let mut lambda = vec![1.0f32; rank];
     let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
@@ -333,6 +296,7 @@ pub fn cpd_als_streamed(
     let mut iterations = 0;
     for _iter in 0..opts.cpd.max_iters {
         let mut chain = HadamardChain::new(&grams, rank);
+        let mut inner = 0.0f64;
         for mode in 0..order {
             let y = replay_mode(&store, mode, rank, &factors)?;
             let v = chain.v(mode);
@@ -345,11 +309,13 @@ pub fn cpd_als_streamed(
             }
             grams[mode] = a_new.gram();
             chain.advance(&grams[mode]);
+            if mode + 1 == order {
+                inner = inner_from_last_mode(&y, &a_new, &lambda);
+            }
             factors[mode] = a_new;
         }
         iterations += 1;
 
-        let inner = stream_inner(spill, chunk_nnz, &factors, &lambda)?;
         let fit = fit_from_inner(inner, &lambda, &grams, norm_x);
         fits.push(fit);
         if iterations > 1 && (fit - prev_fit).abs() < opts.cpd.tol {

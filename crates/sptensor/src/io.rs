@@ -4,12 +4,14 @@
 //! one nonzero per line, whitespace-separated **1-based** indices followed
 //! by the value. Lines starting with `#` are comments. There is no header;
 //! the mode extents are the per-mode maxima. This reproduction runs on
-//! synthetic stand-ins by default, but real data can be dropped in through
-//! this module.
+//! synthetic stand-ins by default, but real data can be dropped in: this
+//! module writes `.tns` text and the SPT1 binary format, and
+//! [`crate::source`] reads both back ([`TnsSource`](crate::source::TnsSource),
+//! [`BinSource`](crate::source::BinSource), [`ingest`](crate::source::ingest)).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
-use crate::{CooTensor, Index, TensorError, TensorResult};
+use crate::CooTensor;
 
 /// What to do when two input nonzeros carry identical coordinates.
 ///
@@ -18,8 +20,9 @@ use crate::{CooTensor, Index, TensorError, TensorResult};
 /// choice is surfaced as an explicit policy instead of a silent default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DuplicatePolicy {
-    /// Fail with [`TensorError::Duplicate`] naming the line of the second
-    /// occurrence. The default: ambiguous input is an error.
+    /// Fail with [`TensorError::Duplicate`](crate::TensorError::Duplicate)
+    /// naming the line of the second occurrence. The default: ambiguous
+    /// input is an error.
     #[default]
     Reject,
     /// Sum the values of coinciding nonzeros (the MTTKRP-consistent
@@ -28,35 +31,6 @@ pub enum DuplicatePolicy {
     /// Keep every entry as stored. Downstream kernels treat duplicates as
     /// additive COO entries; formats may fold them.
     Keep,
-}
-
-/// Reads a tensor from `.tns` text, rejecting duplicate coordinates.
-///
-/// Every malformed line — bad token, 0 or out-of-range index, non-finite
-/// value — is rejected with a [`TensorError::Parse`] naming the offending
-/// line; this function never panics on hostile input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `sptensor::ingest(TnsSource::new(reader), &IngestOptions::new())`"
-)]
-pub fn read_tns<R: BufRead>(reader: R) -> TensorResult<CooTensor> {
-    #[allow(deprecated)]
-    read_tns_with(reader, DuplicatePolicy::Reject)
-}
-
-/// Reads a tensor from `.tns` text under an explicit [`DuplicatePolicy`].
-/// Order is inferred from the first data line; extents are per-mode maxima
-/// (so empty trailing hyperplanes are not representable, same as FROSTT
-/// itself).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `sptensor::ingest(TnsSource::new(reader), &IngestOptions::new().with_policy(policy))`"
-)]
-pub fn read_tns_with<R: BufRead>(reader: R, policy: DuplicatePolicy) -> TensorResult<CooTensor> {
-    crate::source::ingest(
-        crate::source::TnsSource::new(reader),
-        &crate::source::IngestOptions::new().with_policy(policy),
-    )
 }
 
 /// Writes a tensor in `.tns` text (1-based indices). Values use Rust's
@@ -144,76 +118,9 @@ pub fn write_bin<W: Write>(t: &CooTensor, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a tensor written by [`write_bin`].
-///
-/// Hardened against hostile headers: a declared nonzero count that does
-/// not fit `usize` (32-bit hosts) or whose total byte size overflows is a
-/// typed error, not a wrap or an abort; preallocation is capped so a huge
-/// declared count on a tiny stream fails with `UnexpectedEof` instead of
-/// exhausting memory. Duplicate coordinates are preserved as stored (the
-/// writer is the only producer of this format; use
-/// [`CooTensor::fold_duplicates`] or ingestion with an explicit
-/// [`DuplicatePolicy`] when input provenance is untrusted).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `sptensor::ingest(BinSource::new(reader)?, &opts)` (seekable, chunked) instead"
-)]
-pub fn read_bin<R: io::Read>(mut r: R) -> TensorResult<CooTensor> {
-    let (dims, nnz_u64) = crate::source::read_bin_header(&mut r)?;
-    let order = dims.len();
-    let nnz = nnz_u64 as usize;
-    let mut u32buf = [0u8; 4];
-    // Cap the speculative preallocation: a hostile header declaring 2^50
-    // nonzeros over a 30-byte stream should die on a short read, not an
-    // allocation failure.
-    let prealloc = nnz.min(1 << 20);
-    let mut inds: Vec<Vec<Index>> = Vec::with_capacity(order);
-    for _ in 0..order {
-        let mut arr = Vec::with_capacity(prealloc);
-        for _ in 0..nnz {
-            r.read_exact(&mut u32buf)?;
-            arr.push(u32::from_le_bytes(u32buf));
-        }
-        inds.push(arr);
-    }
-    let mut vals = Vec::with_capacity(prealloc);
-    for _ in 0..nnz {
-        r.read_exact(&mut u32buf)?;
-        vals.push(f32::from_le_bytes(u32buf));
-    }
-    // from_parts validates ranges; map the panic to a typed error instead.
-    for (m, arr) in inds.iter().enumerate() {
-        if let Some(&bad) = arr.iter().find(|&&i| i >= dims[m]) {
-            return Err(TensorError::invalid(
-                "spt1",
-                format!("mode {m} index {bad} out of range"),
-            ));
-        }
-    }
-    Ok(CooTensor::from_parts(dims, inds, vals))
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated shims stay under test for their release cycle: they
-    // must keep reproducing the exact legacy behavior they promise.
-    #![allow(deprecated)]
     use super::*;
-    use std::io::BufReader;
-
-    #[test]
-    fn round_trip() {
-        let mut t = CooTensor::new(vec![3, 4, 5]);
-        t.push(&[0, 1, 2], 1.5);
-        t.push(&[2, 3, 4], -2.0);
-        let mut out = Vec::new();
-        write_tns(&t, &mut out).unwrap();
-        let back = read_tns(BufReader::new(&out[..])).unwrap();
-        assert_eq!(back.nnz(), 2);
-        assert_eq!(back.dims(), &[3, 4, 5]);
-        assert_eq!(back.coords_of(1), vec![2, 3, 4]);
-        assert_eq!(back.values(), &[1.5, -2.0]);
-    }
 
     #[test]
     fn chunked_write_reproduces_write_tns_bytes() {
@@ -240,297 +147,5 @@ mod tests {
         chunk.push(&[0, 0, 0], f32::NAN, 1);
         let mut out = Vec::new();
         assert!(write_tns_chunk(&chunk, 1, &mut out).is_err());
-    }
-
-    #[test]
-    fn skips_comments_and_blanks() {
-        let text = "# a comment\n\n1 1 1 3.0\n2 2 2 4.0\n";
-        let t = read_tns(BufReader::new(text.as_bytes())).unwrap();
-        assert_eq!(t.nnz(), 2);
-        assert_eq!(t.dims(), &[2, 2, 2]);
-    }
-
-    #[test]
-    fn rejects_zero_index() {
-        let text = "0 1 1 3.0\n";
-        assert!(read_tns(BufReader::new(text.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn rejects_ragged_rows() {
-        let text = "1 1 1 3.0\n1 1 4.0\n";
-        assert!(read_tns(BufReader::new(text.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn rejects_empty_input() {
-        let text = "# only comments\n";
-        assert!(read_tns(BufReader::new(text.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn rejects_non_finite_values_with_line_number() {
-        for bad in ["NaN", "inf", "-inf", "Infinity"] {
-            let text = format!("# header\n1 1 1 3.0\n2 2 2 {bad}\n");
-            let err =
-                read_tns(BufReader::new(text.as_bytes())).expect_err("non-finite must be rejected");
-            match err {
-                TensorError::Parse { line, ref msg } => {
-                    assert_eq!(line, 3, "{bad}: wrong line in {err}");
-                    assert!(msg.contains("non-finite"), "{bad}: {msg}");
-                }
-                other => panic!("{bad}: expected Parse error, got {other}"),
-            }
-        }
-    }
-
-    #[test]
-    fn errors_carry_one_based_line_numbers() {
-        let text = "1 1 1 3.0\n0 1 1 2.0\n";
-        match read_tns(BufReader::new(text.as_bytes())) {
-            Err(TensorError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected Parse error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_scientific_values() {
-        let text = "1 2 3 1e-3\n";
-        let t = read_tns(BufReader::new(text.as_bytes())).unwrap();
-        assert!((t.values()[0] - 1e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let t = crate::synth::uniform_random(&[20, 30, 40, 7], 500, 9);
-        let mut buf = Vec::new();
-        write_bin(&t, &mut buf).unwrap();
-        let back = read_bin(&buf[..]).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let buf = b"NOPE\x03".to_vec();
-        assert!(read_bin(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let t = crate::synth::uniform_random(&[5, 5, 5], 50, 10);
-        let mut buf = Vec::new();
-        write_bin(&t, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_bin(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_out_of_range_index() {
-        let t = crate::synth::uniform_random(&[4, 4], 10, 11);
-        let mut buf = Vec::new();
-        write_bin(&t, &mut buf).unwrap();
-        // Corrupt a mode-0 index to 255 (> extent 4). Header is
-        // 4 (magic) + 1 (order) + 8 (dims) + 8 (nnz) = 21 bytes.
-        buf[21] = 255;
-        assert!(read_bin(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn binary_empty_tensor() {
-        let t = CooTensor::new(vec![3, 3]);
-        let mut buf = Vec::new();
-        write_bin(&t, &mut buf).unwrap();
-        let back = read_bin(&buf[..]).unwrap();
-        assert_eq!(back.nnz(), 0);
-        assert_eq!(back.dims(), &[3, 3]);
-    }
-
-    #[test]
-    fn duplicates_are_typed_errors_by_default() {
-        let text = "1 2 3 1.0\n2 2 2 5.0\n1 2 3 4.0\n";
-        match read_tns(BufReader::new(text.as_bytes())) {
-            Err(TensorError::Duplicate { line, ref coords }) => {
-                assert_eq!(line, 3, "must name the second occurrence");
-                assert_eq!(coords, &[0, 1, 2], "0-based stored coordinates");
-            }
-            other => panic!("expected Duplicate error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn duplicate_policy_sum_folds_in_place() {
-        let text = "1 2 3 1.0\n2 2 2 5.0\n1 2 3 4.0\n";
-        let t = read_tns_with(BufReader::new(text.as_bytes()), DuplicatePolicy::Sum).unwrap();
-        assert_eq!(t.nnz(), 2);
-        assert_eq!(t.coords_of(0), vec![0, 1, 2]);
-        assert_eq!(t.values(), &[5.0, 5.0], "sum lands at first occurrence");
-    }
-
-    #[test]
-    fn duplicate_policy_keep_preserves_entries() {
-        let text = "1 2 3 1.0\n1 2 3 4.0\n";
-        let t = read_tns_with(BufReader::new(text.as_bytes()), DuplicatePolicy::Keep).unwrap();
-        assert_eq!(t.nnz(), 2);
-        assert_eq!(t.values(), &[1.0, 4.0]);
-    }
-
-    #[test]
-    fn binary_rejects_zero_extent_and_huge_nnz() {
-        // Header claiming order 2, dims [3, 0]: invalid structure.
-        let mut buf = BIN_MAGIC.to_vec();
-        buf.push(2);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            read_bin(&buf[..]),
-            Err(TensorError::Invalid { .. })
-        ));
-
-        // Header claiming 2^60 nonzeros over an empty body: must die on a
-        // short read (capped preallocation), not an allocation abort.
-        let mut buf = BIN_MAGIC.to_vec();
-        buf.push(2);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(matches!(read_bin(&buf[..]), Err(TensorError::Io(_))));
-
-        // A count whose total byte size overflows u64 is a typed error.
-        let mut buf = BIN_MAGIC.to_vec();
-        buf.push(255);
-        for _ in 0..255 {
-            buf.extend_from_slice(&1u32.to_le_bytes());
-        }
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_bin(&buf[..]);
-        assert!(err.is_err(), "overflowing size must be rejected");
-    }
-
-    mod prop {
-        use super::*;
-        use proptest::collection::vec as pvec;
-        use proptest::prelude::*;
-
-        /// A syntactically valid `.tns` document with unique coordinates,
-        /// as (text, sorted coordinate tuples, values).
-        fn arb_valid_tns() -> impl Strategy<Value = (String, usize, usize)> {
-            ((1usize..=4), (1usize..=30)).prop_flat_map(|(order, nnz)| {
-                pvec(pvec(1u32..=50, order), nnz)
-                    .prop_map(move |coords| {
-                        let mut uniq: Vec<Vec<u32>> = coords;
-                        uniq.sort();
-                        uniq.dedup();
-                        let mut text = String::from("# generated\n");
-                        for (z, c) in uniq.iter().enumerate() {
-                            for i in c {
-                                text.push_str(&format!("{i} "));
-                            }
-                            text.push_str(&format!("{}.5\n", z + 1));
-                        }
-                        (text, order, uniq.len())
-                    })
-                    .boxed()
-            })
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            #[test]
-            fn parser_never_panics_on_arbitrary_bytes(bytes in pvec(any::<u8>(), 0..200)) {
-                // Any outcome is fine; reaching it without a panic is the
-                // property (lines() surfaces invalid UTF-8 as io errors).
-                let _ = read_tns(BufReader::new(&bytes[..]));
-                let _ = read_bin(&bytes[..]);
-            }
-
-            #[test]
-            fn parser_never_panics_on_arbitrary_lines(
-                lines in pvec(pvec(prop_oneof![
-                    Just("1".to_string()),
-                    Just("0".to_string()),
-                    Just("4294967295".to_string()),
-                    Just("4294967296".to_string()),
-                    Just("-3".to_string()),
-                    Just("1.5".to_string()),
-                    Just("NaN".to_string()),
-                    Just("#".to_string()),
-                    Just("x".to_string()),
-                ], 0..6), 0..8),
-            ) {
-                let text = lines
-                    .iter()
-                    .map(|toks| toks.join(" "))
-                    .collect::<Vec<_>>()
-                    .join("\n");
-                for policy in [DuplicatePolicy::Reject, DuplicatePolicy::Sum, DuplicatePolicy::Keep] {
-                    if let Ok(t) = read_tns_with(BufReader::new(text.as_bytes()), policy) {
-                        prop_assert!(t.validate().is_ok(), "parser accepted an invalid tensor");
-                    }
-                }
-            }
-
-            #[test]
-            fn valid_documents_round_trip(doc in arb_valid_tns()) {
-                let (text, order, nnz) = doc;
-                let t = read_tns(BufReader::new(text.as_bytes()))
-                    .expect("valid unique-coordinate document");
-                prop_assert_eq!(t.order(), order);
-                prop_assert_eq!(t.nnz(), nnz);
-                prop_assert!(t.validate().is_ok());
-                let mut out = Vec::new();
-                write_tns(&t, &mut out).expect("write to vec");
-                let back = read_tns(BufReader::new(&out[..])).expect("round trip");
-                prop_assert_eq!(back, t);
-            }
-
-            #[test]
-            fn values_survive_tns_bin_tns_bit_exact(
-                bits in pvec(any::<u32>(), 1..40),
-            ) {
-                // Shortest round-trip text formatting must reproduce every
-                // finite f32 bit pattern through tns -> bin -> tns.
-                let vals: Vec<f32> = bits
-                    .iter()
-                    .map(|&b| f32::from_bits(b))
-                    .filter(|v| v.is_finite())
-                    .collect();
-                prop_assume!(!vals.is_empty());
-                let mut t = CooTensor::new(vec![vals.len() as u32, 2]);
-                for (z, &v) in vals.iter().enumerate() {
-                    t.push(&[z as u32, 1], v);
-                }
-                let mut text = Vec::new();
-                write_tns(&t, &mut text).expect("write tns");
-                let from_text = read_tns(BufReader::new(&text[..])).expect("re-read tns");
-                let mut bin = Vec::new();
-                write_bin(&from_text, &mut bin).expect("write bin");
-                let from_bin = read_bin(&bin[..]).expect("re-read bin");
-                let mut text2 = Vec::new();
-                write_tns(&from_bin, &mut text2).expect("write tns again");
-                prop_assert_eq!(&text2, &text, "tns -> bin -> tns drifted");
-                for (a, b) in from_bin.values().iter().zip(&vals) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "value bits drifted");
-                }
-            }
-
-            #[test]
-            fn corrupted_byte_never_panics_binary(
-                seed in 0u64..1000,
-                pos in 0usize..200,
-                byte in any::<u8>(),
-            ) {
-                let t = crate::synth::uniform_random(&[6, 7, 8], 40, seed);
-                let mut buf = Vec::new();
-                write_bin(&t, &mut buf).expect("write");
-                let pos = pos % buf.len();
-                buf[pos] = byte;
-                // Either a typed error or a structurally valid tensor.
-                if let Ok(back) = read_bin(&buf[..]) {
-                    prop_assert!(back.validate().is_ok());
-                }
-            }
-        }
     }
 }

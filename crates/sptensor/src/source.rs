@@ -1,17 +1,16 @@
 //! Typed tensor ingestion: the [`TensorSource`] API.
 //!
-//! This replaces the loose free-function readers (`read_tns`,
-//! `read_tns_with`, `read_bin`) with a pull-based chunk protocol. A
-//! [`TensorSource`] yields fixed-size batches of raw nonzeros
-//! ([`CooChunk`]) instead of one resident `CooTensor`, so the same
-//! parsers drive both the in-core assembly path ([`ingest`]) and the
-//! bounded-memory spill path ([`crate::spill`]). Ingestion behavior —
+//! Reading is a pull-based chunk protocol. A [`TensorSource`] yields
+//! fixed-size batches of raw nonzeros ([`CooChunk`]) instead of one
+//! resident `CooTensor`, so the same parsers drive both the in-core
+//! assembly path ([`ingest`]) and the bounded-memory spill path
+//! ([`crate::spill`]). Ingestion behavior —
 //! duplicate policy, chunk size, host-memory budget, progress events —
 //! is configured through [`IngestOptions`].
 //!
-//! Contract: for any chunk size, [`ingest`] produces exactly the tensor
-//! (and exactly the errors, down to line numbers) that the legacy
-//! whole-file readers produced. Chunk boundaries are invisible.
+//! Contract: for any chunk size, [`ingest`] produces exactly the same
+//! tensor (and exactly the same errors, down to line numbers). Chunk
+//! boundaries are invisible.
 
 use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::sync::Arc;
@@ -364,8 +363,7 @@ impl<R: BufRead> TensorSource for TnsSource<R> {
 // ---------------------------------------------------------------------
 
 /// Reads and validates an SPT1 header; returns `(dims, nnz)` and leaves
-/// the reader at the first index byte. Shared by [`BinSource`] and the
-/// legacy whole-file reader.
+/// the reader at the first index byte.
 pub(crate) fn read_bin_header<R: Read>(r: &mut R) -> TensorResult<(Vec<Index>, u64)> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -667,6 +665,291 @@ mod tests {
         TnsSource::new(BufReader::new(text.as_bytes()))
     }
 
+    fn read_tns(text: impl AsRef<[u8]>) -> TensorResult<CooTensor> {
+        ingest(
+            TnsSource::new(BufReader::new(text.as_ref())),
+            &IngestOptions::new(),
+        )
+    }
+
+    /// Whole-stream SPT1 read, duplicates kept as stored.
+    fn read_bin(bytes: &[u8]) -> TensorResult<CooTensor> {
+        let opts = IngestOptions::new().with_policy(DuplicatePolicy::Keep);
+        ingest(BinSource::new(std::io::Cursor::new(bytes))?, &opts)
+    }
+
+    #[test]
+    fn tns_round_trip() {
+        let mut t = CooTensor::new(vec![3, 4, 5]);
+        t.push(&[0, 1, 2], 1.5);
+        t.push(&[2, 3, 4], -2.0);
+        let mut out = Vec::new();
+        crate::io::write_tns(&t, &mut out).unwrap();
+        let back = read_tns(&out).unwrap();
+        assert_eq!(back.nnz(), 2);
+        assert_eq!(back.dims(), &[3, 4, 5]);
+        assert_eq!(back.coords_of(1), vec![2, 3, 4]);
+        assert_eq!(back.values(), &[1.5, -2.0]);
+    }
+
+    #[test]
+    fn binary_round_trip() {
+        let t = crate::synth::uniform_random(&[20, 30, 40, 7], 500, 9);
+        let mut buf = Vec::new();
+        crate::io::write_bin(&t, &mut buf).unwrap();
+        assert_eq!(read_bin(&buf).unwrap(), t);
+    }
+
+    #[test]
+    fn binary_empty_tensor() {
+        let t = CooTensor::new(vec![3, 3]);
+        let mut buf = Vec::new();
+        crate::io::write_bin(&t, &mut buf).unwrap();
+        let back = read_bin(&buf).unwrap();
+        assert_eq!(back.nnz(), 0);
+        assert_eq!(back.dims(), &[3, 3]);
+    }
+
+    #[test]
+    fn skips_comments_and_blanks() {
+        let t = read_tns("# a comment\n\n1 1 1 3.0\n2 2 2 4.0\n").unwrap();
+        assert_eq!(t.nnz(), 2);
+        assert_eq!(t.dims(), &[2, 2, 2]);
+    }
+
+    #[test]
+    fn rejects_zero_index() {
+        assert!(read_tns("0 1 1 3.0\n").is_err());
+    }
+
+    #[test]
+    fn rejects_ragged_rows() {
+        assert!(read_tns("1 1 1 3.0\n1 1 4.0\n").is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_values_with_line_number() {
+        for bad in ["NaN", "inf", "-inf", "Infinity"] {
+            let text = format!("# header\n1 1 1 3.0\n2 2 2 {bad}\n");
+            let err = read_tns(&text).expect_err("non-finite must be rejected");
+            match err {
+                TensorError::Parse { line, ref msg } => {
+                    assert_eq!(line, 3, "{bad}: wrong line in {err}");
+                    assert!(msg.contains("non-finite"), "{bad}: {msg}");
+                }
+                other => panic!("{bad}: expected Parse error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn errors_carry_one_based_line_numbers() {
+        match read_tns("1 1 1 3.0\n0 1 1 2.0\n") {
+            Err(TensorError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parses_scientific_values() {
+        let t = read_tns("1 2 3 1e-3\n").unwrap();
+        assert!((t.values()[0] - 1e-3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn duplicate_policy_keep_preserves_entries() {
+        let text = "1 2 3 1.0\n1 2 3 4.0\n";
+        let t = ingest(
+            tns(text),
+            &IngestOptions::new().with_policy(DuplicatePolicy::Keep),
+        )
+        .unwrap();
+        assert_eq!(t.nnz(), 2);
+        assert_eq!(t.values(), &[1.0, 4.0]);
+    }
+
+    #[test]
+    fn binary_rejects_bad_magic() {
+        assert!(read_bin(b"NOPE\x03").is_err());
+    }
+
+    #[test]
+    fn binary_rejects_truncation() {
+        let t = crate::synth::uniform_random(&[5, 5, 5], 50, 10);
+        let mut buf = Vec::new();
+        crate::io::write_bin(&t, &mut buf).unwrap();
+        buf.truncate(buf.len() - 3);
+        assert!(read_bin(&buf).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_out_of_range_index() {
+        let t = crate::synth::uniform_random(&[4, 4], 10, 11);
+        let mut buf = Vec::new();
+        crate::io::write_bin(&t, &mut buf).unwrap();
+        // Corrupt a mode-0 index to 255 (> extent 4). Header is
+        // 4 (magic) + 1 (order) + 8 (dims) + 8 (nnz) = 21 bytes.
+        buf[21] = 255;
+        assert!(read_bin(&buf).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_zero_extent_and_huge_nnz() {
+        use crate::io::BIN_MAGIC;
+        // Header claiming order 2, dims [3, 0]: invalid structure.
+        let mut buf = BIN_MAGIC.to_vec();
+        buf.push(2);
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(read_bin(&buf), Err(TensorError::Invalid { .. })));
+
+        // Header claiming 2^60 nonzeros over an empty body: must die on a
+        // short read (chunk-bounded buffers), not an allocation abort.
+        let mut buf = BIN_MAGIC.to_vec();
+        buf.push(2);
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(matches!(read_bin(&buf), Err(TensorError::Io(_))));
+
+        // A count whose total byte size overflows u64 is a typed error.
+        let mut buf = BIN_MAGIC.to_vec();
+        buf.push(255);
+        for _ in 0..255 {
+            buf.extend_from_slice(&1u32.to_le_bytes());
+        }
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(read_bin(&buf).is_err(), "overflowing size must be rejected");
+    }
+
+    mod prop {
+        use super::*;
+        use crate::io::{write_bin, write_tns};
+        use proptest::collection::vec as pvec;
+        use proptest::prelude::*;
+
+        /// A syntactically valid `.tns` document with unique coordinates,
+        /// as (text, order, nnz).
+        fn arb_valid_tns() -> impl Strategy<Value = (String, usize, usize)> {
+            ((1usize..=4), (1usize..=30)).prop_flat_map(|(order, nnz)| {
+                pvec(pvec(1u32..=50, order), nnz)
+                    .prop_map(move |coords| {
+                        let mut uniq: Vec<Vec<u32>> = coords;
+                        uniq.sort();
+                        uniq.dedup();
+                        let mut text = String::from("# generated\n");
+                        for (z, c) in uniq.iter().enumerate() {
+                            for i in c {
+                                text.push_str(&format!("{i} "));
+                            }
+                            text.push_str(&format!("{}.5\n", z + 1));
+                        }
+                        (text, order, uniq.len())
+                    })
+                    .boxed()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn valid_documents_round_trip(doc in arb_valid_tns()) {
+                let (text, order, nnz) = doc;
+                let t = read_tns(&text).expect("valid unique-coordinate document");
+                prop_assert_eq!(t.order(), order);
+                prop_assert_eq!(t.nnz(), nnz);
+                prop_assert!(t.validate().is_ok());
+                let mut out = Vec::new();
+                write_tns(&t, &mut out).expect("write to vec");
+                let back = read_tns(&out).expect("round trip");
+                prop_assert_eq!(back, t);
+            }
+
+            #[test]
+            fn values_survive_tns_bin_tns_bit_exact(
+                bits in pvec(any::<u32>(), 1..40),
+            ) {
+                // Shortest round-trip text formatting must reproduce every
+                // finite f32 bit pattern through tns -> bin -> tns.
+                let vals: Vec<f32> = bits
+                    .iter()
+                    .map(|&b| f32::from_bits(b))
+                    .filter(|v| v.is_finite())
+                    .collect();
+                prop_assume!(!vals.is_empty());
+                let mut t = CooTensor::new(vec![vals.len() as u32, 2]);
+                for (z, &v) in vals.iter().enumerate() {
+                    t.push(&[z as u32, 1], v);
+                }
+                let mut text = Vec::new();
+                write_tns(&t, &mut text).expect("write tns");
+                let from_text = read_tns(&text).expect("re-read tns");
+                let mut bin = Vec::new();
+                write_bin(&from_text, &mut bin).expect("write bin");
+                let from_bin = read_bin(&bin).expect("re-read bin");
+                let mut text2 = Vec::new();
+                write_tns(&from_bin, &mut text2).expect("write tns again");
+                prop_assert_eq!(&text2, &text, "tns -> bin -> tns drifted");
+                for (a, b) in from_bin.values().iter().zip(&vals) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "value bits drifted");
+                }
+            }
+
+            #[test]
+            fn parser_never_panics_on_arbitrary_bytes(bytes in pvec(any::<u8>(), 0..200)) {
+                // Any outcome is fine; reaching it without a panic is the
+                // property (lines() surfaces invalid UTF-8 as io errors).
+                let _ = read_tns(&bytes);
+                let _ = read_bin(&bytes);
+            }
+
+            #[test]
+            fn parser_never_panics_on_arbitrary_lines(
+                lines in pvec(pvec(prop_oneof![
+                    Just("1".to_string()),
+                    Just("0".to_string()),
+                    Just("4294967295".to_string()),
+                    Just("4294967296".to_string()),
+                    Just("-3".to_string()),
+                    Just("1.5".to_string()),
+                    Just("NaN".to_string()),
+                    Just("#".to_string()),
+                    Just("x".to_string()),
+                ], 0..6), 0..8),
+            ) {
+                let text = lines
+                    .iter()
+                    .map(|toks| toks.join(" "))
+                    .collect::<Vec<_>>()
+                    .join("\n");
+                for policy in [DuplicatePolicy::Reject, DuplicatePolicy::Sum, DuplicatePolicy::Keep] {
+                    if let Ok(t) = ingest(tns(&text), &IngestOptions::new().with_policy(policy)) {
+                        prop_assert!(t.validate().is_ok(), "parser accepted an invalid tensor");
+                    }
+                }
+            }
+
+            #[test]
+            fn corrupted_byte_never_panics_binary(
+                seed in 0u64..1000,
+                pos in 0usize..200,
+                byte in any::<u8>(),
+            ) {
+                let t = crate::synth::uniform_random(&[6, 7, 8], 40, seed);
+                let mut buf = Vec::new();
+                write_bin(&t, &mut buf).expect("write");
+                let pos = pos % buf.len();
+                buf[pos] = byte;
+                // Either a typed error or a structurally valid tensor.
+                if let Ok(back) = read_bin(&buf) {
+                    prop_assert!(back.validate().is_ok());
+                }
+            }
+        }
+    }
+
     #[test]
     fn ingest_matches_simple_document() {
         let t = ingest(tns("1 2 3 1.5\n3 2 1 2.5\n"), &IngestOptions::new()).unwrap();
@@ -713,6 +996,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(t.nnz(), 2);
+            assert_eq!(t.coords_of(0), vec![0, 1, 2], "first occurrence");
             assert_eq!(t.values(), &[5.0, 5.0], "chunk size {chunk}");
         }
     }

@@ -7,9 +7,12 @@
 
 use mttkrp_repro::gpu_sim::{FaultPlan, Interconnect};
 use mttkrp_repro::mttkrp::gpu::{
-    AnyFormat, BuildOptions, Executor, GpuContext, GridSpec, KernelKind, LaunchArgs,
+    AnyFormat, BuildOptions, Executor, GpuContext, GridSpec, KernelKind, LaunchArgs, ModePlans,
+    OocOptions,
 };
 use mttkrp_repro::mttkrp::reference::random_factors;
+use mttkrp_repro::mttkrp::{cpd_als_sharded, CpdOptions, ResilienceOptions};
+use mttkrp_repro::simprof::RunManifest;
 use mttkrp_repro::sptensor::synth::uniform_random;
 use mttkrp_repro::sptensor::CooTensor;
 
@@ -222,4 +225,36 @@ fn interconnect_specs_parse_and_price() {
     assert!(custom.transfer_seconds(1 << 20) < Interconnect::pcie().transfer_seconds(1 << 20));
     assert!(Interconnect::parse("warp-drive").is_err());
     assert!(Interconnect::parse("nvlink:0:1").is_err());
+}
+
+/// Sharded replays carry no simulator profile, so the injected-fault count
+/// in the CPD manifest must come from the ABFT sink's applied flips.
+#[test]
+fn sharded_cpd_records_injected_bitflips() {
+    let t = uniform_random(&[12, 14, 16], 600, 31);
+    let opts = CpdOptions {
+        rank: 4,
+        max_iters: 3,
+        tol: 0.0,
+        seed: 17,
+    };
+    let plans = ModePlans::build_hbcsf(&GpuContext::tiny(), &t, opts.rank, Default::default());
+    let ctx = GpuContext::tiny().with_faults(FaultPlan::parse("bitflip:5e-2", 7).unwrap());
+    let mut manifest = RunManifest::new("hb-csf", "synth", 0, 0, 0.0, 0);
+    cpd_als_sharded(
+        &t,
+        &opts,
+        &ResilienceOptions::default(),
+        &ctx,
+        &plans,
+        &GridSpec::new(2, Interconnect::pcie()),
+        &OocOptions::default(),
+        Some(&mut manifest),
+    );
+    assert!(manifest.resilience.rows_detected > 0, "flips must land");
+    assert!(
+        manifest.resilience.faults_injected > 0,
+        "sharded run recorded no injected faults: {:?}",
+        manifest.resilience
+    );
 }
