@@ -12,6 +12,8 @@
 //! tensor (and exactly the same errors, down to line numbers). Chunk
 //! boundaries are invisible.
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::sync::Arc;
 
@@ -243,7 +245,9 @@ pub struct TnsSource<R: BufRead> {
     /// 0-based count of physical lines consumed so far.
     lineno: usize,
     order: Option<usize>,
-    line_buf: String,
+    line_buf: Vec<u8>,
+    /// Byte ranges of the current line's tokens within its trimmed text.
+    toks: Vec<(usize, usize)>,
     coords: Vec<Index>,
     done: bool,
 }
@@ -254,7 +258,8 @@ impl<R: BufRead> TnsSource<R> {
             reader,
             lineno: 0,
             order: None,
-            line_buf: String::new(),
+            line_buf: Vec::new(),
+            toks: Vec::new(),
             coords: Vec::new(),
             done: false,
         }
@@ -264,25 +269,33 @@ impl<R: BufRead> TnsSource<R> {
     fn next_entry(&mut self) -> TensorResult<Option<Value>> {
         loop {
             self.line_buf.clear();
-            let n = self.reader.read_line(&mut self.line_buf)?;
+            let n = self.reader.read_until(b'\n', &mut self.line_buf)?;
             if n == 0 {
                 self.done = true;
                 return Ok(None);
             }
             let lineno = self.lineno;
             self.lineno += 1;
-            let trimmed = self.line_buf.trim();
+            let line = std::str::from_utf8(&self.line_buf)
+                .map_err(|_| bad_line(lineno, "invalid UTF-8"))?;
+            let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let mut toks = trimmed.split_whitespace();
-            // Count columns without collecting: indices are every token
-            // but the last.
-            let ntoks = trimmed.split_whitespace().count();
-            if ntoks < 2 {
+            // One tokenizer pass: record each token's byte range so the
+            // column count is known before any token is parsed.
+            let base = trimmed.as_ptr() as usize;
+            self.toks.clear();
+            self.toks.extend(trimmed.split_whitespace().map(|tok| {
+                let start = tok.as_ptr() as usize - base;
+                (start, start + tok.len())
+            }));
+            if self.toks.len() < 2 {
                 return Err(bad_line(lineno, "need at least one index and a value"));
             }
-            let n = ntoks - 1;
+            // Indices are every token but the last.
+            let (&(vs, ve), idx_toks) = self.toks.split_last().expect("at least two tokens");
+            let n = idx_toks.len();
             match self.order {
                 None => self.order = Some(n),
                 Some(o) if o != n => {
@@ -291,9 +304,10 @@ impl<R: BufRead> TnsSource<R> {
                 _ => {}
             }
             self.coords.clear();
-            for _ in 0..n {
-                let tok = toks.next().expect("counted");
-                let idx: u64 = tok.parse().map_err(|_| bad_line(lineno, "invalid index"))?;
+            for &(s, e) in idx_toks {
+                let idx: u64 = trimmed[s..e]
+                    .parse()
+                    .map_err(|_| bad_line(lineno, "invalid index"))?;
                 if idx == 0 {
                     return Err(bad_line(lineno, "indices are 1-based; got 0"));
                 }
@@ -304,9 +318,7 @@ impl<R: BufRead> TnsSource<R> {
                 }
                 self.coords.push((idx - 1) as Index);
             }
-            let v: Value = toks
-                .next()
-                .expect("counted")
+            let v: Value = trimmed[vs..ve]
                 .parse()
                 .map_err(|_| bad_line(lineno, "invalid value"))?;
             if !v.is_finite() {
@@ -554,21 +566,98 @@ impl TensorSource for CooSource {
 // In-core assembly
 // ---------------------------------------------------------------------
 
+/// Open-addressing set of entry ids (rows of the output index arrays)
+/// for in-core duplicate folding. Slots hold `u32` ids, so the table
+/// costs 4 bytes per slot and never copies a coordinate tuple: probes
+/// compare rows in place. Rows are hashed with the std `RandomState`
+/// hasher, keyed per table, so crafted colliding input cannot be
+/// precomputed.
+struct FirstSeen {
+    /// `EMPTY` or the id of a recorded row; length is a power of two.
+    slots: Vec<u32>,
+    len: usize,
+    hasher: RandomState,
+}
+
+impl FirstSeen {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new() -> Self {
+        FirstSeen {
+            slots: vec![Self::EMPTY; 16],
+            len: 0,
+            hasher: RandomState::new(),
+        }
+    }
+
+    fn home(&self, inds: &[Vec<Index>], row: usize) -> usize {
+        let mut h = self.hasher.build_hasher();
+        for arr in inds {
+            h.write_u32(arr[row]);
+        }
+        h.finish() as usize & (self.slots.len() - 1)
+    }
+
+    /// Finds row `row` of `inds` among the recorded rows: `Ok(id)` of the
+    /// matching row, or `Err(slot)`, the free slot where `row` belongs.
+    fn find(&self, inds: &[Vec<Index>], row: usize) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(inds, row);
+        loop {
+            let id = self.slots[slot];
+            if id == Self::EMPTY {
+                return Err(slot);
+            }
+            let id = id as usize;
+            if inds.iter().all(|arr| arr[id] == arr[row]) {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Records `id` in the free `slot` that [`FirstSeen::find`] returned,
+    /// doubling the table once it is more than half full.
+    fn insert(&mut self, slot: usize, id: u32, inds: &[Vec<Index>]) {
+        self.slots[slot] = id;
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let grown = vec![Self::EMPTY; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            let mask = self.slots.len() - 1;
+            for id in old.into_iter().filter(|&id| id != Self::EMPTY) {
+                let mut slot = self.home(inds, id as usize);
+                while self.slots[slot] != Self::EMPTY {
+                    slot = (slot + 1) & mask;
+                }
+                self.slots[slot] = id;
+            }
+        }
+    }
+}
+
+/// The `u32` id of surviving entry `row`; `None` once more than
+/// `u32::MAX - 1` entries would survive.
+fn entry_id(row: usize) -> Option<u32> {
+    u32::try_from(row)
+        .ok()
+        .filter(|&id| id < FirstSeen::EMPTY - 1)
+}
+
 /// Assembles a resident [`CooTensor`] from any source, applying the
 /// configured [`DuplicatePolicy`] with whole-stream semantics: the
 /// dedup state persists across chunks, so the result (tensor or typed
 /// error, including the reported line) is identical for every chunk
-/// size — and identical to what the legacy whole-file readers produced.
+/// size. Surviving entries keep their first occurrence's position, and
+/// `Sum` adds each later duplicate's value onto it in stream order.
 pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorResult<CooTensor> {
-    use std::collections::HashMap;
-
     let declared = source.declared_dims();
     let policy = opts.policy();
     let mut inds: Vec<Vec<Index>> = Vec::new();
     let mut vals: Vec<Value> = Vec::new();
     let mut order: Option<usize> = None;
-    // First-occurrence index of each coordinate tuple (Reject/Sum only).
-    let mut seen: HashMap<Vec<Index>, usize> = HashMap::new();
+    // First occurrence of each coordinate tuple (Reject/Sum only).
+    let mut seen = FirstSeen::new();
     let mut chunk = CooChunk::default();
     let mut total: u64 = 0;
 
@@ -593,31 +682,37 @@ pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorRes
             _ => {}
         }
         for i in 0..n {
-            let coords = chunk.coords_of(i);
-            let v = chunk.vals[i];
-            match policy {
-                DuplicatePolicy::Keep => {}
-                _ => {
-                    if let Some(&first) = seen.get(&coords) {
-                        match policy {
-                            DuplicatePolicy::Reject => {
-                                return Err(TensorError::duplicate(
-                                    chunk.lines[i] as usize,
-                                    coords,
-                                ));
-                            }
-                            DuplicatePolicy::Sum => {
-                                vals[first] += v;
-                                continue;
-                            }
-                            DuplicatePolicy::Keep => unreachable!(),
-                        }
-                    }
-                    seen.insert(coords.clone(), vals.len());
-                }
+            // Push the row first, so probes compare it in place.
+            let row = vals.len();
+            for (arr, src) in inds.iter_mut().zip(&chunk.coords) {
+                arr.push(src[i]);
             }
-            for (arr, &c) in inds.iter_mut().zip(&coords) {
-                arr.push(c);
+            let v = chunk.vals[i];
+            if policy != DuplicatePolicy::Keep {
+                match seen.find(&inds, row) {
+                    Ok(first) => {
+                        for arr in &mut inds {
+                            arr.pop();
+                        }
+                        if policy == DuplicatePolicy::Reject {
+                            return Err(TensorError::duplicate(
+                                chunk.lines[i] as usize,
+                                chunk.coords_of(i),
+                            ));
+                        }
+                        vals[first] += v;
+                        continue;
+                    }
+                    Err(slot) => {
+                        let id = entry_id(row).ok_or_else(|| {
+                            TensorError::invalid(
+                                source.format_name(),
+                                "more than u32::MAX - 1 distinct entries",
+                            )
+                        })?;
+                        seen.insert(slot, id, &inds);
+                    }
+                }
             }
             vals.push(v);
         }
@@ -723,11 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_ragged_rows() {
-        assert!(read_tns("1 1 1 3.0\n1 1 4.0\n").is_err());
-    }
-
-    #[test]
     fn rejects_non_finite_values_with_line_number() {
         for bad in ["NaN", "inf", "-inf", "Infinity"] {
             let text = format!("# header\n1 1 1 3.0\n2 2 2 {bad}\n");
@@ -752,8 +842,9 @@ mod tests {
 
     #[test]
     fn parses_scientific_values() {
-        let t = read_tns("1 2 3 1e-3\n").unwrap();
-        assert!((t.values()[0] - 1e-3).abs() < 1e-9);
+        let t = read_tns("1 2 3 1e-3\n2 2 3 -0\n").unwrap();
+        let bits: Vec<u32> = t.values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, vec![1e-3f32.to_bits(), (-0.0f32).to_bits()]);
     }
 
     #[test]
@@ -823,6 +914,58 @@ mod tests {
         assert!(read_bin(&buf).is_err(), "overflowing size must be rejected");
     }
 
+    #[test]
+    fn invalid_utf8_is_a_parse_error_at_its_line() {
+        match read_tns(b"1 1 1 1.0\n2 2 2 2.0\n3 \xFF 3 3.0\n") {
+            Err(TensorError::Parse { line, ref msg }) => {
+                assert_eq!(line, 3);
+                assert!(msg.contains("UTF-8"), "{msg}");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_ragged_rows() {
+        assert!(read_tns("1 1 1 3.0\n1 1 4.0\n").is_err());
+        // The column count is checked before any index is parsed: line 2
+        // has both too few columns and a bad index.
+        match read_tns("1 1 1 3.0\n1 x 4.0\n") {
+            Err(TensorError::Parse { line, ref msg }) => {
+                assert_eq!(line, 2);
+                assert_eq!(msg, "inconsistent number of columns");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unicode_separators_and_crlf_parse_like_spaces() {
+        let ascii = read_tns("1 2 3 1.5\n2 1 3 2.5\n").unwrap();
+        for text in [
+            "1\u{a0}2\u{3000}3 1.5\n2\u{3000}1\u{a0}3\u{a0}2.5\n",
+            "1 2 3 1.5\r\n2 1 3 2.5\r\n",
+            "\u{3000}1 2 3\u{a0}1.5\u{a0}\r\n2 1 3 2.5\u{3000}\r\n",
+        ] {
+            assert_eq!(read_tns(text).unwrap(), ascii, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn plus_signed_index_is_accepted() {
+        let t = read_tns("+7 1 1.0\n").unwrap();
+        assert_eq!(t.coords_of(0), vec![6, 0]);
+        assert_eq!(t.dims(), &[7, 1]);
+    }
+
+    #[test]
+    fn entry_ids_stop_below_the_empty_marker() {
+        assert_eq!(entry_id(0), Some(0));
+        assert_eq!(entry_id(u32::MAX as usize - 2), Some(u32::MAX - 2));
+        assert_eq!(entry_id(u32::MAX as usize - 1), None);
+        assert_eq!(entry_id(usize::MAX), None);
+    }
+
     mod prop {
         use super::*;
         use crate::io::{write_bin, write_tns};
@@ -849,6 +992,136 @@ mod tests {
                     })
                     .boxed()
             })
+        }
+
+        /// The boxed-key fold `ingest` used before [`FirstSeen`]: the
+        /// reference the flat table must reproduce exactly.
+        fn reference_ingest<S: TensorSource>(
+            mut source: S,
+            opts: &IngestOptions,
+        ) -> TensorResult<CooTensor> {
+            use std::collections::HashMap;
+
+            let policy = opts.policy();
+            let mut inds: Vec<Vec<Index>> = Vec::new();
+            let mut vals: Vec<Value> = Vec::new();
+            let mut seen: HashMap<Vec<Index>, usize> = HashMap::new();
+            let mut chunk = CooChunk::default();
+            loop {
+                let n = source.fill_chunk(opts.effective_chunk_nnz(3), &mut chunk)?;
+                if n == 0 {
+                    break;
+                }
+                if inds.is_empty() {
+                    inds = vec![Vec::new(); chunk.order()];
+                }
+                for i in 0..n {
+                    let coords = chunk.coords_of(i);
+                    let v = chunk.vals[i];
+                    if policy != DuplicatePolicy::Keep {
+                        if let Some(&first) = seen.get(&coords) {
+                            if policy == DuplicatePolicy::Reject {
+                                return Err(TensorError::duplicate(
+                                    chunk.lines[i] as usize,
+                                    coords,
+                                ));
+                            }
+                            vals[first] += v;
+                            continue;
+                        }
+                        seen.insert(coords.clone(), vals.len());
+                    }
+                    for (arr, &c) in inds.iter_mut().zip(&coords) {
+                        arr.push(c);
+                    }
+                    vals.push(v);
+                }
+            }
+            let dims = inds
+                .iter()
+                .map(|arr| arr.iter().copied().max().unwrap_or(0) + 1)
+                .collect();
+            Ok(CooTensor::from_parts(dims, inds, vals))
+        }
+
+        /// A `.tns` document of `nnz` entries at `order`: the first half
+        /// draws fresh coordinates from a space of about 1e8 tuples, the
+        /// second half repeats an earlier tuple 60% of the time (about
+        /// 30% duplicates overall), so `Reject`'s first hit comes after
+        /// the table has grown several times.
+        fn duplicated_tns(order: usize, nnz: usize, seed: u64) -> String {
+            use rand::{Rng, SeedableRng};
+            let extent = 1e8f64.powf(1.0 / order as f64).ceil() as u32;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut rows: Vec<Vec<u32>> = Vec::with_capacity(nnz);
+            let mut text = String::new();
+            for z in 0..nnz {
+                let row = if z >= nnz / 2 && rng.gen_bool(0.6) {
+                    rows[rng.gen_range(0..rows.len())].clone()
+                } else {
+                    (0..order).map(|_| rng.gen_range(1..=extent)).collect()
+                };
+                for c in &row {
+                    text.push_str(&format!("{c} "));
+                }
+                text.push_str(&format!("{}\n", rng.gen_range(-1e3f32..1e3)));
+                rows.push(row);
+            }
+            text
+        }
+
+        /// Tensors equal down to value bits, or the same duplicate error.
+        fn assert_same(
+            got: &TensorResult<CooTensor>,
+            want: &TensorResult<CooTensor>,
+        ) -> Result<(), TestCaseError> {
+            match (got, want) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.dims(), b.dims());
+                    for m in 0..b.order() {
+                        prop_assert_eq!(a.mode_indices(m), b.mode_indices(m));
+                    }
+                    let bits = |t: &CooTensor| -> Vec<u32> {
+                        t.values().iter().map(|v| v.to_bits()).collect()
+                    };
+                    prop_assert_eq!(bits(a), bits(b));
+                }
+                (
+                    Err(TensorError::Duplicate { line, coords }),
+                    Err(TensorError::Duplicate {
+                        line: want_line,
+                        coords: want_coords,
+                    }),
+                ) => {
+                    prop_assert_eq!(line, want_line);
+                    prop_assert_eq!(coords, want_coords);
+                }
+                (got, want) => prop_assert!(false, "got {:?}, want {:?}", got, want),
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            #[test]
+            fn ingest_matches_boxed_key_reference(
+                order in 1usize..=5,
+                nnz in 4097usize..6000,
+                seed in any::<u64>(),
+            ) {
+                let text = duplicated_tns(order, nnz, seed);
+                for policy in [DuplicatePolicy::Keep, DuplicatePolicy::Sum, DuplicatePolicy::Reject] {
+                    let want = reference_ingest(tns(&text), &IngestOptions::new().with_policy(policy));
+                    if policy == DuplicatePolicy::Reject {
+                        prop_assert!(want.is_err(), "input must hold duplicates");
+                    }
+                    for chunk in [1usize, 7, 4096, nnz] {
+                        let opts = IngestOptions::new().with_policy(policy).with_chunk_nnz(chunk);
+                        assert_same(&ingest(tns(&text), &opts), &want)?;
+                    }
+                }
+            }
         }
 
         proptest! {
@@ -900,7 +1173,7 @@ mod tests {
             #[test]
             fn parser_never_panics_on_arbitrary_bytes(bytes in pvec(any::<u8>(), 0..200)) {
                 // Any outcome is fine; reaching it without a panic is the
-                // property (lines() surfaces invalid UTF-8 as io errors).
+                // property (invalid UTF-8 is a parse error at its line).
                 let _ = read_tns(&bytes);
                 let _ = read_bin(&bytes);
             }
