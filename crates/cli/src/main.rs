@@ -25,9 +25,8 @@ use std::time::Instant;
 use gpu_sim::{DeviceMemory, FaultPlan, Interconnect};
 use mttkrp::abft::{run_verified, AbftOptions};
 use mttkrp::cpd::{
-    cpd_als, cpd_als_adaptive, cpd_als_nonneg, cpd_als_nonneg_profiled, cpd_als_profiled,
-    cpd_als_resilient, cpd_als_resilient_durable, cpd_als_sharded, CpdOptions, DurableOptions,
-    ResilienceOptions,
+    cpd_als_adaptive, cpd_als_resilient, cpd_als_resilient_durable, cpd_als_sharded,
+    cpd_als_with_rule, CpdOptions, DurableOptions, ResilienceOptions, UpdateRule,
 };
 use mttkrp::cpu::splatt::{SplattCsf, SplattOptions};
 use mttkrp::gpu::{self, GpuContext, MemReport, MttkrpKernel, OocOptions};
@@ -1631,13 +1630,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
         let (run, report) = run_verified(&ctx, &t, factors, mode, &AbftOptions::default(), |c| {
             plans.plan(mode).execute_validated(c, factors)
         });
-        {
-            let mut rec = kernel_events.borrow_mut();
-            rec.faults_injected += report.faults_injected;
-            rec.rows_detected += report.detected_rows.len() as u64;
-            rec.kernel_retries += u64::from(report.retries);
-            rec.degraded_rows += report.degraded_rows;
-        }
+        kernel_events.borrow_mut().merge(&report.to_record());
         let y = run.y.clone();
         last_runs.borrow_mut()[mode] = Some(run);
         y
@@ -1741,18 +1734,14 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
         );
         res
     } else {
-        match (nonneg, profile_dir.is_some()) {
-            // With an event stream the impl path still runs so iteration
-            // events carry the simulated clock; the manifest is simply
-            // not written unless --profile asked for it.
-            (false, false) if ctx.telemetry.enabled() => {
-                cpd_als_profiled(&t, &opts, backend, &mut manifest, Some(&ctx))
-            }
-            (false, false) => cpd_als(&t, &opts, backend),
-            (true, false) => cpd_als_nonneg(&t, &opts, backend),
-            (false, true) => cpd_als_profiled(&t, &opts, backend, &mut manifest, Some(&ctx)),
-            (true, true) => cpd_als_nonneg_profiled(&t, &opts, backend, &mut manifest),
-        }
+        // The manifest is always filled but only written under --profile.
+        let rule = if nonneg {
+            UpdateRule::Nonneg
+        } else {
+            UpdateRule::LeastSquares
+        };
+        cpd_als_with_rule(&t, &opts, rule, backend, Some(&mut manifest), Some(&ctx))
+            .map_err(|e| e.to_string())?
     };
     manifest.resilience.merge(&kernel_events.into_inner());
     println!(

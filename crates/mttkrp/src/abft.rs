@@ -91,6 +91,17 @@ impl KernelReport {
             .count();
         hit as f64 / self.corrupted_rows.len() as f64
     }
+
+    /// This report's counts as a manifest resilience record.
+    pub fn to_record(&self) -> simprof::ResilienceRecord {
+        simprof::ResilienceRecord {
+            faults_injected: self.faults_injected,
+            rows_detected: self.detected_rows.len() as u64,
+            kernel_retries: u64::from(self.retries),
+            degraded_rows: self.degraded_rows,
+            ..simprof::ResilienceRecord::default()
+        }
+    }
 }
 
 /// Flags output rows whose column sum disagrees with the ABFT checksum.

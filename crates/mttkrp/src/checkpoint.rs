@@ -56,6 +56,41 @@ pub struct CheckpointState {
     pub fits: Vec<f64>,
 }
 
+impl CheckpointState {
+    /// Checks that this state can continue a rank-`rank` run over a
+    /// tensor of dimensions `dims`: one factor per mode with that mode's
+    /// rows and `rank` columns, and `rank` weights.
+    pub fn check_shape(
+        &self,
+        dims: &[sptensor::Index],
+        rank: usize,
+    ) -> Result<(), CheckpointError> {
+        let mismatch = |detail: String| {
+            Err(CheckpointError::ShapeMismatch {
+                seq: self.seq,
+                detail,
+            })
+        };
+        if self.factors.len() != dims.len() {
+            let order = self.factors.len();
+            return mismatch(format!("order {order}, run has order {}", dims.len()));
+        }
+        for (mode, (f, &rows)) in self.factors.iter().zip(dims).enumerate() {
+            if f.rows() != rows as usize {
+                return mismatch(format!("mode {mode} has {} rows, run has {rows}", f.rows()));
+            }
+            if f.cols() != rank {
+                return mismatch(format!("rank {}, run has rank {rank}", f.cols()));
+            }
+        }
+        if self.lambda.len() != rank {
+            let n = self.lambda.len();
+            return mismatch(format!("{n} weights, run has rank {rank}"));
+        }
+        Ok(())
+    }
+}
+
 /// A typed checkpoint failure: genuine I/O trouble or a file that does
 /// not decode (torn, corrupt, foreign, or from an unknown version).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +107,9 @@ pub enum CheckpointError {
     ChecksumMismatch { path: String },
     /// The payload is structurally inconsistent (lengths overrun).
     Malformed { path: String, detail: String },
+    /// A valid checkpoint of another run: its order, rows per mode or
+    /// rank differ from the run that tried to resume from it.
+    ShapeMismatch { seq: u64, detail: String },
 }
 
 impl CheckpointError {
@@ -103,6 +141,9 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::Malformed { path, detail } => {
                 write!(f, "checkpoint {path} is malformed: {detail}")
+            }
+            CheckpointError::ShapeMismatch { seq, detail } => {
+                write!(f, "checkpoint {seq} does not fit this run: {detail}")
             }
         }
     }

@@ -6,13 +6,20 @@
 //! kernel in this crate (CPU or simulated-GPU) can drive a full
 //! decomposition — MTTKRP being "a common bottleneck for CPD" is the
 //! paper's entire motivation.
+//!
+//! Every `cpd_als*` entry point runs the same private loop, `als`. A
+//! driver differs only in what it hands that loop: the start state
+//! (factors and `‖X‖`), the MTTKRP source, the [`UpdateRule`], and
+//! optional guards and observers.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use dense::{pseudo_inverse, spd_condition, HadamardChain, Matrix};
-use simprof::{ModeTiming, ResilienceRecord, RunManifest};
+use simprof::{FieldValue, ModeTiming, ResilienceRecord, RunManifest};
 use sptensor::CooTensor;
 
+use crate::gpu::GpuContext;
 use crate::reference::random_factors;
 
 /// CPD-ALS configuration.
@@ -59,6 +66,63 @@ impl CpdResult {
     }
 }
 
+/// How each factor is recomputed from its MTTKRP `Y` and the
+/// gram-Hadamard `Vₙ = ∗ₘ≠ₙ AₘᵀAₘ`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateRule {
+    /// `Aₙ ← Y · Vₙ⁺`, columns normalized into `λ` after every update
+    /// (paper Algorithm 1).
+    LeastSquares,
+    /// Multiplicative updates (Lee–Seung generalized to tensors):
+    /// `Aₙ ← Aₙ ∗ Y ⊘ (Aₙ · Vₙ)`. Keeps every factor entry ≥ 0 — the
+    /// constraint the paper's motivating applications (e.g. Marble's
+    /// high-throughput phenotyping from health records) impose on CPD.
+    /// Factors stay unnormalized (`λ = 1`) during the sweep; the last
+    /// factor's column norms move into `λ` once, at the end.
+    Nonneg,
+}
+
+impl UpdateRule {
+    /// Replaces `a` with its update from `y` and `v`.
+    fn update(self, a: &mut Matrix, y: &Matrix, v: &Matrix) {
+        match self {
+            UpdateRule::LeastSquares => *a = y.matmul(&pseudo_inverse(v)),
+            UpdateRule::Nonneg => {
+                const EPS: f32 = 1e-12;
+                // Denominator A·V, then the multiplicative update.
+                let denom = a.matmul(v);
+                for i in 0..a.rows() {
+                    for c in 0..a.cols() {
+                        let upd = a.get(i, c) * y.get(i, c) / (denom.get(i, c) + EPS);
+                        a.set(i, c, upd.max(0.0));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`UpdateRule::Nonneg`] refused a tensor with a negative (or NaN) value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NegativeValue {
+    /// Position of the first offending value in the tensor's entry order.
+    pub index: usize,
+    /// The value itself.
+    pub value: f32,
+}
+
+impl std::fmt::Display for NegativeValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "non-negative CPD requires a non-negative tensor: entry {} is {}",
+            self.index, self.value
+        )
+    }
+}
+
+impl std::error::Error for NegativeValue {}
+
 /// Runs CPD-ALS on `t` using `mttkrp(factors, mode)` as the kernel.
 ///
 /// The closure must return `X₍ₙ₎ ⨀ₘ≠ₙ factors[m]` exactly like
@@ -81,7 +145,7 @@ pub fn cpd_als(
     opts: &CpdOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
 ) -> CpdResult {
-    cpd_als_impl(t, opts, mttkrp, None, None)
+    resident(t, opts, UpdateRule::LeastSquares, mttkrp, Hooks::default()).0
 }
 
 /// [`cpd_als`] with iteration telemetry: per-mode MTTKRP wall time, fit
@@ -97,9 +161,14 @@ pub fn cpd_als_profiled(
     opts: &CpdOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
     manifest: &mut RunManifest,
-    ctx: Option<&crate::gpu::GpuContext>,
+    ctx: Option<&GpuContext>,
 ) -> CpdResult {
-    cpd_als_impl(t, opts, mttkrp, Some(manifest), ctx)
+    let hooks = Hooks {
+        manifest: Some(manifest),
+        ctx,
+        ..Hooks::default()
+    };
+    resident(t, opts, UpdateRule::LeastSquares, mttkrp, hooks).0
 }
 
 /// [`cpd_als`] driven by pre-captured launch plans: one
@@ -110,136 +179,60 @@ pub fn cpd_als_profiled(
 pub fn cpd_als_planned(
     t: &CooTensor,
     opts: &CpdOptions,
-    ctx: &crate::gpu::GpuContext,
+    ctx: &GpuContext,
     plans: &crate::gpu::ModePlans,
 ) -> CpdResult {
-    cpd_als_impl(
-        t,
-        opts,
-        |factors, mode| match plans.execute(ctx, factors, mode) {
-            Ok(run) => run.y,
-            // A launch refusal (rank/shape mismatch against the captured
-            // plan) cannot be retried at this layer; degrade to the
-            // reference kernel rather than poison the whole run.
-            Err(_) => crate::reference::mttkrp(t, factors, mode),
-        },
-        None,
-        Some(ctx),
-    )
+    let backend = |factors: &[Matrix], mode: usize| match plans.execute(ctx, factors, mode) {
+        Ok(run) => run.y,
+        // A launch refusal (rank/shape mismatch against the captured
+        // plan) cannot be retried at this layer; degrade to the
+        // reference kernel rather than poison the whole run.
+        Err(_) => crate::reference::mttkrp(t, factors, mode),
+    };
+    let hooks = Hooks {
+        ctx: Some(ctx),
+        ..Hooks::default()
+    };
+    resident(t, opts, UpdateRule::LeastSquares, backend, hooks).0
 }
 
-/// Stamps `opts` into the manifest so the document matches the run.
-fn sync_manifest(manifest: &mut RunManifest, opts: &CpdOptions) {
-    manifest.rank = opts.rank;
-    manifest.max_iters = opts.max_iters;
-    manifest.tol = opts.tol;
-    manifest.seed = opts.seed;
-}
-
-/// Records one completed ALS iteration against the context's *simulated*
-/// clock: the `cpd.iter_sim_us` histogram plus an `iteration` event. The
-/// clock only moves when kernels replay through the context, so the
-/// delta is the iteration's total simulated kernel time — wall-clock
-/// timings stay in the manifest, deterministic timings live here.
-fn note_iteration(ctx: &crate::gpu::GpuContext, iteration: usize, fit: f64, start_us: f64) {
-    let tel = &ctx.telemetry;
-    let sim_us = (tel.now_us() - start_us).max(0.0);
-    ctx.registry
-        .observe("cpd.iter_sim_us", sim_us.round() as u64);
-    if tel.enabled() {
-        tel.emit(
-            "iteration",
-            None,
-            tel.new_span(),
-            &[
-                ("iteration", simprof::FieldValue::from(iteration)),
-                ("fit", simprof::FieldValue::from(fit)),
-                ("iter_sim_us", simprof::FieldValue::from(sim_us)),
-            ],
-        );
-    }
-}
-
-fn cpd_als_impl(
+/// CPD under either [`UpdateRule`], with the observers of
+/// [`cpd_als_profiled`]. [`UpdateRule::Nonneg`] requires a non-negative
+/// tensor and returns the first offending value otherwise;
+/// [`UpdateRule::LeastSquares`] never fails.
+pub fn cpd_als_with_rule(
     t: &CooTensor,
     opts: &CpdOptions,
-    mut mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    mut manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
-) -> CpdResult {
-    let run_start = Instant::now();
-    if let Some(m) = manifest.as_deref_mut() {
-        sync_manifest(m, opts);
-    }
-    let order = t.order();
-    let mut factors = random_factors(t, opts.rank, opts.seed);
-    let mut lambda = vec![1.0f32; opts.rank];
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = fold_squares(0.0, t.values()).sqrt();
-
-    let mut fits = Vec::new();
-    let mut prev_fit = 0.0f64;
-    let mut iterations = 0;
-
-    for _iter in 0..opts.max_iters {
-        let iter_start = Instant::now();
-        let iter_sim_start = ctx.map_or(0.0, |c| c.telemetry.now_us());
-        let mut mode_timings: Vec<ModeTiming> = Vec::new();
-        // V = ∗_{m≠n} AₘᵀAₘ  (Eq. 3's gram-Hadamard), served from cached
-        // prefix/suffix partial products across the sweep (Phan et al.
-        // 2013) instead of an O(order²) per-iteration refold.
-        let mut chain = HadamardChain::new(&grams, opts.rank);
-        let mut inner = 0.0f64;
-        for mode in 0..order {
-            let mttkrp_start = Instant::now();
-            let y = mttkrp(&factors, mode);
-            if manifest.is_some() {
-                mode_timings.push(ModeTiming {
-                    mode,
-                    mttkrp_seconds: mttkrp_start.elapsed().as_secs_f64(),
-                });
-            }
-            let v = chain.v(mode);
-            let mut a_new = y.matmul(&pseudo_inverse(&v));
-            lambda = a_new.normalize_columns();
-            // Guard against zero columns collapsing the decomposition.
-            for l in &mut lambda {
-                if *l == 0.0 {
-                    *l = 1e-30;
-                }
-            }
-            grams[mode] = a_new.gram();
-            chain.advance(&grams[mode]);
-            if mode + 1 == order {
-                inner = inner_from_last_mode(&y, &a_new, &lambda);
-            }
-            factors[mode] = a_new;
+    rule: UpdateRule,
+    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
+    manifest: Option<&mut RunManifest>,
+    ctx: Option<&GpuContext>,
+) -> Result<CpdResult, NegativeValue> {
+    if rule == UpdateRule::Nonneg {
+        if let Some(index) = t.values().iter().position(|&v| v < 0.0 || v.is_nan()) {
+            let value = t.values()[index];
+            return Err(NegativeValue { index, value });
         }
-        iterations += 1;
+    }
+    let hooks = Hooks {
+        manifest,
+        ctx,
+        ..Hooks::default()
+    };
+    Ok(resident(t, opts, rule, mttkrp, hooks).0)
+}
 
-        let fit = fit_from_inner(inner, &lambda, &grams, norm_x);
-        fits.push(fit);
-        if let Some(m) = manifest.as_deref_mut() {
-            m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
-        }
-        if let Some(c) = ctx {
-            note_iteration(c, iterations - 1, fit, iter_sim_start);
-        }
-        if iterations > 1 && (fit - prev_fit).abs() < opts.tol {
-            break;
-        }
-        prev_fit = fit;
-    }
-    if let Some(m) = manifest {
-        m.total_seconds = run_start.elapsed().as_secs_f64();
-    }
-
-    CpdResult {
-        factors,
-        lambda,
-        fits,
-        iterations,
-    }
+/// Non-negative CPD: [`cpd_als`] under [`UpdateRule::Nonneg`]. A tensor
+/// with a negative or NaN value is refused with [`NegativeValue`].
+///
+/// Shares the MTTKRP-backend contract with [`cpd_als`], so the same
+/// simulated-GPU kernels drive it.
+pub fn cpd_als_nonneg(
+    t: &CooTensor,
+    opts: &CpdOptions,
+    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
+) -> Result<CpdResult, NegativeValue> {
+    cpd_als_with_rule(t, opts, UpdateRule::Nonneg, mttkrp, None, None)
 }
 
 /// Self-healing policy for [`cpd_als_resilient`].
@@ -287,27 +280,6 @@ pub struct ResilienceStats {
     pub rollbacks: u64,
 }
 
-/// Replaces non-finite entries with zero; returns how many were scrubbed.
-fn scrub_nonfinite(m: &mut Matrix) -> u64 {
-    let mut n = 0u64;
-    for v in m.data_mut() {
-        if !v.is_finite() {
-            *v = 0.0;
-            n += 1;
-        }
-    }
-    n
-}
-
-/// A rollback target: everything ALS needs to resume from an iteration
-/// (grams are recomputed after the rollback jitter, so not stored).
-#[derive(Clone)]
-struct Checkpoint {
-    factors: Vec<Matrix>,
-    lambda: Vec<f32>,
-    fit: f64,
-}
-
 /// [`cpd_als`] hardened against faulty MTTKRP backends — the CPD layer of
 /// the simfault stack. Three independent guards:
 ///
@@ -352,9 +324,15 @@ pub fn cpd_als_resilient(
     ropts: &ResilienceOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
     manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
+    ctx: Option<&GpuContext>,
 ) -> (CpdResult, ResilienceStats) {
-    cpd_als_resilient_inner(t, opts, ropts, mttkrp, manifest, ctx, None)
+    let hooks = Hooks {
+        resilience: Some(ropts),
+        manifest,
+        ctx,
+        ..Hooks::default()
+    };
+    resident(t, opts, UpdateRule::LeastSquares, mttkrp, hooks)
 }
 
 /// How [`cpd_als_resilient_durable`] persists and resumes state.
@@ -381,8 +359,47 @@ struct DurableSession {
     record: simprof::CheckpointRecord,
     resume: Option<crate::checkpoint::CheckpointState>,
     halt_on_crash: bool,
-    halted: bool,
     error: Option<crate::checkpoint::CheckpointError>,
+}
+
+impl DurableSession {
+    /// Writes one durable checkpoint and records what happened. Returns
+    /// `false` when the run must stop here: an injected crash under
+    /// `halt_on_crash`, or a genuine I/O error (kept for the caller).
+    fn write(
+        &mut self,
+        iteration: usize,
+        factors: &[Matrix],
+        lambda: &[f32],
+        fits: &[f64],
+        ctx: Option<&GpuContext>,
+    ) -> bool {
+        use crate::checkpoint::WriteOutcome;
+        let (kind, seq, size) = match self.store.write(iteration, factors, lambda, fits) {
+            Ok(WriteOutcome::Written { seq, bytes }) => {
+                self.record.writes += 1;
+                self.record.bytes_written += bytes;
+                ("checkpoint-write", seq, ("bytes", FieldValue::from(bytes)))
+            }
+            Ok(WriteOutcome::Crashed { seq, torn_bytes }) => {
+                self.record.crashes += 1;
+                self.record.halted = self.halt_on_crash;
+                let torn = ("torn_bytes", FieldValue::from(torn_bytes));
+                ("checkpoint-crash", seq, torn)
+            }
+            Err(e) => {
+                self.error = Some(e);
+                return false;
+            }
+        };
+        let fields = [
+            ("seq", FieldValue::from(seq)),
+            ("iteration", FieldValue::from(iteration)),
+            size,
+        ];
+        emit(ctx, kind, &fields);
+        !self.record.halted
+    }
 }
 
 /// [`cpd_als_resilient`] with durable, crash-consistent checkpoints: at
@@ -403,8 +420,10 @@ struct DurableSession {
 /// (also merged into [`RunManifest::checkpointing`] when a manifest is
 /// supplied); `record.halted` reports whether an injected crash stopped
 /// the run early under [`DurableOptions::halt_on_crash`]. `Err` is
-/// reserved for genuine I/O failures — injected crashes are data, not
-/// errors.
+/// reserved for genuine I/O failures and for a newest valid checkpoint
+/// whose shape (order, rows per mode, rank) does not match this run
+/// ([`CheckpointError::ShapeMismatch`](crate::checkpoint::CheckpointError::ShapeMismatch))
+/// — injected crashes are data, not errors.
 pub fn cpd_als_resilient_durable(
     t: &CooTensor,
     opts: &CpdOptions,
@@ -412,292 +431,44 @@ pub fn cpd_als_resilient_durable(
     dopts: &DurableOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
     mut manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
+    ctx: Option<&GpuContext>,
 ) -> Result<
     (CpdResult, ResilienceStats, simprof::CheckpointRecord),
     crate::checkpoint::CheckpointError,
 > {
     let crash = ctx.and_then(|c| c.crash_fault_plan());
-    let store =
-        crate::checkpoint::CheckpointStore::open(&dopts.dir, &dopts.label)?.with_crash_plan(crash);
-    let mut record = simprof::CheckpointRecord::default();
-    let mut resume = None;
-    if dopts.resume {
-        let scan = store.latest_valid()?;
-        record.torn_skipped += scan.skipped;
-        if let Some(state) = scan.state {
-            record.resumes += 1;
-            record.resumed_iteration = state.iteration as u64;
-            resume = Some(state);
-        }
-    }
     let mut session = DurableSession {
-        store,
-        record,
-        resume,
+        store: crate::checkpoint::CheckpointStore::open(&dopts.dir, &dopts.label)?
+            .with_crash_plan(crash),
+        record: simprof::CheckpointRecord::default(),
+        resume: None,
         halt_on_crash: dopts.halt_on_crash,
-        halted: false,
         error: None,
     };
-    let (result, stats) = cpd_als_resilient_inner(
-        t,
-        opts,
-        ropts,
-        mttkrp,
-        manifest.as_deref_mut(),
+    if dopts.resume {
+        let scan = session.store.latest_valid()?;
+        session.record.torn_skipped += scan.skipped;
+        if let Some(state) = scan.state {
+            state.check_shape(t.dims(), opts.rank)?;
+            session.record.resumes += 1;
+            session.record.resumed_iteration = state.iteration as u64;
+            session.resume = Some(state);
+        }
+    }
+    let hooks = Hooks {
+        resilience: Some(ropts),
+        durable: Some(&mut session),
+        manifest: manifest.as_deref_mut(),
         ctx,
-        Some(&mut session),
-    );
+    };
+    let (result, stats) = resident(t, opts, UpdateRule::LeastSquares, mttkrp, hooks);
     if let Some(e) = session.error {
         return Err(e);
     }
-    session.record.halted = session.halted;
     if let Some(m) = manifest {
         m.checkpointing.merge(&session.record);
     }
     Ok((result, stats, session.record))
-}
-
-fn cpd_als_resilient_inner(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    mut mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    mut manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
-    mut durable: Option<&mut DurableSession>,
-) -> (CpdResult, ResilienceStats) {
-    let run_start = Instant::now();
-    if let Some(m) = manifest.as_deref_mut() {
-        sync_manifest(m, opts);
-    }
-    let order = t.order();
-    let mut factors = random_factors(t, opts.rank, opts.seed);
-    let mut lambda = vec![1.0f32; opts.rank];
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = fold_squares(0.0, t.values()).sqrt();
-
-    let mut stats = ResilienceStats::default();
-    let mut checkpoint: Option<Checkpoint> = None;
-    let mut best_fit = f64::NEG_INFINITY;
-    let mut fits = Vec::new();
-    let mut prev_fit = 0.0f64;
-    let mut iterations = 0;
-
-    // Warm restart: adopt the checkpointed trajectory wholesale. Grams
-    // are recomputed from the restored factors (they are pure functions
-    // of them), `prev_fit`/`best_fit` are re-derived from the restored
-    // fit trajectory, and the restored state doubles as the in-memory
-    // rollback target — exactly the state an uninterrupted run had right
-    // after taking that checkpoint, so the continuation is bit-identical.
-    if let Some(state) = durable.as_deref_mut().and_then(|d| d.resume.take()) {
-        factors = state.factors;
-        lambda = state.lambda;
-        fits = state.fits;
-        iterations = state.iteration;
-        prev_fit = fits.last().copied().unwrap_or(0.0);
-        best_fit = fits
-            .iter()
-            .copied()
-            .filter(|f| f.is_finite())
-            .fold(f64::NEG_INFINITY, f64::max);
-        checkpoint = Some(Checkpoint {
-            factors: factors.clone(),
-            lambda: lambda.clone(),
-            fit: prev_fit,
-        });
-        grams = factors.iter().map(Matrix::gram).collect();
-        if let Some(c) = ctx {
-            let tel = &c.telemetry;
-            if tel.enabled() {
-                tel.emit(
-                    "checkpoint-resume",
-                    None,
-                    tel.new_span(),
-                    &[
-                        ("seq", simprof::FieldValue::from(state.seq)),
-                        ("iteration", simprof::FieldValue::from(iterations)),
-                    ],
-                );
-            }
-        }
-    }
-
-    while iterations < opts.max_iters {
-        let iter_start = Instant::now();
-        let iter_sim_start = ctx.map_or(0.0, |c| c.telemetry.now_us());
-        let mut mode_timings: Vec<ModeTiming> = Vec::new();
-        let mut chain = HadamardChain::new(&grams, opts.rank);
-        let mut inner = 0.0f64;
-        for mode in 0..order {
-            let mttkrp_start = Instant::now();
-            let mut y = mttkrp(&factors, mode);
-            if manifest.is_some() {
-                mode_timings.push(ModeTiming {
-                    mode,
-                    mttkrp_seconds: mttkrp_start.elapsed().as_secs_f64(),
-                });
-            }
-            stats.nan_resets += scrub_nonfinite(&mut y);
-            // Scrubbing applies to the joined product only — the chain's
-            // cached partials stay as computed, exactly like the old
-            // refold scrubbed its per-mode result and left `grams` alone.
-            let mut v = chain.v(mode);
-            stats.nan_resets += scrub_nonfinite(&mut v);
-            if spd_condition(&v) > ropts.cond_limit {
-                // Relative ridge: λI scaled to the matrix's own magnitude.
-                let trace: f32 = (0..opts.rank).map(|i| v.get(i, i)).sum();
-                let mu = ropts.ridge * (trace / opts.rank as f32).max(f32::MIN_POSITIVE);
-                for i in 0..opts.rank {
-                    v.set(i, i, v.get(i, i) + mu);
-                }
-                stats.tikhonov_fallbacks += 1;
-            }
-            let mut a_new = y.matmul(&pseudo_inverse(&v));
-            stats.nan_resets += scrub_nonfinite(&mut a_new);
-            lambda = a_new.normalize_columns();
-            for l in &mut lambda {
-                if *l == 0.0 || !l.is_finite() {
-                    *l = 1e-30;
-                }
-            }
-            grams[mode] = a_new.gram();
-            chain.advance(&grams[mode]);
-            if mode + 1 == order {
-                inner = inner_from_last_mode(&y, &a_new, &lambda);
-            }
-            factors[mode] = a_new;
-        }
-        iterations += 1;
-
-        // `inner` comes from the last mode's (possibly corrupt) output. A
-        // residual further below zero than the fit tolerance allows is no
-        // fit at all: it reads as NaN, so it regresses and is never
-        // adopted as the best fit or checkpointed.
-        let resid_sq = residual_sq(inner, &lambda, &grams, norm_x);
-        let fit = if -resid_sq > (ropts.fit_drop_tol * norm_x).powi(2) {
-            f64::NAN
-        } else {
-            fit_from_residual(resid_sq, norm_x)
-        };
-        fits.push(fit);
-        if let Some(m) = manifest.as_deref_mut() {
-            m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
-        }
-        if let Some(c) = ctx {
-            note_iteration(c, iterations - 1, fit, iter_sim_start);
-        }
-
-        let regressed = fit.is_nan() || fit < best_fit - ropts.fit_drop_tol;
-        let rollback_target = if regressed && stats.rollbacks < ropts.max_rollbacks {
-            checkpoint.as_ref()
-        } else {
-            None
-        };
-        if let Some(cp) = rollback_target {
-            // Roll back and re-jitter so the retried trajectory draws
-            // different fault sites than the one that regressed.
-            factors = cp.factors.clone();
-            lambda = cp.lambda.clone();
-            prev_fit = cp.fit;
-            stats.rollbacks += 1;
-            let jitter_seed = opts.seed.wrapping_add(0x5EED).wrapping_add(stats.rollbacks);
-            for (m, f) in factors.iter_mut().enumerate() {
-                let noise = Matrix::random(f.rows(), f.cols(), jitter_seed + m as u64);
-                for (v, &nz) in f.data_mut().iter_mut().zip(noise.data()) {
-                    *v += 1e-3 * nz;
-                }
-            }
-            grams = factors.iter().map(Matrix::gram).collect();
-            continue;
-        }
-        if fit.is_finite() && fit > best_fit {
-            best_fit = fit;
-        }
-        if ropts.checkpoint_every > 0 && iterations % ropts.checkpoint_every == 0 && fit.is_finite()
-        {
-            checkpoint = Some(Checkpoint {
-                factors: factors.clone(),
-                lambda: lambda.clone(),
-                fit,
-            });
-            stats.checkpoints += 1;
-            if let Some(d) = durable.as_deref_mut() {
-                use crate::checkpoint::WriteOutcome;
-                match d.store.write(iterations, &factors, &lambda, &fits) {
-                    Ok(WriteOutcome::Written { seq, bytes }) => {
-                        d.record.writes += 1;
-                        d.record.bytes_written += bytes;
-                        if let Some(c) = ctx {
-                            let tel = &c.telemetry;
-                            if tel.enabled() {
-                                tel.emit(
-                                    "checkpoint-write",
-                                    None,
-                                    tel.new_span(),
-                                    &[
-                                        ("seq", simprof::FieldValue::from(seq)),
-                                        ("iteration", simprof::FieldValue::from(iterations)),
-                                        ("bytes", simprof::FieldValue::from(bytes)),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    Ok(WriteOutcome::Crashed { seq, torn_bytes }) => {
-                        d.record.crashes += 1;
-                        if let Some(c) = ctx {
-                            let tel = &c.telemetry;
-                            if tel.enabled() {
-                                tel.emit(
-                                    "checkpoint-crash",
-                                    None,
-                                    tel.new_span(),
-                                    &[
-                                        ("seq", simprof::FieldValue::from(seq)),
-                                        ("iteration", simprof::FieldValue::from(iterations)),
-                                        ("torn_bytes", simprof::FieldValue::from(torn_bytes)),
-                                    ],
-                                );
-                            }
-                        }
-                        if d.halt_on_crash {
-                            d.halted = true;
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        d.error = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        if iterations > 1 && (fit - prev_fit).abs() < opts.tol {
-            break;
-        }
-        prev_fit = fit;
-    }
-    if let Some(m) = manifest {
-        m.total_seconds = run_start.elapsed().as_secs_f64();
-        m.resilience.merge(&ResilienceRecord {
-            rollbacks: stats.rollbacks,
-            nan_resets: stats.nan_resets,
-            tikhonov_fallbacks: stats.tikhonov_fallbacks,
-            checkpoints: stats.checkpoints,
-            ..ResilienceRecord::default()
-        });
-    }
-
-    (
-        CpdResult {
-            factors,
-            lambda,
-            fits,
-            iterations,
-        },
-        stats,
-    )
 }
 
 /// [`cpd_als_resilient`] with every MTTKRP routed through the out-of-core
@@ -724,7 +495,7 @@ pub fn cpd_als_adaptive(
     t: &CooTensor,
     opts: &CpdOptions,
     ropts: &ResilienceOptions,
-    ctx: &crate::gpu::GpuContext,
+    ctx: &GpuContext,
     plans: &crate::gpu::ModePlans,
     oopts: &crate::gpu::OocOptions,
     mut manifest: Option<&mut RunManifest>,
@@ -741,13 +512,7 @@ pub fn cpd_als_adaptive(
         if exec_faulted {
             let (run, rep, mems) =
                 crate::abft::run_verified_adaptive(ctx, t, factors, &abft_opts, oopts, plan);
-            {
-                let mut ev = kernel_events.borrow_mut();
-                ev.faults_injected += rep.faults_injected;
-                ev.rows_detected += rep.detected_rows.len() as u64;
-                ev.kernel_retries += u64::from(rep.retries);
-                ev.degraded_rows += rep.degraded_rows;
-            }
+            kernel_events.borrow_mut().merge(&rep.to_record());
             let mut mr = memrec.borrow_mut();
             for m in &mems {
                 m.absorb_into(&mut mr);
@@ -804,7 +569,7 @@ pub fn cpd_als_sharded(
     t: &CooTensor,
     opts: &CpdOptions,
     ropts: &ResilienceOptions,
-    ctx: &crate::gpu::GpuContext,
+    ctx: &GpuContext,
     plans: &crate::gpu::ModePlans,
     grid: &crate::gpu::GridSpec,
     oopts: &crate::gpu::OocOptions,
@@ -814,25 +579,9 @@ pub fn cpd_als_sharded(
 
     use crate::gpu::ShardModel;
 
-    // Unreachable in practice — the tensor is always attached below —
-    // but degrade to the CPU reference rather than panic if the sharded
-    // engine ever refuses an execute.
-    fn sharded_cpu_degrade(
-        t: &CooTensor,
-        plan: &crate::gpu::Plan,
-        factors: &[Matrix],
-        model: &ShardModel,
-    ) -> (crate::gpu::GpuRun, crate::gpu::GridReport) {
-        (
-            crate::gpu::GpuRun {
-                y: crate::reference::mttkrp(t, factors, plan.mode()),
-                sim: crate::gpu::ooc::cpu_fallback_sim(plan),
-                profile: None,
-                abft: None,
-            },
-            model.report(),
-        )
-    }
+    // `execute` fails only when a CPU-fallback model has no tensor, and
+    // the tensor is always attached here.
+    const ATTACHED: &str = "the tensor is attached";
 
     // Model phase, once per mode: the per-iteration replays only clone
     // values out of these.
@@ -853,22 +602,14 @@ pub fn cpd_als_sharded(
             // under test, run_verified wraps it with checksum + retry.
             let (run, rep) =
                 crate::abft::run_verified(ctx, t, factors, plan.mode(), &abft_opts, |c| {
-                    let (run, g) = model
-                        .execute(c, plan, factors, Some(t))
-                        .unwrap_or_else(|_| sharded_cpu_degrade(t, plan, factors, model));
+                    let (run, g) = model.execute(c, plan, factors, Some(t)).expect(ATTACHED);
                     grid_rec.borrow_mut().merge(&g.to_record());
                     run
                 });
-            let mut ev = kernel_events.borrow_mut();
-            ev.faults_injected += rep.faults_injected;
-            ev.rows_detected += rep.detected_rows.len() as u64;
-            ev.kernel_retries += u64::from(rep.retries);
-            ev.degraded_rows += rep.degraded_rows;
+            kernel_events.borrow_mut().merge(&rep.to_record());
             run.y
         } else {
-            let (run, g) = model
-                .execute(ctx, plan, factors, Some(t))
-                .unwrap_or_else(|_| sharded_cpu_degrade(t, plan, factors, model));
+            let (run, g) = model.execute(ctx, plan, factors, Some(t)).expect(ATTACHED);
             grid_rec.borrow_mut().merge(&g.to_record());
             run.y
         }
@@ -885,94 +626,225 @@ pub fn cpd_als_sharded(
     (result, stats, rec)
 }
 
-/// Non-negative CPD via multiplicative updates (Lee–Seung generalized to
-/// tensors): `Aₙ ← Aₙ ∗ MTTKRP(X, n) ⊘ (Aₙ · Vₙ)` with
-/// `Vₙ = ∗ₘ≠ₙ AₘᵀAₘ`. Keeps every factor entry ≥ 0 — the constraint the
-/// paper's motivating applications (e.g. Marble's high-throughput
-/// phenotyping from health records) impose on CPD. The tensor's values
-/// must be non-negative.
-///
-/// Shares the MTTKRP-backend contract with [`cpd_als`], so the same
-/// simulated-GPU kernels drive it.
-pub fn cpd_als_nonneg(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-) -> CpdResult {
-    cpd_als_nonneg_impl(t, opts, mttkrp, None)
+/// Optional guards and observers of one [`als`] run. The default is a
+/// plain run: no scrubbing, no conditioning check, no rollback, nothing
+/// recorded.
+#[derive(Default)]
+pub(crate) struct Hooks<'a> {
+    /// Scrubbing, the Tikhonov fallback, the NaN-fit rule, rollback and
+    /// in-memory checkpoints.
+    resilience: Option<&'a ResilienceOptions>,
+    /// Durable checkpoints and warm restart; written only at the
+    /// in-memory checkpoints `resilience` takes.
+    durable: Option<&'a mut DurableSession>,
+    /// Per-iteration wall times and fits, resilience counts.
+    manifest: Option<&'a mut RunManifest>,
+    /// Simulated-clock iteration records and checkpoint events.
+    ctx: Option<&'a GpuContext>,
 }
 
-/// [`cpd_als_nonneg`] with the same iteration telemetry as
-/// [`cpd_als_profiled`].
-pub fn cpd_als_nonneg_profiled(
+/// [`als`] over a resident tensor: factors seeded from its shape, `‖X‖`
+/// folded from its values, and an infallible kernel.
+fn resident(
     t: &CooTensor,
     opts: &CpdOptions,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    manifest: &mut RunManifest,
-) -> CpdResult {
-    cpd_als_nonneg_impl(t, opts, mttkrp, Some(manifest))
-}
-
-fn cpd_als_nonneg_impl(
-    t: &CooTensor,
-    opts: &CpdOptions,
+    rule: UpdateRule,
     mut mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    mut manifest: Option<&mut RunManifest>,
-) -> CpdResult {
+    hooks: Hooks,
+) -> (CpdResult, ResilienceStats) {
+    let factors = random_factors(t, opts.rank, opts.seed);
+    let norm_x = fold_squares(0.0, t.values()).sqrt();
+    let source = |f: &[Matrix], mode: usize| Ok::<_, Infallible>(mttkrp(f, mode));
+    let Ok(out) = als(opts, factors, norm_x, rule, source, hooks);
+    out
+}
+
+/// The ALS loop every driver runs, from `factors` on a tensor of norm
+/// `norm_x`. Each sweep takes one MTTKRP per mode from `mttkrp` (whose
+/// error ends the run), updates that factor under `rule`, and folds the
+/// fit from the last mode's output. The run stops after
+/// `opts.max_iters` iterations or once the fit moves by less than
+/// `opts.tol`.
+///
+/// With `hooks.resilience` the guards of [`cpd_als_resilient`] run; with
+/// none, no guard code runs at all.
+pub(crate) fn als<E>(
+    opts: &CpdOptions,
+    mut factors: Vec<Matrix>,
+    norm_x: f64,
+    rule: UpdateRule,
+    mut mttkrp: impl FnMut(&[Matrix], usize) -> Result<Matrix, E>,
+    hooks: Hooks,
+) -> Result<(CpdResult, ResilienceStats), E> {
+    let Hooks {
+        resilience: ropts,
+        mut durable,
+        mut manifest,
+        ctx,
+    } = hooks;
     let run_start = Instant::now();
     if let Some(m) = manifest.as_deref_mut() {
-        sync_manifest(m, opts);
+        // The written document always describes the run that produced it.
+        (m.rank, m.max_iters, m.tol, m.seed) = (opts.rank, opts.max_iters, opts.tol, opts.seed);
     }
-    assert!(
-        t.values().iter().all(|&v| v >= 0.0),
-        "non-negative CPD requires a non-negative tensor"
-    );
-    const EPS: f32 = 1e-12;
-    let order = t.order();
-    let mut factors = random_factors(t, opts.rank, opts.seed);
+    let order = factors.len();
+    let mut lambda = vec![1.0f32; opts.rank];
     let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = fold_squares(0.0, t.values()).sqrt();
-    // The updates stay unnormalized, so the model's weights are all one.
-    let ones = vec![1.0f32; opts.rank];
 
+    let mut stats = ResilienceStats::default();
+    let mut checkpoint: Option<Checkpoint> = None;
+    let mut best_fit = f64::NEG_INFINITY;
     let mut fits = Vec::new();
     let mut prev_fit = 0.0f64;
     let mut iterations = 0;
-    for _iter in 0..opts.max_iters {
+
+    // Warm restart: adopt the checkpointed trajectory wholesale. Grams
+    // are recomputed from the restored factors (they are pure functions
+    // of them), `prev_fit`/`best_fit` are re-derived from the restored
+    // fit trajectory, and the restored state doubles as the in-memory
+    // rollback target — exactly the state an uninterrupted run had right
+    // after taking that checkpoint, so the continuation is bit-identical.
+    if let Some(state) = durable.as_deref_mut().and_then(|d| d.resume.take()) {
+        factors = state.factors;
+        lambda = state.lambda;
+        fits = state.fits;
+        iterations = state.iteration;
+        prev_fit = fits.last().copied().unwrap_or(0.0);
+        best_fit = fits
+            .iter()
+            .copied()
+            .filter(|f| f.is_finite())
+            .fold(f64::NEG_INFINITY, f64::max);
+        checkpoint = Some(Checkpoint {
+            factors: factors.clone(),
+            lambda: lambda.clone(),
+            fit: prev_fit,
+        });
+        grams = factors.iter().map(Matrix::gram).collect();
+        let fields = [
+            ("seq", FieldValue::from(state.seq)),
+            ("iteration", FieldValue::from(iterations)),
+        ];
+        emit(ctx, "checkpoint-resume", &fields);
+    }
+
+    while iterations < opts.max_iters {
         let iter_start = Instant::now();
+        let iter_sim_start = ctx.map_or(0.0, |c| c.telemetry.now_us());
         let mut mode_timings: Vec<ModeTiming> = Vec::new();
+        // V = ∗_{m≠n} AₘᵀAₘ  (Eq. 3's gram-Hadamard), served from cached
+        // prefix/suffix partial products across the sweep (Phan et al.
+        // 2013) instead of an O(order²) per-iteration refold.
         let mut chain = HadamardChain::new(&grams, opts.rank);
         let mut inner = 0.0f64;
         for mode in 0..order {
             let mttkrp_start = Instant::now();
-            let y = mttkrp(&factors, mode);
+            let mut y = mttkrp(&factors, mode)?;
             if manifest.is_some() {
                 mode_timings.push(ModeTiming {
                     mode,
                     mttkrp_seconds: mttkrp_start.elapsed().as_secs_f64(),
                 });
             }
-            let v = chain.v(mode);
-            // Denominator A·V, then the multiplicative update.
-            let denom = factors[mode].matmul(&v);
-            let a = &mut factors[mode];
-            for i in 0..a.rows() {
-                for c in 0..opts.rank {
-                    let upd = a.get(i, c) * y.get(i, c) / (denom.get(i, c) + EPS);
-                    a.set(i, c, upd.max(0.0));
+            let mut v = chain.v(mode);
+            if let Some(r) = ropts {
+                // Scrubbing applies to the joined product only — the
+                // chain's cached partials stay as computed.
+                stats.nan_resets += scrub_nonfinite(&mut y) + scrub_nonfinite(&mut v);
+                if spd_condition(&v) > r.cond_limit {
+                    // Relative ridge: λI scaled to the matrix's own magnitude.
+                    let trace: f32 = (0..opts.rank).map(|i| v.get(i, i)).sum();
+                    let mu = r.ridge * (trace / opts.rank as f32).max(f32::MIN_POSITIVE);
+                    for i in 0..opts.rank {
+                        v.set(i, i, v.get(i, i) + mu);
+                    }
+                    stats.tikhonov_fallbacks += 1;
                 }
             }
-            grams[mode] = factors[mode].gram();
+            let a = &mut factors[mode];
+            rule.update(a, &y, &v);
+            if ropts.is_some() {
+                stats.nan_resets += scrub_nonfinite(a);
+            }
+            if rule == UpdateRule::LeastSquares {
+                lambda = a.normalize_columns();
+                guard_lambda(&mut lambda, ropts.is_some());
+            }
+            grams[mode] = a.gram();
             chain.advance(&grams[mode]);
             if mode + 1 == order {
-                inner = inner_from_last_mode(&y, &factors[mode], &ones);
+                inner = inner_from_last_mode(&y, a, &lambda);
             }
         }
         iterations += 1;
-        let fit = fit_from_inner(inner, &ones, &grams, norm_x);
+
+        // Under guards `inner` may come from a corrupt last-mode output. A
+        // residual further below zero than the fit tolerance allows is no
+        // fit at all: it reads as NaN, so it regresses and is never
+        // adopted as the best fit or checkpointed.
+        let resid_sq = residual_sq(inner, &lambda, &grams, norm_x);
+        let fit = match ropts {
+            Some(r) if -resid_sq > (r.fit_drop_tol * norm_x).powi(2) => f64::NAN,
+            _ => fit_from_residual(resid_sq, norm_x),
+        };
         fits.push(fit);
         if let Some(m) = manifest.as_deref_mut() {
             m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
+        }
+        if let Some(c) = ctx {
+            // The simulated clock moves only when kernels replay through
+            // the context, so the delta is the iteration's simulated kernel
+            // time: deterministic, unlike the manifest's wall times.
+            let sim_us = (c.telemetry.now_us() - iter_sim_start).max(0.0);
+            c.registry.observe("cpd.iter_sim_us", sim_us.round() as u64);
+            let fields = [
+                ("iteration", FieldValue::from(iterations - 1)),
+                ("fit", FieldValue::from(fit)),
+                ("iter_sim_us", FieldValue::from(sim_us)),
+            ];
+            emit(ctx, "iteration", &fields);
+        }
+
+        if let Some(r) = ropts {
+            let regressed = fit.is_nan() || fit < best_fit - r.fit_drop_tol;
+            let rollback_target = if regressed && stats.rollbacks < r.max_rollbacks {
+                checkpoint.as_ref()
+            } else {
+                None
+            };
+            if let Some(cp) = rollback_target {
+                // Roll back and re-jitter so the retried trajectory draws
+                // different fault sites than the one that regressed.
+                factors = cp.factors.clone();
+                lambda = cp.lambda.clone();
+                prev_fit = cp.fit;
+                stats.rollbacks += 1;
+                let jitter_seed = opts.seed.wrapping_add(0x5EED).wrapping_add(stats.rollbacks);
+                for (m, f) in factors.iter_mut().enumerate() {
+                    let noise = Matrix::random(f.rows(), f.cols(), jitter_seed + m as u64);
+                    for (v, &nz) in f.data_mut().iter_mut().zip(noise.data()) {
+                        *v += 1e-3 * nz;
+                    }
+                }
+                grams = factors.iter().map(Matrix::gram).collect();
+                continue;
+            }
+            if fit.is_finite() && fit > best_fit {
+                best_fit = fit;
+            }
+            if r.checkpoint_every > 0 && iterations % r.checkpoint_every == 0 && fit.is_finite() {
+                checkpoint = Some(Checkpoint {
+                    factors: factors.clone(),
+                    lambda: lambda.clone(),
+                    fit,
+                });
+                stats.checkpoints += 1;
+                if let Some(d) = durable.as_deref_mut() {
+                    if !d.write(iterations, &factors, &lambda, &fits, ctx) {
+                        break;
+                    }
+                }
+            }
         }
         if iterations > 1 && (fit - prev_fit).abs() < opts.tol {
             break;
@@ -981,23 +853,67 @@ fn cpd_als_nonneg_impl(
     }
     if let Some(m) = manifest {
         m.total_seconds = run_start.elapsed().as_secs_f64();
+        m.resilience.merge(&ResilienceRecord {
+            rollbacks: stats.rollbacks,
+            nan_resets: stats.nan_resets,
+            tikhonov_fallbacks: stats.tikhonov_fallbacks,
+            checkpoints: stats.checkpoints,
+            ..ResilienceRecord::default()
+        });
     }
-
-    // Absorb column norms into λ at the end (updates stay unnormalized).
-    let mut lambda = vec![1.0f32; opts.rank];
-    if let Some(last) = factors.last_mut() {
-        lambda = last.normalize_columns();
-        for l in &mut lambda {
-            if *l == 0.0 {
-                *l = 1e-30;
-            }
+    if rule == UpdateRule::Nonneg {
+        if let Some(last) = factors.last_mut() {
+            lambda = last.normalize_columns();
+            guard_lambda(&mut lambda, ropts.is_some());
         }
     }
-    CpdResult {
-        factors,
-        lambda,
-        fits,
-        iterations,
+
+    Ok((
+        CpdResult {
+            factors,
+            lambda,
+            fits,
+            iterations,
+        },
+        stats,
+    ))
+}
+
+/// Keeps zero columns from collapsing the decomposition: a zero weight
+/// becomes `1e-30`, and under guards so does a non-finite one.
+fn guard_lambda(lambda: &mut [f32], guarded: bool) {
+    for l in lambda {
+        if *l == 0.0 || (guarded && !l.is_finite()) {
+            *l = 1e-30;
+        }
+    }
+}
+
+/// Replaces non-finite entries with zero; returns how many were scrubbed.
+fn scrub_nonfinite(m: &mut Matrix) -> u64 {
+    let mut n = 0u64;
+    for v in m.data_mut() {
+        if !v.is_finite() {
+            *v = 0.0;
+            n += 1;
+        }
+    }
+    n
+}
+
+/// A rollback target: everything ALS needs to resume from an iteration
+/// (grams are recomputed after the rollback jitter, so not stored).
+#[derive(Clone)]
+struct Checkpoint {
+    factors: Vec<Matrix>,
+    lambda: Vec<f32>,
+    fit: f64,
+}
+
+/// Emits a `kind` event on the context's telemetry stream, if enabled.
+fn emit(ctx: Option<&GpuContext>, kind: &str, fields: &[(&str, FieldValue)]) {
+    if let Some(tel) = ctx.map(|c| &c.telemetry).filter(|tel| tel.enabled()) {
+        tel.emit(kind, None, tel.new_span(), fields);
     }
 }
 
@@ -1017,7 +933,7 @@ pub(crate) fn fold_squares(acc: f64, vals: &[f32]) -> f64 {
 /// The identity is exact when `Y` was computed from the factors the model
 /// ends the iteration with — true at the last mode of every ALS sweep.
 /// Each column accumulates in `f64` in row order, then is weighted by λ.
-pub(crate) fn inner_from_last_mode(y: &Matrix, a: &Matrix, lambda: &[f32]) -> f64 {
+fn inner_from_last_mode(y: &Matrix, a: &Matrix, lambda: &[f32]) -> f64 {
     let r = lambda.len();
     if r == 0 {
         return 0.0;
@@ -1031,19 +947,13 @@ pub(crate) fn inner_from_last_mode(y: &Matrix, a: &Matrix, lambda: &[f32]) -> f6
     cols.iter().zip(lambda).map(|(&c, &l)| l as f64 * c).sum()
 }
 
-/// Fit = `1 − ‖X − X̃‖ / ‖X‖`, computed without materializing `X̃`, from
-/// [`residual_sq`] clamped at zero. Every ALS driver pairs it with
-/// [`inner_from_last_mode`], so a fit costs `O(I_N·R + N·R²)` per
-/// iteration and no pass over the nonzeros.
-pub(crate) fn fit_from_inner(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
-    fit_from_residual(residual_sq(inner, lambda, grams, norm_x), norm_x)
-}
-
 /// `‖X − X̃‖² = ‖X‖² − 2⟨X, X̃⟩ + ‖X̃‖²`, with
 /// `‖X̃‖² = Σ_{r,s} λ_r λ_s Π_m (AₘᵀAₘ)_{r,s}` folded from the grams.
-/// Unclamped: rounding can leave it slightly below zero, and a corrupt
-/// `inner` can leave it far below.
-pub(crate) fn residual_sq(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
+/// Paired with [`inner_from_last_mode`], a fit costs `O(I_N·R + N·R²)`
+/// per iteration and no pass over the nonzeros. Unclamped: rounding can
+/// leave it slightly below zero, and a corrupt `inner` can leave it far
+/// below.
+fn residual_sq(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
     let r = lambda.len();
     // ‖X̃‖²
     let mut model_sq = 0.0f64;
@@ -1059,6 +969,7 @@ pub(crate) fn residual_sq(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: 
     norm_x * norm_x - 2.0 * inner + model_sq
 }
 
+/// Fit = `1 − ‖X − X̃‖ / ‖X‖` from [`residual_sq`], clamped at zero.
 fn fit_from_residual(resid_sq: f64, norm_x: f64) -> f64 {
     if norm_x == 0.0 {
         return 1.0;
@@ -1291,7 +1202,7 @@ mod tests {
             tol: 0.0,
             seed: 14,
         };
-        let res = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let res = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap();
         for f in &res.factors {
             assert!(f.data().iter().all(|&v| v >= 0.0), "negative factor entry");
         }
@@ -1311,7 +1222,7 @@ mod tests {
             tol: 1e-10,
             seed: 15,
         };
-        let res = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let res = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap();
         assert!(
             res.final_fit() > 0.99,
             "fit {} after {} iters",
@@ -1321,12 +1232,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn nonneg_rejects_negative_tensor() {
         let mut t = rank_one_tensor();
-        t.values_mut()[0] = -1.0;
+        t.values_mut()[3] = -1.0;
         let opts = CpdOptions::default();
-        let _ = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let err = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap_err();
+        assert_eq!(
+            err,
+            NegativeValue {
+                index: 3,
+                value: -1.0
+            }
+        );
+        assert!(err.to_string().contains("non-negative"), "{err}");
     }
 
     #[test]
@@ -1463,6 +1381,8 @@ mod tests {
         );
         // Telemetry is observational: the math is unchanged.
         assert_eq!(plain.fits, prof.fits);
+        assert_eq!(plain.factors, prof.factors);
+        assert_eq!(plain.lambda, prof.lambda);
         assert_eq!(plain.iterations, prof.iterations);
         // Options were stamped into the manifest.
         assert_eq!(manifest.rank, 4);
@@ -1493,9 +1413,21 @@ mod tests {
             tol: 0.0,
             seed: 9,
         };
+        let plain = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap();
         let mut manifest = RunManifest::new("reference-nonneg", "uniform-150", 0, 0, 0.0, 0);
-        let prof =
-            cpd_als_nonneg_profiled(&t, &opts, |f, m| reference::mttkrp(&t, f, m), &mut manifest);
+        let prof = cpd_als_with_rule(
+            &t,
+            &opts,
+            UpdateRule::Nonneg,
+            |f, m| reference::mttkrp(&t, f, m),
+            Some(&mut manifest),
+            None,
+        )
+        .unwrap();
+        // Telemetry is observational: the math is unchanged.
+        assert_eq!(plain.fits, prof.fits);
+        assert_eq!(plain.factors, prof.factors);
+        assert_eq!(plain.lambda, prof.lambda);
         assert_eq!(manifest.iterations_run, prof.iterations);
         assert_eq!(manifest.final_fit, prof.final_fit());
         assert!(manifest.iterations.iter().all(|rec| rec.modes.len() == 3));
@@ -1520,6 +1452,8 @@ mod tests {
             None,
         );
         assert_eq!(plain.fits, res.fits, "clean backend: guards must be inert");
+        assert_eq!(plain.factors, res.factors);
+        assert_eq!(plain.lambda, res.lambda);
         assert_eq!(stats.nan_resets, 0);
         assert_eq!(stats.rollbacks, 0);
         assert_eq!(stats.tikhonov_fallbacks, 0);
@@ -1627,6 +1561,85 @@ mod tests {
         assert_eq!(resumed.fits, uninterrupted.fits);
         assert_eq!(resumed.factors, uninterrupted.factors);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes rank-3 checkpoints of a 10×12×14 run into a fresh `dir`,
+    /// then resumes from them with `t` at `rank`.
+    fn resume_foreign_checkpoint(
+        dir: &std::path::Path,
+        t: &CooTensor,
+        rank: usize,
+    ) -> Result<CpdResult, crate::checkpoint::CheckpointError> {
+        let _ = std::fs::remove_dir_all(dir);
+        let opts = CpdOptions {
+            rank: 3,
+            max_iters: 4,
+            tol: 0.0,
+            seed: 21,
+        };
+        let ropts = ResilienceOptions::default();
+        let mut dopts = DurableOptions {
+            dir: dir.to_path_buf(),
+            label: "foreign".to_string(),
+            resume: false,
+            halt_on_crash: false,
+        };
+        let first = sptensor::synth::uniform_random(&[10, 12, 14], 300, 9);
+        let (_, _, rec) = cpd_als_resilient_durable(
+            &first,
+            &opts,
+            &ropts,
+            &dopts,
+            |f, m| reference::mttkrp(&first, f, m),
+            None,
+            None,
+        )
+        .unwrap();
+        assert!(rec.writes > 0);
+        dopts.resume = true;
+        let opts = CpdOptions { rank, ..opts };
+        let out = cpd_als_resilient_durable(
+            t,
+            &opts,
+            &ropts,
+            &dopts,
+            |f, m| reference::mttkrp(t, f, m),
+            None,
+            None,
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+        out.map(|(res, _, _)| res)
+    }
+
+    #[test]
+    fn resume_rejects_checkpoint_of_another_rank() {
+        use crate::checkpoint::CheckpointError;
+        let dir = std::env::temp_dir().join("sptk_cpd_resume_rank");
+        let t = sptensor::synth::uniform_random(&[10, 12, 14], 300, 9);
+        let err = resume_foreign_checkpoint(&dir, &t, 4).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::ShapeMismatch { detail, .. } if detail.contains("rank 3")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn resume_rejects_checkpoint_of_another_shape() {
+        use crate::checkpoint::CheckpointError;
+        let dir = std::env::temp_dir().join("sptk_cpd_resume_dims");
+        let t = sptensor::synth::uniform_random(&[10, 40, 14], 300, 9);
+        let err = resume_foreign_checkpoint(&dir, &t, 3).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::ShapeMismatch { detail, .. } if detail.contains("mode 1")),
+            "{err}"
+        );
+        let t4 = sptensor::synth::uniform_random(&[10, 12, 14, 5], 300, 9);
+        let dir4 = std::env::temp_dir().join("sptk_cpd_resume_order");
+        let err = resume_foreign_checkpoint(&dir4, &t4, 3).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::ShapeMismatch { detail, .. } if detail.contains("order 3")),
+            "{err}"
+        );
     }
 
     #[test]

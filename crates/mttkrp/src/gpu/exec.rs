@@ -219,13 +219,7 @@ impl Execution {
             manifest.grid.merge(&g.to_record());
         }
         if let Some(r) = &self.abft {
-            manifest.resilience.merge(&simprof::ResilienceRecord {
-                faults_injected: r.faults_injected,
-                rows_detected: r.detected_rows.len() as u64,
-                kernel_retries: u64::from(r.retries),
-                degraded_rows: r.degraded_rows,
-                ..simprof::ResilienceRecord::default()
-            });
+            manifest.resilience.merge(&r.to_record());
         }
     }
 }

@@ -36,7 +36,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 
-use dense::{pseudo_inverse, HadamardChain, Matrix};
+use dense::Matrix;
 use sptensor::source::CooChunk;
 use sptensor::spill::SortedChunks;
 use sptensor::{mode_orientation, IngestOptions, SpilledTensor, TensorError, TensorResult};
@@ -45,7 +45,7 @@ use tensor_formats::{BcsfOptions, Csf, Hbcsf};
 use super::common::GpuContext;
 use super::plan::{Plan, PlanBuilder};
 use super::sharded::shard_ranges;
-use crate::cpd::{fit_from_inner, fold_squares, inner_from_last_mode, CpdOptions, CpdResult};
+use crate::cpd::{als, fold_squares, CpdOptions, CpdResult, Hooks, UpdateRule};
 
 /// On-disk store of serialized shard plans, keyed `(mode, shard)`. Owns a
 /// fresh subdirectory of the root it was created under and removes it on
@@ -283,54 +283,23 @@ pub fn cpd_als_streamed(
     }
     let store_bytes = store.bytes_on_disk();
 
-    // ALS phase: the exact update sequence of `cpd_als`, with the MTTKRP
-    // served by sequential shard replay. Only `‖X‖` reads the spill; the
-    // fit's inner product comes from the last mode's MTTKRP.
-    let mut factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
-    let mut lambda = vec![1.0f32; rank];
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
+    // ALS phase: the shared loop with the MTTKRP served by sequential
+    // shard replay. Only `‖X‖` reads the spill; the fit's inner product
+    // comes from the last mode's MTTKRP.
+    let factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
     let norm_x = stream_norm_x(spill, chunk_nnz)?;
-
-    let mut fits = Vec::new();
-    let mut prev_fit = 0.0f64;
-    let mut iterations = 0;
-    for _iter in 0..opts.cpd.max_iters {
-        let mut chain = HadamardChain::new(&grams, rank);
-        let mut inner = 0.0f64;
-        for mode in 0..order {
-            let y = replay_mode(&store, mode, rank, &factors)?;
-            let v = chain.v(mode);
-            let mut a_new = y.matmul(&pseudo_inverse(&v));
-            lambda = a_new.normalize_columns();
-            for l in &mut lambda {
-                if *l == 0.0 {
-                    *l = 1e-30;
-                }
-            }
-            grams[mode] = a_new.gram();
-            chain.advance(&grams[mode]);
-            if mode + 1 == order {
-                inner = inner_from_last_mode(&y, &a_new, &lambda);
-            }
-            factors[mode] = a_new;
-        }
-        iterations += 1;
-
-        let fit = fit_from_inner(inner, &lambda, &grams, norm_x);
-        fits.push(fit);
-        if iterations > 1 && (fit - prev_fit).abs() < opts.cpd.tol {
-            break;
-        }
-        prev_fit = fit;
-    }
+    let replay = |f: &[Matrix], mode: usize| replay_mode(&store, mode, rank, f);
+    let (result, _) = als(
+        &opts.cpd,
+        factors,
+        norm_x,
+        UpdateRule::LeastSquares,
+        replay,
+        Hooks::default(),
+    )?;
 
     Ok(StreamedCpd {
-        result: CpdResult {
-            factors,
-            lambda,
-            fits,
-            iterations,
-        },
+        result,
         shards_per_mode,
         store_bytes,
     })

@@ -39,9 +39,9 @@ pub mod ttm;
 pub use abft::{run_verified, AbftOptions, KernelReport};
 pub use checkpoint::{CheckpointError, CheckpointState, CheckpointStore, Scan, WriteOutcome};
 pub use cpd::{
-    cpd_als, cpd_als_nonneg, cpd_als_nonneg_profiled, cpd_als_profiled, cpd_als_resilient,
-    cpd_als_resilient_durable, cpd_als_sharded, factor_match_score, CpdOptions, CpdResult,
-    DurableOptions, ResilienceOptions, ResilienceStats,
+    cpd_als, cpd_als_nonneg, cpd_als_profiled, cpd_als_resilient, cpd_als_resilient_durable,
+    cpd_als_sharded, cpd_als_with_rule, factor_match_score, CpdOptions, CpdResult, DurableOptions,
+    NegativeValue, ResilienceOptions, ResilienceStats, UpdateRule,
 };
 pub use reference::mttkrp as mttkrp_reference;
 

@@ -47,7 +47,8 @@ fn main() {
             .expect("valid launch")
             .run
             .y
-    });
+    })
+    .expect("the cohort tensor holds non-negative counts");
     println!(
         "non-negative CPD: fit {:.3} after {} iterations\n",
         result.final_fit(),

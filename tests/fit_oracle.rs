@@ -116,7 +116,8 @@ fn cpd_als_fit_matches_oracle() {
 #[test]
 fn nonneg_fit_matches_oracle() {
     for t in tensors() {
-        let res = cpd_als_nonneg(&t, &opts(6), |f, m| reference::mttkrp(&t, f, m));
+        let res = cpd_als_nonneg(&t, &opts(6), |f, m| reference::mttkrp(&t, f, m))
+            .expect("synthetic tensors are non-negative");
         assert_matches_oracle(
             &format!("cpd_als_nonneg order {}", t.order()),
             &t,
