@@ -20,8 +20,10 @@ pub mod chain;
 pub mod kr;
 pub mod matrix;
 pub mod solve;
+pub mod update;
 
 pub use chain::HadamardChain;
 pub use kr::khatri_rao;
 pub use matrix::Matrix;
 pub use solve::{cholesky_solve, pseudo_inverse, spd_condition, symmetric_eigen};
+pub use update::UpdateBuffers;

@@ -3,6 +3,8 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::UpdateBuffers;
+
 /// A dense row-major matrix of `f32`.
 ///
 /// Factor matrices in MTTKRP are tall and skinny (`rows × R`, `R = 32` in
@@ -98,63 +100,22 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
-    /// `self * other` (naive triple loop with `f64` accumulation — all CPD
-    /// uses are `R × R`-ish, so this is never a bottleneck).
+    /// `self * other`. Each element sums its terms in `f64` in ascending
+    /// `k`, then rounds once to `f32`. Runs the row-blocked kernel of
+    /// [`UpdateBuffers::matmul_into`]: CPD-ALS multiplies every
+    /// `rows × R` factor by an `R × R` matrix, so this is a hot path.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        // k-outer accumulation: every output element still sums its terms
-        // in ascending-k order (bit-for-bit identical to the textbook
-        // triple loop), but the inner loop walks two contiguous slices
-        // with independent accumulators, which vectorizes — the tall-×-tiny
-        // products CPD-ALS issues per mode are the hot case.
-        let mut accrow = vec![0.0f64; n];
-        for i in 0..self.rows {
-            let a = self.row(i);
-            accrow.fill(0.0);
-            for (k, &av) in a.iter().enumerate() {
-                let av = av as f64;
-                let brow = &other.data[k * n..(k + 1) * n];
-                for (acc, &bv) in accrow.iter_mut().zip(brow) {
-                    *acc += av * bv as f64;
-                }
-            }
-            for (o, &acc) in out.data[i * n..(i + 1) * n].iter_mut().zip(&accrow) {
-                *o = acc as f32;
-            }
-        }
+        UpdateBuffers::new().matmul_into(self, other, &mut out);
         out
     }
 
     /// Gram matrix `selfᵀ · self` (`cols × cols`), the `BᵀB` of Eq. (3).
+    /// Each entry sums in `f64` over ascending rows; see
+    /// [`UpdateBuffers::gram_into`].
     pub fn gram(&self) -> Matrix {
-        let r = self.cols;
-        if r == 0 {
-            return Matrix::zeros(0, 0);
-        }
-        let mut acc = vec![0.0f64; r * r];
-        // Upper triangle only, rows streamed once. Each accumulator sees
-        // the same ascending-row addition sequence as the naive loop, so
-        // the result is bit-for-bit unchanged; slice iteration just lets
-        // the compiler drop the bounds checks on the hot tall-skinny case.
-        for v in self.data.chunks_exact(r) {
-            for (a, &va) in v.iter().enumerate() {
-                let va = va as f64;
-                let row_acc = &mut acc[a * r + a..(a + 1) * r];
-                for (dst, &vb) in row_acc.iter_mut().zip(&v[a..]) {
-                    *dst += va * vb as f64;
-                }
-            }
-        }
-        let mut out = Matrix::zeros(r, r);
-        for a in 0..r {
-            for b in a..r {
-                let x = acc[a * r + b] as f32;
-                out.set(a, b, x);
-                out.set(b, a, x);
-            }
-        }
+        let mut out = Matrix::zeros(self.cols, self.cols);
+        UpdateBuffers::new().gram_into(self, &mut out, None);
         out
     }
 
@@ -223,24 +184,15 @@ impl Matrix {
     /// (the `λ` vector of CPD-ALS line 5). Zero columns are left untouched
     /// and report norm 0.
     pub fn normalize_columns(&mut self) -> Vec<f32> {
-        if self.cols == 0 {
-            return Vec::new();
-        }
-        let mut norms = vec![0.0f64; self.cols];
-        for row in self.data.chunks_exact(self.cols) {
-            for (n, &v) in norms.iter_mut().zip(row) {
-                *n += v as f64 * v as f64;
-            }
-        }
-        let norms: Vec<f32> = norms.iter().map(|&n| n.sqrt() as f32).collect();
-        for row in self.data.chunks_exact_mut(self.cols) {
-            for (v, &n) in row.iter_mut().zip(&norms) {
-                if n > 0.0 {
-                    *v /= n;
-                }
-            }
-        }
-        norms
+        UpdateBuffers::new().normalize_columns(self)
+    }
+
+    /// Reshapes to `rows × cols` in place, keeping the allocation; the
+    /// contents are unspecified afterwards. For output buffers reused
+    /// across shapes.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
     }
 }
 

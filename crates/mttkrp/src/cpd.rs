@@ -15,7 +15,7 @@
 use std::convert::Infallible;
 use std::time::Instant;
 
-use dense::{pseudo_inverse, spd_condition, HadamardChain, Matrix};
+use dense::{pseudo_inverse, spd_condition, HadamardChain, Matrix, UpdateBuffers};
 use simprof::{FieldValue, ModeTiming, ResilienceRecord, RunManifest};
 use sptensor::CooTensor;
 
@@ -82,23 +82,24 @@ pub enum UpdateRule {
     Nonneg,
 }
 
-impl UpdateRule {
-    /// Replaces `a` with its update from `y` and `v`.
-    fn update(self, a: &mut Matrix, y: &Matrix, v: &Matrix) {
-        match self {
-            UpdateRule::LeastSquares => *a = y.matmul(&pseudo_inverse(v)),
-            UpdateRule::Nonneg => {
-                const EPS: f32 = 1e-12;
-                // Denominator A·V, then the multiplicative update.
-                let denom = a.matmul(v);
-                for i in 0..a.rows() {
-                    for c in 0..a.cols() {
-                        let upd = a.get(i, c) * y.get(i, c) / (denom.get(i, c) + EPS);
-                        a.set(i, c, upd.max(0.0));
-                    }
-                }
-            }
-        }
+/// [`UpdateRule::Nonneg`]'s step: `a ← a ∗ y ⊘ (a·v + ε)`, clamped at
+/// zero, with the denominator `a·v` written into the reused `denom`.
+fn nonneg_update(
+    a: &mut Matrix,
+    y: &Matrix,
+    v: &Matrix,
+    denom: &mut Matrix,
+    buffers: &mut UpdateBuffers,
+) {
+    const EPS: f32 = 1e-12;
+    assert!(
+        y.rows() == a.rows() && y.cols() == a.cols(),
+        "y must have a's shape"
+    );
+    denom.reshape(a.rows(), v.cols());
+    buffers.matmul_into(a, v, denom);
+    for ((x, &yv), &d) in a.data_mut().iter_mut().zip(y.data()).zip(denom.data()) {
+        *x = (*x * yv / (d + EPS)).max(0.0);
     }
 }
 
@@ -690,6 +691,11 @@ pub(crate) fn als<E>(
     let order = factors.len();
     let mut lambda = vec![1.0f32; opts.rank];
     let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
+    // Reused by every factor update, so no update allocates a
+    // factor-sized matrix (the nonneg denominator grows to the largest
+    // mode once).
+    let mut buffers = UpdateBuffers::new();
+    let mut denom = Matrix::zeros(0, 0);
 
     let mut stats = ResilienceStats::default();
     let mut checkpoint: Option<Checkpoint> = None;
@@ -762,19 +768,32 @@ pub(crate) fn als<E>(
                 }
             }
             let a = &mut factors[mode];
-            rule.update(a, &y, &v);
-            if ropts.is_some() {
-                stats.nan_resets += scrub_nonfinite(a);
+            let last = (mode + 1 == order).then_some(&y);
+            let cols = match rule {
+                // Two row passes: `a ← y·V⁺` (scrubbed under guards) with
+                // its column norms, then the scaling with the gram and,
+                // on the last mode, the inner sums.
+                UpdateRule::LeastSquares => {
+                    let vinv = pseudo_inverse(&v);
+                    let (norms, scrubbed) = buffers.solve(&y, &vinv, a, ropts.is_some());
+                    stats.nan_resets += scrubbed;
+                    lambda = norms;
+                    let cols = buffers.normalize(a, &lambda, &mut grams[mode], last);
+                    guard_lambda(&mut lambda, ropts.is_some());
+                    cols
+                }
+                UpdateRule::Nonneg => {
+                    nonneg_update(a, &y, &v, &mut denom, &mut buffers);
+                    if ropts.is_some() {
+                        stats.nan_resets += scrub_nonfinite(a);
+                    }
+                    buffers.gram_into(a, &mut grams[mode], last)
+                }
+            };
+            if last.is_some() {
+                inner = inner_from_last_mode(cols, &lambda);
             }
-            if rule == UpdateRule::LeastSquares {
-                lambda = a.normalize_columns();
-                guard_lambda(&mut lambda, ropts.is_some());
-            }
-            grams[mode] = a.gram();
             chain.advance(&grams[mode]);
-            if mode + 1 == order {
-                inner = inner_from_last_mode(&y, a, &lambda);
-            }
         }
         iterations += 1;
 
@@ -929,21 +948,14 @@ pub(crate) fn fold_squares(acc: f64, vals: &[f32]) -> f64 {
 ///
 /// With `X̃ = Σ_r λ_r a₁ᵣ ∘ … ∘ a_Nᵣ`,
 /// `⟨X, X̃⟩ = Σ_z val_z Σ_r λ_r Π_m Aₘ(i_m, r) = Σ_r λ_r Σ_i Y(i, r)·A_N(i, r)`,
-/// where `Y = X₍N₎ ⨀ₘ≠N Aₘ` is the last mode's MTTKRP and `a` is `A_N`.
-/// The identity is exact when `Y` was computed from the factors the model
-/// ends the iteration with — true at the last mode of every ALS sweep.
-/// Each column accumulates in `f64` in row order, then is weighted by λ.
-fn inner_from_last_mode(y: &Matrix, a: &Matrix, lambda: &[f32]) -> f64 {
-    let r = lambda.len();
-    if r == 0 {
-        return 0.0;
-    }
-    let mut cols = vec![0.0f64; r];
-    for (yr, ar) in y.data().chunks_exact(r).zip(a.data().chunks_exact(r)) {
-        for ((c, &yv), &av) in cols.iter_mut().zip(yr).zip(ar) {
-            *c += yv as f64 * av as f64;
-        }
-    }
+/// where `Y = X₍N₎ ⨀ₘ≠N Aₘ` is the last mode's MTTKRP and `A_N` its
+/// updated factor. The identity is exact when `Y` was computed from the
+/// factors the model ends the iteration with — true at the last mode of
+/// every ALS sweep. `cols` holds `Σ_i Y(i, r)·A_N(i, r)` per column, each
+/// accumulated in `f64` in row order by the update's second pass
+/// ([`UpdateBuffers::normalize`] or [`UpdateBuffers::gram_into`]); here
+/// they are weighted by λ.
+fn inner_from_last_mode(cols: &[f64], lambda: &[f32]) -> f64 {
     cols.iter().zip(lambda).map(|(&c, &l)| l as f64 * c).sum()
 }
 

@@ -186,6 +186,46 @@ impl ReplaySchedule {
         self.rows.len()
     }
 
+    /// Checks the structure replay indexes by: each pointer array starts
+    /// at 0, never decreases and ends at the length of the arrays it
+    /// indexes; there is one seed and one leaf and chain range per
+    /// contribution; every output row is below `out_rows`. A schedule read
+    /// from disk passes this before it can replay.
+    fn check(&self, out_rows: usize) -> Result<(), &'static str> {
+        /// `ptr` is a CSR pointer array over `len` entries.
+        fn csr(ptr: &[u32], len: usize) -> bool {
+            ptr.first() == Some(&0)
+                && ptr.last().is_some_and(|&e| e as usize == len)
+                && ptr.windows(2).all(|w| w[0] <= w[1])
+        }
+        let n = self.rows.len();
+        if !csr(&self.block_ptr, n) {
+            return Err("replay schedule: block pointers do not cover the contributions");
+        }
+        if self.init_vals.len() != n {
+            return Err("replay schedule: seed count differs from the contribution count");
+        }
+        if self.leaf_ptr.len() != n + 1 || self.chain_ptr.len() != n + 1 {
+            return Err(
+                "replay schedule: leaf or chain pointer count differs from the contributions",
+            );
+        }
+        if self.leaf_vals.len() != self.leaf_rows.len()
+            || !csr(&self.leaf_ptr, self.leaf_vals.len())
+        {
+            return Err("replay schedule: leaf pointers do not cover the leaf terms");
+        }
+        if self.chain_modes.len() != self.chain_rows.len()
+            || !csr(&self.chain_ptr, self.chain_modes.len())
+        {
+            return Err("replay schedule: chain pointers do not cover the chain terms");
+        }
+        if self.rows.iter().any(|&r| r as usize >= out_rows) {
+            return Err("replay schedule: output row out of range");
+        }
+        Ok(())
+    }
+
     /// Recomputes contribution `c`'s accumulator into `acc` (length R),
     /// performing exactly the emitting kernel's value arithmetic.
     #[inline]
@@ -1142,9 +1182,7 @@ impl Plan {
             chain_modes: read_u32s(r)?,
             chain_rows: read_u32s(r)?,
         };
-        if sched.block_ptr.is_empty() || sched.leaf_ptr.len() != sched.rows.len() + 1 {
-            return Err(bad("truncated replay schedule"));
-        }
+        sched.check(out_rows).map_err(bad)?;
         Ok(Plan {
             name: name.clone(),
             mode,
@@ -1308,5 +1346,128 @@ impl ModePlans {
         mode: usize,
     ) -> Result<GpuRun, LaunchError> {
         self.plans[mode].execute(ctx, factors)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sptensor::dims::identity_perm;
+    use sptensor::synth::uniform_random;
+    use tensor_formats::{BcsfOptions, Hbcsf};
+
+    /// The serialized schedule arrays, in file order.
+    const ARRAYS: [&str; 9] = [
+        "block_ptr",
+        "rows",
+        "init_vals",
+        "leaf_ptr",
+        "leaf_vals",
+        "leaf_rows",
+        "chain_ptr",
+        "chain_modes",
+        "chain_rows",
+    ];
+
+    /// The structural arrays, whose every element the check covers.
+    const STRUCTURAL: [&str; 4] = ["block_ptr", "rows", "leaf_ptr", "chain_ptr"];
+
+    /// A small 4-way HB-CSF plan (4 modes, so contributions carry chains)
+    /// and its `SPL1` bytes.
+    fn fixture() -> (Plan, Vec<u8>) {
+        let ctx = GpuContext::tiny();
+        let t = uniform_random(&[7, 9, 6, 5], 120, 0x5A1);
+        let h = Hbcsf::build(&t, &identity_perm(4), BcsfOptions::default());
+        let plan = super::super::hbcsf::plan_impl(&ctx, &h, 4);
+        let mut bytes = Vec::new();
+        plan.write_schedule(&mut bytes).unwrap();
+        (plan, bytes)
+    }
+
+    /// Byte offset of each array's `u64` length prefix, and its length.
+    fn arrays(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let name_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+        // magic, name length, name, mode, rank, out_rows, leaf_mode
+        let mut at = 4 + 4 + name_len + 4 + 4 + 8 + 4;
+        let mut out = Vec::new();
+        for _ in ARRAYS {
+            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+            out.push((at, len));
+            at += 8 + 4 * len;
+        }
+        assert_eq!(at, bytes.len());
+        out
+    }
+
+    fn read(bytes: &[u8]) -> std::io::Result<Plan> {
+        Plan::read_schedule(&mut &bytes[..])
+    }
+
+    fn invalid(bytes: &[u8], what: &str) {
+        match read(bytes) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}"),
+            Ok(_) => panic!("{what}: corrupt schedule accepted"),
+        }
+    }
+
+    #[test]
+    fn schedule_check_accepts_what_capture_writes() {
+        let (plan, bytes) = fixture();
+        let back = read(&bytes).unwrap();
+        assert_eq!(
+            back.schedule().num_contributions(),
+            plan.schedule().num_contributions()
+        );
+        for (name, (_, len)) in ARRAYS.iter().zip(arrays(&bytes)) {
+            assert!(len > 0, "fixture must exercise {name}");
+        }
+    }
+
+    #[test]
+    fn shortened_or_cut_arrays_are_typed_errors() {
+        let (plan, bytes) = fixture();
+        let bp = &plan.schedule().block_ptr;
+        // Dropping the last block pointer must lose a contribution.
+        assert!(
+            bp[bp.len() - 2] < bp[bp.len() - 1],
+            "fixture's last block is empty"
+        );
+        for (name, (at, len)) in ARRAYS.iter().zip(arrays(&bytes)) {
+            // One element fewer, the rest of the file intact.
+            let end = at + 8 + 4 * len;
+            let mut short = bytes[..at].to_vec();
+            short.extend_from_slice(&(len as u64 - 1).to_le_bytes());
+            short.extend_from_slice(&bytes[at + 8..end - 4]);
+            short.extend_from_slice(&bytes[end..]);
+            invalid(&short, &format!("{name} shortened"));
+            // The file cut inside the array.
+            let cut = read(&bytes[..at + 8 + 2 * len]).err();
+            assert!(cut.is_some(), "{name} cut: accepted");
+        }
+    }
+
+    #[test]
+    fn high_bit_flips_in_structural_arrays_are_typed_errors() {
+        let (_, bytes) = fixture();
+        for (name, (at, len)) in ARRAYS.iter().zip(arrays(&bytes)) {
+            if !STRUCTURAL.contains(name) {
+                continue;
+            }
+            for i in 0..len {
+                let mut bad = bytes.clone();
+                bad[at + 8 + 4 * i + 3] ^= 0x80;
+                invalid(&bad, &format!("{name}[{i}] bit 31"));
+            }
+        }
+    }
+
+    #[test]
+    fn any_single_bit_flip_reads_without_panicking() {
+        let (_, bytes) = fixture();
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1 << (at % 8);
+            let _ = read(&bad);
+        }
     }
 }
