@@ -1496,6 +1496,10 @@ fn cmd_chaos(args: &[String]) -> Result<()> {
 fn cmd_cpd(args: &[String]) -> Result<()> {
     let path = args.first().ok_or("cpd: missing file")?;
     let t = load(path)?;
+    // Every CPD driver here replays HB-CSF plans.
+    gpu::KernelKind::Hbcsf
+        .check_order(t.order())
+        .map_err(|e| format!("{path}: {e}"))?;
     let rank = flag_parse(args, "--rank", 8usize)?;
     let iters = flag_parse(args, "--iters", 15usize)?;
     let nonneg = args.iter().any(|a| a == "--nonneg");

@@ -52,24 +52,24 @@ impl Dfacto {
     pub fn build(t: &CooTensor, mode: usize) -> Dfacto {
         assert_eq!(t.order(), 3, "DFacTo is defined for third-order tensors");
         let perm = mode_orientation(3, mode);
-        let mut work = t.clone();
-        work.sort_by_perm(&perm);
+        let sorted = t.sorted(&perm);
         let (out_m, mid_m, leaf_m) = (perm[0], perm[1], perm[2]);
-        let out = work.mode_indices(out_m);
-        let mid = work.mode_indices(mid_m);
-        let leaf = work.mode_indices(leaf_m);
+        let out = sorted.gather(out_m);
+        let mid = sorted.gather(mid_m);
+        let leaf = sorted.gather(leaf_m);
+        let vals = sorted.gather_values();
 
         let mut fiber_out = Vec::new();
         let mut fiber_mid = Vec::new();
-        let mut triplets = Vec::with_capacity(work.nnz());
-        for z in 0..work.nnz() {
+        let mut triplets = Vec::with_capacity(t.nnz());
+        for z in 0..t.nnz() {
             let new_fiber = z == 0 || out[z] != out[z - 1] || mid[z] != mid[z - 1];
             if new_fiber {
                 fiber_out.push(out[z]);
                 fiber_mid.push(mid[z]);
             }
             let f = (fiber_out.len() - 1) as Index;
-            triplets.push((f, leaf[z], work.values()[z]));
+            triplets.push((f, leaf[z], vals[z]));
         }
         let nfibers = fiber_out.len() as Index;
         let fibers = Csr::from_triplets(nfibers, t.dims()[leaf_m], triplets);

@@ -67,21 +67,17 @@ impl SplattCsf {
     /// Builds the mode-`mode` representation of `t`.
     pub fn build(t: &CooTensor, mode: usize, options: SplattOptions) -> SplattCsf {
         let perm = mode_orientation(t.order(), mode);
-        let mut work = t.clone();
-        work.sort_by_perm(&perm);
-
         let leaf_mode = perm[t.order() - 1];
         let leaf_extent = t.dims()[leaf_mode] as usize;
         let width = options.effective_tile_width();
         let tiles = if !options.tiled || leaf_extent <= width {
-            vec![Csf::build_from_sorted(&work, &perm)]
+            vec![Csf::build(t, &perm)]
         } else {
+            // Bucket the entries by leaf-coordinate tile; each tile's
+            // tree sorts its own entries.
             let ntiles = leaf_extent.div_ceil(width);
-            // Stable bucket split by leaf-coordinate tile: per-tile entry
-            // lists stay sorted under `perm`.
-            let leaf = work.mode_indices(leaf_mode);
             let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); ntiles];
-            for (z, &k) in leaf.iter().enumerate() {
+            for (z, &k) in t.mode_indices(leaf_mode).iter().enumerate() {
                 buckets[k as usize / width].push(z as u32);
             }
             buckets
@@ -90,13 +86,13 @@ impl SplattCsf {
                 .map(|b| {
                     let inds: Vec<Vec<Index>> = (0..t.order())
                         .map(|m| {
-                            let src = work.mode_indices(m);
+                            let src = t.mode_indices(m);
                             b.iter().map(|&z| src[z as usize]).collect()
                         })
                         .collect();
-                    let vals = b.iter().map(|&z| work.values()[z as usize]).collect();
+                    let vals = b.iter().map(|&z| t.values()[z as usize]).collect();
                     let sub = CooTensor::from_parts(t.dims().to_vec(), inds, vals);
-                    Csf::build_from_sorted(&sub, &perm)
+                    Csf::build(&sub, &perm)
                 })
                 .collect()
         };

@@ -1,6 +1,7 @@
 //! B-CSF GPU MTTKRP kernel — paper Section IV.
 //!
-//! Work mapping: one thread block per [`BlockAssignment`] (a slice, or a
+//! Work mapping: one thread block per
+//! [`BlockAssignment`](tensor_formats::BlockAssignment) (a slice, or a
 //! binned piece of a heavy slice), fiber-segments dealt round-robin to the
 //! block's warps, rank across lanes. Per fiber-segment a warp reduces its
 //! leaves against the leaf-mode factor (Algorithm 3 line 11), folds the

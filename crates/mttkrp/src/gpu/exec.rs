@@ -37,7 +37,8 @@ pub enum LaunchError {
     /// The requested output mode does not exist for this order.
     ModeOutOfRange { mode: usize, order: usize },
     /// The kernel cannot handle tensors of this order (COO/F-COO are
-    /// third-order only, per the paper's figures).
+    /// third-order only, per the paper's figures; B-CSF and HB-CSF need
+    /// order 3, CSF and CSL order 2).
     OrderUnsupported { kernel: &'static str, order: usize },
     /// The configured ladder can reach the CPU reference rung (limited
     /// memory, memory faults, or a sharded fallback), which needs the

@@ -157,9 +157,23 @@ impl KernelKind {
         }
     }
 
-    /// Whether the kernel supports only third-order tensors.
-    pub fn third_order_only(&self) -> bool {
-        matches!(self, KernelKind::Coo | KernelKind::Fcoo)
+    /// `Ok` when the kernel can run on an order-`order` tensor. COO and
+    /// F-COO are third-order only, per the paper's figures; B-CSF and
+    /// HB-CSF need a fiber level below the slices (order 3 and up), CSF
+    /// and CSL only a tree of two levels.
+    pub fn check_order(&self, order: usize) -> Result<(), LaunchError> {
+        let supported = match self {
+            KernelKind::Coo | KernelKind::Fcoo => order == 3,
+            KernelKind::Bcsf | KernelKind::Hbcsf => order >= 3,
+            KernelKind::Csf | KernelKind::Csl => order >= 2,
+        };
+        if !supported {
+            return Err(LaunchError::OrderUnsupported {
+                kernel: self.as_str(),
+                order,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -242,12 +256,7 @@ impl AnyFormat {
         if mode >= order {
             return Err(LaunchError::ModeOutOfRange { mode, order });
         }
-        if kind.third_order_only() && order != 3 {
-            return Err(LaunchError::OrderUnsupported {
-                kernel: kind.as_str(),
-                order,
-            });
-        }
+        kind.check_order(order)?;
         let perm = mode_orientation(order, mode);
         Ok(match kind {
             KernelKind::Coo => AnyFormat::Coo {
@@ -359,6 +368,27 @@ mod tests {
             ));
         }
         assert!(AnyFormat::build(KernelKind::Csf, &t4, 2, &opts).is_ok());
+    }
+
+    #[test]
+    fn build_rejects_orders_below_the_format_minimum() {
+        let t1 = uniform_random(&[9], 5, 3);
+        let t2 = uniform_random(&[6, 7], 20, 4);
+        let opts = BuildOptions::default();
+        for kind in KernelKind::ALL {
+            for t in [&t1, &t2] {
+                let built = AnyFormat::build(kind, t, 0, &opts);
+                if t.order() == 2 && matches!(kind, KernelKind::Csf | KernelKind::Csl) {
+                    assert!(built.is_ok(), "{kind} order {}", t.order());
+                } else {
+                    assert!(
+                        matches!(built, Err(LaunchError::OrderUnsupported { order, .. }) if order == t.order()),
+                        "{kind} order {}",
+                        t.order()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

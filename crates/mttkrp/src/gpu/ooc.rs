@@ -6,8 +6,9 @@
 //!
 //! 1. **Full device.** If the whole footprint fits, lease it (checked)
 //!    and run the ordinary replay.
-//! 2. **Tiled.** Partition the captured [`ReplaySchedule`] into
-//!    consecutive *block ranges* whose resident set (factors + output)
+//! 2. **Tiled.** Partition the captured
+//!    [`ReplaySchedule`](super::ReplaySchedule) into consecutive
+//!    *block ranges* whose resident set (factors + output)
 //!    plus format share each fit the byte budget, and stream the tiles
 //!    through the simulator one lease at a time. If an injected OOM kills
 //!    a tile, discard the partial output and retry the whole attempt at

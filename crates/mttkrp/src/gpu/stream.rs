@@ -260,6 +260,13 @@ pub fn cpd_als_streamed(
 ) -> TensorResult<StreamedCpd> {
     let dims = spill.dims().to_vec();
     let order = dims.len();
+    if order < 3 {
+        return Err(TensorError::OrderTooLow {
+            what: "streamed HB-CSF CPD",
+            order,
+            min: 3,
+        });
+    }
     let rank = opts.cpd.rank;
     let chunk_nnz = opts.chunk_nnz.max(1);
     let ingest_opts = IngestOptions::new().with_chunk_nnz(chunk_nnz);
@@ -415,5 +422,35 @@ mod tests {
         assert_eq!(streamed.shards_per_mode, vec![3, 3, 3]);
         drop(spill);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_cpd_rejects_low_order_tensors() {
+        let ctx = GpuContext::tiny();
+        for dims in [vec![9u32], vec![7, 8]] {
+            let t = uniform_random(&dims, 30, 5);
+            let dir = tmp(&format!("order{}", dims.len()));
+            let opts = IngestOptions::new().with_policy(DuplicatePolicy::Sum);
+            let spill = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
+            let sopts = StreamOptions {
+                cpd: CpdOptions {
+                    rank: 4,
+                    max_iters: 2,
+                    tol: 0.0,
+                    seed: 1,
+                },
+                devices: 1,
+                chunk_nnz: 16,
+                bcsf: BcsfOptions::default(),
+            };
+            let res = cpd_als_streamed(&ctx, &spill, &sopts, &dir);
+            assert!(
+                matches!(res, Err(TensorError::OrderTooLow { order, min: 3, .. }) if order == dims.len()),
+                "order {}",
+                dims.len()
+            );
+            drop(spill);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

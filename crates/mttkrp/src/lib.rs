@@ -4,8 +4,9 @@
 //! rayon parallelism, wall-clock measured) and for the simulated GPU
 //! (instruction streams executed by [`gpu_sim`]):
 //!
-//! * [`reference`] — sequential COO MTTKRP (paper Algorithm 2); the ground
-//!   truth every other kernel is differential-tested against.
+//! * [`reference`](mod@reference) — sequential COO MTTKRP (paper
+//!   Algorithm 2); the ground truth every other kernel is
+//!   differential-tested against.
 //! * [`cpu`] — the CPU baselines: a SPLATT-equivalent CSF kernel
 //!   (Algorithm 3; ALLMODE, optional tiling), a HiCOO kernel with
 //!   block-level privatization, and a COO kernel with atomic updates.
@@ -23,6 +24,8 @@
 //! `Y = X₍ₙ₎ ⨀_{m≠n} factors[m]` of shape `dims[n] × R`, matching
 //! [`reference::mttkrp`] up to `f32` summation order.
 
+// A renamed or deleted item must not leave a dangling doc link behind.
+#![deny(rustdoc::broken_intra_doc_links)]
 // Kernels index several parallel arrays with one counter; the zipped-
 // iterator forms Clippy suggests obscure that symmetry.
 #![allow(clippy::needless_range_loop)]

@@ -1,7 +1,7 @@
 //! Sparse TTM (tensor–times–matrix) — the companion kernel of MTTKRP in
 //! the ParTI! library the paper compares against (Li et al., "Optimizing
 //! sparse tensor times matrix on multi-core and many-core architectures",
-//! cited as [36]).
+//! cited as \[36\]).
 //!
 //! Mode-`n` TTM contracts the tensor's mode `n` with a dense matrix:
 //!

@@ -5,8 +5,12 @@
 //! layout (one index array per mode) so that per-mode sorting, CSF
 //! construction, and the MTTKRP kernels all stream contiguous memory.
 
+use core::cmp::Ordering;
+
 use crate::dims::{is_valid_perm, ModePerm};
-use crate::{Index, Value};
+use crate::source::CooChunk;
+use crate::spill::SortedChunks;
+use crate::{Index, TensorResult, Value};
 
 /// A single nonzero: its full coordinate tuple and value.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,31 +167,14 @@ impl CooTensor {
 
     /// Sorts nonzeros lexicographically by the coordinates *as reordered by
     /// `perm`* — i.e. primary key `inds[perm[0]]`, secondary `inds[perm[1]]`,
-    /// and so on. This is the preparation step for building a CSF tree whose
-    /// level `l` enumerates mode `perm[l]`.
+    /// and so on. Entries with equal coordinates end in whatever order the
+    /// (unstable) sort leaves them; [`CooTensor::sorted`] streams the same
+    /// order without moving anything.
     ///
     /// # Panics
     /// If `perm` is not a permutation of the modes.
     pub fn sort_by_perm(&mut self, perm: &ModePerm) {
-        assert!(
-            is_valid_perm(perm, self.order()),
-            "invalid mode permutation"
-        );
-        let n = self.nnz();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        {
-            let inds = &self.inds;
-            order.sort_unstable_by(|&a, &b| {
-                for &m in perm {
-                    let (ia, ib) = (inds[m][a as usize], inds[m][b as usize]);
-                    match ia.cmp(&ib) {
-                        core::cmp::Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                core::cmp::Ordering::Equal
-            });
-        }
+        let order = self.argsort(perm);
         self.apply_order(&order);
     }
 
@@ -205,36 +192,47 @@ impl CooTensor {
             is_valid_perm(perm, self.order()),
             "invalid mode permutation"
         );
-        let n = self.nnz();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        {
-            let inds = &self.inds;
-            order.sort_unstable_by(|&a, &b| {
-                for &m in perm {
-                    let (ia, ib) = (inds[m][a as usize], inds[m][b as usize]);
-                    match ia.cmp(&ib) {
-                        core::cmp::Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                a.cmp(&b)
-            });
-        }
+        let mut order: Vec<u32> = (0..self.nnz() as u32).collect();
+        let inds = &self.inds;
+        order.sort_unstable_by(|&a, &b| cmp_under(inds, perm, a, b).then(a.cmp(&b)));
         self.apply_order(&order);
+    }
+
+    /// A sorted stream over this tensor that moves nothing: one `u32`
+    /// argsort under `perm`, then each chunk gathers its entries through
+    /// it. The order is exactly the one [`CooTensor::sort_by_perm`]
+    /// leaves, equal coordinates included, so a format built from the
+    /// view is the one built from a sorted copy — without the copy. This
+    /// is how every resident format build is fed.
+    ///
+    /// # Panics
+    /// If `perm` is not a permutation of the modes.
+    pub fn sorted(&self, perm: &ModePerm) -> SortedView<'_> {
+        SortedView {
+            order: self.argsort(perm),
+            tensor: self,
+            perm: perm.clone(),
+            next: 0,
+        }
+    }
+
+    /// The permutation of entry ids that sorts the tensor under `perm`:
+    /// the one sort behind [`CooTensor::sort_by_perm`] and
+    /// [`CooTensor::sorted`].
+    fn argsort(&self, perm: &ModePerm) -> Vec<u32> {
+        assert!(
+            is_valid_perm(perm, self.order()),
+            "invalid mode permutation"
+        );
+        let mut order: Vec<u32> = (0..self.nnz() as u32).collect();
+        let inds = &self.inds;
+        order.sort_unstable_by(|&a, &b| cmp_under(inds, perm, a, b));
+        order
     }
 
     /// True if the nonzeros are sorted under `perm` (ties allowed).
     pub fn is_sorted_by_perm(&self, perm: &ModePerm) -> bool {
-        (1..self.nnz()).all(|z| {
-            for &m in perm {
-                match self.inds[m][z - 1].cmp(&self.inds[m][z]) {
-                    core::cmp::Ordering::Less => return true,
-                    core::cmp::Ordering::Greater => return false,
-                    core::cmp::Ordering::Equal => continue,
-                }
-            }
-            true
-        })
+        (1..self.nnz() as u32).all(|z| cmp_under(&self.inds, perm, z - 1, z) != Ordering::Greater)
     }
 
     /// Sums values of nonzeros with identical coordinates. Requires the
@@ -297,6 +295,77 @@ impl CooTensor {
     /// conversion (splitting fibers/slices never changes the value multiset).
     pub fn value_sum(&self) -> f64 {
         self.vals.iter().map(|&v| v as f64).sum()
+    }
+}
+
+/// Entries `a` and `b` compared by their coordinates under `perm`.
+#[inline]
+fn cmp_under(inds: &[Vec<Index>], perm: &[usize], a: u32, b: u32) -> Ordering {
+    for &m in perm {
+        match inds[m][a as usize].cmp(&inds[m][b as usize]) {
+            Ordering::Equal => continue,
+            other => return other,
+        }
+    }
+    Ordering::Equal
+}
+
+/// A resident tensor streamed in sorted order through an argsort (see
+/// [`CooTensor::sorted`]). Each chunk's `lines` carry the entries'
+/// positions in the tensor.
+pub struct SortedView<'a> {
+    tensor: &'a CooTensor,
+    perm: ModePerm,
+    /// Entry ids in sorted order.
+    order: Vec<u32>,
+    /// Position in `order` of the next entry to stream.
+    next: usize,
+}
+
+impl SortedView<'_> {
+    /// Mode `mode`'s coordinates, in sorted order.
+    pub fn gather(&self, mode: usize) -> Vec<Index> {
+        let src = &self.tensor.inds[mode];
+        self.order.iter().map(|&z| src[z as usize]).collect()
+    }
+
+    /// The values, in sorted order.
+    pub fn gather_values(&self) -> Vec<Value> {
+        let src = &self.tensor.vals;
+        self.order.iter().map(|&z| src[z as usize]).collect()
+    }
+}
+
+impl SortedChunks for SortedView<'_> {
+    fn dims(&self) -> &[Index] {
+        &self.tensor.dims
+    }
+
+    fn nnz(&self) -> u64 {
+        self.order.len() as u64
+    }
+
+    fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    fn next_chunk(&mut self, max_entries: usize, out: &mut CooChunk) -> TensorResult<usize> {
+        out.reset(self.tensor.order());
+        let end = self.order.len().min(self.next.saturating_add(max_entries));
+        let ids = &self.order[self.next..end];
+        for (dst, src) in out.coords.iter_mut().zip(&self.tensor.inds) {
+            dst.extend(ids.iter().map(|&z| src[z as usize]));
+        }
+        out.vals
+            .extend(ids.iter().map(|&z| self.tensor.vals[z as usize]));
+        out.lines.extend(ids.iter().map(|&z| z as u64));
+        self.next = end;
+        Ok(ids.len())
+    }
+
+    fn rewind(&mut self) -> TensorResult<()> {
+        self.next = 0;
+        Ok(())
     }
 }
 

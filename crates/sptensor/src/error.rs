@@ -26,6 +26,13 @@ pub enum TensorError {
     /// binary file) that no valid tensor/format instance can have.
     /// `context` names the structure, e.g. `"coo"` or `"csf"`.
     Invalid { context: &'static str, msg: String },
+    /// A tensor with fewer modes than a format or driver is defined for:
+    /// CSF and CSL need two, B-CSF, HB-CSF and CPD-ALS three.
+    OrderTooLow {
+        what: &'static str,
+        order: usize,
+        min: usize,
+    },
     /// Two nonzeros with identical coordinates in input whose duplicate
     /// policy is [`crate::io::DuplicatePolicy::Reject`]. Which entry
     /// "wins" is a semantic choice the caller must make explicitly
@@ -64,6 +71,12 @@ impl fmt::Display for TensorError {
             TensorError::Io(e) => write!(f, "i/o error: {e}"),
             TensorError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
             TensorError::Invalid { context, msg } => write!(f, "invalid {context}: {msg}"),
+            TensorError::OrderTooLow { what, order, min } => {
+                write!(
+                    f,
+                    "{what} needs an order >= {min} tensor, got order {order}"
+                )
+            }
             TensorError::Duplicate { line, coords } => {
                 let ones: Vec<String> = coords.iter().map(|&c| (c + 1).to_string()).collect();
                 if *line > 0 {
@@ -121,6 +134,12 @@ mod tests {
         assert_eq!(e.to_string(), "line 5: bad value");
         let e = TensorError::invalid("csf", "pointer not monotone");
         assert_eq!(e.to_string(), "invalid csf: pointer not monotone");
+        let e = TensorError::OrderTooLow {
+            what: "csf",
+            order: 1,
+            min: 2,
+        };
+        assert_eq!(e.to_string(), "csf needs an order >= 2 tensor, got order 1");
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! experimental setting ("we use 32 bit unsigned integers to store the
 //! indices and 32 bit floats to store the values").
 
+// A renamed or deleted item must not leave a dangling doc link behind.
+#![deny(rustdoc::broken_intra_doc_links)]
+
 pub mod coo;
 pub mod dims;
 pub mod error;
@@ -29,7 +32,7 @@ pub mod spill;
 pub mod stats;
 pub mod synth;
 
-pub use coo::{CooTensor, Entry};
+pub use coo::{CooTensor, Entry, SortedView};
 pub use dims::{identity_perm, mode_orientation, ModePerm};
 pub use error::{TensorError, TensorResult};
 pub use io::DuplicatePolicy;

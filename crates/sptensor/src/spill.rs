@@ -24,9 +24,12 @@ use crate::source::{CooChunk, IngestEvent, IngestOptions, TensorSource};
 use crate::{CooTensor, Index, TensorError, TensorResult, Value};
 
 /// A rescannable producer of sorted, policy-applied entry chunks — the
-/// input contract of the out-of-core format builders. `rewind` restarts
-/// the stream from the first entry, enabling multi-pass construction
-/// (count → allocate → fill).
+/// input of the one CSF builder (`tensor_formats::Csf::build_streamed`),
+/// which fills its tree in a single pass. Two producers exist: the
+/// spill-run merge ([`MergeStream`]) for tensors that stay on disk, and
+/// the argsort view ([`crate::SortedView`]) for resident ones. `rewind`
+/// restarts the stream from the first entry, for consumers that read it
+/// more than once (the columnar `.bin` writer).
 pub trait SortedChunks {
     /// Mode extents of the underlying tensor.
     fn dims(&self) -> &[Index];
@@ -173,45 +176,36 @@ impl SpilledTensor {
         });
         let mut merge = RawMerge::open(&self.runs, self.dims.len(), &self.perm)?;
         let order = self.dims.len();
-        let mut prev: Option<(Vec<Index>, u64)> = None;
+        // The current coordinate group: its coordinates (one reused
+        // buffer) and the line of its first entry.
+        let mut prev_coords = vec![0 as Index; order];
+        let mut prev_line: Option<u64> = None;
         let mut count = 0u64;
         // Under Reject: min over coordinate groups of the group's second
         // occurrence line == the first file-order collision.
         let mut reject_at: Option<(u64, Vec<Index>)> = None;
         let mut coords = vec![0 as Index; order];
         while let Some((_v, line)) = merge.next_entry(&mut coords)? {
-            let dup = prev
-                .as_ref()
-                .map(|(pc, _)| pc.as_slice() == coords.as_slice())
-                .unwrap_or(false);
+            let dup = prev_line.is_some() && prev_coords == coords;
             match (self.policy, dup) {
                 (DuplicatePolicy::Keep, _) => count += 1,
                 (_, false) => {
                     count += 1;
-                    prev = Some((coords.clone(), line));
-                    continue;
+                    prev_coords.copy_from_slice(&coords);
+                    prev_line = Some(line);
                 }
                 (DuplicatePolicy::Sum, true) => {}
                 (DuplicatePolicy::Reject, true) => {
                     // Only the group's *second* entry matters; the merge
                     // yields groups in ascending line order, so record
-                    // the first collision per group (prev line ≠ line of
-                    // second occurrence only for the 3rd+ entries, which
+                    // the first collision per group (the group's first
+                    // line stays in `prev_line`, so the 3rd+ entries
                     // never beat the 2nd).
                     let second = line;
                     if reject_at.as_ref().map(|(l, _)| second < *l).unwrap_or(true)
-                        && prev.as_ref().map(|(_, pl)| *pl < second).unwrap_or(false)
+                        && prev_line.is_some_and(|pl| pl < second)
                     {
                         reject_at = Some((second, coords.clone()));
-                    }
-                }
-            }
-            if self.policy != DuplicatePolicy::Keep {
-                // Keep the group's first line so later members of the
-                // same group do not re-trigger.
-                if let Some(p) = prev.as_mut() {
-                    if p.0.as_slice() != coords.as_slice() {
-                        *p = (coords.clone(), line);
                     }
                 }
             }
@@ -503,8 +497,11 @@ fn entry_lt(a: &RunReader, b: &RunReader, perm: &[usize]) -> bool {
 pub struct MergeStream<'a> {
     owner: &'a SpilledTensor,
     merge: RawMerge,
-    /// Pending folded entry not yet emitted (Sum) / lookahead (all).
-    pending: Option<(Vec<Index>, Value, u64)>,
+    /// Value and line of the pending entry not yet emitted: the folded
+    /// group (Sum) or the one-entry lookahead (all policies). Its
+    /// coordinates live in `pending_coords`.
+    pending: Option<(Value, u64)>,
+    pending_coords: Vec<Index>,
     scratch: Vec<Index>,
 }
 
@@ -515,6 +512,7 @@ impl<'a> MergeStream<'a> {
             owner,
             merge,
             pending: None,
+            pending_coords: vec![0; owner.dims.len()],
             scratch: vec![0; owner.dims.len()],
         })
     }
@@ -540,25 +538,24 @@ impl SortedChunks for MergeStream<'_> {
         while out.len() < max_entries {
             match self.merge.next_entry(&mut self.scratch)? {
                 None => {
-                    if let Some((c, v, l)) = self.pending.take() {
-                        out.push(&c, v, l);
+                    if let Some((v, l)) = self.pending.take() {
+                        out.push(&self.pending_coords, v, l);
                     }
                     break;
                 }
-                Some((v, line)) => match self.pending.take() {
-                    None => {
-                        self.pending = Some((self.scratch.clone(), v, line));
+                Some((v, line)) => match self.pending {
+                    Some((pv, pl)) if fold && self.pending_coords == self.scratch => {
+                        // Merge yields equal coordinates in ascending
+                        // line order: the fold accumulates exactly as
+                        // the in-core path does.
+                        self.pending = Some((pv + v, pl));
                     }
-                    Some((pc, pv, pl)) => {
-                        if fold && pc.as_slice() == self.scratch.as_slice() {
-                            // Merge yields equal coordinates in ascending
-                            // line order: the fold accumulates exactly as
-                            // the in-core path does.
-                            self.pending = Some((pc, pv + v, pl));
-                        } else {
-                            out.push(&pc, pv, pl);
-                            self.pending = Some((self.scratch.clone(), v, line));
+                    held => {
+                        if let Some((pv, pl)) = held {
+                            out.push(&self.pending_coords, pv, pl);
                         }
+                        std::mem::swap(&mut self.pending_coords, &mut self.scratch);
+                        self.pending = Some((v, line));
                     }
                 },
             }

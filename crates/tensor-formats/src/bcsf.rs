@@ -98,32 +98,10 @@ pub struct Bcsf {
 }
 
 impl Bcsf {
-    /// Builds B-CSF for `t` under `perm` (sorts a working copy).
+    /// Builds B-CSF for `t` under `perm`: the CSF tree of [`Csf::build`],
+    /// split and block-assigned by [`Bcsf::from_csf`].
     pub fn build(t: &CooTensor, perm: &ModePerm, options: BcsfOptions) -> Bcsf {
-        let mut work = t.clone();
-        work.sort_by_perm(perm);
-        Bcsf::build_from_sorted(&work, perm, options)
-    }
-
-    /// Builds from a tensor already sorted under `perm`.
-    pub fn build_from_sorted(t: &CooTensor, perm: &ModePerm, options: BcsfOptions) -> Bcsf {
-        let csf = Csf::build_from_sorted(t, perm);
-        Bcsf::from_csf(csf, options)
-    }
-
-    /// Builds B-CSF out-of-core from a sorted chunk stream: the CSF tree
-    /// is constructed by [`Csf::build_streamed`] (no resident sorted COO
-    /// copy), then split and block-assigned exactly as the in-core path —
-    /// byte-identical to [`Bcsf::build`] on the same data.
-    pub fn build_streamed(
-        stream: &mut dyn sptensor::SortedChunks,
-        chunk_nnz: usize,
-        options: BcsfOptions,
-    ) -> sptensor::TensorResult<Bcsf> {
-        Ok(Bcsf::from_csf(
-            Csf::build_streamed(stream, chunk_nnz)?,
-            options,
-        ))
+        Bcsf::from_csf(Csf::build(t, perm), options)
     }
 
     /// Applies splitting to an existing CSF tree (the paper folds fbr-split
@@ -347,28 +325,6 @@ mod tests {
     use sptensor::dims::identity_perm;
     use sptensor::synth::uniform_random;
     use sptensor::CooTensor;
-
-    #[test]
-    fn streamed_build_matches_incore() {
-        let t = uniform_random(&[40, 30, 600], 900, 7);
-        let dir = std::env::temp_dir().join(format!("bcsf_stream_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let opts = sptensor::IngestOptions::new()
-            .with_policy(sptensor::DuplicatePolicy::Keep)
-            .with_chunk_nnz(73);
-        let spilled =
-            sptensor::SpilledTensor::ingest(sptensor::CooSource::new(t.clone()), &opts, &dir)
-                .unwrap();
-        for options in [BcsfOptions::default(), BcsfOptions::unsplit()] {
-            let incore = Bcsf::build(&t, &identity_perm(3), options);
-            for chunk in [1usize, 101, 100_000] {
-                let streamed =
-                    Bcsf::build_streamed(&mut spilled.stream().unwrap(), chunk, options).unwrap();
-                assert_eq!(streamed, incore, "chunk {chunk} options {options:?}");
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     /// One heavy slice (0) with one heavy fiber, plus light slices.
     fn skewed() -> CooTensor {

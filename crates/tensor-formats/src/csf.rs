@@ -14,6 +14,10 @@ use sptensor::source::CooChunk;
 use sptensor::spill::SortedChunks;
 use sptensor::{CooTensor, Index, TensorError, TensorResult, Value};
 
+/// Entries per chunk when a resident tensor streams through its argsort
+/// view into the builder: small enough to stay in cache.
+const VIEW_CHUNK_NNZ: usize = 1 << 14;
+
 /// An order-`N` CSF tensor. Fields are public (read-only by convention) so
 /// MTTKRP kernels can stream the raw arrays.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +39,9 @@ pub struct Csf {
 }
 
 impl Csf {
-    /// Builds a CSF tree for `t` under `perm` (sorts a working copy).
+    /// Builds a CSF tree for `t` under `perm`, streaming the tensor in
+    /// sorted order through an argsort ([`CooTensor::sorted`]) into
+    /// [`Csf::build_streamed`] — the tensor is neither copied nor moved.
     ///
     /// ```
     /// use sptensor::{CooTensor, identity_perm};
@@ -51,140 +57,89 @@ impl Csf {
     /// assert_eq!(csf.num_fibers(), 2);
     /// assert_eq!(csf.fiber_lengths(), vec![2, 1]);
     /// ```
-    pub fn build(t: &CooTensor, perm: &ModePerm) -> Csf {
-        let mut work = t.clone();
-        work.sort_by_perm(perm);
-        Csf::build_from_sorted(&work, perm)
-    }
-
-    /// Builds from a tensor already sorted under `perm`.
     ///
     /// # Panics
-    /// If `perm` is invalid, the order is < 2, or (debug builds) the tensor
-    /// is not sorted.
-    pub fn build_from_sorted(t: &CooTensor, perm: &ModePerm) -> Csf {
-        let order = t.order();
-        assert!(order >= 2, "CSF needs order >= 2");
-        assert!(is_valid_perm(perm, order), "invalid mode permutation");
-        debug_assert!(t.is_sorted_by_perm(perm), "tensor must be sorted");
-
-        let m = t.nnz();
-        let nlev = order - 1;
-        let keys: Vec<&[Index]> = perm.iter().map(|&mo| t.mode_indices(mo)).collect();
-
-        let mut level_idx: Vec<Vec<Index>> = vec![Vec::new(); nlev];
-        let mut level_ptr: Vec<Vec<u32>> = vec![Vec::new(); nlev];
-        let mut leaf_idx = Vec::with_capacity(m);
-        let mut vals = Vec::with_capacity(m);
-
-        for z in 0..m {
-            // The shallowest level whose coordinate changed opens new groups
-            // at that level and every level below it.
-            let boundary = if z == 0 {
-                0
-            } else {
-                (0..nlev)
-                    .find(|&l| keys[l][z] != keys[l][z - 1])
-                    .unwrap_or(nlev)
-            };
-            for l in boundary..nlev {
-                let child_start = if l + 1 < nlev {
-                    level_idx[l + 1].len()
-                } else {
-                    z
-                };
-                level_ptr[l].push(child_start as u32);
-                level_idx[l].push(keys[l][z]);
-            }
-            leaf_idx.push(keys[nlev][z]);
-            vals.push(t.values()[z]);
-        }
-        for l in 0..nlev {
-            let end = if l + 1 < nlev {
-                level_idx[l + 1].len()
-            } else {
-                m
-            };
-            level_ptr[l].push(end as u32);
-        }
-
-        let out = Csf {
-            dims: t.dims().to_vec(),
-            perm: perm.clone(),
-            level_idx,
-            level_ptr,
-            leaf_idx,
-            vals,
-        };
-        // Malformed builds must fail at creation, not at kernel time.
-        #[cfg(debug_assertions)]
-        out.validate().expect("freshly built CSF must validate");
-        out
+    /// If `perm` is invalid or the order is < 2.
+    pub fn build(t: &CooTensor, perm: &ModePerm) -> Csf {
+        Csf::build_streamed(&mut t.sorted(perm), VIEW_CHUNK_NNZ).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds a CSF tree out-of-core from a sorted chunk stream (the
-    /// spill pipeline's [`SortedChunks`]), never materializing a resident
-    /// sorted `CooTensor`. Two passes: the first counts the groups each
-    /// tree level needs (so every array is allocated exactly once), the
-    /// second fills them with the same boundary logic as
-    /// [`Csf::build_from_sorted`] — carrying the previous chunk's last
-    /// coordinates across chunk boundaries so the result is byte-identical
-    /// to the in-core build for any chunk size.
+    /// Builds a CSF tree from a sorted chunk stream in one pass — the one
+    /// fill loop every CSF-based format goes through. The stream is
+    /// either a resident tensor's argsort view ([`Csf::build`]) or the
+    /// spill pipeline's merge ([`sptensor::SpilledTensor::stream`]), in
+    /// which case no resident sorted `CooTensor` ever exists.
+    ///
+    /// An entry opens a new group at the shallowest level whose
+    /// coordinate differs from the open group's there, and at every level
+    /// below. The open groups' coordinates are the last ones pushed, so
+    /// nothing is carried across chunk boundaries and the tree does not
+    /// depend on the chunk size. Each level holds at most one group per
+    /// entry, so every array is reserved at the declared entry count
+    /// (address space, not memory, until written) and shrunk at the end.
     ///
     /// The stream must be sorted under the permutation it reports
-    /// ([`SortedChunks::perm`]) and be duplicate-free (policy already
-    /// applied), which is what [`sptensor::SpilledTensor::resort`]
-    /// produces.
+    /// ([`SortedChunks::perm`]) and yield exactly [`SortedChunks::nnz`]
+    /// entries; a count mismatch is an error. Equal coordinates (under
+    /// [`sptensor::DuplicatePolicy::Keep`]) become equal leaves of one
+    /// fiber, in stream order.
+    ///
+    /// # Errors
+    /// [`TensorError::OrderTooLow`] for a tensor of order < 2, and
+    /// [`TensorError::Invalid`] for an invalid permutation, a count that
+    /// overflows the `u32` pointers, or a stream that yields a different
+    /// number of entries than it declares.
     pub fn build_streamed(stream: &mut dyn SortedChunks, chunk_nnz: usize) -> TensorResult<Csf> {
         let dims = stream.dims().to_vec();
         let perm: ModePerm = stream.perm().to_vec();
         let order = dims.len();
-        assert!(order >= 2, "CSF needs order >= 2");
-        assert!(is_valid_perm(&perm, order), "invalid mode permutation");
+        if order < 2 {
+            return Err(TensorError::OrderTooLow {
+                what: "csf",
+                order,
+                min: 2,
+            });
+        }
+        if !is_valid_perm(&perm, order) {
+            return Err(TensorError::invalid("csf", "invalid mode permutation"));
+        }
         let nlev = order - 1;
         let m = usize::try_from(stream.nnz())
-            .map_err(|_| TensorError::invalid("csf", "nonzero count exceeds usize"))?;
+            .ok()
+            .filter(|&m| u32::try_from(m).is_ok())
+            .ok_or_else(|| TensorError::invalid("csf", "nonzero count exceeds u32 pointers"))?;
         let chunk_nnz = chunk_nnz.max(1);
 
-        // Pass 1: count the groups opened at each internal level.
-        stream.rewind()?;
-        let mut counts = vec![0usize; nlev];
-        let mut prev: Option<Vec<Index>> = None;
-        let mut chunk = CooChunk::default();
-        loop {
-            let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-            if n == 0 {
-                break;
-            }
-            for i in 0..n {
-                let boundary = boundary_level(&chunk, &perm, i, nlev, prev.as_deref());
-                for c in counts.iter_mut().take(nlev).skip(boundary) {
-                    *c += 1;
-                }
-                let p = prev.get_or_insert_with(|| vec![0; nlev]);
-                for (l, slot) in p.iter_mut().enumerate() {
-                    *slot = chunk.coords[perm[l]][i];
-                }
-            }
-        }
-
-        // Pass 2: allocate exactly, then fill.
-        let mut level_idx: Vec<Vec<Index>> =
-            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        let mut level_ptr: Vec<Vec<u32>> =
-            counts.iter().map(|&c| Vec::with_capacity(c + 1)).collect();
+        let mut level_idx: Vec<Vec<Index>> = (0..nlev).map(|_| Vec::with_capacity(m)).collect();
+        let mut level_ptr: Vec<Vec<u32>> = (0..nlev).map(|_| Vec::with_capacity(m + 1)).collect();
         let mut leaf_idx = Vec::with_capacity(m);
         let mut vals = Vec::with_capacity(m);
+        let mut chunk = CooChunk::default();
         stream.rewind()?;
-        prev = None;
-        let mut z = 0usize;
         loop {
             let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
             if n == 0 {
                 break;
             }
+            if vals.len() + n > m {
+                return Err(TensorError::invalid(
+                    "csf",
+                    format!(
+                        "stream yielded {} entries so far, declared {m}",
+                        vals.len() + n
+                    ),
+                ));
+            }
+            let keys: Vec<&[Index]> = perm.iter().map(|&mo| &chunk.coords[mo][..n]).collect();
             for i in 0..n {
-                let boundary = boundary_level(&chunk, &perm, i, nlev, prev.as_deref());
+                let z = vals.len();
+                let boundary = if z == 0 {
+                    0
+                } else {
+                    (0..nlev)
+                        .find(|&l| level_idx[l].last() != Some(&keys[l][i]))
+                        .unwrap_or(nlev)
+                };
                 for l in boundary..nlev {
                     let child_start = if l + 1 < nlev {
                         level_idx[l + 1].len()
@@ -192,21 +147,16 @@ impl Csf {
                         z
                     };
                     level_ptr[l].push(child_start as u32);
-                    level_idx[l].push(chunk.coords[perm[l]][i]);
+                    level_idx[l].push(keys[l][i]);
                 }
-                leaf_idx.push(chunk.coords[perm[nlev]][i]);
+                leaf_idx.push(keys[nlev][i]);
                 vals.push(chunk.vals[i]);
-                let p = prev.get_or_insert_with(|| vec![0; nlev]);
-                for (l, slot) in p.iter_mut().enumerate() {
-                    *slot = chunk.coords[perm[l]][i];
-                }
-                z += 1;
             }
         }
-        if z != m {
+        if vals.len() != m {
             return Err(TensorError::invalid(
                 "csf",
-                format!("stream yielded {z} entries, declared {m}"),
+                format!("stream yielded {} entries, declared {m}", vals.len()),
             ));
         }
         for l in 0..nlev {
@@ -216,6 +166,8 @@ impl Csf {
                 m
             };
             level_ptr[l].push(end as u32);
+            level_idx[l].shrink_to_fit();
+            level_ptr[l].shrink_to_fit();
         }
 
         let out = Csf {
@@ -226,6 +178,7 @@ impl Csf {
             leaf_idx,
             vals,
         };
+        // Malformed builds must fail at creation, not at kernel time.
         #[cfg(debug_assertions)]
         out.validate().expect("freshly built CSF must validate");
         Ok(out)
@@ -389,52 +342,11 @@ impl Csf {
     }
 }
 
-/// The shallowest tree level whose coordinate differs from the previous
-/// entry's (`nlev` = only the leaf changed; `0` = first entry or new
-/// slice). `prev` carries the previous entry's perm-space internal
-/// coordinates across chunk boundaries.
-fn boundary_level(
-    chunk: &CooChunk,
-    perm: &[usize],
-    i: usize,
-    nlev: usize,
-    prev: Option<&[Index]>,
-) -> usize {
-    match prev {
-        None => 0,
-        Some(p) => (0..nlev)
-            .find(|&l| chunk.coords[perm[l]][i] != p[l])
-            .unwrap_or(nlev),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sptensor::dims::{identity_perm, mode_orientation};
     use sptensor::synth::uniform_random;
-    use sptensor::{CooSource, DuplicatePolicy, IngestOptions, SpilledTensor};
-
-    #[test]
-    fn streamed_build_is_byte_identical_to_incore() {
-        let t = uniform_random(&[9, 11, 13], 700, 21);
-        let dir = std::env::temp_dir().join(format!("csf_stream_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let opts = IngestOptions::new()
-            .with_policy(DuplicatePolicy::Keep)
-            .with_chunk_nnz(61);
-        let spilled = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
-        for mode in 0..3 {
-            let perm = mode_orientation(3, mode);
-            let incore = Csf::build(&t, &perm);
-            let resorted = spilled.resort(&perm, &dir, &opts).unwrap();
-            for chunk in [1usize, 53, 100_000] {
-                let streamed = Csf::build_streamed(&mut resorted.stream().unwrap(), chunk).unwrap();
-                assert_eq!(streamed, incore, "mode {mode} chunk {chunk}");
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     fn sample3() -> CooTensor {
         // Matches the paper's running example scale: 3 slices, mixed fibers.
@@ -537,6 +449,21 @@ mod tests {
         assert_eq!(csf.num_fibers(), 2);
         assert_eq!(csf.level_idx[0], vec![0, 3]);
         assert_eq!(csf.leaf_idx, vec![1, 3, 2]);
+    }
+
+    #[test]
+    fn order1_stream_is_a_typed_error() {
+        let mut t = CooTensor::new(vec![5]);
+        t.push(&[3], 1.0);
+        let res = Csf::build_streamed(&mut t.sorted(&identity_perm(1)), 4);
+        assert!(matches!(
+            res,
+            Err(TensorError::OrderTooLow {
+                order: 1,
+                min: 2,
+                ..
+            })
+        ));
     }
 
     #[test]

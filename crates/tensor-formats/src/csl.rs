@@ -32,44 +32,31 @@ pub struct Csl {
 }
 
 impl Csl {
-    /// Builds CSL for the whole tensor under `perm` (sorts a working copy).
+    /// Builds CSL for the whole tensor under `perm`, gathering each
+    /// column through the tensor's argsort ([`CooTensor::sorted`]).
     /// Valid for any tensor — the format does not *require* singleton
     /// fibers, it just stops exploiting fiber structure.
     pub fn build(t: &CooTensor, perm: &ModePerm) -> Csl {
-        let mut work = t.clone();
-        work.sort_by_perm(perm);
-        Csl::build_from_sorted(&work, perm)
-    }
-
-    /// Builds from a tensor already sorted under `perm`.
-    pub fn build_from_sorted(t: &CooTensor, perm: &ModePerm) -> Csl {
         let order = t.order();
         assert!(order >= 2, "CSL needs order >= 2");
         assert!(is_valid_perm(perm, order), "invalid mode permutation");
-        debug_assert!(t.is_sorted_by_perm(perm), "tensor must be sorted");
-
-        let m = t.nnz();
-        let slice_key = t.mode_indices(perm[0]);
+        let view = t.sorted(perm);
         let mut slice_ptr = Vec::new();
         let mut slice_idx = Vec::new();
-        for z in 0..m {
-            if z == 0 || slice_key[z] != slice_key[z - 1] {
+        for (z, &k) in view.gather(perm[0]).iter().enumerate() {
+            if slice_idx.last() != Some(&k) {
                 slice_ptr.push(z as u32);
-                slice_idx.push(slice_key[z]);
+                slice_idx.push(k);
             }
         }
-        slice_ptr.push(m as u32);
-        let coord = perm[1..]
-            .iter()
-            .map(|&mo| t.mode_indices(mo).to_vec())
-            .collect();
+        slice_ptr.push(t.nnz() as u32);
         let out = Csl {
             dims: t.dims().to_vec(),
             perm: perm.clone(),
             slice_ptr,
             slice_idx,
-            coord,
-            vals: t.values().to_vec(),
+            coord: perm[1..].iter().map(|&mo| view.gather(mo)).collect(),
+            vals: view.gather_values(),
         };
         // Malformed builds must fail at creation, not at kernel time.
         #[cfg(debug_assertions)]

@@ -41,27 +41,19 @@ pub struct Fcoo {
 }
 
 impl Fcoo {
-    /// Builds F-COO under `perm` (sorts a working copy).
+    /// Builds F-COO under `perm`, gathering each column through the
+    /// tensor's argsort ([`CooTensor::sorted`]).
     pub fn build(t: &CooTensor, perm: &ModePerm, threadlen: usize) -> Fcoo {
-        let mut work = t.clone();
-        work.sort_by_perm(perm);
-        Fcoo::build_from_sorted(&work, perm, threadlen)
-    }
-
-    /// Builds from a tensor already sorted under `perm`.
-    pub fn build_from_sorted(t: &CooTensor, perm: &ModePerm, threadlen: usize) -> Fcoo {
         let order = t.order();
         assert!(order >= 2, "F-COO needs order >= 2");
         assert!(threadlen >= 1, "threadlen must be >= 1");
         assert!(is_valid_perm(perm, order), "invalid mode permutation");
-        debug_assert!(t.is_sorted_by_perm(perm), "tensor must be sorted");
 
         let m = t.nnz();
-        let slice_key = t.mode_indices(perm[0]);
-        let fiber_keys: Vec<&[Index]> = perm[..order - 1]
-            .iter()
-            .map(|&mo| t.mode_indices(mo))
-            .collect();
+        let view = t.sorted(perm);
+        // Columns in tree-level order: the slice key, then the product modes.
+        let mut keys: Vec<Vec<Index>> = perm.iter().map(|&mo| view.gather(mo)).collect();
+        let (slice_key, fiber_keys) = (&keys[0], &keys[..order - 1]);
 
         let mut slice_flag = BitVec::zeros(m);
         let mut fiber_flag = BitVec::zeros(m);
@@ -94,17 +86,12 @@ impl Fcoo {
             chunk_start_slice.push(ordinal as u32);
         }
 
-        let coord = perm[1..]
-            .iter()
-            .map(|&mo| t.mode_indices(mo).to_vec())
-            .collect();
-
         let out = Fcoo {
             dims: t.dims().to_vec(),
             perm: perm.clone(),
             threadlen,
-            coord,
-            vals: t.values().to_vec(),
+            coord: keys.split_off(1),
+            vals: view.gather_values(),
             slice_flag,
             fiber_flag,
             slice_ids,

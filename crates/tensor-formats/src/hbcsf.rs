@@ -55,7 +55,8 @@ pub struct Hbcsf {
 }
 
 impl Hbcsf {
-    /// Builds HB-CSF for `t` under `perm` (sorts a working copy).
+    /// Builds HB-CSF for `t` under `perm`: the CSF tree of [`Csf::build`],
+    /// partitioned by [`Hbcsf::from_csf`].
     ///
     /// ```
     /// use sptensor::{CooTensor, mode_orientation};
@@ -74,35 +75,11 @@ impl Hbcsf {
     /// assert_eq!(hb.group_nnz(), (1, 2, 2));
     /// ```
     pub fn build(t: &CooTensor, perm: &ModePerm, options: BcsfOptions) -> Hbcsf {
-        let mut work = t.clone();
-        work.sort_by_perm(perm);
-        Hbcsf::build_from_sorted(&work, perm, options)
+        Hbcsf::from_csf(Csf::build(t, perm), options)
     }
 
-    /// Builds from a tensor already sorted under `perm`. Mirrors
-    /// Algorithm 5: evaluate slice patterns on a CSF tree, partition, then
-    /// re-encode each group.
-    pub fn build_from_sorted(t: &CooTensor, perm: &ModePerm, options: BcsfOptions) -> Hbcsf {
-        let csf = Csf::build_from_sorted(t, perm);
-        Hbcsf::from_csf(csf, options)
-    }
-
-    /// Builds HB-CSF out-of-core from a sorted chunk stream: the CSF tree
-    /// comes from [`Csf::build_streamed`] (no resident sorted COO copy);
-    /// classification and re-encoding are the in-core path, so the result
-    /// is byte-identical to [`Hbcsf::build`] on the same data.
-    pub fn build_streamed(
-        stream: &mut dyn sptensor::SortedChunks,
-        chunk_nnz: usize,
-        options: BcsfOptions,
-    ) -> sptensor::TensorResult<Hbcsf> {
-        Ok(Hbcsf::from_csf(
-            Csf::build_streamed(stream, chunk_nnz)?,
-            options,
-        ))
-    }
-
-    /// Partitions an existing CSF tree.
+    /// Partitions an existing CSF tree, as Algorithm 5 does: classify each
+    /// slice, then copy it into its group's encoding.
     pub fn from_csf(csf: Csf, options: BcsfOptions) -> Hbcsf {
         let order = csf.order();
         assert!(order >= 3, "HB-CSF is defined for order >= 3 tensors");
@@ -130,13 +107,13 @@ impl Hbcsf {
         }
 
         // COO group: one entry per slice; flatten via the CSL extractor.
-        let coo_as_csl = Csl::from_csf_slices(&csf, &coo_slices);
-        let mut coo_coord: Vec<Vec<Index>> = Vec::with_capacity(order);
-        coo_coord.push(coo_as_csl.slice_idx.clone());
-        for arr in &coo_as_csl.coord {
-            coo_coord.push(arr.clone());
-        }
-        let coo_vals = coo_as_csl.vals.clone();
+        let Csl {
+            slice_idx,
+            coord,
+            vals: coo_vals,
+            ..
+        } = Csl::from_csf_slices(&csf, &coo_slices);
+        let coo_coord: Vec<Vec<Index>> = std::iter::once(slice_idx).chain(coord).collect();
 
         let csl = Csl::from_csf_slices(&csf, &csl_slices);
         let bcsf_csf = extract_slices(&csf, &csf_slices);
@@ -275,14 +252,49 @@ fn slice_fibers_all_singleton(csf: &Csf, s: usize, fl: usize) -> bool {
     (lo..hi).all(|f| csf.level_ptr[fl][f + 1] - csf.level_ptr[fl][f] == 1)
 }
 
-/// Rebuilds a CSF containing only the given slices (ascending order).
+/// Copies the given slices' subtrees (ascending slice order) into a new
+/// CSF tree, rebasing each level's pointers onto the copied children.
 fn extract_slices(csf: &Csf, slices: &[usize]) -> Csf {
-    // Flatten the chosen subtrees to COO (already sorted under the CSF's
-    // permutation since slices ascend and subtree order is tree order),
-    // then rebuild — simple and reuses the audited constructor.
-    let coo = Csl::from_csf_slices(csf, slices).to_coo();
-    debug_assert!(coo.is_sorted_by_perm(&csf.perm));
-    Csf::build_from_sorted(&coo, &csf.perm)
+    let nlev = csf.order() - 1;
+    let m: usize = slices.iter().map(|&s| csf.slice_nnz(s)).sum();
+    let mut level_idx: Vec<Vec<Index>> = vec![Vec::new(); nlev];
+    let mut level_ptr: Vec<Vec<u32>> = vec![Vec::new(); nlev];
+    let mut leaf_idx = Vec::with_capacity(m);
+    let mut vals = Vec::with_capacity(m);
+    for &s in slices {
+        // Groups `lo..hi` of level `l` belong to slice `s`.
+        let (mut lo, mut hi) = (s, s + 1);
+        for l in 0..nlev {
+            let ptr = &csf.level_ptr[l];
+            let first_child = ptr[lo];
+            let base = if l + 1 < nlev {
+                level_idx[l + 1].len()
+            } else {
+                leaf_idx.len()
+            } as u32;
+            level_idx[l].extend_from_slice(&csf.level_idx[l][lo..hi]);
+            level_ptr[l].extend(ptr[lo..hi].iter().map(|&p| p - first_child + base));
+            (lo, hi) = (first_child as usize, ptr[hi] as usize);
+        }
+        leaf_idx.extend_from_slice(&csf.leaf_idx[lo..hi]);
+        vals.extend_from_slice(&csf.vals[lo..hi]);
+    }
+    for l in 0..nlev {
+        let end = if l + 1 < nlev {
+            level_idx[l + 1].len()
+        } else {
+            m
+        };
+        level_ptr[l].push(end as u32);
+    }
+    Csf {
+        dims: csf.dims.clone(),
+        perm: csf.perm.clone(),
+        level_idx,
+        level_ptr,
+        leaf_idx,
+        vals,
+    }
 }
 
 #[cfg(test)]
@@ -290,30 +302,6 @@ mod tests {
     use super::*;
     use sptensor::dims::identity_perm;
     use sptensor::synth::{standin, uniform_random, SynthConfig};
-
-    #[test]
-    fn streamed_build_matches_incore() {
-        let t = uniform_random(&[25, 35, 45], 800, 17);
-        let dir = std::env::temp_dir().join(format!("hbcsf_stream_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let opts = sptensor::IngestOptions::new()
-            .with_policy(sptensor::DuplicatePolicy::Keep)
-            .with_chunk_nnz(67);
-        let spilled =
-            sptensor::SpilledTensor::ingest(sptensor::CooSource::new(t.clone()), &opts, &dir)
-                .unwrap();
-        let incore = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
-        for chunk in [1usize, 97, 100_000] {
-            let streamed = Hbcsf::build_streamed(
-                &mut spilled.stream().unwrap(),
-                chunk,
-                BcsfOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(streamed, incore, "chunk {chunk}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     /// Slice 0: one nonzero (COO). Slice 1: three singleton fibers (CSL).
     /// Slice 2: a 3-leaf fiber (CSF).

@@ -12,12 +12,8 @@
 //! accounting and the per-block privatized kernel structure (the two
 //! properties the comparison exercises).
 
-use std::collections::HashMap;
-
-use sptensor::source::CooChunk;
-use sptensor::spill::SortedChunks;
 use sptensor::TensorError;
-use sptensor::{CooTensor, Index, TensorResult, Value};
+use sptensor::{CooTensor, Index, Value};
 
 /// A tensor in HiCOO (block-compressed COO) form.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,19 +73,17 @@ impl Hicoo {
         let mut bidx: Vec<Vec<Index>> = vec![Vec::new(); order];
         let mut eidx: Vec<Vec<u8>> = vec![Vec::with_capacity(m); order];
         let mut vals = Vec::with_capacity(m);
-        let mut prev_block: Option<Vec<Index>> = None;
 
         for (pos, &zz) in order_v.iter().enumerate() {
             let z = zz as usize;
-            let block: Vec<Index> = (0..order)
-                .map(|mode| t.mode_indices(mode)[z] >> block_bits)
-                .collect();
-            if prev_block.as_ref() != Some(&block) {
+            // The open block's coordinates are the last ones pushed.
+            let new_block = (0..order)
+                .any(|mode| bidx[mode].last() != Some(&(t.mode_indices(mode)[z] >> block_bits)));
+            if new_block {
                 bptr.push(pos as u32);
                 for (mode, arr) in bidx.iter_mut().enumerate() {
-                    arr.push(block[mode]);
+                    arr.push(t.mode_indices(mode)[z] >> block_bits);
                 }
-                prev_block = Some(block);
             }
             for (mode, arr) in eidx.iter_mut().enumerate() {
                 arr.push((t.mode_indices(mode)[z] & mask) as u8);
@@ -110,143 +104,6 @@ impl Hicoo {
         #[cfg(debug_assertions)]
         out.validate().expect("freshly built HiCOO must validate");
         out
-    }
-
-    /// Builds HiCOO out-of-core from an identity-sorted chunk stream.
-    ///
-    /// HiCOO's storage order is (block tuple, full coordinate), which an
-    /// identity-sorted stream does *not* satisfy directly — entries of one
-    /// block can be interleaved with entries of another. Two passes fix
-    /// that with bounded memory: pass 1 counts nonzeros per block tuple and
-    /// lays out `bptr`/`bidx` over the lexicographically sorted blocks;
-    /// pass 2 scatters offsets and values through per-block write cursors.
-    /// Within a block the arrival order of an identity-sorted stream *is*
-    /// ascending full coordinates, so on duplicate-free input the result is
-    /// byte-identical to [`Hicoo::build`].
-    ///
-    /// # Panics
-    /// If `block_bits` is 0 or exceeds 8, or the stream's mode permutation
-    /// is not the identity.
-    pub fn build_streamed(
-        stream: &mut dyn SortedChunks,
-        chunk_nnz: usize,
-        block_bits: u32,
-    ) -> TensorResult<Hicoo> {
-        assert!(
-            (1..=8).contains(&block_bits),
-            "block_bits must be in 1..=8 (u8 offsets)"
-        );
-        let dims = stream.dims().to_vec();
-        let order = dims.len();
-        assert!(
-            stream.perm().iter().enumerate().all(|(i, &p)| p == i),
-            "HiCOO streaming requires an identity-sorted stream"
-        );
-        let m = usize::try_from(stream.nnz())
-            .map_err(|_| TensorError::invalid("hicoo", "nonzero count exceeds usize"))?;
-        if u32::try_from(m).is_err() {
-            return Err(TensorError::invalid(
-                "hicoo",
-                "nonzero count exceeds u32 block-pointer range",
-            ));
-        }
-        let chunk_nnz = chunk_nnz.max(1);
-        let mask: Index = (1 << block_bits) - 1;
-
-        // Pass 1: count nonzeros per block tuple.
-        let mut counts: HashMap<Vec<Index>, u32> = HashMap::new();
-        let mut chunk = CooChunk::default();
-        let mut key: Vec<Index> = vec![0; order];
-        stream.rewind()?;
-        loop {
-            let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-            if n == 0 {
-                break;
-            }
-            for i in 0..n {
-                for (mode, k) in key.iter_mut().enumerate() {
-                    *k = chunk.coords[mode][i] >> block_bits;
-                }
-                match counts.get_mut(key.as_slice()) {
-                    Some(c) => *c += 1,
-                    None => {
-                        counts.insert(key.clone(), 1);
-                    }
-                }
-            }
-        }
-
-        // Lay out blocks lexicographically, exactly as the in-core sort does.
-        let mut blocks: Vec<(Vec<Index>, u32)> = counts.into_iter().collect();
-        blocks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let nb = blocks.len();
-        let mut bptr = Vec::with_capacity(nb + 1);
-        let mut bidx: Vec<Vec<Index>> = vec![Vec::with_capacity(nb); order];
-        let mut rank: HashMap<Vec<Index>, u32> = HashMap::with_capacity(nb);
-        let mut total = 0u32;
-        for (b, (tuple, c)) in blocks.into_iter().enumerate() {
-            bptr.push(total);
-            total += c;
-            for (mode, arr) in bidx.iter_mut().enumerate() {
-                arr.push(tuple[mode]);
-            }
-            rank.insert(tuple, b as u32);
-        }
-        bptr.push(total);
-        if total as usize != m {
-            return Err(TensorError::invalid(
-                "hicoo",
-                format!("stream yielded {total} entries, declared {m}"),
-            ));
-        }
-        // The in-core path emits a bare `[0]` for the empty tensor.
-        if nb == 0 {
-            bptr.truncate(1);
-        }
-
-        // Pass 2: scatter offsets and values through per-block cursors.
-        let mut cursor: Vec<u32> = bptr[..nb].to_vec();
-        let mut eidx: Vec<Vec<u8>> = vec![vec![0u8; m]; order];
-        let mut vals: Vec<Value> = vec![0.0; m];
-        stream.rewind()?;
-        loop {
-            let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-            if n == 0 {
-                break;
-            }
-            for i in 0..n {
-                for (mode, k) in key.iter_mut().enumerate() {
-                    *k = chunk.coords[mode][i] >> block_bits;
-                }
-                let b = rank[key.as_slice()] as usize;
-                let pos = cursor[b] as usize;
-                cursor[b] += 1;
-                for (mode, arr) in eidx.iter_mut().enumerate() {
-                    arr[pos] = (chunk.coords[mode][i] & mask) as u8;
-                }
-                vals[pos] = chunk.vals[i];
-            }
-        }
-        for b in 0..nb {
-            if cursor[b] != bptr[b + 1] {
-                return Err(TensorError::invalid(
-                    "hicoo",
-                    format!("block {b} changed population between passes"),
-                ));
-            }
-        }
-
-        let out = Hicoo {
-            dims,
-            block_bits,
-            bptr,
-            bidx,
-            eidx,
-            vals,
-        };
-        #[cfg(debug_assertions)]
-        out.validate().expect("freshly built HiCOO must validate");
-        Ok(out)
     }
 
     #[inline]
@@ -394,29 +251,5 @@ mod tests {
         let h = Hicoo::build(&t, 7);
         h.validate().unwrap();
         assert_eq!(h.num_blocks(), 0);
-    }
-
-    #[test]
-    fn streamed_build_matches_incore() {
-        let t = uniform_random(&[300, 200, 260], 1200, 5);
-        let dir = std::env::temp_dir().join(format!("hicoo_stream_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let opts = sptensor::IngestOptions::new()
-            .with_policy(sptensor::DuplicatePolicy::Keep)
-            .with_chunk_nnz(89);
-        let spilled =
-            sptensor::SpilledTensor::ingest(sptensor::CooSource::new(t.clone()), &opts, &dir)
-                .unwrap();
-        // In-core HiCOO sorts internally, so a pre-sorted copy is equivalent;
-        // the streamed path must reproduce it for every chunk size.
-        for bits in [1u32, 4, 7] {
-            let incore = Hicoo::build(&t, bits);
-            for chunk in [1usize, 107, 100_000] {
-                let streamed =
-                    Hicoo::build_streamed(&mut spilled.stream().unwrap(), chunk, bits).unwrap();
-                assert_eq!(streamed, incore, "bits {bits} chunk {chunk}");
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,6 +23,8 @@
 //! * [`storage`] — index-storage accounting in bytes for every format
 //!   (regenerates the paper's Fig. 16 and the Section III formulas).
 
+// A renamed or deleted item must not leave a dangling doc link behind.
+#![deny(rustdoc::broken_intra_doc_links)]
 // Kernels and builders index several parallel arrays with one counter;
 // the zipped-iterator forms Clippy suggests obscure that symmetry.
 #![allow(clippy::needless_range_loop)]
