@@ -9,24 +9,30 @@
 /// The process-lifetime peak resident set size in bytes (`VmHWM`), or
 /// `None` when the platform offers no `/proc/self/status`.
 pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_kib("VmHWM:").map(|kib| kib * 1024)
+    status_bytes(&proc_status()?, "VmHWM:")
 }
 
 /// The current resident set size in bytes (`VmRSS`), or `None` when the
 /// platform offers no `/proc/self/status`.
 pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_kib("VmRSS:").map(|kib| kib * 1024)
+    status_bytes(&proc_status()?, "VmRSS:")
 }
 
-/// Parses a `kB` line of `/proc/self/status`, e.g. `VmHWM:  123456 kB`.
-fn proc_status_kib(key: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+/// One snapshot of `/proc/self/status`.
+fn proc_status() -> Option<String> {
+    std::fs::read_to_string("/proc/self/status").ok()
+}
+
+/// Parses a `kB` line of a status snapshot, e.g. `VmHWM:  123456 kB`,
+/// into bytes.
+fn status_bytes(status: &str, key: &str) -> Option<u64> {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix(key) {
             return rest
                 .split_whitespace()
                 .next()
-                .and_then(|n| n.parse::<u64>().ok());
+                .and_then(|n| n.parse::<u64>().ok())
+                .map(|kib| kib * 1024);
         }
     }
     None
@@ -38,9 +44,14 @@ mod tests {
 
     #[test]
     fn peak_rss_is_positive_and_at_least_current() {
-        // Both probes must parse on Linux; peak >= current by definition.
-        let peak = peak_rss_bytes().expect("VmHWM should parse on Linux");
-        let cur = current_rss_bytes().expect("VmRSS should parse on Linux");
+        // Both values must parse on Linux; peak >= current by definition
+        // within one snapshot. Two separate reads could straddle a
+        // sibling test's allocation and see the current size pass the
+        // peak read before it.
+        let status = proc_status().expect("/proc/self/status should read on Linux");
+        let peak = status_bytes(&status, "VmHWM:").expect("VmHWM should parse on Linux");
+        let cur = status_bytes(&status, "VmRSS:").expect("VmRSS should parse on Linux");
+        assert!(current_rss_bytes().is_some_and(|b| b > 0));
         assert!(peak > 0);
         assert!(peak >= cur, "peak {peak} < current {cur}");
     }

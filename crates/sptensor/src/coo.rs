@@ -8,6 +8,7 @@
 use core::cmp::Ordering;
 
 use crate::dims::{is_valid_perm, ModePerm};
+use crate::key::{cmp_under, CoordKey};
 use crate::source::CooChunk;
 use crate::spill::SortedChunks;
 use crate::{Index, TensorResult, Value};
@@ -193,15 +194,18 @@ impl CooTensor {
             "invalid mode permutation"
         );
         let mut order: Vec<u32> = (0..self.nnz() as u32).collect();
-        let inds = &self.inds;
-        order.sort_unstable_by(|&a, &b| cmp_under(inds, perm, a, b).then(a.cmp(&b)));
+        let key = CoordKey::new(&self.inds, perm);
+        order.sort_unstable_by(|&a, &b| key.cmp(a, b).then(a.cmp(&b)));
+        // Free the key before the gathers allocate.
+        drop(key);
         self.apply_order(&order);
     }
 
     /// A sorted stream over this tensor that moves nothing: one `u32`
-    /// argsort under `perm`, then each chunk gathers its entries through
-    /// it. The order is exactly the one [`CooTensor::sort_by_perm`]
-    /// leaves, equal coordinates included, so a format built from the
+    /// argsort under `perm` (compared through one packed `u64` key per
+    /// entry), then each chunk gathers its entries through it. The order
+    /// is exactly the one [`CooTensor::sort_by_perm`] leaves, equal
+    /// coordinates included, so a format built from the
     /// view is the one built from a sorted copy — without the copy. This
     /// is how every resident format build is fed.
     ///
@@ -217,16 +221,16 @@ impl CooTensor {
     }
 
     /// The permutation of entry ids that sorts the tensor under `perm`:
-    /// the one sort behind [`CooTensor::sort_by_perm`] and
-    /// [`CooTensor::sorted`].
-    fn argsort(&self, perm: &ModePerm) -> Vec<u32> {
+    /// the one sort behind [`CooTensor::sort_by_perm`],
+    /// [`CooTensor::sorted`] and [`crate::ModeStats::compute`].
+    pub(crate) fn argsort(&self, perm: &ModePerm) -> Vec<u32> {
         assert!(
             is_valid_perm(perm, self.order()),
             "invalid mode permutation"
         );
         let mut order: Vec<u32> = (0..self.nnz() as u32).collect();
-        let inds = &self.inds;
-        order.sort_unstable_by(|&a, &b| cmp_under(inds, perm, a, b));
+        let key = CoordKey::new(&self.inds, perm);
+        order.sort_unstable_by(|&a, &b| key.cmp(a, b));
         order
     }
 
@@ -298,21 +302,11 @@ impl CooTensor {
     }
 }
 
-/// Entries `a` and `b` compared by their coordinates under `perm`.
-#[inline]
-fn cmp_under(inds: &[Vec<Index>], perm: &[usize], a: u32, b: u32) -> Ordering {
-    for &m in perm {
-        match inds[m][a as usize].cmp(&inds[m][b as usize]) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
 /// A resident tensor streamed in sorted order through an argsort (see
-/// [`CooTensor::sorted`]). Each chunk's `lines` carry the entries'
-/// positions in the tensor.
+/// [`CooTensor::sorted`]): entry ids sorted by the packed coordinate key
+/// that every coordinate sort compares through, with the moves the
+/// per-mode comparison would make. Each chunk's `lines` carry the
+/// entries' positions in the tensor.
 pub struct SortedView<'a> {
     tensor: &'a CooTensor,
     perm: ModePerm,

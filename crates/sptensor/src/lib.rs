@@ -26,6 +26,7 @@ pub mod coo;
 pub mod dims;
 pub mod error;
 pub mod io;
+mod key;
 pub mod reorder;
 pub mod source;
 pub mod spill;

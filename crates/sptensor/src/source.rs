@@ -188,8 +188,11 @@ impl IngestOptions {
 
     /// The chunk size actually used for an order-`order` source: the
     /// configured size, derated so one chunk's parse + sort working set
-    /// (entry payload, sort permutation, spill buffer — roughly 4x the
-    /// raw entry bytes) consumes at most a quarter of the host budget.
+    /// consumes at most a quarter of the host budget. For order `N` that
+    /// set is the entry payload (`4N + 12` B per entry), its reordered
+    /// copy (`4N + 12` B), the `u32` sort permutation (4 B) and the
+    /// packed `u64` sort key (8 B): `8N + 36` B per entry, inside the
+    /// `16N + 48` B (4x the raw entry bytes) the derating charges.
     pub fn effective_chunk_nnz(&self, order: usize) -> usize {
         let mut chunk = self.chunk_nnz.unwrap_or(DEFAULT_CHUNK_NNZ);
         if let Some(budget) = self.host_budget {

@@ -20,6 +20,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::io::DuplicatePolicy;
+use crate::key::CoordKey;
 use crate::source::{CooChunk, IngestEvent, IngestOptions, TensorSource};
 use crate::{CooTensor, Index, TensorError, TensorResult, Value};
 
@@ -315,24 +316,18 @@ impl SpilledTensor {
 
 /// Sorts a chunk's entries by their coordinates under `perm`, breaking
 /// ties by source line — a total order, so the result is independent of
-/// the sort algorithm.
+/// the sort algorithm. Coordinates compare through the packed key every
+/// coordinate sort shares ([`CoordKey`]).
 fn sort_chunk(chunk: &mut CooChunk, perm: &[usize]) {
-    let n = chunk.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    {
-        let coords = &chunk.coords;
-        let lines = &chunk.lines;
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            for &m in perm {
-                match coords[m][a].cmp(&coords[m][b]) {
-                    core::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            lines[a].cmp(&lines[b])
-        });
-    }
+    let mut order: Vec<u32> = (0..chunk.len() as u32).collect();
+    let key = CoordKey::new(&chunk.coords, perm);
+    let lines = &chunk.lines;
+    order.sort_unstable_by(|&a, &b| {
+        key.cmp(a, b)
+            .then(lines[a as usize].cmp(&lines[b as usize]))
+    });
+    // Free the key before the gathers allocate.
+    drop(key);
     for arr in &mut chunk.coords {
         let reordered: Vec<Index> = order.iter().map(|&i| arr[i as usize]).collect();
         *arr = reordered;
@@ -771,6 +766,34 @@ mod tests {
         s.next_chunk(usize::MAX, &mut b).unwrap();
         assert_eq!(a, b);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sort_chunk_is_the_coords_then_line_order() {
+        // A chunk knows no extents: its key fields come from the largest
+        // coordinate present, here wider than 64 bits in total.
+        let big = u32::MAX;
+        let rows: [[Index; 4]; 6] = [
+            [big, 0, 7, big - 1],
+            [big - 1, 0, 7, big],
+            [big, 0, 7, big - 1],
+            [big, 0, 2, big],
+            [0, 0, 7, big - 1],
+            [big, 0, 7, 0],
+        ];
+        let mut expect: Vec<usize> = (0..rows.len()).collect();
+        for perm in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+            let mut chunk = CooChunk::with_order(4);
+            for (z, row) in rows.iter().enumerate() {
+                chunk.push(row, z as Value, 100 - z as u64);
+            }
+            sort_chunk(&mut chunk, &perm);
+            let key = |z: usize| (perm.map(|m| rows[z][m]), 100 - z as u64);
+            expect.sort_by_key(|&z| key(z));
+            let lines: Vec<u64> = expect.iter().map(|&z| 100 - z as u64).collect();
+            assert_eq!(chunk.lines, lines, "perm {perm:?}");
+            assert_eq!(chunk.coords_of(0), rows[expect[0]].to_vec());
+        }
     }
 
     #[test]

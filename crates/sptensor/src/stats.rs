@@ -60,7 +60,7 @@ impl SummaryStats {
 }
 
 /// Distribution statistics for one mode orientation.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ModeStats {
     /// The output mode (level-0 mode of the orientation).
     pub mode: usize,
@@ -87,8 +87,8 @@ pub struct TensorStats {
 }
 
 impl TensorStats {
-    /// Computes stats for all `N` orientations (sorts a working copy per
-    /// orientation).
+    /// Computes stats for all `N` orientations (one argsort per
+    /// orientation; the tensor is not copied).
     pub fn compute(t: &CooTensor) -> TensorStats {
         let per_mode = (0..t.order()).map(|m| ModeStats::compute(t, m)).collect();
         TensorStats { per_mode }
@@ -96,12 +96,14 @@ impl TensorStats {
 }
 
 impl ModeStats {
-    /// Stats for the orientation that puts `mode` at the root level.
+    /// Stats for the orientation that puts `mode` at the root level. The
+    /// nonzeros are walked through the argsort that feeds the resident
+    /// format builds ([`CooTensor::sorted`]), so the tensor is not copied
+    /// and the stats equal [`ModeStats::from_sorted`] on a sorted copy.
     pub fn compute(t: &CooTensor, mode: usize) -> ModeStats {
         let perm = mode_orientation(t.order(), mode);
-        let mut work = t.clone();
-        work.sort_by_perm(&perm);
-        Self::from_sorted(&work, &perm)
+        let order = t.argsort(&perm);
+        Self::walk(t, &perm, |k| order[k] as usize)
     }
 
     /// Stats for a tensor already sorted under `perm`. Level-0 mode of the
@@ -111,11 +113,17 @@ impl ModeStats {
     /// (debug builds) if the tensor is not sorted under `perm`.
     pub fn from_sorted(t: &CooTensor, perm: &ModePerm) -> ModeStats {
         debug_assert!(t.is_sorted_by_perm(perm), "tensor must be sorted");
-        let slice_volumes = group_sizes(t, perm, 1);
-        let fiber_lengths = group_sizes(t, perm, perm.len() - 1);
+        Self::walk(t, perm, |k| k)
+    }
+
+    /// Stats over the nonzeros in the order `at(0), at(1), …`, which must
+    /// be sorted under `perm`.
+    fn walk(t: &CooTensor, perm: &ModePerm, at: impl Fn(usize) -> usize + Copy) -> ModeStats {
+        let slice_volumes = runs(t, perm, 1, at);
+        let fiber_lengths = runs(t, perm, perm.len() - 1, at);
         let singleton_slices = slice_volumes.iter().filter(|&&v| v == 1).count();
         let singleton_fibers = fiber_lengths.iter().filter(|&&v| v == 1).count();
-        let csl_slices = count_csl_slices(t, perm);
+        let csl_slices = count_csl_slices(t, perm, at);
         let num_slices = slice_volumes.len();
         let num_fibers = fiber_lengths.len();
         ModeStats {
@@ -144,6 +152,11 @@ fn frac(num: usize, den: usize) -> f64 {
 /// `depth = 1` gives slice volumes; `depth = order - 1` gives fiber lengths.
 /// Requires the tensor sorted under `perm`.
 pub fn group_sizes(t: &CooTensor, perm: &ModePerm, depth: usize) -> Vec<usize> {
+    runs(t, perm, depth, |k| k)
+}
+
+/// [`group_sizes`] over the nonzeros in the order `at(0), at(1), …`.
+fn runs(t: &CooTensor, perm: &ModePerm, depth: usize, at: impl Fn(usize) -> usize) -> Vec<usize> {
     assert!(
         depth >= 1 && depth < perm.len().max(2),
         "depth out of range"
@@ -156,7 +169,8 @@ pub fn group_sizes(t: &CooTensor, perm: &ModePerm, depth: usize) -> Vec<usize> {
     let mut sizes = Vec::new();
     let mut run = 1usize;
     for z in 1..n {
-        let same = keys.iter().all(|k| k[z] == k[z - 1]);
+        let (cur, prev) = (at(z), at(z - 1));
+        let same = keys.iter().all(|k| k[cur] == k[prev]);
         if same {
             run += 1;
         } else {
@@ -219,8 +233,9 @@ impl Log2Histogram {
 }
 
 /// Number of slices that qualify for CSL storage: more than one nonzero and
-/// every fiber a singleton. Requires sorting under `perm`.
-fn count_csl_slices(t: &CooTensor, perm: &ModePerm) -> usize {
+/// every fiber a singleton. Requires the order `at(0), at(1), …` sorted
+/// under `perm`.
+fn count_csl_slices(t: &CooTensor, perm: &ModePerm, at: impl Fn(usize) -> usize) -> usize {
     let n = t.nnz();
     if n == 0 || perm.len() < 2 {
         return 0;
@@ -236,14 +251,14 @@ fn count_csl_slices(t: &CooTensor, perm: &ModePerm) -> usize {
     let mut z = 0usize;
     while z < n {
         // Walk one slice.
-        let s = slice_key[z];
+        let s = slice_key[at(z)];
         slice_nnz = 0;
         all_singleton = true;
-        while z < n && slice_key[z] == s {
+        while z < n && slice_key[at(z)] == s {
             // Walk one fiber inside the slice.
             let fiber_start = z;
             z += 1;
-            while z < n && fiber_keys.iter().all(|k| k[z] == k[z - 1]) {
+            while z < n && fiber_keys.iter().all(|k| k[at(z)] == k[at(z - 1)]) {
                 z += 1;
             }
             let fiber_len = z - fiber_start;
@@ -327,6 +342,37 @@ mod tests {
             // Slice volumes always sum to nnz.
             let approx_total = s.nnz_per_slice.mean * s.num_slices as f64;
             assert!((approx_total - 6.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn compute_matches_stats_of_a_sorted_copy() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        for dims in [
+            vec![5, 3, 7],
+            vec![40, 9, 60],
+            vec![4, 6, 3, 5],
+            vec![30, 2, 50, 8],
+        ] {
+            let mut t = CooTensor::new(dims.clone());
+            let mut coords = vec![0; dims.len()];
+            for _ in 0..400 {
+                for (c, &d) in coords.iter_mut().zip(&dims) {
+                    *c = rng.gen_range(0..d);
+                }
+                t.push(&coords, 1.0);
+            }
+            for mode in 0..t.order() {
+                let perm = mode_orientation(t.order(), mode);
+                let mut sorted = t.clone();
+                sorted.sort_by_perm(&perm);
+                assert_eq!(
+                    ModeStats::compute(&t, mode),
+                    ModeStats::from_sorted(&sorted, &perm),
+                    "dims {dims:?} mode {mode}"
+                );
+            }
         }
     }
 
