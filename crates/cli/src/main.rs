@@ -22,6 +22,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use experiments::calibrate::FleetConfig;
 use gpu_sim::{DeviceMemory, FaultPlan, Interconnect};
 use mttkrp::abft::{run_verified, AbftOptions};
 use mttkrp::cpd::{
@@ -45,7 +46,6 @@ fn main() -> ExitCode {
         Some("convert") => cmd_convert(&args[1..]),
         Some("mttkrp") => cmd_mttkrp(&args[1..]),
         Some("cpd") => cmd_cpd(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("calibrate") => cmd_calibrate(&args[1..]),
         Some("trace-replay") => cmd_trace_replay(&args[1..]),
         Some("serve-sim") => cmd_serve_sim(&args[1..]),
@@ -93,28 +93,6 @@ fn usage() {
     eprintln!("      (temp + rename); --resume warm-restarts from the last valid one, scanning");
     eprintln!("      past torn files; --halt-on-crash makes an injected crash:RATE fault kill");
     eprintln!("      the run (exit 1) so a shell loop with --resume models process restarts");
-    eprintln!(
-        "  sptk bench plan-replay [--datasets a,b] [--nnz N] [--rank R] [--iters K] \
-         [--min-speedup X] [--out PATH]"
-    );
-    eprintln!("      times emit-every-iteration vs. capture-once-replay CPD and writes JSON");
-    eprintln!(
-        "  sptk bench ingest [--dataset NAME] [--nnz N] [--rank R] [--iters K] \
-         [--devices N] [--chunk-nnz N] [--seed S] [--compare-incore] [--scratch DIR] \
-         [--out PATH]"
-    );
-    eprintln!("      times the streaming pipeline (.tns generation -> spill -> out-of-core");
-    eprintln!("      formats -> sharded capture -> streaming ALS), records the host peak");
-    eprintln!("      RSS against the analytic resident-pipeline floor, and writes");
-    eprintln!("      BENCH_ingest.json; --compare-incore also runs the resident pipeline");
-    eprintln!("      and fails on any fit-trajectory divergence");
-    eprintln!(
-        "  sptk bench replay-fleet [--datasets a,b] [--nnz N] [--rank R] [--iters K] \
-         [--cpd-iters K] [--seed S] [--out PATH] [--baseline PATH] [--tolerance F]"
-    );
-    eprintln!("      times generic vs. rank-specialized replay over the stand-in fleet,");
-    eprintln!("      checks bit-equality, writes BENCH_replay_fleet.json, and (with");
-    eprintln!("      --baseline) fails on any fit mismatch or >tolerance speedup regression");
     eprintln!("  sptk calibrate [--datasets a,b] [--nnz N] [--rank R] [--seed S] [--out PATH]");
     eprintln!("      runs all six formats over the stand-in fleet, checks the paper's metric");
     eprintln!("      orderings (Table II / Figs. 5-8), and writes BENCH_fleet.json");
@@ -911,283 +889,23 @@ fn write_kernel_profile(
     Ok(())
 }
 
-/// `sptk bench <name>` — the tracked benchmarks, each written as JSON so
-/// CI can archive and gate the perf trajectory.
-fn cmd_bench(args: &[String]) -> Result<()> {
-    match args.first().map(String::as_str) {
-        Some("plan-replay") => cmd_bench_plan_replay(&args[1..]),
-        Some("replay-fleet") => cmd_bench_replay_fleet(&args[1..]),
-        Some("ingest") => cmd_bench_ingest(&args[1..]),
-        other => Err(format!(
-            "bench: unknown benchmark {:?} (available: plan-replay, replay-fleet, ingest)",
-            other.unwrap_or("<missing>")
-        )),
-    }
-}
-
-/// `sptk bench plan-replay` — the tracked launch-capture benchmark:
-/// CPD-ALS with per-iteration kernel emission vs. capture-once/replay.
-fn cmd_bench_plan_replay(args: &[String]) -> Result<()> {
-    let defaults = bench::plan_replay::PlanReplayConfig::default();
-    let datasets = match flag(args, "--datasets") {
-        Some(csv) => csv.split(',').map(str::to_string).collect(),
-        None => defaults.datasets.clone(),
-    };
-    let cfg = bench::plan_replay::PlanReplayConfig {
-        datasets,
-        nnz: flag_parse(args, "--nnz", defaults.nnz)?,
-        rank: flag_parse(args, "--rank", defaults.rank)?,
-        iters: flag_parse(args, "--iters", defaults.iters)?,
-        seed: flag_parse(args, "--seed", defaults.seed)?,
-    };
-    let min_speedup = flag_parse(args, "--min-speedup", 0.0f64)?;
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_plan_replay.json".into());
-
-    let doc = bench::plan_replay::run(&cfg)?;
-    for r in doc["datasets"].as_array().into_iter().flatten() {
-        println!(
-            "{}: emit-every-iter {:.3}s, plan build {:.3}s, replay {:.3}s -> {:.2}x \
-             (fits match: {})",
-            r["dataset"].as_str().unwrap_or("?"),
-            r["emit_every_iter_s"].as_f64().unwrap_or(0.0),
-            r["plan_build_s"].as_f64().unwrap_or(0.0),
-            r["replay_s"].as_f64().unwrap_or(0.0),
-            r["speedup"].as_f64().unwrap_or(0.0),
-            r["fits_match"],
-        );
-        println!(
-            "  out-of-core @ {} B (footprint {} B): {:.3}s ({:.2}x of replay), \
-             {} tiled launches / {} tiles, high water {} B (fits match: {})",
-            r["mem_capacity_bytes"],
-            r["footprint_bytes"],
-            r["ooc_replay_s"].as_f64().unwrap_or(0.0),
-            r["ooc_overhead"].as_f64().unwrap_or(0.0),
-            r["ooc_tiled_launches"],
-            r["ooc_tiles"],
-            r["mem_high_water_bytes"],
-            r["ooc_fits_match"],
-        );
-    }
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
-    if !doc["all_fits_match"].as_bool().unwrap_or(false) {
-        return Err("plan replay diverged from per-iteration emission".into());
-    }
-    if !doc["all_ooc_fits_match"].as_bool().unwrap_or(false) {
-        return Err("out-of-core tiled replay diverged from in-core replay".into());
-    }
-    let measured = doc["min_speedup"].as_f64().unwrap_or(0.0);
-    if measured < min_speedup {
-        return Err(format!(
-            "speedup {measured:.2}x below --min-speedup {min_speedup}"
-        ));
-    }
-    Ok(())
-}
-
-/// `sptk bench ingest` — the tracked streaming-ingestion benchmark: the
-/// full bounded-memory pipeline timed end to end, host peak RSS recorded
-/// against the analytic resident-pipeline floor.
-fn cmd_bench_ingest(args: &[String]) -> Result<()> {
-    let defaults = bench::ingest::IngestConfig::default();
-    let cfg = bench::ingest::IngestConfig {
-        dataset: flag(args, "--dataset").unwrap_or(defaults.dataset),
-        nnz: flag_parse(args, "--nnz", defaults.nnz)?,
-        rank: flag_parse(args, "--rank", defaults.rank)?,
-        iters: flag_parse(args, "--iters", defaults.iters)?,
-        devices: flag_parse(args, "--devices", defaults.devices)?,
-        chunk_nnz: flag_parse(args, "--chunk-nnz", defaults.chunk_nnz)?,
-        seed: flag_parse(args, "--seed", defaults.seed)?,
-        compare_incore: args.iter().any(|a| a == "--compare-incore"),
-        scratch: flag(args, "--scratch").map(PathBuf::from),
-    };
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_ingest.json".into());
-
-    let doc = bench::ingest::run(&cfg)?;
-    let r = &doc["report"];
-    println!(
-        "{} ({} nnz -> {} after sum-fold, {} B .tns): generate {:.2}s, \
-         ingest {:.2}s, capture+als {:.2}s",
-        r["dataset"].as_str().unwrap_or("?"),
-        r["generated_nnz"],
-        r["ingested_nnz"],
-        r["tns_bytes"],
-        r["generate_s"].as_f64().unwrap_or(0.0),
-        r["ingest_s"].as_f64().unwrap_or(0.0),
-        r["cpd_s"].as_f64().unwrap_or(0.0),
-    );
-    println!(
-        "  peak rss {} B vs in-core floor {} B ({:.2}x) -> gate {} \
-         (plan store {} B, fit {:.6})",
-        r["peak_rss_bytes"],
-        r["incore_baseline_bytes"],
-        r["rss_vs_incore"].as_f64().unwrap_or(0.0),
-        doc["rss_gate"].as_str().unwrap_or("?"),
-        r["plan_store_bytes"],
-        r["final_fit"].as_f64().unwrap_or(0.0),
-    );
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
-    if doc["rss_gate"] == "fail" {
-        return Err("streaming peak RSS did not beat the in-core pipeline floor".into());
-    }
-    Ok(())
-}
-
-/// `sptk bench replay-fleet` — the rank-specialization benchmark: pure
-/// replay sweeps (generic vs. const-generic value phase) over the whole
-/// stand-in fleet, with bit-equality checks and an optional regression
-/// gate against a committed baseline JSON.
-fn cmd_bench_replay_fleet(args: &[String]) -> Result<()> {
-    let defaults = bench::replay_fleet::ReplayFleetConfig::default();
-    let datasets = match flag(args, "--datasets") {
-        Some(csv) => csv.split(',').map(str::to_string).collect(),
-        None => defaults.datasets.clone(),
-    };
-    let cfg = bench::replay_fleet::ReplayFleetConfig {
-        datasets,
-        nnz: flag_parse(args, "--nnz", defaults.nnz)?,
-        rank: flag_parse(args, "--rank", defaults.rank)?,
-        iters: flag_parse(args, "--iters", defaults.iters)?,
-        cpd_iters: flag_parse(args, "--cpd-iters", defaults.cpd_iters)?,
-        seed: flag_parse(args, "--seed", defaults.seed)?,
-    };
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_replay_fleet.json".into());
-    let baseline = flag(args, "--baseline");
-    let tolerance = flag_parse(args, "--tolerance", 0.10f64)?;
-
-    let doc = bench::replay_fleet::run(&cfg)?;
-    for r in doc["datasets"].as_array().into_iter().flatten() {
-        println!(
-            "{} (order {}, {} nnz): build {:.3}s, generic {:.3}s, {} {:.3}s -> {:.2}x \
-             (y match: {}, fits match: {})",
-            r["dataset"].as_str().unwrap_or("?"),
-            r["order"],
-            r["nnz"],
-            r["plan_build_s"].as_f64().unwrap_or(0.0),
-            r["generic_replay_s"].as_f64().unwrap_or(0.0),
-            r["dispatch"].as_str().unwrap_or("?"),
-            r["specialized_replay_s"].as_f64().unwrap_or(0.0),
-            r["speedup"].as_f64().unwrap_or(0.0),
-            r["y_match"],
-            r["fits_match"],
-        );
-    }
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
-    if !doc["all_fits_match"].as_bool().unwrap_or(false) {
-        return Err("specialized replay diverged from the generic value phase".into());
-    }
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let base: serde_json::Value =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-        let violations = bench::replay_fleet::gate(&doc, &base, tolerance);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("bench-gate: {v}");
-            }
-            return Err(format!(
-                "replay-fleet regressed against {path} ({} violation(s))",
-                violations.len()
-            ));
-        }
-        println!(
-            "bench-gate: all {} baseline dataset(s) within {:.0}% of baseline speedup",
-            base["datasets"].as_array().map_or(0, Vec::len),
-            tolerance * 100.0
-        );
-    }
-    Ok(())
-}
-
-/// `sptk calibrate` — the paper-calibration harness: all six simulated
-/// formats over the stand-in fleet, per-format latency distributions,
-/// the full-rate memory-trace replay check, and the encoded Table II /
-/// Figs. 5-8 ordering expectations. Fails (non-zero exit) when any
-/// ordering breaks, so CI catches model drift.
+/// `sptk calibrate` — the paper-calibration fleet
+/// ([`experiments::calibrate`]): all six simulated formats over the
+/// stand-in fleet, checked against the encoded Table II / Figs. 5-8
+/// orderings.
 fn cmd_calibrate(args: &[String]) -> Result<()> {
-    let defaults = bench::fleet::FleetConfig::default();
-    let datasets = match flag(args, "--datasets") {
-        Some(csv) => csv.split(',').map(str::to_string).collect(),
-        None => defaults.datasets.clone(),
-    };
-    let cfg = bench::fleet::FleetConfig {
-        datasets,
+    let defaults = FleetConfig::default();
+    let cfg = FleetConfig {
+        datasets: match flag(args, "--datasets") {
+            Some(csv) => csv.split(',').map(str::to_string).collect(),
+            None => defaults.datasets,
+        },
         nnz: flag_parse(args, "--nnz", defaults.nnz)?,
         rank: flag_parse(args, "--rank", defaults.rank)?,
         seed: flag_parse(args, "--seed", defaults.seed)?,
     };
     let out = flag(args, "--out").unwrap_or_else(|| "BENCH_fleet.json".into());
-    let report = bench::fleet::run(&cfg)?;
-    println!(
-        "{:<10} {:<6} {:>10} {:>8} {:>8} {:>8} {:>8}",
-        "dataset", "format", "time_us", "gflops", "sm_eff", "occ", "l2_hit"
-    );
-    for c in &report.cells {
-        println!(
-            "{:<10} {:<6} {:>10.1} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            c.dataset,
-            c.format,
-            c.mean_time_us,
-            c.gflops,
-            c.sm_efficiency,
-            c.occupancy,
-            c.l2_hit_rate
-        );
-    }
-    for (format, dataset) in &report.skipped {
-        println!("{dataset:<10} {format:<6} skipped (third-order kernel)");
-    }
-    println!();
-    print!(
-        "{}",
-        simprof::histogram_table(
-            "per-format kernel latency distributions (us, one sample per mode per dataset)",
-            &report.latency_histograms,
-        )
-    );
-    println!();
-    for v in &report.verdicts {
-        println!(
-            "{} {:<32} [{}] {}",
-            if v.pass { "PASS" } else { "FAIL" },
-            v.id,
-            v.metric,
-            v.detail
-        );
-    }
-    let t = &report.trace_check;
-    println!(
-        "{} mem-trace replay: {} ({} accesses) live L2 {:.2}% vs replayed {:.2}%",
-        if t.exact { "PASS" } else { "FAIL" },
-        t.kernel,
-        t.accesses,
-        t.live_hit_rate,
-        t.replay_hit_rate
-    );
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&report.to_json(&cfg)).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
-    if !report.all_pass() {
-        return Err("calibration failed: a paper ordering does not hold".into());
-    }
-    Ok(())
+    experiments::calibrate::calibrate(&cfg, Path::new(&out))
 }
 
 /// `sptk trace-replay <file>` — feeds a recorded memory trace back

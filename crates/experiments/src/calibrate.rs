@@ -1,4 +1,4 @@
-//! Paper-calibration fleet harness behind `sptk calibrate`.
+//! Paper-calibration fleet behind `sptk calibrate`.
 //!
 //! Runs the six simulated GPU formats over the Table III stand-in fleet
 //! and checks that the *orderings* of the nvprof-style metrics
@@ -15,15 +15,20 @@
 //! and the run fails unless the replay re-derives the live L2 hit/miss
 //! counters exactly.
 
+use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::Arc;
+
 use gpu_sim::{replay_launch, MemTraceRecorder};
-use mttkrp::gpu::{Executor, GpuContext, KernelKind};
+use mttkrp::gpu::{BuildOptions, Executor, GpuContext, KernelKind};
 use mttkrp::reference::random_factors;
 use simprof::HistogramSnapshot;
 use sptensor::synth::{standin, SynthConfig};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use sptensor::CooTensor;
 
-/// Harness configuration; `Default` matches the CI smoke invocation.
+use crate::common::{build_run, ExpConfig};
+
+/// Fleet configuration; `Default` is the tracked `BENCH_fleet.json` run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Stand-in dataset names (must exist in [`sptensor::synth`]).
@@ -53,6 +58,20 @@ impl Default for FleetConfig {
             nnz: 60_000,
             rank: 8,
             seed: 0xF1EE7,
+        }
+    }
+}
+
+impl FleetConfig {
+    /// The experiment configuration the cells are measured under. Its
+    /// registry is enabled so the per-format latency histograms record.
+    fn exp(&self) -> ExpConfig {
+        ExpConfig {
+            nnz: self.nnz,
+            seed: self.seed,
+            rank: self.rank,
+            registry: Arc::new(simprof::Registry::new()),
+            ..ExpConfig::default()
         }
     }
 }
@@ -283,6 +302,52 @@ impl FleetReport {
             "all_pass": self.all_pass(),
         })
     }
+
+    /// Prints the cell table, the latency distributions and one
+    /// PASS/FAIL line per expectation and for the trace check.
+    pub fn print(&self) {
+        println!(
+            "{:<10} {:<6} {:>10} {:>8} {:>8} {:>8} {:>8}",
+            "dataset", "format", "time_us", "gflops", "sm_eff", "occ", "l2_hit"
+        );
+        for c in &self.cells {
+            println!(
+                "{:<10} {:<6} {:>10.1} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+                c.dataset,
+                c.format,
+                c.mean_time_us,
+                c.gflops,
+                c.sm_efficiency,
+                c.occupancy,
+                c.l2_hit_rate
+            );
+        }
+        for (format, dataset) in &self.skipped {
+            println!("{dataset:<10} {format:<6} skipped (third-order kernel)");
+        }
+        println!();
+        print!(
+            "{}",
+            simprof::histogram_table(
+                "per-format kernel latency distributions (us, one sample per mode per dataset)",
+                &self.latency_histograms,
+            )
+        );
+        println!();
+        let mark = |pass: bool| if pass { "PASS" } else { "FAIL" };
+        for v in &self.verdicts {
+            println!("{} {:<32} [{}] {}", mark(v.pass), v.id, v.metric, v.detail);
+        }
+        let t = &self.trace_check;
+        println!(
+            "{} mem-trace replay: {} ({} accesses) live L2 {:.2}% vs replayed {:.2}%",
+            mark(t.exact),
+            t.kernel,
+            t.accesses,
+            t.live_hit_rate,
+            t.replay_hit_rate
+        );
+    }
 }
 
 fn find<'a>(cells: &'a [Cell], dataset: &str, format: &str) -> Option<&'a Cell> {
@@ -375,21 +440,12 @@ fn evaluate(cells: &[Cell], e: &Expectation) -> Verdict {
 /// Runs one format over one tensor (all modes) and folds the metrics.
 /// Per-mode latencies are observed into `ctx`'s registry under
 /// `fleet.<format>.kernel_us`.
-fn measure(
-    ctx: &GpuContext,
-    t: &sptensor::CooTensor,
-    kind: KernelKind,
-    rank: usize,
-    dataset: &str,
-) -> Result<Cell, String> {
+fn measure(ctx: &GpuContext, t: &CooTensor, kind: KernelKind, rank: usize, dataset: &str) -> Cell {
     let factors = random_factors(t, rank, 7);
     let (mut time_us, mut gflops, mut sm_eff, mut occ, mut l2) = (0.0, 0.0, 0.0, 0.0, 0.0);
     let flops_per_mode = t.order() as f64 * t.nnz() as f64 * rank as f64;
     for mode in 0..t.order() {
-        let run = Executor::new(ctx.clone())
-            .build_run(kind, t, &factors, mode)
-            .map_err(|e| format!("{dataset}/{}: {e}", kind.as_str()))?
-            .run;
+        let run = build_run(ctx, kind, t, &factors, mode, &BuildOptions::default());
         let us = run.sim.time_s * 1e6;
         ctx.registry.observe(
             &format!("fleet.{}.kernel_us", kind.as_str()),
@@ -402,7 +458,7 @@ fn measure(
         l2 += run.sim.l2_hit_rate;
     }
     let n = t.order() as f64;
-    Ok(Cell {
+    Cell {
         dataset: dataset.to_string(),
         format: kind.as_str(),
         mean_time_us: time_us / n,
@@ -410,7 +466,7 @@ fn measure(
         sm_efficiency: sm_eff / n,
         occupancy: occ / n,
         l2_hit_rate: l2 / n,
-    })
+    }
 }
 
 /// Records one small launch at full rate and replays it from cold: the
@@ -443,13 +499,15 @@ fn check_trace_replay(cfg: &FleetConfig) -> Result<TraceCheck, String> {
 
 /// Runs the full fleet and evaluates every encoded expectation.
 pub fn run(cfg: &FleetConfig) -> Result<FleetReport, String> {
-    // Profiling context so the per-format latency histograms record.
-    let ctx = GpuContext::default().with_profiling();
+    let exp = cfg.exp();
+    let ctx = exp.gpu();
     let mut cells = Vec::new();
     let mut skipped = Vec::new();
     for name in &cfg.datasets {
-        let spec = standin(name).ok_or_else(|| format!("unknown dataset '{name}'"))?;
-        let t = spec.generate(&SynthConfig::default().with_nnz(cfg.nnz).with_seed(cfg.seed));
+        if standin(name).is_none() {
+            return Err(format!("unknown dataset '{name}'"));
+        }
+        let t = exp.gen(name);
         for kind in KernelKind::ALL {
             // COO and F-COO mirror the real frameworks' third-order limit;
             // record the gap instead of silently shrinking the fleet.
@@ -457,7 +515,7 @@ pub fn run(cfg: &FleetConfig) -> Result<FleetReport, String> {
                 skipped.push((kind.as_str().to_string(), name.clone()));
                 continue;
             }
-            cells.push(measure(&ctx, &t, kind, cfg.rank, name)?);
+            cells.push(measure(&ctx, &t, kind, cfg.rank, name));
         }
     }
     let verdicts: Vec<Verdict> = paper_expectations()
@@ -468,51 +526,24 @@ pub fn run(cfg: &FleetConfig) -> Result<FleetReport, String> {
     Ok(FleetReport {
         cells,
         skipped,
-        latency_histograms: ctx.registry.histograms(),
+        latency_histograms: exp.registry.histograms(),
         verdicts,
         trace_check,
     })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A reduced fleet keeps the unit test fast; the full default config
-    /// runs in the CI calibrate lane.
-    fn smoke_cfg() -> FleetConfig {
-        FleetConfig {
-            datasets: vec!["darpa".into(), "flick-3d".into(), "flick-4d".into()],
-            nnz: 20_000,
-            ..FleetConfig::default()
-        }
+/// `sptk calibrate`: runs the fleet, prints the report, writes its JSON
+/// to `out`, and fails when any ordering or the trace check fails, so CI
+/// catches model drift.
+pub fn calibrate(cfg: &FleetConfig, out: &Path) -> Result<(), String> {
+    let report = run(cfg)?;
+    report.print();
+    let text = serde_json::to_string_pretty(&report.to_json(cfg))
+        .map_err(|e| format!("{}: {e}", out.display()))?;
+    std::fs::write(out, text).map_err(|e| format!("{}: {e}", out.display()))?;
+    println!("wrote {}", out.display());
+    if !report.all_pass() {
+        return Err("calibration failed: a paper ordering does not hold".into());
     }
-
-    #[test]
-    fn fleet_measures_and_replays() {
-        let cfg = smoke_cfg();
-        let report = run(&cfg).unwrap();
-        // 2 three-D datasets x 6 formats + 1 four-D dataset x 4 formats.
-        assert_eq!(report.cells.len(), 2 * 6 + 4);
-        assert_eq!(report.skipped.len(), 2);
-        assert!(report.trace_check.exact, "{:?}", report.trace_check);
-        // Every format that ran has a latency histogram with one
-        // observation per (dataset, mode) it covered.
-        let h = &report.latency_histograms["fleet.hbcsf.kernel_us"];
-        assert_eq!(h.count, 2 * 3 + 4);
-        assert!(h.p50 <= h.p99 && h.p99 <= h.max);
-    }
-
-    #[test]
-    fn ordering_expectations_hold_on_smoke_fleet() {
-        // Two expectations are excluded at smoke scale: the fleet-wide
-        // minimum needs the whole fleet, and darpa's occupancy gap is a
-        // thin margin that only stabilizes at the default nnz. The CI
-        // calibrate lane enforces all six at the default config.
-        let fragile = ["darpa-is-csf-worst-case", "bcsf-raises-occupancy-on-darpa"];
-        let report = run(&smoke_cfg()).unwrap();
-        for v in report.verdicts.iter().filter(|v| !fragile.contains(&v.id)) {
-            assert!(v.pass, "{}: {}", v.id, v.detail);
-        }
-    }
+    Ok(())
 }

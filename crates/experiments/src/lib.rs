@@ -23,6 +23,7 @@
 // iterator forms Clippy suggests obscure that symmetry.
 #![allow(clippy::needless_range_loop)]
 
+pub mod calibrate;
 pub mod common;
 pub mod extensions;
 pub mod figs_cost;

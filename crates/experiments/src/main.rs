@@ -30,10 +30,10 @@ fn main() {
                 .clone()
         };
         match a.as_str() {
-            "--nnz" => cfg.nnz = take(&mut i).parse().expect("--nnz wants an integer"),
-            "--seed" => cfg.seed = take(&mut i).parse().expect("--seed wants an integer"),
-            "--rank" => cfg.rank = take(&mut i).parse().expect("--rank wants an integer"),
-            "--reps" => cfg.cpu_reps = take(&mut i).parse().expect("--reps wants an integer"),
+            "--nnz" => cfg.nnz = integer(&a, take(&mut i)),
+            "--seed" => cfg.seed = integer(&a, take(&mut i)),
+            "--rank" => cfg.rank = integer(&a, take(&mut i)),
+            "--reps" => cfg.cpu_reps = integer(&a, take(&mut i)),
             "--json" => json_path = Some(take(&mut i)),
             "--profile" => profile_dir = Some(take(&mut i)),
             other => ids.push(other.to_string()),
@@ -91,6 +91,15 @@ fn main() {
 
     cfg.write_profile()
         .expect("cannot write --profile artifacts");
+}
+
+/// Parses a flag's integer value, or exits 2 with a message like a
+/// missing value does.
+fn integer<T: std::str::FromStr>(flag: &str, raw: String) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} wants an integer, got '{raw}'");
+        std::process::exit(2);
+    })
 }
 
 fn usage() {

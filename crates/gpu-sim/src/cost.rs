@@ -12,8 +12,8 @@
 //! critical warp (see [`crate::sched`]). Constants are calibrated so a
 //! balanced, memory-bound MTTKRP lands in the paper's measured GFLOPs range
 //! on the P100 profile (see EXPERIMENTS.md, "Calibration"); orderings
-//! between kernels do not depend on the exact values — sensitivity is
-//! exercised by the `ablation_latency_hiding` bench.
+//! between kernels do not depend on the exact values — sensitivity to
+//! `warp_mlp` is checked in `tests/model_robustness.rs`.
 
 /// Cycle costs for the simulator. All per-warp-instruction.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,7 +4,9 @@
 //! overlaps co-resident blocks for free (optimistic). Real hardware sits
 //! between. Every conclusion below must hold at BOTH bounds.
 
-use mttkrp_repro::gpu_sim::{co_resident_makespan, simulate_faulted, FaultPlan};
+use mttkrp_repro::gpu_sim::{
+    co_resident_makespan, simulate, simulate_faulted, CostModel, FaultPlan,
+};
 use mttkrp_repro::mttkrp::gpu::{GpuContext, MttkrpKernel};
 use mttkrp_repro::mttkrp::reference::random_factors;
 use mttkrp_repro::sptensor::mode_orientation;
@@ -21,7 +23,7 @@ fn emit_launch(
 }
 
 fn both_bounds(ctx: &GpuContext, launch: &mttkrp_repro::gpu_sim::KernelLaunch) -> (f64, f64) {
-    let serial = mttkrp_repro::gpu_sim::simulate(&ctx.device, &ctx.cost, launch).makespan_cycles;
+    let serial = simulate(&ctx.device, &ctx.cost, launch).makespan_cycles;
     let co = co_resident_makespan(&ctx.device, &ctx.cost, launch, ctx.warps_per_block);
     (serial, co)
 }
@@ -161,4 +163,35 @@ fn splitting_still_wins_under_timing_faults() {
         sf.makespan_cycles,
         uf.makespan_cycles
     );
+}
+
+#[test]
+fn splitting_wins_at_every_latency_hiding_factor() {
+    // The headline ordering (split B-CSF beats unsplit on darpa) must not
+    // hinge on how much memory latency one warp can hide (`warp_mlp`).
+    let t = standin("darpa")
+        .unwrap()
+        .generate(&SynthConfig::default().with_nnz(60_000));
+    let factors = random_factors(&t, 32, 7);
+    let perm = mode_orientation(3, 0);
+    let split = Bcsf::build(&t, &perm, BcsfOptions::default());
+    let unsplit = Bcsf::build(&t, &perm, BcsfOptions::unsplit());
+    for mlp in [1.0f64, 1.5, 4.0, 8.0] {
+        let ctx = GpuContext {
+            cost: CostModel {
+                warp_mlp: mlp,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let makespan = |bcsf: &Bcsf| {
+            let launch = emit_launch(&ctx, bcsf, &factors);
+            simulate(&ctx.device, &ctx.cost, &launch).makespan_cycles
+        };
+        let (s, u) = (makespan(&split), makespan(&unsplit));
+        assert!(
+            s < u,
+            "splitting must win at warp_mlp={mlp}: split {s} vs unsplit {u}"
+        );
+    }
 }

@@ -7,10 +7,12 @@
 //! under a fixed seed.
 
 use mttkrp_repro::gpu_sim::{DeviceMemory, FaultPlan};
-use mttkrp_repro::mttkrp::gpu::{self, GpuContext, KernelKind, OocOptions, Plan};
+use mttkrp_repro::mttkrp::cpd::{cpd_als, cpd_als_planned, CpdOptions};
+use mttkrp_repro::mttkrp::gpu::{self, GpuContext, KernelKind, ModePlans, OocOptions, Plan};
 use mttkrp_repro::mttkrp::reference::{self, random_factors};
-use mttkrp_repro::sptensor::synth::uniform_random;
+use mttkrp_repro::sptensor::synth::{standin, uniform_random, SynthConfig};
 use mttkrp_repro::sptensor::CooTensor;
+use mttkrp_repro::tensor_formats::BcsfOptions;
 mod util;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -316,6 +318,53 @@ fn fragmentation_shrinks_effective_capacity_deterministically() {
             );
         }
     });
+}
+
+#[test]
+fn capacity_capped_cpd_tiles_and_matches_in_core_fits() {
+    // The device holds every mode's resident set (factors + output, which
+    // tiling cannot shrink) plus half its format bytes. So the worst mode
+    // must stream tiles, and no mode drops below its tiling floor to the
+    // CPU rung, whose summation order would move the fit.
+    let t = standin("nell2")
+        .unwrap()
+        .generate(&SynthConfig::default().with_nnz(20_000));
+    let opts = CpdOptions {
+        rank: RANK,
+        max_iters: 4,
+        tol: 0.0,
+        seed: 42,
+    };
+    let unlimited = GpuContext::default();
+    let plans = ModePlans::build_hbcsf(&unlimited, &t, RANK, BcsfOptions::default());
+    let in_core = cpd_als_planned(&t, &opts, &unlimited, &plans);
+
+    let capacity = (0..t.order())
+        .map(|m| {
+            let fp = plans.plan(m).footprint();
+            fp.resident_bytes() + fp.format_bytes / 2
+        })
+        .max()
+        .unwrap();
+    let capped = GpuContext::default().with_memory(Arc::new(DeviceMemory::with_capacity(capacity)));
+    let oopts = OocOptions::default();
+    let (mut tiled, mut cpu) = (0usize, 0usize);
+    let streamed = cpd_als(&t, &opts, |factors, mode| {
+        let (run, report) = gpu::execute_adaptive(&capped, plans.plan(mode), factors, &t, &oopts);
+        tiled += usize::from(!report.in_core && !report.cpu_fallback);
+        cpu += usize::from(report.cpu_fallback);
+        run.y
+    });
+    assert!(
+        tiled >= 1,
+        "capacity {capacity} B never forced a tiled launch"
+    );
+    assert_eq!(cpu, 0, "a launch fell to the CPU rung");
+    assert_eq!(
+        bits64(&streamed.fits),
+        bits64(&in_core.fits),
+        "tiled CPD fits differ from in-core"
+    );
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 //! End-to-end assertions of the paper's headline claims, at miniature
 //! scale: these are the conclusions every figure exists to support.
 
+use experiments::calibrate::{self, FleetConfig};
 use mttkrp_repro::mttkrp::gpu::{BuildOptions, GpuContext, KernelKind};
 use mttkrp_repro::mttkrp::reference;
 use mttkrp_repro::sptensor::synth::{standin, SynthConfig};
@@ -147,4 +148,42 @@ fn cpd_with_gpu_backend_converges() {
         assert!(w[1] >= w[0] - 1e-4, "fit decreased: {:?}", res.fits);
     }
     assert!(res.final_fit() > 0.0);
+}
+
+/// A reduced calibration fleet keeps these tests fast; `sptk calibrate`
+/// runs the full default fleet.
+fn smoke_fleet() -> FleetConfig {
+    FleetConfig {
+        datasets: vec!["darpa".into(), "flick-3d".into(), "flick-4d".into()],
+        nnz: 20_000,
+        ..FleetConfig::default()
+    }
+}
+
+#[test]
+fn fleet_measures_and_replays() {
+    let report = calibrate::run(&smoke_fleet()).unwrap();
+    // 2 three-D datasets x 6 formats + 1 four-D dataset x 4 formats.
+    assert_eq!(report.cells.len(), 2 * 6 + 4);
+    assert_eq!(report.skipped.len(), 2);
+    assert!(report.trace_check.exact, "{:?}", report.trace_check);
+    // Every format that ran has a latency histogram with one
+    // observation per (dataset, mode) it covered.
+    let h = &report.latency_histograms["fleet.hbcsf.kernel_us"];
+    assert_eq!(h.count, 2 * 3 + 4);
+    assert!(h.p50 <= h.p99 && h.p99 <= h.max);
+}
+
+/// Table II / Figs. 5-8: the calibration fleet's encoded orderings.
+#[test]
+fn ordering_expectations_hold_on_smoke_fleet() {
+    // Two expectations are excluded at smoke scale: the fleet-wide
+    // minimum needs the whole fleet, and darpa's occupancy gap is a thin
+    // margin that only stabilizes at the default nnz. `sptk calibrate`
+    // enforces all six at the default config.
+    let fragile = ["darpa-is-csf-worst-case", "bcsf-raises-occupancy-on-darpa"];
+    let report = calibrate::run(&smoke_fleet()).unwrap();
+    for v in report.verdicts.iter().filter(|v| !fragile.contains(&v.id)) {
+        assert!(v.pass, "{}: {}", v.id, v.detail);
+    }
 }
