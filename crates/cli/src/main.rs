@@ -37,6 +37,29 @@ use sptensor::stats::ModeStats;
 use sptensor::{io as tio, mode_orientation, CooTensor};
 use tensor_formats::{BcsfOptions, Csf, Csl, Fcoo, Hbcsf, Hicoo, IndexBytes};
 
+/// Shadows `std::println!` in this file, so every line `sptk` prints
+/// goes through [`write_stdout`].
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that closed the pipe early (`sptk info
+/// x.tns | head -1`) has all the output it wants, so the process ends
+/// quietly with status 0 instead of panicking.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {

@@ -474,29 +474,6 @@ pub fn scale_by(acc: &mut [f32], row: &[f32]) {
     }
 }
 
-/// [`axpy_into`] with a compile-time rank: the same per-lane
-/// `acc[c] += v * row[c]` sequence, but with the trip count known to the
-/// compiler so the loop fully unrolls and vectorizes. `row` must hold at
-/// least `R` elements (factor rows of a rank-`R` plan hold exactly `R`).
-/// Per lane the f32 operation is identical to the generic helper, so the
-/// result is bit-for-bit the same.
-#[inline]
-pub(crate) fn axpy_into_fixed<const R: usize>(acc: &mut [f32; R], v: f32, row: &[f32]) {
-    let row: &[f32; R] = row[..R].try_into().expect("row shorter than rank R");
-    for c in 0..R {
-        acc[c] += v * row[c];
-    }
-}
-
-/// [`scale_by`] with a compile-time rank (see [`axpy_into_fixed`]).
-#[inline]
-pub(crate) fn scale_by_fixed<const R: usize>(acc: &mut [f32; R], row: &[f32]) {
-    let row: &[f32; R] = row[..R].try_into().expect("row shorter than rank R");
-    for c in 0..R {
-        acc[c] *= row[c];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -414,10 +414,7 @@ fn run_tiled(
         ];
         let site = lease_site(shrink_rung, k as u64);
         let _lease = ctx.memory.try_lease(plan.name(), &parts, mem_plan, site)?;
-        match &mut sink {
-            Some(s) => plan.replay_range_sequential(&mut y, factors, s, b0, b1),
-            None => plan.replay_range_parallel(&mut y, factors, b0, b1),
-        }
+        plan.replay_range(&mut y, factors, sink.as_mut(), b0, b1);
     }
 
     let abft = match sink {

@@ -11,18 +11,22 @@
 //! fresh factor matrices, computing only the value-dependent output `y`,
 //! and reuses a memoized [`SimResult`] instead of re-simulating.
 //!
-//! Replay is bit-for-bit identical to emit-and-run by construction: the
-//! per-contribution accumulators are computed by the same `fill` /
-//! [`axpy_into`] / [`scale_by`] sequences the emitting kernels perform,
-//! and the fold into `y` happens one contribution at a time in exact
-//! emission order. The accumulator computation itself never reads `y`, so
-//! it fans out over rayon in per-block batches; only the (cheap) ordered
-//! fold stays sequential.
+//! Replay is one loop over a block range, on the calling thread. It
+//! computes each contribution's accumulator with the same `fill` /
+//! [`axpy_into`] / [`scale_by`] sequence the emitting kernel performs and
+//! folds it into `y` at once, in emission order, so the output is bit-for-
+//! bit the emit-and-run output. Fault-free, the fold holds the current
+//! output row in registers across its run of contributions and writes it
+//! back when the row changes, as the HB-CSF kernel keeps a slice's partial
+//! sum on chip; each lane still sees `y += 1.0 * acc` per contribution.
+//! For the ranks [`RankDispatch`] specializes the accumulator is a
+//! `[f32; R]`, so the inner loops have compile-time trip counts.
 //!
-//! Under an active [`FaultPlan`] the replay routes through an [`AbftSink`]
-//! exactly as the emitting kernels do (checksums, latched bit flips), and
-//! the faulted simulation is cached keyed on the plan — `run_verified`'s
-//! retries carry a different `attempt`, which re-keys the cache.
+//! Under an active [`FaultPlan`] the same loop folds through an
+//! [`AbftSink`] exactly as the emitting kernels do (checksums, latched bit
+//! flips), and the faulted simulation is cached keyed on the plan —
+//! `run_verified`'s retries carry a different `attempt`, which re-keys the
+//! cache.
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -36,14 +40,8 @@ use simprof::FieldValue;
 use sptensor::CooTensor;
 use tensor_formats::{BcsfOptions, Hbcsf};
 
-use super::common::{
-    axpy_into, axpy_into_fixed, scale_by, scale_by_fixed, AbftSink, FactorAddrs, GpuContext, GpuRun,
-};
+use super::common::{axpy_into, scale_by, AbftSink, FactorAddrs, GpuContext, GpuRun};
 use super::exec::LaunchError;
-
-/// Accumulator elements per parallel replay batch (≈4 MB of partials):
-/// bounds scratch memory while giving rayon enough blocks per batch.
-const BATCH_ELEMS: usize = 1 << 20;
 
 /// Which value-phase implementation a plan replays through, keyed off the
 /// captured rank. The specialized variants run the *same* per-element f32
@@ -171,6 +169,12 @@ pub struct ReplaySchedule {
     chain_ptr: Vec<u32>,
     chain_modes: Vec<u32>,
     chain_rows: Vec<u32>,
+    /// Rows replay reads per factor: entry `m` is one more than the
+    /// largest row of mode `m` a leaf or chain term names (0 if none),
+    /// up to the largest mode read. Measured once when the schedule is
+    /// sealed or read ([`ReplaySchedule::measure_reach`]), so
+    /// [`Plan::validate_factors`] checks factors in O(order).
+    reach: Vec<usize>,
 }
 
 impl ReplaySchedule {
@@ -223,50 +227,158 @@ impl ReplaySchedule {
         if self.rows.iter().any(|&r| r as usize >= out_rows) {
             return Err("replay schedule: output row out of range");
         }
+        if self.chain_modes.iter().any(|&m| m >= MAX_MODES)
+            || (!self.leaf_rows.is_empty() && self.leaf_mode >= MAX_MODES as usize)
+        {
+            return Err("replay schedule: factor mode out of range");
+        }
         Ok(())
     }
 
-    /// Recomputes contribution `c`'s accumulator into `acc` (length R),
-    /// performing exactly the emitting kernel's value arithmetic.
-    #[inline]
-    fn replay_into(&self, c: usize, factors: &[Matrix], acc: &mut [f32]) {
-        let (lo, hi) = (self.leaf_ptr[c] as usize, self.leaf_ptr[c + 1] as usize);
-        if lo == hi {
-            acc.fill(self.init_vals[c]);
-        } else {
-            acc.fill(0.0);
-            for z in lo..hi {
-                let row = self.leaf_rows[z] as usize;
-                axpy_into(acc, self.leaf_vals[z], factors[self.leaf_mode].row(row));
+    /// Fills [`ReplaySchedule::reach`] from the leaf and chain terms.
+    fn measure_reach(&mut self) {
+        let mut reach = Vec::new();
+        let mut note = |mode: usize, row: u32| {
+            if mode >= reach.len() {
+                reach.resize(mode + 1, 0);
             }
+            reach[mode] = reach[mode].max(row as usize + 1);
+        };
+        if let Some(&top) = self.leaf_rows.iter().max() {
+            note(self.leaf_mode, top);
         }
-        for j in self.chain_ptr[c] as usize..self.chain_ptr[c + 1] as usize {
-            let (m, row) = (self.chain_modes[j] as usize, self.chain_rows[j] as usize);
-            scale_by(acc, factors[m].row(row));
+        for (&mode, &row) in self.chain_modes.iter().zip(&self.chain_rows) {
+            note(mode as usize, row);
+        }
+        self.reach = reach;
+    }
+}
+
+/// Factor modes a schedule read from disk may name. Bounds the reach
+/// table [`ReplaySchedule::measure_reach`] allocates; a plan over more
+/// modes would need as many factor matrices.
+const MAX_MODES: u32 = 1 << 16;
+
+/// A replay accumulator: `[f32; R]` for the ranks [`RankDispatch`]
+/// specializes, `Vec<f32>` for every other. Both run the same per-lane
+/// f32 ops (those of [`axpy_into`] and [`scale_by`]); the array only hands
+/// the compiler a fixed trip count.
+trait Lanes: AsMut<[f32]> + AsRef<[f32]> {
+    fn zeroed(rank: usize) -> Self;
+    /// `self[c] = v`.
+    fn splat(&mut self, v: f32);
+    /// `self[c] += v * row[c]`.
+    fn add_scaled(&mut self, v: f32, row: &[f32]);
+    /// `self[c] *= row[c]`.
+    fn mul_by(&mut self, row: &[f32]);
+}
+
+/// The array arm works on `&[f32; R]` rows, not on slices: in the faulted
+/// loop, where the sink's checksum code is inlined too, slice loops of a
+/// constant length still compiled to code about 1.5× slower.
+impl<const R: usize> Lanes for [f32; R] {
+    fn zeroed(_: usize) -> Self {
+        [0.0; R]
+    }
+
+    #[inline]
+    fn splat(&mut self, v: f32) {
+        *self = [v; R];
+    }
+
+    #[inline]
+    fn add_scaled(&mut self, v: f32, row: &[f32]) {
+        let row: &[f32; R] = row.try_into().expect("a rank-R row holds R lanes");
+        for c in 0..R {
+            self[c] += v * row[c];
         }
     }
 
-    /// [`ReplaySchedule::replay_into`] with a compile-time rank: the same
-    /// seed/leaf/chain sequence over a `[f32; R]` accumulator. Each step
-    /// performs per lane exactly the f32 ops of the generic helpers, so
-    /// the accumulator bits match [`ReplaySchedule::replay_into`] exactly.
     #[inline]
-    fn replay_into_fixed<const R: usize>(&self, c: usize, factors: &[Matrix], acc: &mut [f32; R]) {
-        let (lo, hi) = (self.leaf_ptr[c] as usize, self.leaf_ptr[c + 1] as usize);
-        if lo == hi {
-            *acc = [self.init_vals[c]; R];
-        } else {
-            *acc = [0.0; R];
-            for z in lo..hi {
-                let row = self.leaf_rows[z] as usize;
-                axpy_into_fixed(acc, self.leaf_vals[z], factors[self.leaf_mode].row(row));
-            }
-        }
-        for j in self.chain_ptr[c] as usize..self.chain_ptr[c + 1] as usize {
-            let (m, row) = (self.chain_modes[j] as usize, self.chain_rows[j] as usize);
-            scale_by_fixed(acc, factors[m].row(row));
+    fn mul_by(&mut self, row: &[f32]) {
+        let row: &[f32; R] = row.try_into().expect("a rank-R row holds R lanes");
+        for c in 0..R {
+            self[c] *= row[c];
         }
     }
+}
+
+impl Lanes for Vec<f32> {
+    fn zeroed(rank: usize) -> Self {
+        vec![0.0; rank]
+    }
+
+    #[inline]
+    fn splat(&mut self, v: f32) {
+        self.as_mut_slice().fill(v);
+    }
+
+    #[inline]
+    fn add_scaled(&mut self, v: f32, row: &[f32]) {
+        axpy_into(self, v, row);
+    }
+
+    #[inline]
+    fn mul_by(&mut self, row: &[f32]) {
+        scale_by(self, row);
+    }
+}
+
+/// Where [`Plan::replay_range`] commits each contribution's accumulator.
+trait Fold {
+    fn begin_block(&mut self, y: &mut Matrix, block: usize);
+    fn commit(&mut self, y: &mut Matrix, row: usize, acc: &[f32]);
+}
+
+impl Fold for AbftSink {
+    #[inline]
+    fn begin_block(&mut self, y: &mut Matrix, block: usize) {
+        AbftSink::begin_block(self, y, block);
+    }
+
+    #[inline]
+    fn commit(&mut self, y: &mut Matrix, row: usize, acc: &[f32]) {
+        self.contribute(y, row, acc);
+    }
+}
+
+/// The fault-free fold: the current output row lives in `sum` across its
+/// run of contributions and is written back when the row changes and
+/// when the range ends ([`HeldRow::store`]), the way the HB-CSF kernel
+/// keeps a slice's partial sum on chip.
+struct HeldRow<A> {
+    row: Option<usize>,
+    sum: A,
+}
+
+impl<A: Lanes> HeldRow<A> {
+    fn store(&mut self, y: &mut Matrix) {
+        if let Some(i) = self.row.take() {
+            y.row_mut(i).copy_from_slice(self.sum.as_ref());
+        }
+    }
+}
+
+impl<A: Lanes> Fold for HeldRow<A> {
+    #[inline]
+    fn begin_block(&mut self, _: &mut Matrix, _: usize) {}
+
+    #[inline]
+    fn commit(&mut self, y: &mut Matrix, row: usize, acc: &[f32]) {
+        if self.row != Some(row) {
+            self.store(y);
+            self.sum.as_mut().copy_from_slice(y.row(row));
+            self.row = Some(row);
+        }
+        self.sum.add_scaled(1.0, acc);
+    }
+}
+
+/// Row `row` of a row-major factor with `r` columns.
+#[inline]
+fn factor_row(data: &[f32], row: u32, r: usize) -> &[f32] {
+    let at = row as usize * r;
+    &data[at..at + r]
 }
 
 /// What a [`PlanBuilder`] retains of the capture. The kernels' emit code
@@ -388,6 +500,7 @@ impl PlanBuilder {
                 chain_ptr: Vec::new(),
                 chain_modes: Vec::new(),
                 chain_rows: Vec::new(),
+                reach: Vec::new(),
             },
             footprint: MemoryFootprint::default(),
             capture,
@@ -509,6 +622,7 @@ impl PlanBuilder {
         self.sched
             .chain_ptr
             .push(self.sched.chain_modes.len() as u32);
+        self.sched.measure_reach();
         Plan {
             name: self.name,
             mode: self.mode,
@@ -667,7 +781,8 @@ impl Plan {
         self.execute_inner(ctx, factors)
     }
 
-    /// Checks every factor's column count against the captured rank.
+    /// Checks every factor's column count against the captured rank, and
+    /// that the factors hold every row the schedule reads.
     pub fn validate_factors(&self, factors: &[Matrix]) -> Result<(), LaunchError> {
         if factors.is_empty() && self.rank != 0 {
             return Err(LaunchError::RankMismatch {
@@ -680,6 +795,22 @@ impl Plan {
                 return Err(LaunchError::RankMismatch {
                     expected: self.rank,
                     got: f.cols(),
+                });
+            }
+        }
+        let reach = &self.sched.reach;
+        if factors.len() < reach.len() {
+            return Err(LaunchError::FactorCount {
+                expected: reach.len(),
+                got: factors.len(),
+            });
+        }
+        for (mode, (&rows, f)) in reach.iter().zip(factors).enumerate() {
+            if f.rows() < rows {
+                return Err(LaunchError::FactorShape {
+                    mode,
+                    expected_rows: rows,
+                    got_rows: f.rows(),
                 });
             }
         }
@@ -716,17 +847,15 @@ impl Plan {
             self.rank
         );
         let mut y = Matrix::zeros(self.out_rows, self.rank);
-        let abft = if ctx.fault_plan().is_some() {
-            // Faulted path: sequential, routing every contribution through
-            // the sink so checksums and latched flips match emission.
-            let mut sink = ctx.abft_sink(&self.name, self.out_rows);
-            self.replay_sequential(&mut y, factors, &mut sink);
-            sink.flush(&mut y);
-            sink.into_data()
-        } else {
-            self.replay_parallel(&mut y, factors);
-            None
-        };
+        let mut sink = ctx
+            .fault_plan()
+            .is_some()
+            .then(|| ctx.abft_sink(&self.name, self.out_rows));
+        self.replay_range(&mut y, factors, sink.as_mut(), 0, self.sched.num_blocks());
+        let abft = sink.and_then(|mut s| {
+            s.flush(&mut y);
+            s.into_data()
+        });
         let (sim, profile) = self.sim_for(ctx);
         if ctx.profiling() {
             ctx.registry.add("plan.replays", 1);
@@ -842,229 +971,91 @@ impl Plan {
         }
     }
 
-    /// Fault-free replay: per-contribution accumulators computed in
-    /// parallel (they never read `y`), then folded into `y` one at a time
-    /// in emission order — the exact f32 summation order of the inactive
-    /// sink's `axpy_into` path.
-    fn replay_parallel(&self, y: &mut Matrix, factors: &[Matrix]) {
-        self.replay_range_parallel(y, factors, 0, self.sched.num_blocks());
-    }
-
-    /// [`Plan::replay_parallel`] restricted to blocks `range_b0..range_b1`
-    /// of the schedule. Tiling only moves batch boundaries: the ordered
-    /// per-contribution fold is unchanged, so any tiling of `0..nblocks`
-    /// into consecutive ranges accumulates `y` bit-for-bit identically to
-    /// the untiled replay.
-    ///
-    /// Dispatch shim: routes to the const-generic value phase when the
-    /// captured rank has one (8/16/32), else the dynamically-sized
-    /// fallback. Both arms run the identical batching loop and fold order,
-    /// so the choice never changes output bits — OOC tiles and shard
-    /// ranges (which call this per range) inherit the fast path for free.
-    pub(crate) fn replay_range_parallel(
+    /// Replays blocks `b0..b1` of the schedule into `y` (block ordinals
+    /// are global schedule ordinals). Fault-free, each contribution folds
+    /// into a register-held copy of its output row; through `sink`, each
+    /// goes through the sink's `begin_block`/`contribute`, so checksums
+    /// and fault draws match emission. Either way every lane of `y` sees
+    /// `y += 1.0 * acc` per contribution in emission order, so any split
+    /// of `0..num_blocks` into consecutive ranges replayed into one `y`
+    /// (OOC tiles, shards) gives the untiled replay's bits.
+    pub(crate) fn replay_range(
         &self,
         y: &mut Matrix,
         factors: &[Matrix],
-        range_b0: usize,
-        range_b1: usize,
-    ) {
-        match self.dispatch {
-            RankDispatch::R8 => {
-                self.replay_range_parallel_spec::<8>(y, factors, range_b0, range_b1)
-            }
-            RankDispatch::R16 => {
-                self.replay_range_parallel_spec::<16>(y, factors, range_b0, range_b1)
-            }
-            RankDispatch::R32 => {
-                self.replay_range_parallel_spec::<32>(y, factors, range_b0, range_b1)
-            }
-            RankDispatch::Generic => {
-                self.replay_range_parallel_generic(y, factors, range_b0, range_b1)
-            }
-        }
-    }
-
-    /// The dynamically-sized parallel value phase (any rank).
-    fn replay_range_parallel_generic(
-        &self,
-        y: &mut Matrix,
-        factors: &[Matrix],
-        range_b0: usize,
-        range_b1: usize,
-    ) {
-        let r = self.rank;
-        if r == 0 {
-            return;
-        }
-        let nblocks = range_b1.min(self.sched.num_blocks());
-        let mut buf: Vec<f32> = Vec::new();
-        let mut b0 = range_b0;
-        while b0 < nblocks {
-            // Grow the batch until it covers ~BATCH_ELEMS accumulator
-            // elements (always at least one block).
-            let mut b1 = b0 + 1;
-            while b1 < nblocks
-                && (self.sched.block_ptr[b1] - self.sched.block_ptr[b0]) as usize * r < BATCH_ELEMS
-            {
-                b1 += 1;
-            }
-            let base = self.sched.block_ptr[b0] as usize;
-            let count = self.sched.block_ptr[b1] as usize - base;
-            buf.clear();
-            buf.resize(count * r, 0.0);
-
-            // Disjoint per-block scratch slices: blocks replay in parallel.
-            let mut chunks: Vec<(usize, &mut [f32])> = Vec::with_capacity(b1 - b0);
-            let mut rest = buf.as_mut_slice();
-            for b in b0..b1 {
-                let n = (self.sched.block_ptr[b + 1] - self.sched.block_ptr[b]) as usize * r;
-                let (head, tail) = rest.split_at_mut(n);
-                chunks.push((b, head));
-                rest = tail;
-            }
-            chunks.into_par_iter().for_each(|(b, chunk)| {
-                let lo = self.sched.block_ptr[b] as usize;
-                for (k, acc) in chunk.chunks_mut(r).enumerate() {
-                    self.sched.replay_into(lo + k, factors, acc);
-                }
-            });
-
-            // Ordered sequential fold — bit-for-bit the emission order.
-            for c in 0..count {
-                let i = self.sched.rows[base + c] as usize;
-                axpy_into(y.row_mut(i), 1.0, &buf[c * r..(c + 1) * r]);
-            }
-            b0 = b1;
-        }
-    }
-
-    /// [`Plan::replay_range_parallel_generic`] with a compile-time rank:
-    /// same batching, same disjoint scratch, same emission-order fold —
-    /// only the accumulator type changes to `[f32; R]`, which hands the
-    /// compiler fixed trip counts for the leaf/chain inner loops.
-    fn replay_range_parallel_spec<const R: usize>(
-        &self,
-        y: &mut Matrix,
-        factors: &[Matrix],
-        range_b0: usize,
-        range_b1: usize,
-    ) {
-        debug_assert_eq!(self.rank, R);
-        let nblocks = range_b1.min(self.sched.num_blocks());
-        let mut buf: Vec<[f32; R]> = Vec::new();
-        let mut b0 = range_b0;
-        while b0 < nblocks {
-            let mut b1 = b0 + 1;
-            while b1 < nblocks
-                && (self.sched.block_ptr[b1] - self.sched.block_ptr[b0]) as usize * R < BATCH_ELEMS
-            {
-                b1 += 1;
-            }
-            let base = self.sched.block_ptr[b0] as usize;
-            let count = self.sched.block_ptr[b1] as usize - base;
-            buf.clear();
-            buf.resize(count, [0.0; R]);
-
-            let mut chunks: Vec<(usize, &mut [[f32; R]])> = Vec::with_capacity(b1 - b0);
-            let mut rest = buf.as_mut_slice();
-            for b in b0..b1 {
-                let n = (self.sched.block_ptr[b + 1] - self.sched.block_ptr[b]) as usize;
-                let (head, tail) = rest.split_at_mut(n);
-                chunks.push((b, head));
-                rest = tail;
-            }
-            chunks.into_par_iter().for_each(|(b, chunk)| {
-                let lo = self.sched.block_ptr[b] as usize;
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    self.sched.replay_into_fixed(lo + k, factors, acc);
-                }
-            });
-
-            // Ordered sequential fold — bit-for-bit the emission order
-            // (`y[i][c] += 1.0 * acc[c]`, same per-lane op as the generic
-            // fold's `axpy_into`).
-            for (c, acc) in buf.iter().enumerate() {
-                let i = self.sched.rows[base + c] as usize;
-                axpy_into(y.row_mut(i), 1.0, acc);
-            }
-            b0 = b1;
-        }
-    }
-
-    /// Faulted replay: fully sequential, calling `begin_block`/`contribute`
-    /// with the same ordinals and accumulators as emission.
-    fn replay_sequential(&self, y: &mut Matrix, factors: &[Matrix], sink: &mut AbftSink) {
-        self.replay_range_sequential(y, factors, sink, 0, self.sched.num_blocks());
-    }
-
-    /// [`Plan::replay_sequential`] restricted to blocks `b0..b1`. Block
-    /// ordinals passed to the sink are the *global* schedule ordinals, so
-    /// fault draws — which key on `(kernel, block)` — are identical
-    /// whether the schedule runs whole or tiled.
-    ///
-    /// Same dispatch shim as [`Plan::replay_range_parallel`]: the faulted
-    /// path stays fully sequential through the sink either way; only the
-    /// accumulator computation specializes.
-    pub(crate) fn replay_range_sequential(
-        &self,
-        y: &mut Matrix,
-        factors: &[Matrix],
-        sink: &mut AbftSink,
+        sink: Option<&mut AbftSink>,
         b0: usize,
         b1: usize,
     ) {
         match self.dispatch {
-            RankDispatch::R8 => self.replay_range_sequential_spec::<8>(y, factors, sink, b0, b1),
-            RankDispatch::R16 => self.replay_range_sequential_spec::<16>(y, factors, sink, b0, b1),
-            RankDispatch::R32 => self.replay_range_sequential_spec::<32>(y, factors, sink, b0, b1),
-            RankDispatch::Generic => self.replay_range_sequential_generic(y, factors, sink, b0, b1),
+            RankDispatch::R8 => self.replay_lanes::<[f32; 8]>(y, factors, sink, b0, b1),
+            RankDispatch::R16 => self.replay_lanes::<[f32; 16]>(y, factors, sink, b0, b1),
+            RankDispatch::R32 => self.replay_lanes::<[f32; 32]>(y, factors, sink, b0, b1),
+            RankDispatch::Generic => self.replay_lanes::<Vec<f32>>(y, factors, sink, b0, b1),
         }
     }
 
-    /// The dynamically-sized sequential (faulted) value phase.
-    fn replay_range_sequential_generic(
+    /// [`Plan::replay_range`] over accumulators of type `A`.
+    fn replay_lanes<A: Lanes>(
         &self,
         y: &mut Matrix,
         factors: &[Matrix],
-        sink: &mut AbftSink,
+        sink: Option<&mut AbftSink>,
         b0: usize,
         b1: usize,
     ) {
-        let mut acc = vec![0.0f32; self.rank];
-        for b in b0..b1.min(self.sched.num_blocks()) {
-            sink.begin_block(y, b);
-            let (lo, hi) = (
-                self.sched.block_ptr[b] as usize,
-                self.sched.block_ptr[b + 1] as usize,
-            );
-            for c in lo..hi {
-                self.sched.replay_into(c, factors, &mut acc);
-                sink.contribute(y, self.sched.rows[c] as usize, &acc);
+        match sink {
+            Some(sink) => self.fold_range::<A>(y, factors, sink, b0, b1),
+            None => {
+                let mut held = HeldRow {
+                    row: None,
+                    sum: A::zeroed(self.rank),
+                };
+                self.fold_range::<A>(y, factors, &mut held, b0, b1);
+                held.store(y);
             }
         }
     }
 
-    /// [`Plan::replay_range_sequential_generic`] with a compile-time rank;
-    /// the sink sees the same block ordinals, rows, and accumulator bits.
-    fn replay_range_sequential_spec<const R: usize>(
+    /// The replay loop: computes each contribution's accumulator exactly
+    /// as the emitting kernel did (seed or leaf reduction, then the
+    /// Hadamard chain) and hands it to `fold` at once.
+    fn fold_range<A: Lanes>(
         &self,
         y: &mut Matrix,
         factors: &[Matrix],
-        sink: &mut AbftSink,
+        fold: &mut impl Fold,
         b0: usize,
         b1: usize,
     ) {
-        debug_assert_eq!(self.rank, R);
-        let mut acc = [0.0f32; R];
-        for b in b0..b1.min(self.sched.num_blocks()) {
-            sink.begin_block(y, b);
-            let (lo, hi) = (
-                self.sched.block_ptr[b] as usize,
-                self.sched.block_ptr[b + 1] as usize,
-            );
-            for c in lo..hi {
-                self.sched.replay_into_fixed(c, factors, &mut acc);
-                sink.contribute(y, self.sched.rows[c] as usize, &acc);
+        let s = &self.sched;
+        let mut acc = A::zeroed(self.rank);
+        // A compile-time constant for the array arms.
+        let r = acc.as_ref().len();
+        let leaf = factors.get(s.leaf_mode).map_or(&[][..], Matrix::data);
+        for b in b0..b1.min(s.num_blocks()) {
+            fold.begin_block(y, b);
+            let (lo, hi) = (s.block_ptr[b] as usize, s.block_ptr[b + 1] as usize);
+            let contribs = s.rows[lo..hi]
+                .iter()
+                .zip(&s.init_vals[lo..hi])
+                .zip(s.leaf_ptr[lo..=hi].windows(2))
+                .zip(s.chain_ptr[lo..=hi].windows(2));
+            for (((&i, &seed), l), c) in contribs {
+                let (l0, l1) = (l[0] as usize, l[1] as usize);
+                if l0 == l1 {
+                    acc.splat(seed);
+                } else {
+                    acc.splat(0.0);
+                    for (&v, &row) in s.leaf_vals[l0..l1].iter().zip(&s.leaf_rows[l0..l1]) {
+                        acc.add_scaled(v, factor_row(leaf, row, r));
+                    }
+                }
+                let (c0, c1) = (c[0] as usize, c[1] as usize);
+                for (&m, &row) in s.chain_modes[c0..c1].iter().zip(&s.chain_rows[c0..c1]) {
+                    acc.mul_by(factor_row(factors[m as usize].data(), row, r));
+                }
+                fold.commit(y, i as usize, acc.as_ref());
             }
         }
     }
@@ -1170,7 +1161,7 @@ impl Plan {
         let rank = read_u32(r)? as usize;
         let out_rows = read_u64(r)? as usize;
         let leaf_mode = read_u32(r)? as usize;
-        let sched = ReplaySchedule {
+        let mut sched = ReplaySchedule {
             leaf_mode,
             block_ptr: read_u32s(r)?,
             rows: read_u32s(r)?,
@@ -1181,8 +1172,10 @@ impl Plan {
             chain_ptr: read_u32s(r)?,
             chain_modes: read_u32s(r)?,
             chain_rows: read_u32s(r)?,
+            reach: Vec::new(),
         };
         sched.check(out_rows).map_err(bad)?;
+        sched.measure_reach();
         Ok(Plan {
             name: name.clone(),
             mode,
@@ -1352,6 +1345,8 @@ impl ModePlans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::random_factors;
+    use proptest::prelude::*;
     use sptensor::dims::identity_perm;
     use sptensor::synth::uniform_random;
     use tensor_formats::{BcsfOptions, Hbcsf};
@@ -1372,12 +1367,15 @@ mod tests {
     /// The structural arrays, whose every element the check covers.
     const STRUCTURAL: [&str; 4] = ["block_ptr", "rows", "leaf_ptr", "chain_ptr"];
 
-    /// A small 4-way HB-CSF plan (4 modes, so contributions carry chains)
-    /// and its `SPL1` bytes.
+    /// The fixture's 4-way tensor (4 modes, so contributions carry chains).
+    fn tensor() -> CooTensor {
+        uniform_random(&[7, 9, 6, 5], 120, 0x5A1)
+    }
+
+    /// A small HB-CSF plan of [`tensor`] and its `SPL1` bytes.
     fn fixture() -> (Plan, Vec<u8>) {
         let ctx = GpuContext::tiny();
-        let t = uniform_random(&[7, 9, 6, 5], 120, 0x5A1);
-        let h = Hbcsf::build(&t, &identity_perm(4), BcsfOptions::default());
+        let h = Hbcsf::build(&tensor(), &identity_perm(4), BcsfOptions::default());
         let plan = super::super::hbcsf::plan_impl(&ctx, &h, 4);
         let mut bytes = Vec::new();
         plan.write_schedule(&mut bytes).unwrap();
@@ -1457,6 +1455,125 @@ mod tests {
                 let mut bad = bytes.clone();
                 bad[at + 8 + 4 * i + 3] ^= 0x80;
                 invalid(&bad, &format!("{name}[{i}] bit 31"));
+            }
+        }
+    }
+
+    /// The arrays that index factors. A flip there can still read as a
+    /// plan, so the factors check must refuse what the read lets through.
+    const FACTOR_INDICES: [&str; 3] = ["leaf_rows", "chain_modes", "chain_rows"];
+
+    #[test]
+    fn flipped_factor_indices_are_typed_errors() {
+        let (_, bytes) = fixture();
+        let ctx = GpuContext::tiny();
+        let factors = random_factors(&tensor(), 4, 7);
+        read(&bytes).unwrap().validate_factors(&factors).unwrap();
+        let refused = |bad: &[u8], what: &str| match read(bad) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}"),
+            Ok(plan) => {
+                assert!(plan.execute(&ctx, &factors).is_err(), "{what}: replayed");
+            }
+        };
+        for (name, (at, len)) in ARRAYS.iter().zip(arrays(&bytes)) {
+            if !FACTOR_INDICES.contains(name) {
+                continue;
+            }
+            for i in 0..len {
+                let word = at + 8 + 4 * i;
+                let mut bad = bytes.clone();
+                bad[word + 3] ^= 0x80;
+                refused(&bad, &format!("{name}[{i}] bit 31"));
+            }
+        }
+        // A chain mode one past the last factor reads as a plan.
+        let (at, len) = arrays(&bytes)[7];
+        for i in 0..len {
+            let word = at + 8 + 4 * i;
+            let mut bad = bytes.clone();
+            bad[word..word + 4].copy_from_slice(&4u32.to_le_bytes());
+            let plan = read(&bad).unwrap();
+            match plan.validate_factors(&factors) {
+                Err(LaunchError::FactorCount { expected, got }) => {
+                    assert_eq!((expected, got), (5, 4), "chain_modes[{i}]")
+                }
+                other => panic!("chain_modes[{i}] = 4: {other:?}"),
+            }
+        }
+    }
+
+    /// A 4-way HB-CSF plan whose heavy slices span several blocks, and
+    /// the block cuts that fall inside one output row's run.
+    fn split_fixture(rank: usize) -> (Plan, Vec<Matrix>, Vec<usize>) {
+        let t = uniform_random(&[3, 24, 20, 16], 2500, 0x5B1);
+        let opts = BcsfOptions {
+            slice_nnz_per_block: 64,
+            fiber_split_threshold: 8,
+            ..BcsfOptions::default()
+        };
+        let h = Hbcsf::build(&t, &identity_perm(4), opts);
+        let plan = super::super::hbcsf::plan_impl(&GpuContext::tiny(), &h, rank);
+        let s = plan.schedule();
+        let inside = (1..s.num_blocks())
+            .filter(|&b| {
+                let c = s.block_ptr[b] as usize;
+                c > 0 && c < s.rows.len() && s.rows[c - 1] == s.rows[c]
+            })
+            .collect();
+        (plan, random_factors(&t, rank, 11), inside)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any split of the blocks into consecutive ranges, each replayed
+        /// into one `y` (clean, or through one sink spanning the ranges),
+        /// gives the whole replay's bits. One cut always falls inside a
+        /// row's run, where the held row is written back mid-run.
+        #[test]
+        fn any_block_split_replays_the_whole_bits(
+            specialized in any::<bool>(),
+            inside_pick in 0usize..1 << 16,
+            cut_picks in proptest::collection::vec(0usize..1 << 16, 0..6),
+            seed in 0u64..1_000,
+        ) {
+            let (plan, factors, inside) = split_fixture(if specialized { 16 } else { 5 });
+            prop_assert!(!inside.is_empty(), "no block cut falls inside a row's run");
+            let nblocks = plan.schedule().num_blocks();
+            let mut cuts: Vec<usize> = cut_picks.iter().map(|c| c % (nblocks + 1)).collect();
+            cuts.push(inside[inside_pick % inside.len()]);
+            cuts.extend([0, nblocks]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            prop_assert!(cuts.iter().any(|c| inside.contains(c)));
+
+            let clean = GpuContext::tiny();
+            let spec = FaultPlan::parse("bitflip:0.5", seed).expect("spec parses");
+            let faulted = GpuContext::tiny().with_faults(spec);
+            for ctx in [&clean, &faulted] {
+                let whole = plan.execute(ctx, &factors).unwrap();
+                let mut y = Matrix::zeros(plan.out_rows(), plan.rank());
+                let mut sink = ctx
+                    .fault_plan()
+                    .is_some()
+                    .then(|| ctx.abft_sink(plan.name(), plan.out_rows()));
+                for w in cuts.windows(2) {
+                    plan.replay_range(&mut y, &factors, sink.as_mut(), w[0], w[1]);
+                }
+                let abft = sink.and_then(|mut s| {
+                    s.flush(&mut y);
+                    s.into_data()
+                });
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&y), bits(&whole.y), "cuts {:?}", cuts);
+                prop_assert_eq!(abft.is_some(), whole.abft.is_some());
+                if let (Some(a), Some(w)) = (abft, whole.abft) {
+                    let f64_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(f64_bits(&a.check), f64_bits(&w.check));
+                    prop_assert_eq!(f64_bits(&a.abs), f64_bits(&w.abs));
+                    prop_assert_eq!(a.corrupted_rows, w.corrupted_rows);
+                    prop_assert_eq!(a.flips_applied, w.flips_applied);
+                }
             }
         }
     }

@@ -18,7 +18,7 @@
 //! simulation, all-reduce pricing) runs per device in parallel, while the
 //! value phase folds every shard's contributions into one shared output
 //! in global emission order —
-//! [`replay_range_parallel`](Plan::execute) per shard for clean runs, and
+//! `Plan::replay_range` per shard without a sink for clean runs, and
 //! a single [`AbftSink`](super::AbftSink) spanning all shards with global
 //! block ordinals under execution faults. Consecutive-range folds are
 //! bit-identical to the untiled replay by construction, so
@@ -501,10 +501,7 @@ impl ShardModel {
                 .is_some()
                 .then(|| ctx.abft_sink(plan.name(), plan.out_rows()));
             for &(b0, b1) in &self.ranges {
-                match &mut sink {
-                    Some(s) => plan.replay_range_sequential(&mut y, factors, s, b0, b1),
-                    None => plan.replay_range_parallel(&mut y, factors, b0, b1),
-                }
+                plan.replay_range(&mut y, factors, sink.as_mut(), b0, b1);
             }
             let abft = match sink {
                 Some(mut s) => {

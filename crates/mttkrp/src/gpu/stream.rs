@@ -179,7 +179,22 @@ pub fn replay_mode(
     for s in 0..store.shards(mode) {
         let plan = store.load(mode, s)?;
         let out = y.get_or_insert_with(|| Matrix::zeros(plan.out_rows(), plan.rank()));
-        plan.replay_range_parallel(out, factors, 0, plan.schedule().num_blocks());
+        let invalid = |msg: String| TensorError::Invalid {
+            context: "shard plan",
+            msg,
+        };
+        if (out.rows(), out.cols()) != (plan.out_rows(), plan.rank()) {
+            return Err(invalid(format!(
+                "shard {s} of mode {mode} has a {}x{} output, shard 0 {}x{}",
+                plan.out_rows(),
+                plan.rank(),
+                out.rows(),
+                out.cols()
+            )));
+        }
+        plan.validate_factors(factors)
+            .map_err(|e| invalid(format!("shard {s} of mode {mode}: {e}")))?;
+        plan.replay_range(out, factors, None, 0, plan.schedule().num_blocks());
     }
     Ok(y.unwrap_or_else(|| Matrix::zeros(0, rank)))
 }
@@ -360,6 +375,35 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_shards_and_factors_are_typed_errors() {
+        let ctx = GpuContext::tiny();
+        let t = uniform_random(&[18, 22, 26], 1_200, 12);
+        let factors = crate::reference::random_factors(&t, 8, 79);
+        let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
+        let dir = tmp("mismatch");
+        let mut store = ShardStore::create(&dir).unwrap();
+        assert_eq!(
+            capture_sharded_hbcsf(&ctx, &h, 8, 3, &mut store).unwrap(),
+            3
+        );
+        replay_mode(&store, 0, 8, &factors).unwrap();
+        // Factors too short for the rows the shards read.
+        let mut short = factors.clone();
+        short[2] = Matrix::zeros(1, 8);
+        let invalid = |r: TensorResult<Matrix>| matches!(r, Err(TensorError::Invalid { .. }));
+        assert!(invalid(replay_mode(&store, 0, 8, &short)));
+        // A shard whose output differs from shard 0's.
+        let other = uniform_random(&[25, 22, 26], 1_200, 13);
+        let ho = Hbcsf::build(&other, &identity_perm(3), BcsfOptions::default());
+        store
+            .put(0, 1, &super::super::hbcsf::plan_impl(&ctx, &ho, 8))
+            .unwrap();
+        assert!(invalid(replay_mode(&store, 0, 8, &factors)));
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn schedule_survives_disk_round_trip() {
         let ctx = GpuContext::tiny();
         let t = uniform_random(&[12, 14, 16], 600, 11);
@@ -373,8 +417,8 @@ mod tests {
         assert_eq!(back.out_rows(), full.out_rows());
         let mut y0 = Matrix::zeros(full.out_rows(), 8);
         let mut y1 = Matrix::zeros(full.out_rows(), 8);
-        full.replay_range_parallel(&mut y0, &factors, 0, full.schedule().num_blocks());
-        back.replay_range_parallel(&mut y1, &factors, 0, back.schedule().num_blocks());
+        full.replay_range(&mut y0, &factors, None, 0, full.schedule().num_blocks());
+        back.replay_range(&mut y1, &factors, None, 0, back.schedule().num_blocks());
         assert_eq!(y0, y1);
     }
 
