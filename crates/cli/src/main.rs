@@ -48,15 +48,35 @@ macro_rules! println {
     };
 }
 
-/// Writes to stdout. A reader that closed the pipe early (`sptk info
-/// x.tns | head -1`) has all the output it wants, so the process ends
-/// quietly with status 0 instead of panicking.
+/// Writes to stdout through [`Stdout`]. Any other write error panics,
+/// as `std::println!` does.
 fn write_stdout(args: std::fmt::Arguments) {
     use std::io::Write;
-    match std::io::stdout().lock().write_fmt(args) {
-        Ok(()) => {}
+    if let Err(e) = Stdout.write_fmt(args) {
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// Standard output as a writer, for `sptk`'s own lines and for library
+/// code that prints (the calibration report). A reader that closed the
+/// pipe early (`sptk info x.tns | head -1`) has all the output it wants,
+/// so the process ends quietly with status 0 instead of panicking.
+struct Stdout;
+
+fn exit_on_broken_pipe<T>(res: std::io::Result<T>) -> std::io::Result<T> {
+    match res {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(e) => panic!("failed printing to stdout: {e}"),
+        res => res,
+    }
+}
+
+impl std::io::Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        exit_on_broken_pipe(std::io::stdout().write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        exit_on_broken_pipe(std::io::stdout().flush())
     }
 }
 
@@ -106,7 +126,7 @@ fn usage() {
     eprintln!("  sptk convert <in> <out>");
     eprintln!("  sptk mttkrp <file> [--mode N] [--rank R] [--kernel K] [--device p100|v100]");
     eprintln!("      [--profile DIR] [--devices N] [--interconnect SPEC]");
-    eprintln!("      kernels: hbcsf bcsf csf csl coo fcoo splatt splatt-tiled hicoo dfacto");
+    eprintln!("      kernels: hbcsf bcsf csf csl coo fcoo splatt splatt-tiled hicoo");
     eprintln!(
         "  sptk cpd <file> [--rank R] [--iters K] [--nonneg] [--profile DIR] [--expect-fit F]"
     );
@@ -652,17 +672,14 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
     let factors = random_factors(&t, rank, 42);
     let flops = t.order() as f64 * t.nnz() as f64 * rank as f64;
 
-    if matches!(kernel.as_str(), "coo" | "fcoo" | "dfacto") && t.order() != 3 {
+    if matches!(kernel.as_str(), "coo" | "fcoo") && t.order() != 3 {
         return Err(format!(
             "kernel '{kernel}' supports third-order tensors only (this one is order {})",
             t.order()
         ));
     }
 
-    let is_cpu_kernel = matches!(
-        kernel.as_str(),
-        "splatt" | "splatt-tiled" | "hicoo" | "dfacto"
-    );
+    let is_cpu_kernel = matches!(kernel.as_str(), "splatt" | "splatt-tiled" | "hicoo");
     if profile_dir.is_some() && is_cpu_kernel {
         return Err(format!(
             "--profile supports the simulated GPU kernels only ('{kernel}' is a CPU kernel)"
@@ -716,18 +733,6 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
             let secs = start.elapsed().as_secs_f64();
             println!(
                 "hicoo (CPU): {:.3} ms wall, {:.2} GFLOPs, ||Y|| = {:.6e}",
-                secs * 1e3,
-                flops / secs / 1e9,
-                checksum(&y)
-            );
-        }
-        "dfacto" => {
-            let d = mttkrp::cpu::dfacto::Dfacto::build(&t, mode);
-            let start = Instant::now();
-            let y = d.mttkrp(&factors);
-            let secs = start.elapsed().as_secs_f64();
-            println!(
-                "dfacto (CPU): {:.3} ms wall, {:.2} GFLOPs, ||Y|| = {:.6e}",
                 secs * 1e3,
                 flops / secs / 1e9,
                 checksum(&y)
@@ -928,7 +933,7 @@ fn cmd_calibrate(args: &[String]) -> Result<()> {
         seed: flag_parse(args, "--seed", defaults.seed)?,
     };
     let out = flag(args, "--out").unwrap_or_else(|| "BENCH_fleet.json".into());
-    experiments::calibrate::calibrate(&cfg, Path::new(&out))
+    experiments::calibrate::calibrate(&cfg, Path::new(&out), &mut Stdout)
 }
 
 /// `sptk trace-replay <file>` — feeds a recorded memory trace back

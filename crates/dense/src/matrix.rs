@@ -95,11 +95,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Sets every element to zero (reuses the allocation).
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// `self * other`. Each element sums its terms in `f64` in ascending
     /// `k`, then rounds once to `f32`. Runs the row-blocked kernel of
     /// [`UpdateBuffers::matmul_into`]: CPD-ALS multiplies every
@@ -136,17 +131,6 @@ impl Matrix {
         }
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        out
-    }
-
     /// Frobenius norm (`f64` internally).
     pub fn fro_norm(&self) -> f64 {
         self.data
@@ -154,17 +138,6 @@ impl Matrix {
             .map(|&v| (v as f64) * (v as f64))
             .sum::<f64>()
             .sqrt()
-    }
-
-    /// Largest absolute element-wise difference to `other`.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| (a - b).abs())
-            .fold(0.0, f32::max)
     }
 
     /// Relative Frobenius difference `‖self − other‖ / max(‖other‖, ε)`;
@@ -223,15 +196,21 @@ mod tests {
     fn matmul_identity_is_noop() {
         let a = Matrix::random(4, 4, 9);
         let c = a.matmul(&Matrix::identity(4));
-        assert!(a.max_abs_diff(&c) < 1e-6);
+        assert!(a.rel_fro_diff(&c) < 1e-6);
     }
 
     #[test]
     fn gram_matches_explicit_transpose_matmul() {
         let a = Matrix::random(7, 3, 11);
         let g1 = a.gram();
-        let g2 = a.transpose().matmul(&a);
-        assert!(g1.max_abs_diff(&g2) < 1e-4);
+        let mut at = Matrix::zeros(3, 7);
+        for i in 0..7 {
+            for j in 0..3 {
+                at.set(j, i, a.get(i, j));
+            }
+        }
+        let g2 = at.matmul(&a);
+        assert!(g1.rel_fro_diff(&g2) < 1e-4);
         // Symmetry.
         for i in 0..3 {
             for j in 0..3 {
@@ -245,12 +224,6 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 2, vec![2.0, 0.5, -1.0, 2.0]);
         assert_eq!(a.hadamard(&b).data(), &[2.0, 1.0, -3.0, 8.0]);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::random(3, 5, 2);
-        assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]

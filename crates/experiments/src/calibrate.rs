@@ -16,6 +16,7 @@
 //! counters exactly.
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -155,7 +156,7 @@ pub struct Expectation {
 /// The paper's Table II / Figs. 5–8 ordering claims, restated over the
 /// stand-in fleet. Absolute magnitudes are model artifacts; every entry
 /// is a *relation* between cells.
-pub fn paper_expectations() -> Vec<Expectation> {
+fn paper_expectations() -> Vec<Expectation> {
     vec![
         Expectation {
             id: "bcsf-beats-csf-on-darpa",
@@ -258,7 +259,7 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    pub fn all_pass(&self) -> bool {
+    fn all_pass(&self) -> bool {
         self.verdicts.iter().all(|v| v.pass) && self.trace_check.exact
     }
 
@@ -303,15 +304,17 @@ impl FleetReport {
         })
     }
 
-    /// Prints the cell table, the latency distributions and one
-    /// PASS/FAIL line per expectation and for the trace check.
-    pub fn print(&self) {
-        println!(
+    /// Writes the cell table, the latency distributions and one
+    /// PASS/FAIL line per expectation and for the trace check to `w`.
+    pub fn print(&self, w: &mut impl Write) -> std::io::Result<()> {
+        writeln!(
+            w,
             "{:<10} {:<6} {:>10} {:>8} {:>8} {:>8} {:>8}",
             "dataset", "format", "time_us", "gflops", "sm_eff", "occ", "l2_hit"
-        );
+        )?;
         for c in &self.cells {
-            println!(
+            writeln!(
+                w,
                 "{:<10} {:<6} {:>10.1} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
                 c.dataset,
                 c.format,
@@ -320,33 +323,43 @@ impl FleetReport {
                 c.sm_efficiency,
                 c.occupancy,
                 c.l2_hit_rate
-            );
+            )?;
         }
         for (format, dataset) in &self.skipped {
-            println!("{dataset:<10} {format:<6} skipped (third-order kernel)");
+            writeln!(w, "{dataset:<10} {format:<6} skipped (third-order kernel)")?;
         }
-        println!();
-        print!(
+        writeln!(w)?;
+        write!(
+            w,
             "{}",
             simprof::histogram_table(
                 "per-format kernel latency distributions (us, one sample per mode per dataset)",
                 &self.latency_histograms,
             )
-        );
-        println!();
+        )?;
+        writeln!(w)?;
         let mark = |pass: bool| if pass { "PASS" } else { "FAIL" };
         for v in &self.verdicts {
-            println!("{} {:<32} [{}] {}", mark(v.pass), v.id, v.metric, v.detail);
+            writeln!(
+                w,
+                "{} {:<32} [{}] {}",
+                mark(v.pass),
+                v.id,
+                v.metric,
+                v.detail
+            )?;
         }
         let t = &self.trace_check;
-        println!(
+        writeln!(
+            w,
             "{} mem-trace replay: {} ({} accesses) live L2 {:.2}% vs replayed {:.2}%",
             mark(t.exact),
             t.kernel,
             t.accesses,
             t.live_hit_rate,
             t.replay_hit_rate
-        );
+        )?;
+        Ok(())
     }
 }
 
@@ -532,16 +545,17 @@ pub fn run(cfg: &FleetConfig) -> Result<FleetReport, String> {
     })
 }
 
-/// `sptk calibrate`: runs the fleet, prints the report, writes its JSON
-/// to `out`, and fails when any ordering or the trace check fails, so CI
+/// `sptk calibrate`: runs the fleet, writes the report to `w` and its
+/// JSON to `out`, and fails when any ordering or the trace check fails, so CI
 /// catches model drift.
-pub fn calibrate(cfg: &FleetConfig, out: &Path) -> Result<(), String> {
+pub fn calibrate(cfg: &FleetConfig, out: &Path, w: &mut impl Write) -> Result<(), String> {
     let report = run(cfg)?;
-    report.print();
+    let report_err = |e: std::io::Error| format!("writing the report: {e}");
+    report.print(w).map_err(report_err)?;
     let text = serde_json::to_string_pretty(&report.to_json(cfg))
         .map_err(|e| format!("{}: {e}", out.display()))?;
     std::fs::write(out, text).map_err(|e| format!("{}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
+    writeln!(w, "wrote {}", out.display()).map_err(report_err)?;
     if !report.all_pass() {
         return Err("calibration failed: a paper ordering does not hold".into());
     }

@@ -57,11 +57,6 @@ impl L2Cache {
         }
     }
 
-    /// Number of sets in this geometry.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Set a segment id maps to (the modulo indexing [`L2Cache::access`]
     /// uses) — exposed so memory traces can record placement without
     /// touching cache state.

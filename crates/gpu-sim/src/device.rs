@@ -81,29 +81,11 @@ impl DeviceProfile {
             l2_assoc: 4,
         }
     }
-
-    /// Single-precision peak in GFLOP/s (FMA = 2 flops), a sanity ceiling
-    /// for simulated throughput.
-    pub fn peak_gflops(&self) -> f64 {
-        self.num_sms as f64
-            * self.compute_width_warps
-            * self.warp_size as f64
-            * 2.0
-            * self.clock_ghz
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn p100_peak_matches_spec() {
-        let d = DeviceProfile::p100();
-        // 56 SM × 64 lanes × 2 flops × 1.33 GHz ≈ 9.5 TFLOPS (spec: 9.3).
-        let peak = d.peak_gflops();
-        assert!((9_000.0..10_000.0).contains(&peak), "peak {peak}");
-    }
 
     #[test]
     fn l2_geometry_is_consistent() {
@@ -121,7 +103,6 @@ mod tests {
     fn v100_outranks_p100() {
         let p = DeviceProfile::p100();
         let v = DeviceProfile::v100();
-        assert!(v.peak_gflops() > p.peak_gflops());
         assert!(v.num_sms > p.num_sms);
         assert!(v.l2_bytes > p.l2_bytes);
     }

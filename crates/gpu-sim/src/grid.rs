@@ -7,8 +7,6 @@
 //! synthetic array addresses. The emission side is what this module
 //! describes.
 
-use crate::device::DeviceProfile;
-
 /// One warp-level operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
@@ -193,12 +191,6 @@ impl ArraySpan {
     }
 }
 
-/// Convenience: warp capacity helper — how many warps a block of
-/// `threads` threads holds on `dev`.
-pub fn warps_for_threads(dev: &DeviceProfile, threads: usize) -> usize {
-    threads.div_ceil(dev.warp_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,14 +231,5 @@ mod tests {
         let x = a.alloc(0);
         let y = a.alloc(0);
         assert_ne!(x.base, y.base);
-    }
-
-    #[test]
-    fn warps_for_threads_rounds_up() {
-        let d = DeviceProfile::p100();
-        assert_eq!(warps_for_threads(&d, 1), 1);
-        assert_eq!(warps_for_threads(&d, 32), 1);
-        assert_eq!(warps_for_threads(&d, 33), 2);
-        assert_eq!(warps_for_threads(&d, 512), 16);
     }
 }

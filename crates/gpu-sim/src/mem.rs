@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::fault::FaultPlan;
 
-/// Default allocation granularity: 256 bytes, `cudaMalloc`'s alignment.
-pub const DEFAULT_MEM_ALIGN: u64 = 256;
+/// Allocation granularity: 256 bytes, `cudaMalloc`'s alignment.
+pub const MEM_ALIGN: u64 = 256;
 
 /// Why a checked allocation was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,7 +121,6 @@ struct MemState {
 #[derive(Debug)]
 pub struct DeviceMemory {
     capacity: u64,
-    align: u64,
     state: Mutex<MemState>,
 }
 
@@ -141,16 +140,8 @@ impl DeviceMemory {
     pub fn with_capacity(capacity: u64) -> DeviceMemory {
         DeviceMemory {
             capacity,
-            align: DEFAULT_MEM_ALIGN,
             state: Mutex::new(MemState::default()),
         }
-    }
-
-    /// Overrides the allocation granularity (power of two expected; falls
-    /// back to [`DEFAULT_MEM_ALIGN`] for zero).
-    pub fn with_align(mut self, align: u64) -> DeviceMemory {
-        self.align = if align == 0 { DEFAULT_MEM_ALIGN } else { align };
-        self
     }
 
     /// Configured capacity in bytes (`u64::MAX` = unlimited).
@@ -206,17 +197,12 @@ impl DeviceMemory {
         self.lock().oom_events.clone()
     }
 
-    /// Number of refused allocations so far.
-    pub fn oom_count(&self) -> u64 {
-        self.lock().oom_events.len() as u64
-    }
-
     /// Rounds `bytes` up to the allocation granularity (a zero-byte
     /// request still consumes one granule, like `cudaMalloc(0)` on most
     /// driver versions consumes a handle). `None` on u64 overflow.
     pub fn pad(&self, bytes: u64) -> Option<u64> {
-        let padded = bytes.checked_add(self.align - 1)? / self.align * self.align;
-        Some(padded.max(self.align))
+        let padded = bytes.checked_add(MEM_ALIGN - 1)? / MEM_ALIGN * MEM_ALIGN;
+        Some(padded.max(MEM_ALIGN))
     }
 
     /// Records the allocations in `parts` (label, requested bytes)
@@ -385,7 +371,7 @@ mod tests {
             }
             other => panic!("expected Oom, got {other:?}"),
         }
-        assert_eq!(mem.oom_count(), 1);
+        assert_eq!(mem.oom_events().len(), 1);
         drop(held);
         assert!(mem
             .try_lease("k", &parts(&[("now-fits", 1024)]), None, 2)
@@ -447,6 +433,6 @@ mod tests {
                 .try_lease("k", &parts(&[("x", 1 << 40)]), None, site)
                 .is_ok());
         }
-        assert_eq!(mem.oom_count(), 0);
+        assert_eq!(mem.oom_events().len(), 0);
     }
 }

@@ -160,7 +160,7 @@ pub fn read_jsonl(path: &Path) -> Result<Vec<LaunchTrace>, String> {
 }
 
 /// Parses trace JSONL from a string (see [`read_jsonl`]).
-pub fn parse_jsonl(text: &str) -> Result<Vec<LaunchTrace>, String> {
+fn parse_jsonl(text: &str) -> Result<Vec<LaunchTrace>, String> {
     let mut launches: Vec<LaunchTrace> = Vec::new();
     let mut pending: u64 = 0;
     for (lineno, line) in text.lines().enumerate() {

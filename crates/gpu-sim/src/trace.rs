@@ -1,4 +1,4 @@
-//! Bridges the simulator's [`SimProfile`](crate::sched::SimProfile) into
+//! Bridges the simulator's [`SimProfile`] into
 //! `simprof`'s exporters.
 //!
 //! [`chrome_trace`] turns one simulated launch into a Chrome-trace/Perfetto

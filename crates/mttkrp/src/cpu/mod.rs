@@ -10,20 +10,14 @@
 //!   atomics (Fig. 13).
 //! * [`coo`] — nonzero-parallel COO with atomic output updates (the
 //!   ParTI-OpenMP strategy; also the simplest parallel baseline).
-//! * [`dfacto`] — DFacTo: MTTKRP as two SpMVs per output column over a
-//!   fiber matrix (related-work baseline with the paper's 2R(M+F) count).
-//! * [`toolbox`] — Tensor-Toolbox-style column-at-a-time COO MTTKRP with an
-//!   M-word intermediate (the 3MR related-work baseline).
 //! * [`onemode`] — SPLATT's ONEMODE configuration: a single CSF tree
 //!   serving every mode's MTTKRP via internal-node tree algorithms, the
 //!   memory-frugal setting whose non-root-mode slowdown the paper cites
 //!   as the reason to benchmark ALLMODE.
 
 pub mod coo;
-pub mod dfacto;
 pub mod hicoo;
 pub mod onemode;
 pub mod splatt;
-pub mod toolbox;
 
 pub(crate) mod row_writer;

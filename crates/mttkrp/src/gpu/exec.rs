@@ -123,7 +123,7 @@ impl<'a> LaunchArgs<'a> {
 
     /// Checks the factors against a kernel's shape before capture and
     /// returns the launch rank.
-    pub fn validate_for_kernel(&self, kernel: &dyn MttkrpKernel) -> Result<usize, LaunchError> {
+    fn validate_for_kernel(&self, kernel: &dyn MttkrpKernel) -> Result<usize, LaunchError> {
         let dims = kernel.dims();
         let order = dims.len();
         if self.factors.len() != order {
@@ -157,7 +157,7 @@ impl<'a> LaunchArgs<'a> {
 
     /// Checks the factors against an already-captured plan (rank and
     /// output shape are frozen at capture).
-    pub fn validate_for_plan(&self, plan: &Plan) -> Result<(), LaunchError> {
+    fn validate_for_plan(&self, plan: &Plan) -> Result<(), LaunchError> {
         let mode = plan.mode();
         if mode >= self.factors.len() {
             return Err(LaunchError::ModeOutOfRange {
@@ -226,12 +226,12 @@ impl Execution {
 }
 
 /// The unified executor: owns a [`GpuContext`] plus the launch policy
-/// (out-of-core knobs, ABFT verification, a multi-device grid, format
-/// build options) and dispatches every launch down the right ladder.
+/// (ABFT verification, a multi-device grid, format build options) and
+/// dispatches every launch down the right ladder, whose out-of-core
+/// rungs run with [`OocOptions::default`].
 #[derive(Debug, Clone)]
 pub struct Executor {
     ctx: GpuContext,
-    ooc: OocOptions,
     abft: Option<AbftOptions>,
     grid: Option<GridSpec>,
     build: BuildOptions,
@@ -243,17 +243,10 @@ impl Executor {
     pub fn new(ctx: GpuContext) -> Executor {
         Executor {
             ctx,
-            ooc: OocOptions::default(),
             abft: None,
             grid: None,
             build: BuildOptions::default(),
         }
-    }
-
-    /// Overrides the out-of-core ladder knobs.
-    pub fn with_ooc(mut self, opts: OocOptions) -> Executor {
-        self.ooc = opts;
-        self
     }
 
     /// Enables ABFT verification (checksum + recompute-retry) for
@@ -334,6 +327,7 @@ impl Executor {
     pub fn execute(&self, plan: &Plan, args: &LaunchArgs<'_>) -> Result<Execution, LaunchError> {
         args.validate_for_plan(plan)?;
         let ctx = &self.ctx;
+        let ooc_opts = OocOptions::default();
         self.note_dispatch(plan, args);
 
         if let Some(spec) = &self.grid {
@@ -349,7 +343,7 @@ impl Executor {
                             t,
                             args.factors,
                             abft_opts,
-                            &self.ooc,
+                            &ooc_opts,
                             plan,
                         );
                         return Ok(Execution {
@@ -360,7 +354,7 @@ impl Executor {
                         });
                     }
                 }
-                let (run, mem) = ooc::execute_adaptive(ctx, plan, args.factors, t, &self.ooc);
+                let (run, mem) = ooc::execute_adaptive(ctx, plan, args.factors, t, &ooc_opts);
                 Ok(Execution {
                     run,
                     mem: vec![mem],
@@ -419,6 +413,7 @@ impl Executor {
         spec: &GridSpec,
     ) -> Result<Execution, LaunchError> {
         let ctx = &self.ctx;
+        let ooc_opts = OocOptions::default();
         if let (Some(t), Some(abft_opts), true) =
             (args.tensor, self.abft.as_ref(), ctx.fault_plan().is_some())
         {
@@ -430,7 +425,7 @@ impl Executor {
             let result: RefCell<Option<LaunchError>> = RefCell::new(None);
             let (run, report) =
                 abft::run_verified(ctx, t, args.factors, plan.mode(), abft_opts, |c| {
-                    match sharded::execute_sharded(c, plan, args.factors, Some(t), spec, &self.ooc)
+                    match sharded::execute_sharded(c, plan, args.factors, Some(t), spec, &ooc_opts)
                     {
                         Ok((run, grid)) => {
                             grids.borrow_mut().push(grid);
@@ -461,7 +456,7 @@ impl Executor {
             });
         }
         let (run, grid) =
-            sharded::execute_sharded(ctx, plan, args.factors, args.tensor, spec, &self.ooc)?;
+            sharded::execute_sharded(ctx, plan, args.factors, args.tensor, spec, &ooc_opts)?;
         Ok(Execution {
             run,
             mem: Vec::new(),

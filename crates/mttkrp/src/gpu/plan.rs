@@ -185,11 +185,6 @@ impl ReplaySchedule {
         self.block_ptr.len() - 1
     }
 
-    /// Total semantic contributions.
-    pub fn num_contributions(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Checks the structure replay indexes by: each pointer array starts
     /// at 0, never decreases and ends at the length of the arrays it
     /// indexes; there is one seed and one leaf and chain range per
@@ -1412,10 +1407,7 @@ mod tests {
     fn schedule_check_accepts_what_capture_writes() {
         let (plan, bytes) = fixture();
         let back = read(&bytes).unwrap();
-        assert_eq!(
-            back.schedule().num_contributions(),
-            plan.schedule().num_contributions()
-        );
+        assert_eq!(back.schedule().rows.len(), plan.schedule().rows.len());
         for (name, (_, len)) in ARRAYS.iter().zip(arrays(&bytes)) {
             assert!(len > 0, "fixture must exercise {name}");
         }

@@ -440,12 +440,6 @@ impl ShardModel {
         }
     }
 
-    /// Whether a device failed every GPU rung; executing then requires
-    /// the COO tensor for the CPU reference fallback.
-    pub fn needs_tensor(&self) -> bool {
-        self.cpu_fallback
-    }
-
     /// The shard block ranges, in device order.
     pub fn ranges(&self) -> &[(usize, usize)] {
         &self.ranges

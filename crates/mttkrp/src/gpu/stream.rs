@@ -108,7 +108,7 @@ impl ShardStore {
     }
 
     /// Total bytes the store occupies on disk (bench reporting).
-    pub fn bytes_on_disk(&self) -> u64 {
+    fn bytes_on_disk(&self) -> u64 {
         let mut total = 0u64;
         if let Ok(entries) = std::fs::read_dir(&self.dir) {
             for e in entries.flatten() {
@@ -130,7 +130,7 @@ impl Drop for ShardStore {
 /// Pass 1: the HB-CSF capture body against a weights-only builder. The
 /// returned prefix is entry-for-entry what a full capture's
 /// `Plan::block_weight_prefix` would report.
-pub fn capture_weight_prefix(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Vec<u64> {
+fn capture_weight_prefix(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Vec<u64> {
     let mode = h.perm[0];
     let mut pb = PlanBuilder::new_weights_only("hb-csf", mode, rank, h.dims[mode] as usize);
     super::hbcsf::capture_into(ctx, h, rank, &mut pb);
@@ -139,7 +139,7 @@ pub fn capture_weight_prefix(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Vec<u6
 
 /// Pass 2 for one shard: the capture body against a shard-filtered
 /// builder keeping only blocks `range.0..range.1`.
-pub fn capture_shard(ctx: &GpuContext, h: &Hbcsf, rank: usize, range: (usize, usize)) -> Plan {
+fn capture_shard(ctx: &GpuContext, h: &Hbcsf, rank: usize, range: (usize, usize)) -> Plan {
     let mode = h.perm[0];
     let mut pb = PlanBuilder::new_shard_filter("hb-csf", mode, rank, h.dims[mode] as usize, range);
     super::hbcsf::capture_into(ctx, h, rank, &mut pb);

@@ -15,8 +15,6 @@
 //!   CSL, and the composite HB-CSF kernel (Algorithm 5).
 //! * [`cpd`] — the CPD-ALS driver (Algorithm 1) over any MTTKRP backend,
 //!   a non-negative variant, and factor-match scoring.
-//! * [`ttm`] — sparse tensor-times-matrix (ParTI's companion kernel),
-//!   producing semi-sparse outputs.
 //! * [`preprocess`] — format-construction timing (Figs. 9–10).
 //!
 //! All mode-`n` kernels share one contract: given factor matrices
@@ -37,7 +35,6 @@ pub mod cpu;
 pub mod gpu;
 pub mod preprocess;
 pub mod reference;
-pub mod ttm;
 
 pub use abft::{run_verified, AbftOptions, KernelReport};
 pub use checkpoint::{CheckpointError, CheckpointState, CheckpointStore, Scan, WriteOutcome};

@@ -11,19 +11,11 @@ use sptensor::dims::mode_orientation;
 use sptensor::CooTensor;
 use tensor_formats::{Bcsf, BcsfOptions, Hbcsf};
 
-use crate::cpu::splatt::{SplattAllMode, SplattOptions};
-
 /// Runs `f`, returning its result and elapsed seconds.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
     let r = f();
     (r, start.elapsed().as_secs_f64())
-}
-
-/// Seconds to build SPLATT's ALLMODE representation (`N` CSF trees; tiled
-/// variant builds one tree per leaf tile).
-pub fn splatt_allmode_seconds(t: &CooTensor, opts: SplattOptions) -> f64 {
-    timed(|| SplattAllMode::build(t, opts)).1
 }
 
 /// Seconds to build B-CSF for every mode.
@@ -87,16 +79,9 @@ mod tests {
     #[test]
     fn all_builders_run_and_take_time() {
         let t = standin("uber").unwrap().generate(&SynthConfig::tiny());
-        let s = splatt_allmode_seconds(&t, SplattOptions::nontiled());
-        let st = splatt_allmode_seconds(&t, SplattOptions::tiled());
         let b = bcsf_allmode_seconds(&t, BcsfOptions::default());
         let h = hbcsf_allmode_seconds(&t, BcsfOptions::default());
-        for (name, v) in [
-            ("splatt", s),
-            ("splatt-tiled", st),
-            ("bcsf", b),
-            ("hbcsf", h),
-        ] {
+        for (name, v) in [("bcsf", b), ("hbcsf", h)] {
             assert!(v > 0.0, "{name} reported zero time");
             assert!(v < 60.0, "{name} took implausibly long: {v}");
         }

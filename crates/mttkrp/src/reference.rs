@@ -119,12 +119,6 @@ pub fn random_factors_for_dims(dims: &[sptensor::Index], r: usize, seed: u64) ->
         .collect()
 }
 
-/// Total useful flops of a mode-`n` COO MTTKRP: `N × M × R` multiply-adds
-/// counted as the paper does (Section III-A).
-pub fn coo_flop_count(t: &CooTensor, r: usize) -> u64 {
-    t.order() as u64 * t.nnz() as u64 * r as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,11 +210,5 @@ mod tests {
         let mut factors = random_factors(&t, 3, 1);
         factors[1] = Matrix::zeros(4, 3); // should be 5 rows
         mttkrp(&t, &factors, 0);
-    }
-
-    #[test]
-    fn flop_count_formula() {
-        let t = uniform_random(&[4, 5, 6], 50, 4);
-        assert_eq!(coo_flop_count(&t, 8), 3 * t.nnz() as u64 * 8);
     }
 }

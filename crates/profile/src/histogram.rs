@@ -94,7 +94,7 @@ impl Histogram {
     /// range so single-sample and tight distributions report exactly.
     /// Integer arithmetic throughout — no float rounding to drift across
     /// platforms.
-    pub fn quantile(&self, q: u64) -> u64 {
+    fn quantile(&self, q: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }

@@ -9,7 +9,6 @@
 use crate::histogram::{Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// One completed span: a named interval on the host wall clock, relative
@@ -38,7 +37,7 @@ struct Inner {
 /// or inert via [`Registry::disabled`]; either way the recording API is
 /// identical, so call sites need no `if profiling` branches of their own.
 pub struct Registry {
-    enabled: AtomicBool,
+    enabled: bool,
     epoch: Instant,
     inner: Mutex<Inner>,
 }
@@ -64,7 +63,7 @@ impl Registry {
     /// An enabled registry.
     pub fn new() -> Self {
         Registry {
-            enabled: AtomicBool::new(true),
+            enabled: true,
             epoch: Instant::now(),
             inner: Mutex::new(Inner::default()),
         }
@@ -73,20 +72,17 @@ impl Registry {
     /// A registry that drops everything recorded into it. This is what
     /// un-instrumented runs pass through the profiling plumbing.
     pub fn disabled() -> Self {
-        let r = Registry::new();
-        r.enabled.store(false, Ordering::Relaxed);
-        r
+        Registry {
+            enabled: false,
+            ..Registry::new()
+        }
     }
 
-    /// Whether recording calls currently do anything. Cheap (one relaxed
-    /// load) — callers may consult it to skip argument construction.
+    /// Whether recording calls do anything. Cheap (one field read) —
+    /// callers may consult it to skip argument construction.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Adds `delta` to the named monotonic counter.
@@ -173,7 +169,7 @@ impl Registry {
 
     /// Records an already-measured span (offsets in microseconds since
     /// registry creation).
-    pub fn record_span(&self, name: &str, cat: &str, start_us: f64, dur_us: f64) {
+    fn record_span(&self, name: &str, cat: &str, start_us: f64, dur_us: f64) {
         if !self.enabled() {
             return;
         }
@@ -262,9 +258,7 @@ mod tests {
         assert_eq!(r.counter("x"), 0);
         assert!(r.spans().is_empty());
         assert!(r.histogram("h").is_none());
-        r.set_enabled(true);
-        r.add("x", 10);
-        assert_eq!(r.counter("x"), 10);
+        assert!(!r.enabled());
     }
 
     #[test]

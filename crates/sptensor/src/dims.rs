@@ -6,8 +6,6 @@
 //! SPLATT's ALLMODE convention: the output mode owns the root level so the
 //! kernel never needs atomics across slices.
 
-use crate::Index;
-
 /// A permutation of tensor modes. `perm[level] = original mode index` —
 /// i.e. level 0 of a CSF tree built with this permutation enumerates the
 /// indices of original mode `perm[0]`.
@@ -46,13 +44,6 @@ pub fn is_valid_perm(perm: &[usize], order: usize) -> bool {
         seen[p] = true;
     }
     true
-}
-
-/// Applies `perm` to a coordinate tuple: `out[level] = coord[perm[level]]`.
-#[inline]
-pub fn permute_coord(coord: &[Index], perm: &[usize], out: &mut Vec<Index>) {
-    out.clear();
-    out.extend(perm.iter().map(|&m| coord[m]));
 }
 
 /// Inverse permutation: if `perm[level] = mode`, then `inv[mode] = level`.
@@ -104,15 +95,6 @@ mod tests {
         for (level, &mode) in p.iter().enumerate() {
             assert_eq!(inv[mode], level);
         }
-    }
-
-    #[test]
-    fn permute_coord_reorders() {
-        let coord = [10u32, 20, 30];
-        let perm = mode_orientation(3, 2); // [2, 0, 1]
-        let mut out = Vec::new();
-        permute_coord(&coord, &perm, &mut out);
-        assert_eq!(out, vec![30, 10, 20]);
     }
 
     #[test]

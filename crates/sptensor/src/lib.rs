@@ -37,10 +37,7 @@ pub use coo::{CooTensor, Entry, SortedView};
 pub use dims::{identity_perm, mode_orientation, ModePerm};
 pub use error::{TensorError, TensorResult};
 pub use io::DuplicatePolicy;
-pub use source::{
-    ingest, BinSource, CooChunk, CooSource, IngestEvent, IngestOptions, ProgressSink, TensorSource,
-    TnsSource,
-};
+pub use source::{ingest, BinSource, CooChunk, CooSource, IngestOptions, TensorSource, TnsSource};
 pub use spill::{MergeStream, SortedChunks, SpilledTensor};
 pub use stats::{ModeStats, TensorStats};
 pub use synth::{standins, DatasetSpec, StructuredEntries, SynthConfig, SynthSource};

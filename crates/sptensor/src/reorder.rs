@@ -91,7 +91,7 @@ pub fn relabel_mode_random(t: &CooTensor, mode: usize, seed: u64) -> (CooTensor,
 }
 
 /// Applies `map` (a bijection on mode-`mode` indices) to every nonzero.
-pub fn apply_mode_map(t: &CooTensor, mode: usize, map: &[Index]) -> CooTensor {
+fn apply_mode_map(t: &CooTensor, mode: usize, map: &[Index]) -> CooTensor {
     assert_eq!(map.len(), t.dims()[mode] as usize, "map length mismatch");
     debug_assert!(is_bijection(map), "map must be a bijection");
     let inds = (0..t.order())
@@ -105,18 +105,6 @@ pub fn apply_mode_map(t: &CooTensor, mode: usize, map: &[Index]) -> CooTensor {
         })
         .collect();
     CooTensor::from_parts(t.dims().to_vec(), inds, t.values().to_vec())
-}
-
-/// Permutes the rows of a dense factor to follow a relabeled mode:
-/// `out.row(map[i]) = input.row(i)`. Keeps MTTKRP results consistent
-/// across a relabel.
-pub fn permute_factor_rows(rows: &[Vec<f32>], map: &[Index]) -> Vec<Vec<f32>> {
-    assert_eq!(rows.len(), map.len());
-    let mut out = vec![Vec::new(); rows.len()];
-    for (i, row) in rows.iter().enumerate() {
-        out[map[i] as usize] = row.clone();
-    }
-    out
 }
 
 fn is_bijection(map: &[Index]) -> bool {
@@ -222,13 +210,5 @@ mod tests {
         let mut orig = t.clone();
         orig.sort_by_perm(&identity_perm(3));
         assert_eq!(back, orig);
-    }
-
-    #[test]
-    fn permute_factor_rows_follows_map() {
-        let rows = vec![vec![1.0f32], vec![2.0], vec![3.0]];
-        let map = vec![2 as Index, 0, 1];
-        let out = permute_factor_rows(&rows, &map);
-        assert_eq!(out, vec![vec![2.0], vec![3.0], vec![1.0]]);
     }
 }

@@ -5,7 +5,7 @@
 //! resident `CooTensor`, so the same parsers drive both the in-core
 //! assembly path ([`ingest`]) and the bounded-memory spill path
 //! ([`crate::spill`]). Ingestion behavior —
-//! duplicate policy, chunk size, host-memory budget, progress events —
+//! duplicate policy, chunk size, host-memory budget —
 //! is configured through [`IngestOptions`].
 //!
 //! Contract: for any chunk size, [`ingest`] produces exactly the same
@@ -15,7 +15,6 @@
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::io::{BufRead, Read, Seek, SeekFrom};
-use std::sync::Arc;
 
 use crate::io::DuplicatePolicy;
 use crate::{CooTensor, Index, TensorError, TensorResult, Value};
@@ -90,31 +89,15 @@ impl CooChunk {
     }
 
     /// Approximate resident bytes of one entry at this arity.
-    pub fn entry_bytes(order: usize) -> usize {
+    fn entry_bytes(order: usize) -> usize {
         order * std::mem::size_of::<Index>()
             + std::mem::size_of::<Value>()
             + std::mem::size_of::<u64>()
     }
 }
 
-/// Progress events emitted through [`IngestOptions::with_progress`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum IngestEvent {
-    /// A chunk of raw entries was parsed from the source.
-    ChunkRead { entries: usize, total_entries: u64 },
-    /// A sorted run was spilled to disk (bounded-memory path only).
-    RunSpilled { run: usize, entries: usize },
-    /// The k-way merge over spilled runs began.
-    MergeStarted { runs: usize },
-    /// Ingestion finished with this many surviving entries.
-    Done { entries: u64 },
-}
-
-/// Callback type for ingestion progress events.
-pub type ProgressSink = Arc<dyn Fn(&IngestEvent) + Send + Sync>;
-
-/// Ingestion configuration: duplicate policy, chunk size, host-memory
-/// budget, and an optional progress-event sink. Built fluently:
+/// Ingestion configuration: duplicate policy, chunk size and host-memory
+/// budget. Built fluently:
 ///
 /// ```
 /// use sptensor::{IngestOptions, io::DuplicatePolicy};
@@ -124,23 +107,11 @@ pub type ProgressSink = Arc<dyn Fn(&IngestEvent) + Send + Sync>;
 ///     .with_host_budget(256 << 20);
 /// assert_eq!(opts.policy(), DuplicatePolicy::Sum);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct IngestOptions {
     policy: DuplicatePolicy,
     chunk_nnz: Option<usize>,
     host_budget: Option<u64>,
-    progress: Option<ProgressSink>,
-}
-
-impl std::fmt::Debug for IngestOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IngestOptions")
-            .field("policy", &self.policy)
-            .field("chunk_nnz", &self.chunk_nnz)
-            .field("host_budget", &self.host_budget)
-            .field("progress", &self.progress.as_ref().map(|_| "sink"))
-            .finish()
-    }
 }
 
 /// Default entries per chunk when neither a chunk size nor a budget is
@@ -172,12 +143,6 @@ impl IngestOptions {
         self
     }
 
-    /// Installs a progress-event callback.
-    pub fn with_progress(mut self, sink: ProgressSink) -> Self {
-        self.progress = Some(sink);
-        self
-    }
-
     pub fn policy(&self) -> DuplicatePolicy {
         self.policy
     }
@@ -201,12 +166,6 @@ impl IngestOptions {
             chunk = chunk.min(cap.max(1024) as usize);
         }
         chunk.max(1)
-    }
-
-    pub(crate) fn emit(&self, event: IngestEvent) {
-        if let Some(sink) = &self.progress {
-            sink(&event);
-        }
     }
 }
 
@@ -662,7 +621,6 @@ pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorRes
     // First occurrence of each coordinate tuple (Reject/Sum only).
     let mut seen = FirstSeen::new();
     let mut chunk = CooChunk::default();
-    let mut total: u64 = 0;
 
     loop {
         let chunk_nnz = opts.effective_chunk_nnz(order.unwrap_or(3));
@@ -670,7 +628,6 @@ pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorRes
         if n == 0 {
             break;
         }
-        total += n as u64;
         match order {
             None => {
                 order = Some(chunk.order());
@@ -719,10 +676,6 @@ pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorRes
             }
             vals.push(v);
         }
-        opts.emit(IngestEvent::ChunkRead {
-            entries: n,
-            total_entries: total,
-        });
     }
 
     let t = match declared {
@@ -748,9 +701,6 @@ pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorRes
             CooTensor::from_parts(dims, inds, vals)
         }
     };
-    opts.emit(IngestEvent::Done {
-        entries: t.nnz() as u64,
-    });
     Ok(t)
 }
 
@@ -1315,23 +1265,6 @@ mod tests {
         assert!(opts.effective_chunk_nnz(3) < 1 << 24);
         let unbounded = IngestOptions::new().with_chunk_nnz(1 << 24);
         assert_eq!(unbounded.effective_chunk_nnz(3), 1 << 24);
-    }
-
-    #[test]
-    fn progress_events_fire() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let chunks = Arc::new(AtomicUsize::new(0));
-        let c2 = chunks.clone();
-        let opts = IngestOptions::new()
-            .with_chunk_nnz(2)
-            .with_progress(Arc::new(move |e: &IngestEvent| {
-                if matches!(e, IngestEvent::ChunkRead { .. }) {
-                    c2.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        let text = "1 1 1 1.0\n2 2 2 2.0\n3 3 3 3.0\n";
-        ingest(tns(text), &opts).unwrap();
-        assert_eq!(chunks.load(Ordering::Relaxed), 2);
     }
 
     #[test]

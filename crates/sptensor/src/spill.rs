@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 use crate::io::DuplicatePolicy;
 use crate::key::CoordKey;
-use crate::source::{CooChunk, IngestEvent, IngestOptions, TensorSource};
+use crate::source::{CooChunk, IngestOptions, TensorSource};
 use crate::{CooTensor, Index, TensorError, TensorResult, Value};
 
 /// A rescannable producer of sorted, policy-applied entry chunks — the
@@ -29,8 +29,8 @@ use crate::{CooTensor, Index, TensorError, TensorResult, Value};
 /// which fills its tree in a single pass. Two producers exist: the
 /// spill-run merge ([`MergeStream`]) for tensors that stay on disk, and
 /// the argsort view ([`crate::SortedView`]) for resident ones. `rewind`
-/// restarts the stream from the first entry, for consumers that read it
-/// more than once (the columnar `.bin` writer).
+/// restarts the stream from the first entry, so a consumer reads the
+/// whole stream whatever was read from it before.
 pub trait SortedChunks {
     /// Mode extents of the underlying tensor.
     fn dims(&self) -> &[Index];
@@ -61,8 +61,6 @@ pub struct SpilledTensor {
     perm: Vec<usize>,
     /// Post-policy entry count (exact; established by a validation merge).
     nnz: u64,
-    /// Raw entries across the runs, duplicates included.
-    raw_entries: u64,
     policy: DuplicatePolicy,
     chunk_nnz: usize,
 }
@@ -90,7 +88,6 @@ impl SpilledTensor {
         let mut chunk = CooChunk::default();
         let mut order: Option<usize> = None;
         let mut maxima: Vec<Index> = Vec::new();
-        let mut raw_entries = 0u64;
         let mut chunk_nnz = opts.effective_chunk_nnz(3);
 
         loop {
@@ -98,7 +95,6 @@ impl SpilledTensor {
             if n == 0 {
                 break;
             }
-            raw_entries += n as u64;
             match order {
                 None => {
                     order = Some(chunk.order());
@@ -122,14 +118,6 @@ impl SpilledTensor {
             sort_chunk(&mut chunk, &identity);
             let path = run_dir.join(format!("run{:06}.bin", runs.len()));
             write_run(&chunk, &path)?;
-            opts.emit(IngestEvent::ChunkRead {
-                entries: n,
-                total_entries: raw_entries,
-            });
-            opts.emit(IngestEvent::RunSpilled {
-                run: runs.len(),
-                entries: n,
-            });
             runs.push(path);
         }
 
@@ -156,14 +144,10 @@ impl SpilledTensor {
             perm: (0..dims.len()).collect(),
             dims,
             nnz: 0,
-            raw_entries,
             policy: opts.policy(),
             chunk_nnz,
         };
-        spilled.nnz = spilled.validate_merge(opts)?;
-        opts.emit(IngestEvent::Done {
-            entries: spilled.nnz,
-        });
+        spilled.nnz = spilled.validate_merge()?;
         Ok(spilled)
     }
 
@@ -171,10 +155,7 @@ impl SpilledTensor {
     /// [`DuplicatePolicy::Reject`], reproduces the in-core duplicate
     /// error — the earliest (in source order) entry that collides with
     /// an earlier one, by line number.
-    fn validate_merge(&self, opts: &IngestOptions) -> TensorResult<u64> {
-        opts.emit(IngestEvent::MergeStarted {
-            runs: self.runs.len(),
-        });
+    fn validate_merge(&self) -> TensorResult<u64> {
         let mut merge = RawMerge::open(&self.runs, self.dims.len(), &self.perm)?;
         let order = self.dims.len();
         // The current coordinate group: its coordinates (one reused
@@ -226,11 +207,6 @@ impl SpilledTensor {
         self.nnz
     }
 
-    /// Raw entries spilled, before duplicate folding.
-    pub fn raw_entries(&self) -> u64 {
-        self.raw_entries
-    }
-
     pub fn policy(&self) -> DuplicatePolicy {
         self.policy
     }
@@ -274,10 +250,6 @@ impl SpilledTensor {
             sort_chunk(&mut chunk, perm);
             let path = run_dir.join(format!("run{:06}.bin", runs.len()));
             write_run(&chunk, &path)?;
-            opts.emit(IngestEvent::RunSpilled {
-                run: runs.len(),
-                entries: n,
-            });
             runs.push(path);
         }
         Ok(SpilledTensor {
@@ -286,7 +258,6 @@ impl SpilledTensor {
             dims: self.dims.clone(),
             perm: perm.to_vec(),
             nnz: self.nnz,
-            raw_entries: self.nnz,
             policy: DuplicatePolicy::Keep,
             chunk_nnz,
         })
@@ -565,101 +536,6 @@ impl SortedChunks for MergeStream<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Streaming writers
-// ---------------------------------------------------------------------
-
-/// Writes `.tns` text from a sorted stream in one pass.
-pub fn write_tns_stream<W: Write>(
-    stream: &mut dyn SortedChunks,
-    mut w: W,
-    chunk_nnz: usize,
-) -> TensorResult<()> {
-    let mut chunk = CooChunk::default();
-    let mut buf = String::new();
-    loop {
-        let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        for i in 0..n {
-            buf.clear();
-            for arr in &chunk.coords {
-                buf.push_str(itoa(arr[i] as u64 + 1).as_str());
-                buf.push(' ');
-            }
-            let v = chunk.vals[i];
-            if !v.is_finite() {
-                return Err(TensorError::invalid(
-                    "tns",
-                    "non-finite value cannot be written",
-                ));
-            }
-            buf.push_str(&format!("{v}"));
-            buf.push('\n');
-            w.write_all(buf.as_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Writes the SPT1 binary format from a sorted stream. The layout is
-/// columnar, so the stream is rescanned once per mode plus once for the
-/// values — `order + 1` sequential passes, constant memory.
-pub fn write_bin_stream<W: Write>(
-    stream: &mut dyn SortedChunks,
-    mut w: W,
-    chunk_nnz: usize,
-) -> TensorResult<()> {
-    let dims = stream.dims().to_vec();
-    let nnz = stream.nnz();
-    w.write_all(crate::io::BIN_MAGIC)?;
-    w.write_all(&[dims.len() as u8])?;
-    for &d in &dims {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    w.write_all(&nnz.to_le_bytes())?;
-    let mut chunk = CooChunk::default();
-    for m in 0..dims.len() {
-        stream.rewind()?;
-        loop {
-            let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-            if n == 0 {
-                break;
-            }
-            for &i in &chunk.coords[m] {
-                w.write_all(&i.to_le_bytes())?;
-            }
-        }
-    }
-    stream.rewind()?;
-    loop {
-        let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        for &v in &chunk.vals {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Allocation-light u64 decimal formatting for the hot `.tns` writer.
-fn itoa(mut v: u64) -> String {
-    if v == 0 {
-        return "0".to_string();
-    }
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    while v > 0 {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    String::from_utf8_lossy(&buf[i..]).into_owned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,38 +692,6 @@ mod tests {
                 assert_eq!(back, batch, "{name} chunk {chunk}");
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streamed_bin_writer_matches_incore_writer() {
-        let t = crate::synth::uniform_random(&[8, 9, 10], 250, 4);
-        let dir = tmp();
-        let opts = IngestOptions::new()
-            .with_policy(DuplicatePolicy::Keep)
-            .with_chunk_nnz(29);
-        let spilled = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
-        let mut streamed = Vec::new();
-        write_bin_stream(&mut spilled.stream().unwrap(), &mut streamed, 41).unwrap();
-        let mut incore = Vec::new();
-        crate::io::write_bin(&t, &mut incore).unwrap();
-        assert_eq!(streamed, incore, "byte-identical SPT1 output");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streamed_tns_writer_matches_incore_writer() {
-        let t = crate::synth::uniform_random(&[8, 9, 10], 120, 6);
-        let dir = tmp();
-        let opts = IngestOptions::new()
-            .with_policy(DuplicatePolicy::Keep)
-            .with_chunk_nnz(17);
-        let spilled = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
-        let mut streamed = Vec::new();
-        write_tns_stream(&mut spilled.stream().unwrap(), &mut streamed, 23).unwrap();
-        let mut incore = Vec::new();
-        crate::io::write_tns(&t, &mut incore).unwrap();
-        assert_eq!(streamed, incore);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -99,21 +99,11 @@ impl ModeStats {
     /// Stats for the orientation that puts `mode` at the root level. The
     /// nonzeros are walked through the argsort that feeds the resident
     /// format builds ([`CooTensor::sorted`]), so the tensor is not copied
-    /// and the stats equal [`ModeStats::from_sorted`] on a sorted copy.
+    /// and the stats equal those of a sorted copy.
     pub fn compute(t: &CooTensor, mode: usize) -> ModeStats {
         let perm = mode_orientation(t.order(), mode);
         let order = t.argsort(&perm);
         Self::walk(t, &perm, |k| order[k] as usize)
-    }
-
-    /// Stats for a tensor already sorted under `perm`. Level-0 mode of the
-    /// orientation is reported as `mode`.
-    ///
-    /// # Panics
-    /// (debug builds) if the tensor is not sorted under `perm`.
-    pub fn from_sorted(t: &CooTensor, perm: &ModePerm) -> ModeStats {
-        debug_assert!(t.is_sorted_by_perm(perm), "tensor must be sorted");
-        Self::walk(t, perm, |k| k)
     }
 
     /// Stats over the nonzeros in the order `at(0), at(1), …`, which must
@@ -207,7 +197,7 @@ impl Log2Histogram {
     }
 
     /// Inclusive-exclusive value range of bucket `b`.
-    pub fn bucket_range(b: usize) -> (usize, usize) {
+    fn bucket_range(b: usize) -> (usize, usize) {
         (1usize << b, 1usize << (b + 1))
     }
 
@@ -369,7 +359,7 @@ mod tests {
                 sorted.sort_by_perm(&perm);
                 assert_eq!(
                     ModeStats::compute(&t, mode),
-                    ModeStats::from_sorted(&sorted, &perm),
+                    ModeStats::compute(&sorted, mode),
                     "dims {dims:?} mode {mode}"
                 );
             }

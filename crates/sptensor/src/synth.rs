@@ -135,12 +135,6 @@ impl DatasetSpec {
         self.paper_dims.len()
     }
 
-    /// Density from Table III numbers.
-    pub fn paper_density(&self) -> f64 {
-        let cells: f64 = self.paper_dims.iter().map(|&d| d as f64).product();
-        self.paper_nnz as f64 / cells
-    }
-
     /// The distribution knobs this spec feeds the structured generator.
     pub fn structure_params(&self) -> StructureParams {
         StructureParams {
@@ -156,8 +150,8 @@ impl DatasetSpec {
     /// Generates the stand-in tensor. Deterministic in `(self, cfg)`.
     pub fn generate(&self, cfg: &SynthConfig) -> CooTensor {
         let dims = self.scaled_dims(cfg.nnz);
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ fnv1a(self.name));
-        generate_structured(&dims, cfg.nnz, &self.structure_params(), &mut rng)
+        let rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ fnv1a(self.name));
+        generate_structured(&dims, cfg.nnz, &self.structure_params(), rng)
     }
 
     /// Streaming counterpart of [`DatasetSpec::generate`]: a
@@ -177,7 +171,7 @@ impl DatasetSpec {
     }
 }
 
-/// Distribution knobs for [`generate_structured`].
+/// Distribution knobs for the structured generator ([`StructuredEntries`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StructureParams {
     pub slice_alpha: f64,
@@ -390,23 +384,23 @@ pub fn uniform_random(dims: &[Index], nnz: usize, seed: u64) -> CooTensor {
 ///
 /// Batch form of [`StructuredEntries`]: drains the pull generator into a
 /// resident tensor, then canonicalizes (stable sort + duplicate fold).
-pub fn generate_structured(
+fn generate_structured(
     dims: &[Index],
     nnz: usize,
     p: &StructureParams,
-    rng: &mut ChaCha8Rng,
+    rng: ChaCha8Rng,
 ) -> CooTensor {
-    let mut entries = StructuredEntries::new(dims, nnz, p, rng.clone());
+    let mut entries = StructuredEntries::new(dims, nnz, p, rng);
     let mut t = CooTensor::new(dims.to_vec());
     while let Some((coord, v)) = entries.next_entry() {
         t.push(coord, v);
     }
-    *rng = entries.into_rng();
     finish(t)
 }
 
-/// Resumable pull form of [`generate_structured`]: draws entries one at
-/// a time with the *exact* RNG call sequence of the batch generator, so
+/// Resumable pull form of the batch generator behind
+/// [`DatasetSpec::generate`]: draws entries one at a time with the
+/// *exact* RNG call sequence of the batch generator, so
 /// draining it reproduces the batch output entry for entry while never
 /// holding more than one fiber's last-mode picks in memory. The setup
 /// state (per-slice counts, slice-id shuffle, samplers) is
@@ -485,14 +479,8 @@ impl StructuredEntries {
 
     /// Raw entries a full drain yields (duplicates included): exactly the
     /// configured nnz budget.
-    pub fn total_entries(&self) -> u64 {
+    fn total_entries(&self) -> u64 {
         self.slice_counts.iter().map(|&c| u64::from(c)).sum()
-    }
-
-    /// Recovers the RNG after a drain, in the exact state the batch
-    /// generator leaves it.
-    pub fn into_rng(self) -> ChaCha8Rng {
-        self.rng
     }
 
     /// Draws the next raw entry (duplicates possible), or `None` when the
@@ -660,7 +648,7 @@ fn sample_slice_counts(i_extent: usize, nnz: usize, alpha: f64, seed: u64) -> Ve
 
 /// Coefficient of variation (stdev / mean) over the *non-empty* slices —
 /// the scale-invariant form of Table II's slice-skew column.
-pub fn slice_cv(counts: &[u32]) -> f64 {
+fn slice_cv(counts: &[u32]) -> f64 {
     let nonzero: Vec<f64> = counts
         .iter()
         .filter(|&&c| c > 0)

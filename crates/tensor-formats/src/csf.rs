@@ -223,7 +223,7 @@ impl Csf {
 
     /// The leaf (nonzero) range covered by the subtree rooted at group `g`
     /// of level `level` — i.e. the nonzeros of a slice when `level == 0`.
-    pub fn subtree_leaf_range(&self, level: usize, g: usize) -> std::ops::Range<usize> {
+    fn subtree_leaf_range(&self, level: usize, g: usize) -> std::ops::Range<usize> {
         let nlev = self.order() - 1;
         let (mut lo, mut hi) = (g, g + 1);
         for l in level..nlev {

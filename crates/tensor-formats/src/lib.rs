@@ -17,9 +17,6 @@
 //!   bit-flags replace the output-mode index array.
 //! * [`hicoo`] — Hierarchical COO (Li et al., the HiCOO CPU baseline):
 //!   block-compressed indices.
-//! * [`csr`] — CSR and DCSR sparse matrices, the lineage CSF descends
-//!   from (Section III-B), plus mode-`n` matricization; the substrate for
-//!   the DFacTo baseline.
 //! * [`storage`] — index-storage accounting in bytes for every format
 //!   (regenerates the paper's Fig. 16 and the Section III formulas).
 
@@ -33,18 +30,15 @@ pub mod bcsf;
 pub mod bitvec;
 pub mod csf;
 pub mod csl;
-pub mod csr;
 pub mod fcoo;
 pub mod hbcsf;
 pub mod hicoo;
-pub mod opcount;
 pub mod storage;
 
 pub use bcsf::{Bcsf, BcsfOptions, BlockAssignment};
 pub use bitvec::BitVec;
 pub use csf::Csf;
 pub use csl::Csl;
-pub use csr::{matricize, Csr, Dcsr};
 pub use fcoo::Fcoo;
 pub use hbcsf::{Hbcsf, SliceClass};
 pub use hicoo::Hicoo;
