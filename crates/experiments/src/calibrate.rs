@@ -230,6 +230,9 @@ pub struct Verdict {
     pub note: &'static str,
     pub metric: &'static str,
     pub pass: bool,
+    /// The claim names a dataset the fleet did not run, so it was not
+    /// evaluated (`pass` is false). A skip does not fail the run.
+    pub skipped: bool,
     /// Human-readable account of the comparison actually made.
     pub detail: String,
 }
@@ -260,7 +263,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     fn all_pass(&self) -> bool {
-        self.verdicts.iter().all(|v| v.pass) && self.trace_check.exact
+        self.verdicts.iter().all(|v| v.pass || v.skipped) && self.trace_check.exact
     }
 
     pub fn to_json(&self, cfg: &FleetConfig) -> serde_json::Value {
@@ -291,6 +294,7 @@ impl FleetReport {
                 "note": v.note,
                 "metric": v.metric,
                 "pass": v.pass,
+                "skipped": v.skipped,
                 "detail": v.detail,
             })).collect::<Vec<_>>(),
             "trace_check": serde_json::json!({
@@ -343,7 +347,7 @@ impl FleetReport {
             writeln!(
                 w,
                 "{} {:<32} [{}] {}",
-                mark(v.pass),
+                if v.skipped { "SKIP" } else { mark(v.pass) },
                 v.id,
                 v.metric,
                 v.detail
@@ -369,7 +373,25 @@ fn find<'a>(cells: &'a [Cell], dataset: &str, format: &str) -> Option<&'a Cell> 
         .find(|c| c.dataset == dataset && c.format == format)
 }
 
+/// Evaluates `e` over the fleet's cells. A claim about a dataset with no
+/// cells — one left out of `--datasets` — is skipped, not failed.
 fn evaluate(cells: &[Cell], e: &Expectation) -> Verdict {
+    let named = match &e.check {
+        Check::FormatOrder { dataset, .. } | Check::DatasetIsWorst { dataset, .. } => {
+            Some(*dataset)
+        }
+        Check::NearBestEverywhere { .. } => None,
+    };
+    if let Some(dataset) = named.filter(|d| !cells.iter().any(|c| c.dataset == *d)) {
+        return Verdict {
+            id: e.id,
+            note: e.note,
+            metric: e.metric.name(),
+            pass: false,
+            skipped: true,
+            detail: format!("{dataset}: not in the fleet"),
+        };
+    }
     let (pass, detail) = match &e.check {
         Check::FormatOrder {
             dataset,
@@ -446,6 +468,7 @@ fn evaluate(cells: &[Cell], e: &Expectation) -> Verdict {
         note: e.note,
         metric: e.metric.name(),
         pass,
+        skipped: false,
         detail,
     }
 }
@@ -560,4 +583,70 @@ pub fn calibrate(cfg: &FleetConfig, out: &Path, w: &mut impl Write) -> Result<()
         return Err("calibration failed: a paper ordering does not hold".into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(dataset: &str, format: &'static str, gflops: f64) -> Cell {
+        Cell {
+            dataset: dataset.to_string(),
+            format,
+            mean_time_us: 1.0,
+            gflops,
+            sm_efficiency: 50.0,
+            occupancy: 50.0,
+            l2_hit_rate: 50.0,
+        }
+    }
+
+    #[test]
+    fn claims_about_datasets_outside_the_fleet_are_skipped() {
+        let cells = vec![cell("darpa", "bcsf", 4.0), cell("darpa", "csf", 1.0)];
+        let verdicts: Vec<Verdict> = paper_expectations()
+            .iter()
+            .map(|e| evaluate(&cells, e))
+            .collect();
+        let flick = verdicts
+            .iter()
+            .find(|v| v.id == "hbcsf-beats-csf-on-flick")
+            .unwrap();
+        assert!(flick.skipped && !flick.pass, "{}", flick.detail);
+        let darpa = verdicts
+            .iter()
+            .find(|v| v.id == "bcsf-beats-csf-on-darpa")
+            .unwrap();
+        assert!(darpa.pass && !darpa.skipped, "{}", darpa.detail);
+        // A dataset in the fleet with a format missing still fails.
+        let lone = vec![cell("flick-3d", "csf", 1.0)];
+        let missing = paper_expectations()
+            .iter()
+            .map(|e| evaluate(&lone, e))
+            .find(|v| v.id == "hbcsf-beats-csf-on-flick")
+            .unwrap();
+        assert!(!missing.pass && !missing.skipped, "{}", missing.detail);
+
+        let report = FleetReport {
+            cells,
+            skipped: Vec::new(),
+            latency_histograms: BTreeMap::new(),
+            verdicts,
+            trace_check: TraceCheck {
+                kernel: "hb-csf".into(),
+                accesses: 0,
+                live_hit_rate: 0.0,
+                replay_hit_rate: 0.0,
+                exact: true,
+            },
+        };
+        // Every claim the darpa-only fleet can evaluate holds, so the
+        // skipped flick-3d claim leaves the run passing.
+        assert!(report.all_pass());
+        let mut text = Vec::new();
+        report.print(&mut text).unwrap();
+        assert!(String::from_utf8(text)
+            .unwrap()
+            .contains("SKIP hbcsf-beats-csf-on-flick"));
+    }
 }

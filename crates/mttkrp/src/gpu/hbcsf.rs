@@ -32,7 +32,7 @@ pub(crate) fn plan_impl(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Plan {
 
 /// The capture body behind [`plan_impl`], parameterized over the builder
 /// so the streaming capture (`super::stream`) can run it with a
-/// weights-only or shard-filtered builder. The emit sequence — and with
+/// weights-only or a sharded builder. The emit sequence — and with
 /// it every block ordinal and weight — is identical regardless of what
 /// the builder retains.
 pub(crate) fn capture_into(ctx: &GpuContext, h: &Hbcsf, rank: usize, pb: &mut PlanBuilder) {

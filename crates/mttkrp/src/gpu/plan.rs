@@ -37,7 +37,7 @@ use gpu_sim::{
 };
 use rayon::prelude::*;
 use simprof::FieldValue;
-use sptensor::CooTensor;
+use sptensor::{CooTensor, TensorError, TensorResult};
 use tensor_formats::{BcsfOptions, Hbcsf};
 
 use super::common::{axpy_into, scale_by, AbftSink, FactorAddrs, GpuContext, GpuRun};
@@ -178,6 +178,23 @@ pub struct ReplaySchedule {
 }
 
 impl ReplaySchedule {
+    /// A schedule with no blocks yet, whose leaf terms read `leaf_mode`.
+    fn empty(leaf_mode: usize) -> ReplaySchedule {
+        ReplaySchedule {
+            leaf_mode,
+            block_ptr: Vec::new(),
+            rows: Vec::new(),
+            init_vals: Vec::new(),
+            leaf_ptr: Vec::new(),
+            leaf_vals: Vec::new(),
+            leaf_rows: Vec::new(),
+            chain_ptr: Vec::new(),
+            chain_modes: Vec::new(),
+            chain_rows: Vec::new(),
+            reach: Vec::new(),
+        }
+    }
+
     /// Number of captured thread blocks (== `begin_block` calls, which can
     /// exceed the launch's block count when a kernel probes past its last
     /// block — fault draws key on this same ordinal either way).
@@ -380,9 +397,9 @@ fn factor_row(data: &[f32], row: u32, r: usize) -> &[f32] {
 /// is mode-blind — it calls the same `begin_block`/`contrib`/`leaf`/
 /// `chain` sequence either way — so the block ordinals, weights, and kept
 /// schedules are identical across modes by construction. This is what lets
-/// the streaming capture (`super::stream`) run the emit body a few times
-/// with small builders instead of once with a whole-schedule builder.
-pub(crate) enum CaptureMode {
+/// the streaming capture (`super::stream`) run the emit body twice with
+/// small builders instead of once with a whole-schedule builder.
+pub(crate) enum CaptureMode<'a> {
     /// Retain everything (the classic capture).
     Full,
     /// Retain only a per-block weight (`1 + contribs + leaves + chains`,
@@ -396,25 +413,35 @@ pub(crate) enum CaptureMode {
         leaves: u64,
         chains: u64,
     },
-    /// Retain only blocks with global ordinal in `keep_begin..keep_end`
-    /// (block ordinal = `begin_block` call count, exactly the ordinals
-    /// [`Plan::block_weight_prefix`] weights). Out-of-range contributions
-    /// are dropped as they arrive, and launch blocks are dropped for
-    /// *every* block — shard plans are values-only replay artifacts
-    /// (only the schedule is serialized), so keeping the simulation
-    /// instruction stream would only inflate capture-time peak memory.
-    ShardFilter {
-        keep_begin: usize,
-        keep_end: usize,
-        seen: usize,
-        active: bool,
-    },
+    /// Retain one shard's blocks at a time: shard `s` holds the global
+    /// block ordinals `ends[s - 1]..ends[s]` (the `shard_ranges` cuts,
+    /// with the same ordinals [`Plan::block_weight_prefix`] weights).
+    /// When the emit passes a cut, the kept schedule is sealed into a
+    /// plan exactly as [`PlanBuilder::finish`] seals, handed to `sink`
+    /// with its shard index, and dropped. Launch blocks are dropped for
+    /// every block — shard plans are values-only replay artifacts (only
+    /// the schedule is serialized), so keeping the simulation instruction
+    /// stream would only inflate capture-time peak memory.
+    Sharded(ShardSeal<'a>),
+}
+
+/// The state of a [`CaptureMode::Sharded`] capture.
+pub(crate) struct ShardSeal<'a> {
+    /// End block ordinal of each shard; the last is the block count.
+    ends: Vec<usize>,
+    /// The shard the kept schedule belongs to.
+    shard: usize,
+    /// Blocks begun so far.
+    seen: usize,
+    sink: &'a mut dyn FnMut(usize, &Plan) -> TensorResult<()>,
+    /// The sink's first error; later shards are sealed but not handed on.
+    error: Option<TensorError>,
 }
 
 /// Capture-time recorder the kernels emit into: collects the
 /// [`KernelLaunch`] (blocks/warps/ops) and the [`ReplaySchedule`]
 /// side by side, replacing the historical `(launch, y, sink)` triple.
-pub(crate) struct PlanBuilder {
+pub(crate) struct PlanBuilder<'a> {
     name: String,
     mode: usize,
     rank: usize,
@@ -423,16 +450,21 @@ pub(crate) struct PlanBuilder {
     pub launch: KernelLaunch,
     sched: ReplaySchedule,
     footprint: MemoryFootprint,
-    capture: CaptureMode,
+    capture: CaptureMode<'a>,
 }
 
-impl PlanBuilder {
-    pub fn new(name: &str, mode: usize, rank: usize, out_rows: usize) -> PlanBuilder {
+impl<'a> PlanBuilder<'a> {
+    pub fn new(name: &str, mode: usize, rank: usize, out_rows: usize) -> PlanBuilder<'a> {
         Self::with_capture(name, mode, rank, out_rows, CaptureMode::Full)
     }
 
     /// A builder that records only per-block weights (streaming pass 1).
-    pub fn new_weights_only(name: &str, mode: usize, rank: usize, out_rows: usize) -> PlanBuilder {
+    pub fn new_weights_only(
+        name: &str,
+        mode: usize,
+        rank: usize,
+        out_rows: usize,
+    ) -> PlanBuilder<'a> {
         Self::with_capture(
             name,
             mode,
@@ -448,26 +480,30 @@ impl PlanBuilder {
         )
     }
 
-    /// A builder that keeps only blocks `range.0..range.1` (streaming
-    /// pass 2, one shard).
-    pub fn new_shard_filter(
+    /// A builder that seals shard `s` — blocks `ranges[s].0..ranges[s].1`
+    /// of consecutive, covering `ranges` — into `sink` as soon as the
+    /// emit passes its end (streaming pass 2, every shard in one pass).
+    pub fn new_sharded(
         name: &str,
         mode: usize,
         rank: usize,
         out_rows: usize,
-        range: (usize, usize),
-    ) -> PlanBuilder {
+        ranges: &[(usize, usize)],
+        sink: &'a mut dyn FnMut(usize, &Plan) -> TensorResult<()>,
+    ) -> PlanBuilder<'a> {
+        assert!(!ranges.is_empty(), "a sharded capture needs a shard");
         Self::with_capture(
             name,
             mode,
             rank,
             out_rows,
-            CaptureMode::ShardFilter {
-                keep_begin: range.0,
-                keep_end: range.1,
+            CaptureMode::Sharded(ShardSeal {
+                ends: ranges.iter().map(|r| r.1).collect(),
+                shard: 0,
                 seen: 0,
-                active: true,
-            },
+                sink,
+                error: None,
+            }),
         )
     }
 
@@ -476,27 +512,15 @@ impl PlanBuilder {
         mode: usize,
         rank: usize,
         out_rows: usize,
-        capture: CaptureMode,
-    ) -> PlanBuilder {
+        capture: CaptureMode<'a>,
+    ) -> PlanBuilder<'a> {
         PlanBuilder {
             name: name.to_string(),
             mode,
             rank,
             out_rows,
             launch: KernelLaunch::new(name),
-            sched: ReplaySchedule {
-                leaf_mode: 0,
-                block_ptr: Vec::new(),
-                rows: Vec::new(),
-                init_vals: Vec::new(),
-                leaf_ptr: Vec::new(),
-                leaf_vals: Vec::new(),
-                leaf_rows: Vec::new(),
-                chain_ptr: Vec::new(),
-                chain_modes: Vec::new(),
-                chain_rows: Vec::new(),
-                reach: Vec::new(),
-            },
+            sched: ReplaySchedule::empty(0),
             footprint: MemoryFootprint::default(),
             capture,
         }
@@ -537,18 +561,12 @@ impl PlanBuilder {
                 // calls; a weights pass has no use for them.
                 self.launch.blocks.clear();
             }
-            CaptureMode::ShardFilter {
-                keep_begin,
-                keep_end,
-                seen,
-                active,
-            } => {
+            CaptureMode::Sharded(cut) => {
+                let block = cut.seen;
+                cut.seen += 1;
                 self.launch.blocks.clear();
-                *active = (*keep_begin..*keep_end).contains(seen);
-                *seen += 1;
-                if *active {
-                    self.sched.block_ptr.push(self.sched.rows.len() as u32);
-                }
+                self.seal_shards(Some(block));
+                self.sched.block_ptr.push(self.sched.rows.len() as u32);
             }
         }
     }
@@ -556,13 +574,9 @@ impl PlanBuilder {
     /// Starts a contribution to output row `row` with accumulator seed
     /// `init` (used only if no leaves follow).
     pub fn contrib(&mut self, row: usize, init: f32) {
-        match &mut self.capture {
-            CaptureMode::WeightsOnly { contribs, .. } => {
-                *contribs += 1;
-                return;
-            }
-            CaptureMode::ShardFilter { active: false, .. } => return,
-            _ => {}
+        if let CaptureMode::WeightsOnly { contribs, .. } = &mut self.capture {
+            *contribs += 1;
+            return;
         }
         self.sched.rows.push(row as u32);
         self.sched.init_vals.push(init);
@@ -575,13 +589,9 @@ impl PlanBuilder {
     /// Appends a leaf term `val × factors[leaf_mode].row(row)` to the
     /// current contribution.
     pub fn leaf(&mut self, val: f32, row: usize) {
-        match &mut self.capture {
-            CaptureMode::WeightsOnly { leaves, .. } => {
-                *leaves += 1;
-                return;
-            }
-            CaptureMode::ShardFilter { active: false, .. } => return,
-            _ => {}
+        if let CaptureMode::WeightsOnly { leaves, .. } = &mut self.capture {
+            *leaves += 1;
+            return;
         }
         self.sched.leaf_vals.push(val);
         self.sched.leaf_rows.push(row as u32);
@@ -590,46 +600,86 @@ impl PlanBuilder {
     /// Appends a Hadamard scaling by `factors[mode].row(row)` to the
     /// current contribution.
     pub fn chain(&mut self, mode: usize, row: usize) {
-        match &mut self.capture {
-            CaptureMode::WeightsOnly { chains, .. } => {
-                *chains += 1;
-                return;
-            }
-            CaptureMode::ShardFilter { active: false, .. } => return,
-            _ => {}
+        if let CaptureMode::WeightsOnly { chains, .. } = &mut self.capture {
+            *chains += 1;
+            return;
         }
         self.sched.chain_modes.push(mode as u32);
         self.sched.chain_rows.push(row as u32);
     }
 
     /// Seals the capture into an executable [`Plan`].
-    ///
-    /// For a [`CaptureMode::ShardFilter`] builder the plan covers only the
-    /// kept block range, with *local* block ordinals — correct for clean
-    /// replay (the ordered fold is position-independent) but not for
-    /// fault draws, which key on global ordinals.
     pub fn finish(mut self) -> Plan {
-        if let CaptureMode::ShardFilter { .. } = self.capture {
-            self.launch.blocks.clear();
-        }
-        self.sched.block_ptr.push(self.sched.rows.len() as u32);
-        self.sched.leaf_ptr.push(self.sched.leaf_vals.len() as u32);
-        self.sched
-            .chain_ptr
-            .push(self.sched.chain_modes.len() as u32);
-        self.sched.measure_reach();
+        self.seal()
+    }
+
+    /// Seals the kept schedule into a [`Plan`], leaving an empty schedule
+    /// (same leaf mode) and launch behind. A shard plan sealed this way
+    /// has *local* block ordinals — correct for clean replay (the ordered
+    /// fold is position-independent) but not for fault draws, which key
+    /// on global ordinals.
+    fn seal(&mut self) -> Plan {
+        let fresh = ReplaySchedule::empty(self.sched.leaf_mode);
+        let mut sched = std::mem::replace(&mut self.sched, fresh);
+        sched.block_ptr.push(sched.rows.len() as u32);
+        sched.leaf_ptr.push(sched.leaf_vals.len() as u32);
+        sched.chain_ptr.push(sched.chain_modes.len() as u32);
+        sched.measure_reach();
         Plan {
-            name: self.name,
+            name: self.name.clone(),
             mode: self.mode,
             rank: self.rank,
             out_rows: self.out_rows,
             dispatch: RankDispatch::for_rank(self.rank),
-            launch: self.launch,
-            sched: self.sched,
+            launch: std::mem::replace(&mut self.launch, KernelLaunch::new(&self.name)),
+            sched,
             footprint: self.footprint,
             sim_clean: OnceLock::new(),
             sim_faulted: Mutex::new(None),
             sim_tiled: Mutex::new(None),
+        }
+    }
+
+    /// Under [`CaptureMode::Sharded`], seals each shard that ends at or
+    /// before block ordinal `block` — every shard left when `None` — and
+    /// hands it to the sink. The last shard seals only at the end.
+    fn seal_shards(&mut self, block: Option<usize>) {
+        loop {
+            let CaptureMode::Sharded(cut) = &self.capture else {
+                return;
+            };
+            let due = match block {
+                Some(b) => cut.shard + 1 < cut.ends.len() && cut.ends[cut.shard] <= b,
+                None => cut.shard < cut.ends.len(),
+            };
+            if !due {
+                return;
+            }
+            let plan = self.seal();
+            if let CaptureMode::Sharded(cut) = &mut self.capture {
+                if cut.error.is_none() {
+                    cut.error = (cut.sink)(cut.shard, &plan).err();
+                }
+                cut.shard += 1;
+            }
+        }
+    }
+
+    /// Seals a [`CaptureMode::Sharded`] capture's last shards — the open
+    /// one and any empty ones after it — and returns the shard count, or
+    /// the sink's first error.
+    ///
+    /// # Panics
+    /// If the builder was not created with [`PlanBuilder::new_sharded`].
+    pub fn finish_shards(mut self) -> TensorResult<usize> {
+        self.launch.blocks.clear();
+        self.seal_shards(None);
+        let CaptureMode::Sharded(cut) = self.capture else {
+            panic!("finish_shards on an unsharded capture");
+        };
+        match cut.error {
+            Some(e) => Err(e),
+            None => Ok(cut.ends.len()),
         }
     }
 

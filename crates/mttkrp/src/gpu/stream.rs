@@ -14,10 +14,11 @@
 //!    multi-device engine uses, so streaming shards are *exactly* the
 //!    device shards a resident [`ShardModel`](super::ShardModel) would
 //!    carve.
-//! 3. **Pass 2 (shards)** — the capture body runs once per shard against
-//!    a shard-filtered builder that keeps only its block range; each
-//!    sealed shard plan is serialized to a [`ShardStore`] on disk and
-//!    dropped. No builder ever sees the whole schedule.
+//! 3. **Pass 2 (shards)** — the capture body runs once more, against a
+//!    sharded builder that keeps one shard's blocks at a time: when the
+//!    emit passes a cut, the shard is sealed, serialized to a
+//!    [`ShardStore`] on disk and dropped. No builder ever sees the whole
+//!    schedule, and the body runs twice per mode whatever the shard count.
 //!
 //! Replay loads shards back one at a time and folds each shard's
 //! contributions into the shared output in global emission order —
@@ -33,13 +34,13 @@
 //! timing stays with the resident engines.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use dense::Matrix;
 use sptensor::source::CooChunk;
 use sptensor::spill::SortedChunks;
-use sptensor::{mode_orientation, IngestOptions, SpilledTensor, TensorError, TensorResult};
+use sptensor::{mode_orientation, Index, IngestOptions, SpilledTensor, TensorError, TensorResult};
 use tensor_formats::{BcsfOptions, Csf, Hbcsf};
 
 use super::common::GpuContext;
@@ -87,6 +88,7 @@ impl ShardStore {
         }
         let mut w = BufWriter::with_capacity(1 << 20, File::create(self.path(mode, shard))?);
         plan.write_schedule(&mut w)?;
+        w.flush()?;
         self.counts[mode] = self.counts[mode].max(shard + 1);
         Ok(())
     }
@@ -137,18 +139,10 @@ fn capture_weight_prefix(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Vec<u64> {
     pb.finish_weight_prefix()
 }
 
-/// Pass 2 for one shard: the capture body against a shard-filtered
-/// builder keeping only blocks `range.0..range.1`.
-fn capture_shard(ctx: &GpuContext, h: &Hbcsf, rank: usize, range: (usize, usize)) -> Plan {
-    let mode = h.perm[0];
-    let mut pb = PlanBuilder::new_shard_filter("hb-csf", mode, rank, h.dims[mode] as usize, range);
-    super::hbcsf::capture_into(ctx, h, rank, &mut pb);
-    pb.finish()
-}
-
 /// Captures `h`'s launch as `devices` weight-balanced shard plans written
 /// straight to `store` (keyed by `h.perm[0]`), holding at most one shard's
-/// schedule in memory at a time. Returns the shard count.
+/// schedule in memory at a time. Returns the shard count, or the first
+/// error writing a shard.
 pub fn capture_sharded_hbcsf(
     ctx: &GpuContext,
     h: &Hbcsf,
@@ -159,11 +153,17 @@ pub fn capture_sharded_hbcsf(
     let prefix = capture_weight_prefix(ctx, h, rank);
     let ranges = shard_ranges(&prefix, devices.max(1));
     let mode = h.perm[0];
-    for (s, &range) in ranges.iter().enumerate() {
-        let plan = capture_shard(ctx, h, rank, range);
-        store.put(mode, s, &plan)?;
-    }
-    Ok(ranges.len())
+    let mut put = |shard: usize, plan: &Plan| store.put(mode, shard, plan);
+    let mut pb = PlanBuilder::new_sharded(
+        "hb-csf",
+        mode,
+        rank,
+        h.dims[mode] as usize,
+        &ranges,
+        &mut put,
+    );
+    super::hbcsf::capture_into(ctx, h, rank, &mut pb);
+    pb.finish_shards()
 }
 
 /// Replays mode `mode` from the store: shards load one at a time and fold
@@ -236,27 +236,47 @@ pub struct StreamedCpd {
     pub store_bytes: u64,
 }
 
-/// `‖X‖` over the spilled stream, folded in the identical entry order as
-/// the resident computation on the materialized tensor.
-fn stream_norm_x(spill: &SpilledTensor, chunk_nnz: usize) -> TensorResult<f64> {
-    let mut stream = spill.stream()?;
-    let mut chunk = CooChunk::default();
-    let mut sum = 0.0f64;
-    loop {
-        let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        sum = fold_squares(sum, &chunk.vals[..n]);
+/// A [`SortedChunks`] pass-through that folds `Σ v²` over the values it
+/// yields, in stream order ([`fold_squares`]). `rewind` restarts the sum,
+/// so after a full read it covers the stream exactly once.
+struct SquareSum<'s> {
+    inner: &'s mut dyn SortedChunks,
+    sum: f64,
+}
+
+impl SortedChunks for SquareSum<'_> {
+    fn dims(&self) -> &[Index] {
+        self.inner.dims()
     }
-    Ok(sum.sqrt())
+
+    fn nnz(&self) -> u64 {
+        self.inner.nnz()
+    }
+
+    fn perm(&self) -> &[usize] {
+        self.inner.perm()
+    }
+
+    fn next_chunk(&mut self, max_entries: usize, out: &mut CooChunk) -> TensorResult<usize> {
+        let n = self.inner.next_chunk(max_entries, out)?;
+        self.sum = fold_squares(self.sum, &out.vals[..n]);
+        Ok(n)
+    }
+
+    fn rewind(&mut self) -> TensorResult<()> {
+        self.sum = 0.0;
+        self.inner.rewind()
+    }
 }
 
 /// CPD-ALS over a spilled tensor without ever materializing it: per-mode
 /// formats are built out-of-core ([`Csf::build_streamed`]), plans are
 /// captured shard by shard to disk, and each ALS MTTKRP replays the
-/// shards sequentially. `scratch` hosts the re-sorted spills and the
-/// shard store (both removed when dropped).
+/// shards sequentially. A mode sorted the way the spill already is
+/// builds straight from it; every other mode builds from a re-sorted
+/// copy. `scratch` hosts those copies and the shard store (both removed
+/// when dropped). `‖X‖` is folded while mode 0's format is built, in
+/// identity order.
 ///
 /// Peak host memory is bounded by one mode's HB-CSF format plus one
 /// shard's schedule plus the chunk buffers — never the COO tensor, never
@@ -287,12 +307,33 @@ pub fn cpd_als_streamed(
     let ingest_opts = IngestOptions::new().with_chunk_nnz(chunk_nnz);
 
     // Capture phase: one mode's format + one shard resident at a time.
+    // A mode whose orientation is the spill's own order (mode 0's, the
+    // identity, for an ingested spill) builds straight from the spill.
+    // Mode 0's build also folds ‖X‖² in identity order, the order the
+    // resident driver folds the identity-sorted tensor in.
     let mut store = ShardStore::create(scratch)?;
     let mut shards_per_mode = Vec::with_capacity(order);
+    let mut norm_sq = 0.0;
     for mode in 0..order {
         let perm = mode_orientation(order, mode);
-        let resorted = spill.resort(&perm, scratch, &ingest_opts)?;
-        let csf = Csf::build_streamed(&mut resorted.stream()?, chunk_nnz)?;
+        let resorted = if perm == spill.perm() {
+            None
+        } else {
+            Some(spill.resort(&perm, scratch, &ingest_opts)?)
+        };
+        let mut stream = resorted.as_ref().unwrap_or(spill).stream()?;
+        let csf = if mode == 0 {
+            let mut folded = SquareSum {
+                inner: &mut stream,
+                sum: 0.0,
+            };
+            let csf = Csf::build_streamed(&mut folded, chunk_nnz)?;
+            norm_sq = folded.sum;
+            csf
+        } else {
+            Csf::build_streamed(&mut stream, chunk_nnz)?
+        };
+        drop(stream);
         drop(resorted);
         let h = Hbcsf::from_csf(csf, opts.bcsf);
         shards_per_mode.push(capture_sharded_hbcsf(
@@ -306,10 +347,10 @@ pub fn cpd_als_streamed(
     let store_bytes = store.bytes_on_disk();
 
     // ALS phase: the shared loop with the MTTKRP served by sequential
-    // shard replay. Only `‖X‖` reads the spill; the fit's inner product
-    // comes from the last mode's MTTKRP.
+    // shard replay. The fit's inner product comes from the last mode's
+    // MTTKRP, so the ALS loop never reads the spill.
     let factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
-    let norm_x = stream_norm_x(spill, chunk_nnz)?;
+    let norm_x = norm_sq.sqrt();
     let replay = |f: &[Matrix], mode: usize| replay_mode(&store, mode, rank, f);
     let (result, _) = als(
         &opts.cpd,
@@ -372,6 +413,46 @@ mod tests {
             drop(store);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn more_shards_than_blocks_leaves_empty_shards() {
+        let ctx = GpuContext::tiny();
+        let t = uniform_random(&[3, 4, 5], 6, 3);
+        let factors = crate::reference::random_factors(&t, 8, 80);
+        let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
+        let full = super::super::hbcsf::plan_impl(&ctx, &h, 8);
+        let blocks = full.schedule().num_blocks();
+        let devices = blocks + 3;
+        let dir = tmp("wide");
+        let mut store = ShardStore::create(&dir).unwrap();
+        assert_eq!(
+            capture_sharded_hbcsf(&ctx, &h, 8, devices, &mut store).unwrap(),
+            devices
+        );
+        let kept: Vec<usize> = (0..devices)
+            .map(|s| store.load(0, s).unwrap().schedule().num_blocks())
+            .collect();
+        // Each block lands in one shard; the surplus shards are empty
+        // wherever the weight cuts put them.
+        assert_eq!(kept.iter().sum::<usize>(), blocks);
+        assert!(kept.iter().filter(|&&n| n == 0).count() >= devices - blocks);
+        let y = replay_mode(&store, 0, 8, &factors).unwrap();
+        assert_eq!(y, full.execute(&ctx, &factors).unwrap().y);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn capture_into_a_removed_store_is_a_typed_error() {
+        let ctx = GpuContext::tiny();
+        let t = uniform_random(&[18, 22, 26], 1_200, 10);
+        let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
+        let dir = tmp("gone");
+        let mut store = ShardStore::create(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let res = capture_sharded_hbcsf(&ctx, &h, 8, 3, &mut store);
+        assert!(matches!(res, Err(TensorError::Io(_))), "{:?}", res.err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! accumulation order bit for bit.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::io::DuplicatePolicy;
@@ -327,18 +327,35 @@ fn fresh_subdir(dir: &Path, tag: &str) -> TensorResult<PathBuf> {
 // Run files: row-major little-endian entries for sequential merge reads.
 // ---------------------------------------------------------------------
 
+/// Bytes of one run record: `order` coordinates, the value and the line.
+fn record_len(order: usize) -> usize {
+    4 * order + 12
+}
+
+/// Writes a run: a 12-byte header (order, entry count), then one record
+/// per entry. Records are encoded into one reused buffer of about 1 MiB,
+/// which is written whenever it holds no room for another whole record.
 fn write_run(chunk: &CooChunk, path: &Path) -> TensorResult<()> {
-    let mut w = BufWriter::with_capacity(1 << 20, File::create(path)?);
-    w.write_all(&(chunk.order() as u32).to_le_bytes())?;
-    w.write_all(&(chunk.len() as u64).to_le_bytes())?;
-    for i in 0..chunk.len() {
-        for arr in &chunk.coords {
-            w.write_all(&arr[i].to_le_bytes())?;
+    let mut file = File::create(path)?;
+    let mut header = [0u8; 12];
+    header[..4].copy_from_slice(&(chunk.order() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&(chunk.len() as u64).to_le_bytes());
+    file.write_all(&header)?;
+    let rec = record_len(chunk.order());
+    let per_buf = ((1 << 20) / rec).max(1);
+    let mut buf = vec![0u8; per_buf * rec];
+    for start in (0..chunk.len()).step_by(per_buf) {
+        let end = (start + per_buf).min(chunk.len());
+        for (i, r) in (start..end).zip(buf.chunks_exact_mut(rec)) {
+            let (coords, tail) = r.split_at_mut(rec - 12);
+            for (c, arr) in coords.chunks_exact_mut(4).zip(&chunk.coords) {
+                c.copy_from_slice(&arr[i].to_le_bytes());
+            }
+            tail[..4].copy_from_slice(&chunk.vals[i].to_le_bytes());
+            tail[4..].copy_from_slice(&chunk.lines[i].to_le_bytes());
         }
-        w.write_all(&chunk.vals[i].to_le_bytes())?;
-        w.write_all(&chunk.lines[i].to_le_bytes())?;
+        file.write_all(&buf[..(end - start) * rec])?;
     }
-    w.flush()?;
     Ok(())
 }
 
@@ -346,6 +363,8 @@ fn write_run(chunk: &CooChunk, path: &Path) -> TensorResult<()> {
 struct RunReader {
     reader: BufReader<File>,
     remaining: u64,
+    /// One record's bytes, read whole.
+    rec: Vec<u8>,
     /// Current (front) entry, if any.
     coords: Vec<Index>,
     val: Value,
@@ -356,18 +375,17 @@ struct RunReader {
 impl RunReader {
     fn open(path: &Path, order: usize) -> TensorResult<RunReader> {
         let mut reader = BufReader::with_capacity(1 << 20, File::open(path)?);
-        let mut u32buf = [0u8; 4];
-        reader.read_exact(&mut u32buf)?;
-        let stored_order = u32::from_le_bytes(u32buf) as usize;
+        let mut header = [0u8; 12];
+        reader.read_exact(&mut header)?;
+        let stored_order = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
         if stored_order != order {
             return Err(TensorError::invalid("spill", "run order mismatch"));
         }
-        let mut u64buf = [0u8; 8];
-        reader.read_exact(&mut u64buf)?;
-        let remaining = u64::from_le_bytes(u64buf);
+        let remaining = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
         let mut r = RunReader {
             reader,
             remaining,
+            rec: vec![0; record_len(order)],
             coords: vec![0; order],
             val: 0.0,
             line: 0,
@@ -383,16 +401,13 @@ impl RunReader {
             self.has = false;
             return Ok(());
         }
-        let mut u32buf = [0u8; 4];
-        for c in &mut self.coords {
-            self.reader.read_exact(&mut u32buf)?;
-            *c = u32::from_le_bytes(u32buf);
+        self.reader.read_exact(&mut self.rec)?;
+        let (coords, tail) = self.rec.split_at(self.rec.len() - 12);
+        for (c, b) in self.coords.iter_mut().zip(coords.chunks_exact(4)) {
+            *c = u32::from_le_bytes(b.try_into().expect("4 bytes"));
         }
-        self.reader.read_exact(&mut u32buf)?;
-        self.val = f32::from_le_bytes(u32buf);
-        let mut u64buf = [0u8; 8];
-        self.reader.read_exact(&mut u64buf)?;
-        self.line = u64::from_le_bytes(u64buf);
+        self.val = f32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        self.line = u64::from_le_bytes(tail[4..].try_into().expect("8 bytes"));
         self.remaining -= 1;
         self.has = true;
         Ok(())
@@ -641,6 +656,69 @@ mod tests {
         s.rewind().unwrap();
         s.next_chunk(usize::MAX, &mut b).unwrap();
         assert_eq!(a, b);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn order_six_resort_round_trips_over_several_runs() {
+        let t = crate::synth::uniform_random(&[5, 6, 4, 7, 3, 5], 900, 21);
+        let dir = tmp();
+        let opts = IngestOptions::new()
+            .with_policy(DuplicatePolicy::Keep)
+            .with_chunk_nnz(64);
+        let spilled = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
+        assert!(spilled.runs.len() > 1, "{} runs", spilled.runs.len());
+        assert_eq!(spilled.to_coo().unwrap(), t);
+        for perm in [vec![5usize, 4, 3, 2, 1, 0], vec![2, 0, 5, 1, 4, 3]] {
+            let resorted = spilled.resort(&perm, &dir, &opts).unwrap();
+            assert!(resorted.runs.len() > 1);
+            let mut expect = t.clone();
+            expect.sort_by_perm(&perm);
+            assert_eq!(resorted.to_coo().unwrap(), expect, "perm {perm:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn run_file_is_header_then_whole_records() {
+        let mut chunk = CooChunk::with_order(4);
+        chunk.push(&[1, 2, 3, u32::MAX], 1.5, 7);
+        chunk.push(&[9, 0, 5, 6], -2.0, u64::MAX);
+        let dir = tmp();
+        let path = dir.join("run.bin");
+        write_run(&chunk, &path).unwrap();
+        let mut expect = Vec::new();
+        expect.extend_from_slice(&4u32.to_le_bytes());
+        expect.extend_from_slice(&2u64.to_le_bytes());
+        for i in 0..2 {
+            for arr in &chunk.coords {
+                expect.extend_from_slice(&arr[i].to_le_bytes());
+            }
+            expect.extend_from_slice(&chunk.vals[i].to_le_bytes());
+            expect.extend_from_slice(&chunk.lines[i].to_le_bytes());
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), expect);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_run_file_is_a_typed_error() {
+        let t = crate::synth::uniform_random(&[10, 11, 12], 300, 8);
+        let dir = tmp();
+        let opts = IngestOptions::new()
+            .with_policy(DuplicatePolicy::Keep)
+            .with_chunk_nnz(100);
+        let spilled = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
+        // Cut the last run mid-record: the header still promises 100.
+        let run = spilled.runs.last().unwrap();
+        let len = std::fs::metadata(run).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(run).unwrap();
+        f.set_len(len - 5).unwrap();
+        drop(f);
+        let err = spilled
+            .to_coo()
+            .expect_err("a truncated run must not stream");
+        assert!(matches!(err, TensorError::Io(_)), "{err:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
