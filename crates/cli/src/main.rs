@@ -447,6 +447,8 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
         ),
     };
     std::fs::create_dir_all(&scratch).map_err(|e| format!("{}: {e}", scratch.display()))?;
+    // A scratch directory this run made is removed however it ends.
+    let _owned = own_scratch.then(|| RemoveOnDrop(scratch.clone()));
 
     let mut iopts = sptensor::IngestOptions::new().with_policy(policy);
     if let Some(v) = flag(args, "--chunk-nnz") {
@@ -515,6 +517,11 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
         println!("  iter {:>2}: fit {fit:.5}", i + 1);
     }
     println!("plan store on disk: {} bytes", res.store_bytes);
+    println!(
+        "spill runs on disk: {} bytes (largest re-sort {} bytes)",
+        spill.bytes_on_disk(),
+        res.resort_bytes
+    );
 
     if let Some(dir) = &profile_dir {
         let mut manifest =
@@ -534,9 +541,6 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
     }
 
     drop(spill);
-    if own_scratch {
-        let _ = std::fs::remove_dir_all(&scratch);
-    }
 
     let peak = simprof::peak_rss_bytes().unwrap_or(0);
     println!(
@@ -556,6 +560,15 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
         println!("host budget check: {peak} <= {budget} ok");
     }
     Ok(())
+}
+
+/// A directory removed, with everything in it, when this value drops.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn cmd_info(args: &[String]) -> Result<()> {

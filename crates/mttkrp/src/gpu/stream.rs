@@ -207,8 +207,8 @@ pub struct StreamOptions {
     /// Shards per mode — the simulated device count whose `shard_ranges`
     /// cuts bound the resident schedule to `~1/devices` of a mode.
     pub devices: usize,
-    /// Entries per chunk for every streaming pass (re-sort, format
-    /// build, norm).
+    /// Entries per chunk for every streaming pass: each re-sort's runs
+    /// and each mode's format build.
     pub chunk_nnz: usize,
     /// HB-CSF construction options.
     pub bcsf: BcsfOptions,
@@ -234,6 +234,8 @@ pub struct StreamedCpd {
     pub shards_per_mode: Vec<usize>,
     /// Peak bytes of serialized shard plans on disk.
     pub store_bytes: u64,
+    /// Bytes of the largest re-sort's run files (0 if none ran).
+    pub resort_bytes: u64,
 }
 
 /// A [`SortedChunks`] pass-through that folds `Σ v²` over the values it
@@ -314,6 +316,7 @@ pub fn cpd_als_streamed(
     let mut store = ShardStore::create(scratch)?;
     let mut shards_per_mode = Vec::with_capacity(order);
     let mut norm_sq = 0.0;
+    let mut resort_bytes = 0;
     for mode in 0..order {
         let perm = mode_orientation(order, mode);
         let resorted = if perm == spill.perm() {
@@ -321,6 +324,9 @@ pub fn cpd_als_streamed(
         } else {
             Some(spill.resort(&perm, scratch, &ingest_opts)?)
         };
+        if let Some(r) = &resorted {
+            resort_bytes = resort_bytes.max(r.bytes_on_disk());
+        }
         let mut stream = resorted.as_ref().unwrap_or(spill).stream()?;
         let csf = if mode == 0 {
             let mut folded = SquareSum {
@@ -365,6 +371,7 @@ pub fn cpd_als_streamed(
         result,
         shards_per_mode,
         store_bytes,
+        resort_bytes,
     })
 }
 

@@ -1,13 +1,14 @@
-//! One packed coordinate key: the comparison behind every coordinate sort.
+//! One packed coordinate key: the comparison behind every coordinate
+//! sort, and the index half of every spill run record.
 //!
 //! Sorting nonzeros under a mode order compares coordinate tuples
-//! lexicographically. [`CoordKey`] packs each entry's coordinates on the
-//! longest prefix of the order whose fields fit in 64 bits into one
+//! lexicographically. A [`KeyLayout`] packs each entry's coordinates on
+//! the longest prefix of the order whose fields fit in 64 bits into one
 //! `u64`, first mode in the most significant field, so most comparisons
 //! cost one integer compare. Each field is as wide as the largest
 //! coordinate *present* in its mode, not the mode's extent, so no value
-//! can spill into a neighbouring field. The modes past the prefix are
-//! compared one by one, and only when two keys tie.
+//! can spill into a neighbouring field. The modes past the prefix form
+//! the tail; they are compared one by one, and only when two keys tie.
 //!
 //! [`CoordKey::cmp`] returns what [`cmp_under`] returns for every pair,
 //! `Equal` included. A `sort_unstable_by` over the same `u32` ids from
@@ -18,42 +19,105 @@ use core::cmp::Ordering;
 
 use crate::Index;
 
+/// How coordinates pack under one mode order: a key of the prefix
+/// fields, most significant first, and the tail modes left over.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct KeyLayout {
+    fields: Vec<Field>,
+    tail: Vec<usize>,
+}
+
+/// One packed mode: its bits are `(key >> shift) & mask`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Field {
+    mode: usize,
+    shift: u32,
+    mask: u64,
+}
+
+impl KeyLayout {
+    /// The layout under `perm`, a permutation of the modes, for entries
+    /// whose coordinates in mode `m` are at most `maxima[m]`.
+    pub(crate) fn new(maxima: &[Index], perm: &[usize]) -> Self {
+        let mut widths = Vec::with_capacity(perm.len());
+        let mut used = 0;
+        for &m in perm {
+            let width = Index::BITS - maxima[m].leading_zeros();
+            if used + width > u64::BITS {
+                break;
+            }
+            used += width;
+            widths.push((m, width));
+        }
+        let tail = perm[widths.len()..].to_vec();
+        let fields = widths
+            .into_iter()
+            .map(|(mode, width)| {
+                used -= width;
+                // A zero-width field always holds 0; give it shift 0 so
+                // no shift reaches 64.
+                let shift = if width == 0 { 0 } else { used };
+                Field {
+                    mode,
+                    shift,
+                    mask: (1u64 << width) - 1,
+                }
+            })
+            .collect();
+        KeyLayout { fields, tail }
+    }
+
+    /// The modes past the key, in the order's sequence.
+    pub(crate) fn tail(&self) -> &[usize] {
+        &self.tail
+    }
+
+    /// The key of one entry whose coordinate in mode `m` is `coord(m)`.
+    #[inline]
+    pub(crate) fn pack(&self, coord: impl Fn(usize) -> Index) -> u64 {
+        self.fields
+            .iter()
+            .fold(0, |k, f| k | u64::from(coord(f.mode)) << f.shift)
+    }
+
+    /// Writes back the coordinates of the entry with `key` and tail
+    /// coordinates `tail` into `coords`, indexed by mode.
+    #[inline]
+    pub(crate) fn unpack(&self, key: u64, tail: &[Index], coords: &mut [Index]) {
+        for f in &self.fields {
+            coords[f.mode] = ((key >> f.shift) & f.mask) as Index;
+        }
+        for (&m, &c) in self.tail.iter().zip(tail) {
+            coords[m] = c;
+        }
+    }
+}
+
 /// Packed sort keys over coordinate columns (`cols[mode][entry]`) under
 /// one mode order.
 pub(crate) struct CoordKey<'a> {
     keys: Vec<u64>,
     cols: &'a [Vec<Index>],
     /// The modes of the order that did not fit in the key.
-    tail: &'a [usize],
+    tail: Vec<usize>,
 }
 
 impl<'a> CoordKey<'a> {
     /// Packs the key of every entry under `perm`, a permutation of the
-    /// modes of `cols`.
-    pub(crate) fn new(cols: &'a [Vec<Index>], perm: &'a [usize]) -> Self {
-        let mut keys = vec![0u64; cols.first().map_or(0, Vec::len)];
-        let mut used = 0;
-        let mut packed = 0;
-        for &m in perm {
-            let width = cols[m]
-                .iter()
-                .max()
-                .map_or(0, |&c| Index::BITS - c.leading_zeros());
-            if used + width > u64::BITS {
-                break;
-            }
-            if width > 0 {
-                for (k, &c) in keys.iter_mut().zip(&cols[m]) {
-                    *k = (*k << width) | u64::from(c);
-                }
-            }
-            used += width;
-            packed += 1;
-        }
+    /// modes of `cols`, in a layout sized from the largest coordinate of
+    /// each column.
+    pub(crate) fn new(cols: &'a [Vec<Index>], perm: &[usize]) -> Self {
+        let maxima: Vec<Index> = cols
+            .iter()
+            .map(|c| c.iter().copied().max().unwrap_or(0))
+            .collect();
+        let layout = KeyLayout::new(&maxima, perm);
         CoordKey {
-            keys,
+            keys: (0..cols.first().map_or(0, Vec::len))
+                .map(|i| layout.pack(|m| cols[m][i]))
+                .collect(),
             cols,
-            tail: &perm[packed..],
+            tail: layout.tail,
         }
     }
 
@@ -62,7 +126,7 @@ impl<'a> CoordKey<'a> {
     pub(crate) fn cmp(&self, a: u32, b: u32) -> Ordering {
         self.keys[a as usize]
             .cmp(&self.keys[b as usize])
-            .then_with(|| cmp_under(self.cols, self.tail, a, b))
+            .then_with(|| cmp_under(self.cols, &self.tail, a, b))
     }
 }
 
@@ -115,5 +179,20 @@ mod tests {
         assert_eq!(key.tail, &[2]);
         assert_agrees(&cols, &[0, 1, 2]);
         assert_agrees(&cols, &[2, 0, 1]);
+    }
+
+    #[test]
+    fn unpack_inverts_pack() {
+        let big = u32::MAX;
+        // 32 + 0 + 32 bits fill the key exactly; the last mode is tail.
+        let maxima = [big, 0, big, 9];
+        let layout = KeyLayout::new(&maxima, &[2, 1, 0, 3]);
+        assert_eq!(layout.tail(), &[3]);
+        for coords in [[big, 0, big, 9], [0, 0, 1, 0], [big - 7, 0, 3, 5]] {
+            let key = layout.pack(|m| coords[m]);
+            let mut back = [1; 4];
+            layout.unpack(key, &[coords[3]], &mut back);
+            assert_eq!(back, coords);
+        }
     }
 }

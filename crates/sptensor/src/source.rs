@@ -155,9 +155,10 @@ impl IngestOptions {
     /// configured size, derated so one chunk's parse + sort working set
     /// consumes at most a quarter of the host budget. For order `N` that
     /// set is the entry payload (`4N + 12` B per entry), its reordered
-    /// copy (`4N + 12` B), the `u32` sort permutation (4 B) and the
-    /// packed `u64` sort key (8 B): `8N + 36` B per entry, inside the
-    /// `16N + 48` B (4x the raw entry bytes) the derating charges.
+    /// copy (`4N + 12` B) and the sort's `(u64 key, u32 position)` pairs
+    /// (16 B): `8N + 40` B per entry, inside the `16N + 48` B (4x the raw
+    /// entry bytes) the derating charges. A re-sort's chunk takes less:
+    /// the pairs, the tail coordinates and the value.
     pub fn effective_chunk_nnz(&self, order: usize) -> usize {
         let mut chunk = self.chunk_nnz.unwrap_or(DEFAULT_CHUNK_NNZ);
         if let Some(budget) = self.host_budget {

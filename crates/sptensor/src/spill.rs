@@ -1,26 +1,38 @@
 //! Bounded-memory ingestion: sorted spill runs + k-way merge.
 //!
-//! The external-sort half of the streaming pipeline. A [`TensorSource`]
-//! is drained chunk by chunk; each chunk is sorted (coordinates under a
-//! mode permutation, source line as the tie-break) and spilled to a run
-//! file, so peak host memory is one chunk's working set regardless of
-//! the tensor's size. A k-way merge over the runs then yields the
-//! entries in globally sorted order, applying the [`DuplicatePolicy`]
-//! with whole-stream semantics.
+//! The external-sort half of the streaming pipeline. Ingest drains a
+//! [`TensorSource`] chunk by chunk; each chunk is sorted (coordinates in
+//! mode order, source line as the tie-break) and spilled to a raw run of
+//! `(coords, value, line)` records, so peak host memory is one chunk's
+//! working set whatever the tensor's size. One merge over the raw runs
+//! applies the [`DuplicatePolicy`] with whole-stream semantics and writes
+//! the result as one packed run; the raw runs are then deleted.
 //!
-//! Determinism contract: the (coords, line) sort key is a *total* order
-//! (lines are unique), so the merged stream is byte-identical to
-//! sorting the fully-resident tensor — chunk size and run count are
-//! invisible. Sum folds duplicates in source order (the merge yields
-//! equal coordinates by ascending line), matching the in-core fold's
-//! accumulation order bit for bit.
+//! A [`SpilledTensor`] holds packed runs only. A packed record is the
+//! entry's key under the spill's key layout (the longest prefix of the
+//! mode order that fits a `u64`, each field as wide as the largest
+//! coordinate of its mode), then the tail modes as `u32`, then the
+//! value: 12 B for a 3-mode tensor whose fields fit, and never more than
+//! the raw record's `4·order + 12` B. [`SpilledTensor::resort`] re-packs
+//! each key under another order and sorts the records as they are,
+//! without decoding them into chunks. [`MergeStream`] merges packed runs
+//! and applies no policy; only the raw merge does.
+//!
+//! Determinism contract: the raw runs' (coords, line) sort key is a total
+//! order (lines are unique), so the policy-applied stream is the one a
+//! stable sort of the fully-resident tensor gives — chunk size and run
+//! count are invisible. `Sum` folds duplicates in ascending line order,
+//! as the in-core fold does. A re-sort cuts its input stream into
+//! consecutive slices, sorts each stably, and its merge breaks ties by
+//! the lower run index; so entries with equal coordinates keep their
+//! stream order, which is line order, `Keep` duplicates included.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::io::DuplicatePolicy;
-use crate::key::CoordKey;
+use crate::key::{cmp_under, KeyLayout};
 use crate::source::{CooChunk, IngestOptions, TensorSource};
 use crate::{CooTensor, Index, TensorError, TensorResult, Value};
 
@@ -49,42 +61,71 @@ pub trait SortedChunks {
     fn rewind(&mut self) -> TensorResult<()>;
 }
 
-/// A tensor held as sorted spill runs on disk instead of resident
+/// A scratch directory owned from the moment it is created: dropping it
+/// removes the directory and everything in it, on success and on error.
+#[derive(Debug)]
+struct RunDir(PathBuf);
+
+impl RunDir {
+    /// Creates a fresh `spill-{tag}-…` subdirectory of `dir`.
+    fn create(dir: &Path, tag: &str) -> TensorResult<RunDir> {
+        std::fs::create_dir_all(dir)?;
+        for attempt in 0..10_000u32 {
+            let candidate = dir.join(format!("spill-{tag}-{:04x}-{attempt}", std::process::id()));
+            match std::fs::create_dir(&candidate) {
+                Ok(()) => return Ok(RunDir(candidate)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(TensorError::Io(e)),
+            }
+        }
+        Err(TensorError::invalid("spill", "cannot create run directory"))
+    }
+
+    fn file(&self, name: &str, i: usize) -> PathBuf {
+        self.0.join(format!("{name}{i:06}.bin"))
+    }
+}
+
+impl Drop for RunDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A tensor held as sorted, packed spill runs on disk instead of resident
 /// arrays. Produced by [`SpilledTensor::ingest`]; streamed (repeatedly)
 /// through [`SpilledTensor::stream`]. The run directory is owned: it is
 /// deleted when this value drops.
 #[derive(Debug)]
 pub struct SpilledTensor {
-    dir: PathBuf,
+    /// Held for its `Drop`: the runs live in it.
+    _dir: RunDir,
     runs: Vec<PathBuf>,
     dims: Vec<Index>,
+    /// Largest coordinate present per mode: sizes every layout's fields.
+    maxima: Vec<Index>,
     perm: Vec<usize>,
-    /// Post-policy entry count (exact; established by a validation merge).
+    /// How the runs' records pack coordinates under `perm`.
+    layout: KeyLayout,
+    /// Post-policy entry count.
     nnz: u64,
-    policy: DuplicatePolicy,
     chunk_nnz: usize,
 }
 
-impl Drop for SpilledTensor {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
 impl SpilledTensor {
-    /// Drains `source` into sorted runs under `dir` (a fresh
-    /// subdirectory is created and owned), sorted by the identity
-    /// permutation, then runs one validation merge to fix the exact
-    /// post-policy entry count — and to reject duplicates with the same
-    /// typed error (and line number) the in-core path reports.
+    /// Drains `source` into raw sorted runs under `dir` (a fresh
+    /// subdirectory is created and owned), then merges them once: the
+    /// merge applies the duplicate policy — rejecting duplicates with the
+    /// same typed error (and line number) the in-core path reports — and
+    /// writes the result as one packed run in identity order.
     pub fn ingest<S: TensorSource>(
         mut source: S,
         opts: &IngestOptions,
         dir: &Path,
     ) -> TensorResult<SpilledTensor> {
         let declared = source.declared_dims();
-        let run_dir = fresh_subdir(dir, "ingest")?;
-        let mut runs = Vec::new();
+        let run_dir = RunDir::create(dir, "ingest")?;
+        let mut raw = Vec::new();
         let mut chunk = CooChunk::default();
         let mut order: Option<usize> = None;
         let mut maxima: Vec<Index> = Vec::new();
@@ -116,9 +157,9 @@ impl SpilledTensor {
             }
             let identity: Vec<usize> = (0..chunk.order()).collect();
             sort_chunk(&mut chunk, &identity);
-            let path = run_dir.join(format!("run{:06}.bin", runs.len()));
-            write_run(&chunk, &path)?;
-            runs.push(path);
+            let path = run_dir.file("raw", raw.len());
+            write_raw_run(&chunk, &path)?;
+            raw.push(path);
         }
 
         let dims = match declared {
@@ -137,65 +178,25 @@ impl SpilledTensor {
                 dims
             }
         };
-
-        let mut spilled = SpilledTensor {
-            dir: run_dir,
-            runs,
-            perm: (0..dims.len()).collect(),
+        drop(chunk);
+        maxima.resize(dims.len(), 0);
+        let perm: Vec<usize> = (0..dims.len()).collect();
+        let layout = KeyLayout::new(&maxima, &perm);
+        let run = run_dir.file("run", 0);
+        let nnz = apply_policy(&raw, dims.len(), opts.policy(), &layout, &run)?;
+        for path in &raw {
+            std::fs::remove_file(path)?;
+        }
+        Ok(SpilledTensor {
+            _dir: run_dir,
+            runs: vec![run],
             dims,
-            nnz: 0,
-            policy: opts.policy(),
+            maxima,
+            perm,
+            layout,
+            nnz,
             chunk_nnz,
-        };
-        spilled.nnz = spilled.validate_merge()?;
-        Ok(spilled)
-    }
-
-    /// One full merge pass: counts post-policy entries and, under
-    /// [`DuplicatePolicy::Reject`], reproduces the in-core duplicate
-    /// error — the earliest (in source order) entry that collides with
-    /// an earlier one, by line number.
-    fn validate_merge(&self) -> TensorResult<u64> {
-        let mut merge = RawMerge::open(&self.runs, self.dims.len(), &self.perm)?;
-        let order = self.dims.len();
-        // The current coordinate group: its coordinates (one reused
-        // buffer) and the line of its first entry.
-        let mut prev_coords = vec![0 as Index; order];
-        let mut prev_line: Option<u64> = None;
-        let mut count = 0u64;
-        // Under Reject: min over coordinate groups of the group's second
-        // occurrence line == the first file-order collision.
-        let mut reject_at: Option<(u64, Vec<Index>)> = None;
-        let mut coords = vec![0 as Index; order];
-        while let Some((_v, line)) = merge.next_entry(&mut coords)? {
-            let dup = prev_line.is_some() && prev_coords == coords;
-            match (self.policy, dup) {
-                (DuplicatePolicy::Keep, _) => count += 1,
-                (_, false) => {
-                    count += 1;
-                    prev_coords.copy_from_slice(&coords);
-                    prev_line = Some(line);
-                }
-                (DuplicatePolicy::Sum, true) => {}
-                (DuplicatePolicy::Reject, true) => {
-                    // Only the group's *second* entry matters; the merge
-                    // yields groups in ascending line order, so record
-                    // the first collision per group (the group's first
-                    // line stays in `prev_line`, so the 3rd+ entries
-                    // never beat the 2nd).
-                    let second = line;
-                    if reject_at.as_ref().map(|(l, _)| second < *l).unwrap_or(true)
-                        && prev_line.is_some_and(|pl| pl < second)
-                    {
-                        reject_at = Some((second, coords.clone()));
-                    }
-                }
-            }
-        }
-        if let Some((line, coords)) = reject_at {
-            return Err(TensorError::duplicate(line as usize, coords));
-        }
-        Ok(count)
+        })
     }
 
     pub fn dims(&self) -> &[Index] {
@@ -207,13 +208,15 @@ impl SpilledTensor {
         self.nnz
     }
 
-    pub fn policy(&self) -> DuplicatePolicy {
-        self.policy
-    }
-
     /// The mode permutation the runs are sorted under.
     pub fn perm(&self) -> &[usize] {
         &self.perm
+    }
+
+    /// Bytes of this tensor's run files: their headers and records.
+    pub fn bytes_on_disk(&self) -> u64 {
+        let rec = packed_len(&self.layout) as u64;
+        self.runs.len() as u64 * HEADER_LEN as u64 + self.nnz * rec
     }
 
     /// Opens a rescannable merged stream over the runs. Each call (and
@@ -223,10 +226,14 @@ impl SpilledTensor {
         MergeStream::open(self)
     }
 
-    /// Externally re-sorts into a new spilled tensor ordered by `perm`
-    /// (runs written next to the existing ones' parent under `dir`).
-    /// The policy has already been applied, so the result streams with
-    /// [`DuplicatePolicy::Keep`].
+    fn merge(&self) -> TensorResult<PackedMerge> {
+        PackedMerge::open(&self.runs, self.dims.len(), &self.layout)
+    }
+
+    /// Externally re-sorts into a new spilled tensor ordered by `perm`,
+    /// with its runs in a fresh subdirectory of `dir`. Each record read
+    /// from the merge gets its key re-packed under `perm`; each chunk of
+    /// records is sorted stably by (key, tail) and written as a run.
     pub fn resort(
         &self,
         perm: &[usize],
@@ -237,28 +244,65 @@ impl SpilledTensor {
             crate::dims::is_valid_perm(perm, self.dims.len()),
             "invalid mode permutation"
         );
-        let run_dir = fresh_subdir(dir, "resort")?;
-        let mut stream = self.stream()?;
-        let mut chunk = CooChunk::default();
+        let order = self.dims.len();
+        let run_dir = RunDir::create(dir, "resort")?;
+        let layout = KeyLayout::new(&self.maxima, perm);
+        let width = layout.tail().len();
+        let chunk_nnz = opts.effective_chunk_nnz(order).clamp(1, u32::MAX as usize);
+        let mut merge = self.merge()?;
+        let mut coords = vec![0; order];
+        let mut src_tail = vec![0; self.layout.tail().len()];
+        // Per entry of a chunk: its new key with its position, its tail
+        // coordinates (`width` each) and its value.
+        let cap = chunk_nnz.min(self.nnz as usize);
+        let mut keys: Vec<(u64, u32)> = Vec::with_capacity(cap);
+        let mut tails: Vec<Index> = Vec::with_capacity(cap * width);
+        let mut vals: Vec<Value> = Vec::with_capacity(cap);
         let mut runs = Vec::new();
-        let chunk_nnz = opts.effective_chunk_nnz(self.dims.len()).max(1);
         loop {
-            let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-            if n == 0 {
+            keys.clear();
+            tails.clear();
+            vals.clear();
+            while vals.len() < chunk_nnz {
+                let Some((key, val)) = merge.pop(&mut src_tail)? else {
+                    break;
+                };
+                self.layout.unpack(key, &src_tail, &mut coords);
+                keys.push((layout.pack(|m| coords[m]), vals.len() as u32));
+                tails.extend(layout.tail().iter().map(|&m| coords[m]));
+                vals.push(val);
+            }
+            if vals.is_empty() {
                 break;
             }
-            sort_chunk(&mut chunk, perm);
-            let path = run_dir.join(format!("run{:06}.bin", runs.len()));
-            write_run(&chunk, &path)?;
+            // (key, tail, position) is a total order, so either sort
+            // leaves what a stable sort by (key, tail) leaves.
+            let tail = |i: u32| &tails[i as usize * width..][..width];
+            if width == 0 {
+                keys.sort_unstable();
+            } else {
+                keys.sort_unstable_by(|a, b| {
+                    a.0.cmp(&b.0)
+                        .then_with(|| tail(a.1).cmp(tail(b.1)))
+                        .then(a.1.cmp(&b.1))
+                });
+            }
+            let path = run_dir.file("run", runs.len());
+            let mut run = RunWriter::create(&path, order, packed_len(&layout))?;
+            for &(key, i) in &keys {
+                encode_packed(run.record()?, key, tail(i), vals[i as usize]);
+            }
+            run.finish()?;
             runs.push(path);
         }
         Ok(SpilledTensor {
-            dir: run_dir,
+            _dir: run_dir,
             runs,
             dims: self.dims.clone(),
+            maxima: self.maxima.clone(),
             perm: perm.to_vec(),
+            layout,
             nnz: self.nnz,
-            policy: DuplicatePolicy::Keep,
             chunk_nnz,
         })
     }
@@ -285,216 +329,415 @@ impl SpilledTensor {
     }
 }
 
+/// The one merge over the raw runs. It applies `policy` with whole-stream
+/// semantics and writes the result to `out` as one packed run under
+/// `layout`, returning its entry count. Equal coordinates arrive in
+/// ascending line order, so `Sum` folds as the in-core path does. Under
+/// [`DuplicatePolicy::Reject`] it returns the in-core path's duplicate
+/// error instead: the earliest (in source order) entry that collides with
+/// an earlier one, by line number.
+fn apply_policy(
+    raw: &[PathBuf],
+    order: usize,
+    policy: DuplicatePolicy,
+    layout: &KeyLayout,
+    out: &Path,
+) -> TensorResult<u64> {
+    let mut merge = RawMerge::open(raw, order)?;
+    let mut run = RunWriter::create(out, order, packed_len(layout))?;
+    let mut tail = vec![0; layout.tail().len()];
+    let mut write = |coords: &[Index], val: Value| -> TensorResult<()> {
+        for (t, &m) in tail.iter_mut().zip(layout.tail()) {
+            *t = coords[m];
+        }
+        encode_packed(run.record()?, layout.pack(|m| coords[m]), &tail, val);
+        Ok(())
+    };
+    // The current coordinate group: its coordinates and its value so far.
+    let mut group = vec![0; order];
+    let mut pending: Option<Value> = None;
+    let mut coords = vec![0; order];
+    // Under Reject: the smallest line of any entry that repeats its
+    // group's coordinates — each group's second entry is its smallest.
+    let mut reject_at: Option<(u64, Vec<Index>)> = None;
+    while let Some((v, line)) = merge.next_entry(&mut coords)? {
+        match pending {
+            Some(pv) if policy != DuplicatePolicy::Keep && coords == group => {
+                if policy == DuplicatePolicy::Sum {
+                    pending = Some(pv + v);
+                } else if reject_at.as_ref().is_none_or(|(l, _)| line < *l) {
+                    reject_at = Some((line, coords.clone()));
+                }
+            }
+            held => {
+                if let Some(pv) = held {
+                    write(&group, pv)?;
+                }
+                std::mem::swap(&mut group, &mut coords);
+                pending = Some(v);
+            }
+        }
+    }
+    if let Some(pv) = pending {
+        write(&group, pv)?;
+    }
+    if let Some((line, coords)) = reject_at {
+        return Err(TensorError::duplicate(line as usize, coords));
+    }
+    run.finish()
+}
+
 /// Sorts a chunk's entries by their coordinates under `perm`, breaking
 /// ties by source line — a total order, so the result is independent of
-/// the sort algorithm. Coordinates compare through the packed key every
-/// coordinate sort shares ([`CoordKey`]).
+/// the sort algorithm. Each entry's key, in a layout sized from the
+/// chunk's own maxima, is sorted with the entry's position. With no tail
+/// and lines that ascend (every source numbers them in arrival order),
+/// position order is line order, so the pairs sort as plain integers.
 fn sort_chunk(chunk: &mut CooChunk, perm: &[usize]) {
-    let mut order: Vec<u32> = (0..chunk.len() as u32).collect();
-    let key = CoordKey::new(&chunk.coords, perm);
+    let maxima: Vec<Index> = chunk
+        .coords
+        .iter()
+        .map(|c| c.iter().copied().max().unwrap_or(0))
+        .collect();
+    let layout = KeyLayout::new(&maxima, perm);
+    let cols = &chunk.coords;
+    let mut order: Vec<(u64, u32)> = (0..chunk.len() as u32)
+        .map(|i| (layout.pack(|m| cols[m][i as usize]), i))
+        .collect();
     let lines = &chunk.lines;
-    order.sort_unstable_by(|&a, &b| {
-        key.cmp(a, b)
-            .then(lines[a as usize].cmp(&lines[b as usize]))
-    });
-    // Free the key before the gathers allocate.
-    drop(key);
+    if layout.tail().is_empty() && lines.is_sorted() {
+        order.sort_unstable();
+    } else {
+        order.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| cmp_under(cols, layout.tail(), a.1, b.1))
+                .then(lines[a.1 as usize].cmp(&lines[b.1 as usize]))
+        });
+    }
     for arr in &mut chunk.coords {
-        let reordered: Vec<Index> = order.iter().map(|&i| arr[i as usize]).collect();
+        let reordered: Vec<Index> = order.iter().map(|&(_, i)| arr[i as usize]).collect();
         *arr = reordered;
     }
-    chunk.vals = order.iter().map(|&i| chunk.vals[i as usize]).collect();
-    chunk.lines = order.iter().map(|&i| chunk.lines[i as usize]).collect();
-}
-
-fn fresh_subdir(dir: &Path, tag: &str) -> TensorResult<PathBuf> {
-    for attempt in 0..10_000u32 {
-        let candidate = dir.join(format!("spill-{tag}-{:04x}-{attempt}", std::process::id()));
-        match std::fs::create_dir_all(candidate.parent().unwrap_or(dir)) {
-            Ok(()) => {}
-            Err(e) => return Err(TensorError::Io(e)),
-        }
-        match std::fs::create_dir(&candidate) {
-            Ok(()) => return Ok(candidate),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(e) => return Err(TensorError::Io(e)),
-        }
-    }
-    Err(TensorError::invalid("spill", "cannot create run directory"))
+    chunk.vals = order.iter().map(|&(_, i)| chunk.vals[i as usize]).collect();
+    chunk.lines = order
+        .iter()
+        .map(|&(_, i)| chunk.lines[i as usize])
+        .collect();
 }
 
 // ---------------------------------------------------------------------
-// Run files: row-major little-endian entries for sequential merge reads.
+// Run files: a header (order, entry count), then whole little-endian
+// records for sequential merge reads. Raw records hold `order`
+// coordinates, the value and the source line; packed records hold the
+// key, the tail coordinates and the value.
 // ---------------------------------------------------------------------
 
-/// Bytes of one run record: `order` coordinates, the value and the line.
-fn record_len(order: usize) -> usize {
+const HEADER_LEN: usize = 12;
+
+/// Bytes of one raw record: `order` coordinates, the value and the line.
+fn raw_len(order: usize) -> usize {
     4 * order + 12
 }
 
-/// Writes a run: a 12-byte header (order, entry count), then one record
-/// per entry. Records are encoded into one reused buffer of about 1 MiB,
-/// which is written whenever it holds no room for another whole record.
-fn write_run(chunk: &CooChunk, path: &Path) -> TensorResult<()> {
-    let mut file = File::create(path)?;
-    let mut header = [0u8; 12];
-    header[..4].copy_from_slice(&(chunk.order() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&(chunk.len() as u64).to_le_bytes());
-    file.write_all(&header)?;
-    let rec = record_len(chunk.order());
-    let per_buf = ((1 << 20) / rec).max(1);
-    let mut buf = vec![0u8; per_buf * rec];
-    for start in (0..chunk.len()).step_by(per_buf) {
-        let end = (start + per_buf).min(chunk.len());
-        for (i, r) in (start..end).zip(buf.chunks_exact_mut(rec)) {
-            let (coords, tail) = r.split_at_mut(rec - 12);
-            for (c, arr) in coords.chunks_exact_mut(4).zip(&chunk.coords) {
-                c.copy_from_slice(&arr[i].to_le_bytes());
-            }
-            tail[..4].copy_from_slice(&chunk.vals[i].to_le_bytes());
-            tail[4..].copy_from_slice(&chunk.lines[i].to_le_bytes());
-        }
-        file.write_all(&buf[..(end - start) * rec])?;
+/// Bytes of one packed record: the key, the tail and the value.
+fn packed_len(layout: &KeyLayout) -> usize {
+    12 + 4 * layout.tail().len()
+}
+
+fn encode_packed(rec: &mut [u8], key: u64, tail: &[Index], val: Value) {
+    let (k, rest) = rec.split_at_mut(8);
+    k.copy_from_slice(&key.to_le_bytes());
+    let (t, v) = rest.split_at_mut(4 * tail.len());
+    for (b, &c) in t.chunks_exact_mut(4).zip(tail) {
+        b.copy_from_slice(&c.to_le_bytes());
     }
+    v.copy_from_slice(&val.to_le_bytes());
+}
+
+/// Writes a raw run: each entry of the sorted chunk with its line.
+fn write_raw_run(chunk: &CooChunk, path: &Path) -> TensorResult<()> {
+    let mut run = RunWriter::create(path, chunk.order(), raw_len(chunk.order()))?;
+    for i in 0..chunk.len() {
+        let rec = run.record()?;
+        let (coords, rest) = rec.split_at_mut(4 * chunk.order());
+        for (c, arr) in coords.chunks_exact_mut(4).zip(&chunk.coords) {
+            c.copy_from_slice(&arr[i].to_le_bytes());
+        }
+        rest[..4].copy_from_slice(&chunk.vals[i].to_le_bytes());
+        rest[4..].copy_from_slice(&chunk.lines[i].to_le_bytes());
+    }
+    run.finish()?;
     Ok(())
 }
 
-/// Sequential reader over one run file, one entry ahead.
+/// Writes one run file. Records are encoded into one reused buffer of
+/// about 1 MiB, which is written whenever it holds no room for another
+/// whole record; the header's count is written last.
+struct RunWriter {
+    file: File,
+    order: usize,
+    rec: usize,
+    buf: Vec<u8>,
+    used: usize,
+    count: u64,
+}
+
+impl RunWriter {
+    fn create(path: &Path, order: usize, rec: usize) -> TensorResult<RunWriter> {
+        let mut file = File::create(path)?;
+        file.write_all(&[0; HEADER_LEN])?;
+        Ok(RunWriter {
+            file,
+            order,
+            rec,
+            buf: vec![0; ((1 << 20) / rec).max(1) * rec],
+            used: 0,
+            count: 0,
+        })
+    }
+
+    /// The next record's bytes, for the caller to fill.
+    fn record(&mut self) -> TensorResult<&mut [u8]> {
+        if self.used == self.buf.len() {
+            self.file.write_all(&self.buf)?;
+            self.used = 0;
+        }
+        let start = self.used;
+        self.used += self.rec;
+        self.count += 1;
+        Ok(&mut self.buf[start..self.used])
+    }
+
+    /// Writes what is buffered and the header; returns the entry count.
+    fn finish(mut self) -> TensorResult<u64> {
+        self.file.write_all(&self.buf[..self.used])?;
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&(self.order as u32).to_le_bytes());
+        header[4..].copy_from_slice(&self.count.to_le_bytes());
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.write_all(&header)?;
+        Ok(self.count)
+    }
+}
+
+/// Sequential reader over one run file's records.
 struct RunReader {
     reader: BufReader<File>,
     remaining: u64,
-    /// One record's bytes, read whole.
+    /// The last record read, whole.
     rec: Vec<u8>,
-    /// Current (front) entry, if any.
-    coords: Vec<Index>,
-    val: Value,
-    line: u64,
-    has: bool,
 }
 
 impl RunReader {
-    fn open(path: &Path, order: usize) -> TensorResult<RunReader> {
-        let mut reader = BufReader::with_capacity(1 << 20, File::open(path)?);
-        let mut header = [0u8; 12];
+    /// Opens a run of `rec`-byte records over `order` modes. The
+    /// header's order must match, and its count must account for the
+    /// file's length exactly; nothing is sized from the header.
+    fn open(path: &Path, order: usize, rec: usize) -> TensorResult<RunReader> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut reader = BufReader::with_capacity(1 << 20, file);
+        let mut header = [0u8; HEADER_LEN];
         reader.read_exact(&mut header)?;
-        let stored_order = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        if stored_order != order {
+        let stored_order = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+        if stored_order as usize != order {
             return Err(TensorError::invalid("spill", "run order mismatch"));
         }
-        let remaining = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
-        let mut r = RunReader {
+        let count = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+        let want = count
+            .checked_mul(rec as u64)
+            .and_then(|b| b.checked_add(HEADER_LEN as u64));
+        if want != Some(len) {
+            let kind = if want.is_none_or(|w| w > len) {
+                std::io::ErrorKind::UnexpectedEof
+            } else {
+                std::io::ErrorKind::InvalidData
+            };
+            return Err(TensorError::Io(std::io::Error::new(
+                kind,
+                format!("spill run holds {len} bytes, its header counts {count} records"),
+            )));
+        }
+        Ok(RunReader {
             reader,
-            remaining,
-            rec: vec![0; record_len(order)],
-            coords: vec![0; order],
-            val: 0.0,
-            line: 0,
-            has: false,
-        };
-        r.advance()?;
-        Ok(r)
+            remaining: count,
+            rec: vec![0; rec],
+        })
     }
 
-    /// Loads the next entry into the front slot (or marks exhaustion).
-    fn advance(&mut self) -> TensorResult<()> {
+    /// Reads the next record into `rec`; `false` once the run is done.
+    fn next(&mut self) -> TensorResult<bool> {
         if self.remaining == 0 {
-            self.has = false;
-            return Ok(());
+            return Ok(false);
         }
         self.reader.read_exact(&mut self.rec)?;
-        let (coords, tail) = self.rec.split_at(self.rec.len() - 12);
+        self.remaining -= 1;
+        Ok(true)
+    }
+}
+
+/// The index of the smallest front under `lt`, the lowest index winning
+/// ties; `None` when there is none. Run counts are small (entries over
+/// chunk size), so a linear scan finds it: no heap, no allocation.
+fn smallest<T>(fronts: &[T], lt: impl Fn(&T, &T) -> bool) -> Option<usize> {
+    let mut best = None;
+    for i in 0..fronts.len() {
+        if best.is_none_or(|b| lt(&fronts[i], &fronts[b])) {
+            best = Some(i);
+        }
+    }
+    best
+}
+
+/// A raw run's front entry, decoded.
+struct RawFront {
+    run: RunReader,
+    coords: Vec<Index>,
+    val: Value,
+    line: u64,
+}
+
+impl RawFront {
+    /// Decodes the next record; `false` once the run is done.
+    fn advance(&mut self) -> TensorResult<bool> {
+        if !self.run.next()? {
+            return Ok(false);
+        }
+        let (coords, rest) = self.run.rec.split_at(4 * self.coords.len());
         for (c, b) in self.coords.iter_mut().zip(coords.chunks_exact(4)) {
             *c = u32::from_le_bytes(b.try_into().expect("4 bytes"));
         }
-        self.val = f32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
-        self.line = u64::from_le_bytes(tail[4..].try_into().expect("8 bytes"));
-        self.remaining -= 1;
-        self.has = true;
-        Ok(())
+        self.val = f32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+        self.line = u64::from_le_bytes(rest[4..].try_into().expect("8 bytes"));
+        Ok(true)
     }
 }
 
-/// K-way merge over run files in raw (coords, line) order — policy is
-/// NOT applied here; [`MergeStream`] layers it on top. Run counts are
-/// small (raw nnz / chunk size), so the min is found by linear scan:
-/// allocation-free and branch-predictable.
+/// K-way merge over raw runs in (coords, line) order, identity mode
+/// order. Exhausted runs leave the front list.
 struct RawMerge {
-    readers: Vec<RunReader>,
-    perm: Vec<usize>,
+    fronts: Vec<RawFront>,
 }
 
 impl RawMerge {
-    fn open(runs: &[PathBuf], order: usize, perm: &[usize]) -> TensorResult<RawMerge> {
-        let readers = runs
-            .iter()
-            .map(|p| RunReader::open(p, order))
-            .collect::<TensorResult<Vec<_>>>()?;
-        Ok(RawMerge {
-            readers,
-            perm: perm.to_vec(),
-        })
+    fn open(runs: &[PathBuf], order: usize) -> TensorResult<RawMerge> {
+        let mut fronts = Vec::with_capacity(runs.len());
+        for path in runs {
+            let mut f = RawFront {
+                run: RunReader::open(path, order, raw_len(order))?,
+                coords: vec![0; order],
+                val: 0.0,
+                line: 0,
+            };
+            if f.advance()? {
+                fronts.push(f);
+            }
+        }
+        Ok(RawMerge { fronts })
     }
 
     /// Pops the globally smallest entry into `coords`, returning its
     /// `(value, line)`; `None` when all runs are exhausted.
     fn next_entry(&mut self, coords: &mut [Index]) -> TensorResult<Option<(Value, u64)>> {
-        let mut best: Option<usize> = None;
-        for (i, r) in self.readers.iter().enumerate() {
-            if !r.has {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if entry_lt(&self.readers[i], &self.readers[b], &self.perm) {
-                        best = Some(i);
-                    }
-                }
-            }
+        let lt = |a: &RawFront, b: &RawFront| (&a.coords, a.line) < (&b.coords, b.line);
+        let Some(b) = smallest(&self.fronts, lt) else {
+            return Ok(None);
+        };
+        let f = &mut self.fronts[b];
+        coords.copy_from_slice(&f.coords);
+        let out = (f.val, f.line);
+        if !f.advance()? {
+            self.fronts.remove(b);
         }
-        let Some(b) = best else { return Ok(None) };
-        let r = &mut self.readers[b];
-        coords.copy_from_slice(&r.coords);
-        let out = (r.val, r.line);
-        r.advance()?;
         Ok(Some(out))
     }
 }
 
-fn entry_lt(a: &RunReader, b: &RunReader, perm: &[usize]) -> bool {
-    for &m in perm {
-        match a.coords[m].cmp(&b.coords[m]) {
-            core::cmp::Ordering::Less => return true,
-            core::cmp::Ordering::Greater => return false,
-            core::cmp::Ordering::Equal => {}
-        }
-    }
-    a.line < b.line
+/// A packed run's front record, decoded to its key, tail and value.
+struct PackedFront {
+    run: RunReader,
+    key: u64,
+    tail: Vec<Index>,
+    val: Value,
 }
 
-/// The policy-applied sorted stream over a [`SpilledTensor`]'s runs.
-/// Implements [`SortedChunks`]: rescannable, chunk-size agnostic, and
-/// byte-identical to sorting (and folding) the resident tensor.
+impl PackedFront {
+    /// Decodes the next record; `false` once the run is done.
+    fn advance(&mut self) -> TensorResult<bool> {
+        if !self.run.next()? {
+            return Ok(false);
+        }
+        let (key, rest) = self.run.rec.split_at(8);
+        self.key = u64::from_le_bytes(key.try_into().expect("8 bytes"));
+        let (tail, val) = rest.split_at(4 * self.tail.len());
+        for (c, b) in self.tail.iter_mut().zip(tail.chunks_exact(4)) {
+            *c = u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        }
+        self.val = f32::from_le_bytes(val.try_into().expect("4 bytes"));
+        Ok(true)
+    }
+}
+
+/// K-way merge over packed runs of one layout: by key, then tail, then
+/// the lower run index. Exhausted runs leave the front list, which keeps
+/// the rest in run order.
+struct PackedMerge {
+    fronts: Vec<PackedFront>,
+}
+
+impl PackedMerge {
+    fn open(runs: &[PathBuf], order: usize, layout: &KeyLayout) -> TensorResult<PackedMerge> {
+        let mut fronts = Vec::with_capacity(runs.len());
+        for path in runs {
+            let mut f = PackedFront {
+                run: RunReader::open(path, order, packed_len(layout))?,
+                key: 0,
+                tail: vec![0; layout.tail().len()],
+                val: 0.0,
+            };
+            if f.advance()? {
+                fronts.push(f);
+            }
+        }
+        Ok(PackedMerge { fronts })
+    }
+
+    /// Pops the smallest record: copies its tail into `tail` and returns
+    /// its `(key, value)`; `None` when all runs are exhausted.
+    fn pop(&mut self, tail: &mut [Index]) -> TensorResult<Option<(u64, Value)>> {
+        let lt = |a: &PackedFront, b: &PackedFront| (a.key, &a.tail) < (b.key, &b.tail);
+        let Some(b) = smallest(&self.fronts, lt) else {
+            return Ok(None);
+        };
+        let f = &mut self.fronts[b];
+        tail.copy_from_slice(&f.tail);
+        let out = (f.key, f.val);
+        if !f.advance()? {
+            self.fronts.remove(b);
+        }
+        Ok(Some(out))
+    }
+}
+
+/// The sorted stream over a [`SpilledTensor`]'s runs. Implements
+/// [`SortedChunks`]: rescannable and chunk-size agnostic. Each entry's
+/// `line` in the chunks it fills is its ordinal in the stream.
 pub struct MergeStream<'a> {
     owner: &'a SpilledTensor,
-    merge: RawMerge,
-    /// Value and line of the pending entry not yet emitted: the folded
-    /// group (Sum) or the one-entry lookahead (all policies). Its
-    /// coordinates live in `pending_coords`.
-    pending: Option<(Value, u64)>,
-    pending_coords: Vec<Index>,
-    scratch: Vec<Index>,
+    merge: PackedMerge,
+    tail: Vec<Index>,
+    coords: Vec<Index>,
+    /// Entries yielded since the stream (re)started.
+    yielded: u64,
 }
 
 impl<'a> MergeStream<'a> {
     fn open(owner: &'a SpilledTensor) -> TensorResult<MergeStream<'a>> {
-        let merge = RawMerge::open(&owner.runs, owner.dims.len(), &owner.perm)?;
         Ok(MergeStream {
             owner,
-            merge,
-            pending: None,
-            pending_coords: vec![0; owner.dims.len()],
-            scratch: vec![0; owner.dims.len()],
+            merge: owner.merge()?,
+            tail: vec![0; owner.layout.tail().len()],
+            coords: vec![0; owner.dims.len()],
+            yielded: 0,
         })
     }
 }
@@ -513,40 +756,21 @@ impl SortedChunks for MergeStream<'_> {
     }
 
     fn next_chunk(&mut self, max_entries: usize, out: &mut CooChunk) -> TensorResult<usize> {
-        let order = self.owner.dims.len();
-        out.reset(order);
-        let fold = self.owner.policy == DuplicatePolicy::Sum;
+        out.reset(self.owner.dims.len());
         while out.len() < max_entries {
-            match self.merge.next_entry(&mut self.scratch)? {
-                None => {
-                    if let Some((v, l)) = self.pending.take() {
-                        out.push(&self.pending_coords, v, l);
-                    }
-                    break;
-                }
-                Some((v, line)) => match self.pending {
-                    Some((pv, pl)) if fold && self.pending_coords == self.scratch => {
-                        // Merge yields equal coordinates in ascending
-                        // line order: the fold accumulates exactly as
-                        // the in-core path does.
-                        self.pending = Some((pv + v, pl));
-                    }
-                    held => {
-                        if let Some((pv, pl)) = held {
-                            out.push(&self.pending_coords, pv, pl);
-                        }
-                        std::mem::swap(&mut self.pending_coords, &mut self.scratch);
-                        self.pending = Some((v, line));
-                    }
-                },
-            }
+            let Some((key, val)) = self.merge.pop(&mut self.tail)? else {
+                break;
+            };
+            self.owner.layout.unpack(key, &self.tail, &mut self.coords);
+            out.push(&self.coords, val, self.yielded);
+            self.yielded += 1;
         }
         Ok(out.len())
     }
 
     fn rewind(&mut self) -> TensorResult<()> {
-        self.merge = RawMerge::open(&self.owner.runs, self.owner.dims.len(), &self.owner.perm)?;
-        self.pending = None;
+        self.merge = self.owner.merge()?;
+        self.yielded = 0;
         Ok(())
     }
 }
@@ -667,7 +891,8 @@ mod tests {
             .with_policy(DuplicatePolicy::Keep)
             .with_chunk_nnz(64);
         let spilled = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
-        assert!(spilled.runs.len() > 1, "{} runs", spilled.runs.len());
+        // Ingest merges its 15 raw runs into one packed run.
+        assert_eq!(spilled.runs.len(), 1);
         assert_eq!(spilled.to_coo().unwrap(), t);
         for perm in [vec![5usize, 4, 3, 2, 1, 0], vec![2, 0, 5, 1, 4, 3]] {
             let resorted = spilled.resort(&perm, &dir, &opts).unwrap();
@@ -679,25 +904,179 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The bytes of a packed run: the header, then per entry the key as
+    /// `u64`, the tail coordinates as `u32` and the value.
+    fn packed_bytes(order: u32, entries: &[(u64, &[Index], Value)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&order.to_le_bytes());
+        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for &(key, tail, val) in entries {
+            out.extend_from_slice(&key.to_le_bytes());
+            for c in tail {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+            out.extend_from_slice(&val.to_le_bytes());
+        }
+        out
+    }
+
     #[test]
     fn run_file_is_header_then_whole_records() {
-        let mut chunk = CooChunk::with_order(4);
-        chunk.push(&[1, 2, 3, u32::MAX], 1.5, 7);
-        chunk.push(&[9, 0, 5, 6], -2.0, u64::MAX);
         let dir = tmp();
-        let path = dir.join("run.bin");
-        write_run(&chunk, &path).unwrap();
-        let mut expect = Vec::new();
-        expect.extend_from_slice(&4u32.to_le_bytes());
-        expect.extend_from_slice(&2u64.to_le_bytes());
-        for i in 0..2 {
-            for arr in &chunk.coords {
-                expect.extend_from_slice(&arr[i].to_le_bytes());
-            }
-            expect.extend_from_slice(&chunk.vals[i].to_le_bytes());
-            expect.extend_from_slice(&chunk.lines[i].to_le_bytes());
+        let opts = IngestOptions::new()
+            .with_policy(DuplicatePolicy::Keep)
+            .with_chunk_nnz(1);
+
+        // Fields of 3, 2 and 4 bits fit in the key: 12 B per record.
+        let t = CooTensor::from_parts(
+            vec![6, 3, 10],
+            vec![vec![5, 1], vec![2, 0], vec![3, 9]],
+            vec![1.5, -2.0],
+        );
+        let spilled = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
+        let expect = packed_bytes(
+            3,
+            &[(1 << 6 | 9, &[], -2.0), (5 << 6 | 2 << 4 | 3, &[], 1.5)],
+        );
+        assert_eq!(spilled.runs.len(), 1);
+        assert_eq!(std::fs::read(&spilled.runs[0]).unwrap(), expect);
+        assert_eq!(spilled.bytes_on_disk(), expect.len() as u64);
+
+        // Fields of 32, 1 and 32 bits do not: modes 2 and 3 form the tail.
+        let big = u32::MAX - 1;
+        let t = CooTensor::from_parts(
+            vec![u32::MAX, 2, u32::MAX, 7],
+            vec![vec![big, 3], vec![1, 0], vec![4, big], vec![6, 0]],
+            vec![0.5, 7.0],
+        );
+        let spilled = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
+        let expect = packed_bytes(
+            4,
+            &[
+                (3 << 1, &[big, 0], 7.0),
+                (u64::from(big) << 1 | 1, &[4, 6], 0.5),
+            ],
+        );
+        assert_eq!(std::fs::read(&spilled.runs[0]).unwrap(), expect);
+
+        // Under [2, 3, 0, 1] the key holds modes 2 and 3 (32 + 3 bits),
+        // and each one-entry chunk is its own run.
+        let resorted = spilled.resort(&[2, 3, 0, 1], &dir, &opts).unwrap();
+        let runs: Vec<Vec<u8>> = resorted
+            .runs
+            .iter()
+            .map(|p| std::fs::read(p).unwrap())
+            .collect();
+        assert_eq!(
+            runs,
+            [
+                packed_bytes(4, &[(u64::from(big) << 3, &[3, 0], 7.0)]),
+                packed_bytes(4, &[(4 << 3 | 6, &[big, 1], 0.5)]),
+            ]
+        );
+        assert_eq!(resorted.bytes_on_disk(), 2 * 32);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A spill whose one run's header is overwritten with `header`.
+    fn spill_with_header(dir: &Path, header: impl Fn(&mut [u8])) -> SpilledTensor {
+        let t = crate::synth::uniform_random(&[10, 11, 12], 300, 8);
+        let opts = IngestOptions::new().with_policy(DuplicatePolicy::Keep);
+        let spilled = SpilledTensor::ingest(CooSource::new(t), &opts, dir).unwrap();
+        let mut bytes = std::fs::read(&spilled.runs[0]).unwrap();
+        header(&mut bytes[..HEADER_LEN]);
+        std::fs::write(&spilled.runs[0], bytes).unwrap();
+        spilled
+    }
+
+    #[test]
+    fn header_counting_past_the_file_is_a_typed_error() {
+        let dir = tmp();
+        // A count no file could hold: any allocation sized from it
+        // would abort the test.
+        for count in [301u64, u64::MAX / 12, u64::MAX] {
+            let spilled = spill_with_header(&dir, |h| h[4..].copy_from_slice(&count.to_le_bytes()));
+            let err = spilled.to_coo().expect_err("count past the file");
+            assert!(
+                matches!(&err, TensorError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                "count {count}: {err:?}"
+            );
+            let err = spilled
+                .resort(&[1, 0, 2], &dir, &IngestOptions::new())
+                .expect_err("count past the file");
+            assert!(matches!(err, TensorError::Io(_)), "{err:?}");
         }
-        assert_eq!(std::fs::read(&path).unwrap(), expect);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn header_with_the_wrong_order_is_a_typed_error() {
+        let dir = tmp();
+        for order in [0u32, 4, u32::MAX] {
+            let spilled = spill_with_header(&dir, |h| h[..4].copy_from_slice(&order.to_le_bytes()));
+            let err = spilled.to_coo().expect_err("wrong order");
+            assert!(
+                matches!(
+                    err,
+                    TensorError::Invalid {
+                        context: "spill",
+                        ..
+                    }
+                ),
+                "order {order}: {err:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The entries of `dir`, by name.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn failed_ingest_and_resort_leave_no_run_directory() {
+        let dir = tmp();
+        let opts = IngestOptions::new().with_chunk_nnz(1);
+        // A parse error after three runs were written.
+        let text = "1 1 1 1.0\n2 2 2 2.0\n3 3 3 3.0\n4 x 4 4.0\n";
+        let err =
+            SpilledTensor::ingest(TnsSource::new(BufReader::new(text.as_bytes())), &opts, &dir)
+                .expect_err("bad line");
+        assert!(matches!(err, TensorError::Parse { line: 4, .. }), "{err:?}");
+        assert_eq!(listing(&dir), Vec::<String>::new());
+
+        // A Reject error, found by the merge after every run was written.
+        let text = "1 2 3 1.0\n2 2 2 5.0\n1 2 3 4.0\n";
+        let err =
+            SpilledTensor::ingest(TnsSource::new(BufReader::new(text.as_bytes())), &opts, &dir)
+                .expect_err("duplicate");
+        assert!(
+            matches!(err, TensorError::Duplicate { line: 3, .. }),
+            "{err:?}"
+        );
+        assert_eq!(listing(&dir), Vec::<String>::new());
+
+        // A re-sort whose input run is cut short.
+        let t = crate::synth::uniform_random(&[10, 11, 12], 300, 8);
+        let spilled = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
+        let before = listing(&dir);
+        let run = &spilled.runs[0];
+        let len = std::fs::metadata(run).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(run).unwrap();
+        f.set_len(len - 5).unwrap();
+        drop(f);
+        spilled
+            .resort(&[2, 0, 1], &dir, &opts)
+            .expect_err("a truncated run must not re-sort");
+        assert_eq!(listing(&dir), before);
+        drop(spilled);
+        assert_eq!(listing(&dir), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

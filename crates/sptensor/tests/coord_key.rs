@@ -5,7 +5,8 @@
 //! `sort_unstable_by` of that comparison over the same `0..n` ids,
 //! position for position (ties among duplicates included), and the
 //! stable sort and the spill runs must equal the total (coords, id) and
-//! (coords, line) orders. Modes mix tiny extents, all-zero coordinates
+//! (coords, line) orders; the spill's order is read from the values,
+//! which are entry ids. Modes mix tiny extents, all-zero coordinates
 //! (zero-width key fields), coordinates near `u32::MAX` (fields past 64
 //! bits, so the tail comparison runs) and small coordinates under a
 //! `u32::MAX` extent (fields sized from the data, not the extent).
@@ -117,11 +118,12 @@ proptest! {
         let dir = std::env::temp_dir().join(format!("sptk_coord_key_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let identity: Vec<usize> = (0..t.order()).collect();
-        // CooSource numbers entry `z` as line `z + 1`.
+        // Entry `z` holds the value `z`, and CooSource numbers it as
+        // line `z + 1`, so the values name the (coords, line) order.
         let expect = |perm: &[usize]| {
             let mut order = ids(&t);
             order.sort_by(|&a, &b| cmp_modes(&t, perm, a, b).then(a.cmp(&b)));
-            order.iter().map(|&z| z as u64 + 1).collect::<Vec<u64>>()
+            order.iter().map(|&z| z as f32).collect::<Vec<f32>>()
         };
         // One run (the sort alone) and many runs (sort + merge).
         for chunk in [t.nnz().max(1), chunk] {
@@ -129,9 +131,9 @@ proptest! {
                 .with_policy(DuplicatePolicy::Keep)
                 .with_chunk_nnz(chunk);
             let spilled = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
-            prop_assert_eq!(drain(&mut spilled.stream().unwrap()).lines, expect(&identity));
+            prop_assert_eq!(drain(&mut spilled.stream().unwrap()).vals, expect(&identity));
             let resorted = spilled.resort(&perm, &dir, &opts).unwrap();
-            prop_assert_eq!(drain(&mut resorted.stream().unwrap()).lines, expect(&perm));
+            prop_assert_eq!(drain(&mut resorted.stream().unwrap()).vals, expect(&perm));
         }
     }
 }
