@@ -19,27 +19,21 @@ use core::cmp::Ordering;
 
 use crate::Index;
 
-/// How coordinates pack under one mode order: a key of the prefix
-/// fields, most significant first, and the tail modes left over.
+/// How coordinates pack under one mode order: the key holds the prefix
+/// fields, first mode most significant, and the modes left over form the
+/// tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct KeyLayout {
-    fields: Vec<Field>,
+    /// `(mode, width in bits)` per packed field, most significant first.
+    fields: Vec<(usize, u32)>,
     tail: Vec<usize>,
-}
-
-/// One packed mode: its bits are `(key >> shift) & mask`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Field {
-    mode: usize,
-    shift: u32,
-    mask: u64,
 }
 
 impl KeyLayout {
     /// The layout under `perm`, a permutation of the modes, for entries
     /// whose coordinates in mode `m` are at most `maxima[m]`.
     pub(crate) fn new(maxima: &[Index], perm: &[usize]) -> Self {
-        let mut widths = Vec::with_capacity(perm.len());
+        let mut fields = Vec::with_capacity(perm.len());
         let mut used = 0;
         for &m in perm {
             let width = Index::BITS - maxima[m].leading_zeros();
@@ -47,24 +41,22 @@ impl KeyLayout {
                 break;
             }
             used += width;
-            widths.push((m, width));
+            fields.push((m, width));
         }
-        let tail = perm[widths.len()..].to_vec();
-        let fields = widths
-            .into_iter()
-            .map(|(mode, width)| {
-                used -= width;
-                // A zero-width field always holds 0; give it shift 0 so
-                // no shift reaches 64.
-                let shift = if width == 0 { 0 } else { used };
-                Field {
-                    mode,
-                    shift,
-                    mask: (1u64 << width) - 1,
-                }
-            })
+        KeyLayout {
+            tail: perm[fields.len()..].to_vec(),
+            fields,
+        }
+    }
+
+    /// The layout under `perm` sized from the largest coordinate of each
+    /// column (`cols[mode][entry]`).
+    pub(crate) fn of_columns(cols: &[Vec<Index>], perm: &[usize]) -> Self {
+        let maxima: Vec<Index> = cols
+            .iter()
+            .map(|c| c.iter().copied().max().unwrap_or(0))
             .collect();
-        KeyLayout { fields, tail }
+        KeyLayout::new(&maxima, perm)
     }
 
     /// The modes past the key, in the order's sequence.
@@ -77,15 +69,16 @@ impl KeyLayout {
     pub(crate) fn pack(&self, coord: impl Fn(usize) -> Index) -> u64 {
         self.fields
             .iter()
-            .fold(0, |k, f| k | u64::from(coord(f.mode)) << f.shift)
+            .fold(0, |k, &(m, width)| k << width | u64::from(coord(m)))
     }
 
     /// Writes back the coordinates of the entry with `key` and tail
     /// coordinates `tail` into `coords`, indexed by mode.
     #[inline]
-    pub(crate) fn unpack(&self, key: u64, tail: &[Index], coords: &mut [Index]) {
-        for f in &self.fields {
-            coords[f.mode] = ((key >> f.shift) & f.mask) as Index;
+    pub(crate) fn unpack(&self, mut key: u64, tail: &[Index], coords: &mut [Index]) {
+        for &(m, width) in self.fields.iter().rev() {
+            coords[m] = (key & ((1 << width) - 1)) as Index;
+            key >>= width;
         }
         for (&m, &c) in self.tail.iter().zip(tail) {
             coords[m] = c;
@@ -104,14 +97,9 @@ pub(crate) struct CoordKey<'a> {
 
 impl<'a> CoordKey<'a> {
     /// Packs the key of every entry under `perm`, a permutation of the
-    /// modes of `cols`, in a layout sized from the largest coordinate of
-    /// each column.
+    /// modes of `cols`.
     pub(crate) fn new(cols: &'a [Vec<Index>], perm: &[usize]) -> Self {
-        let maxima: Vec<Index> = cols
-            .iter()
-            .map(|c| c.iter().copied().max().unwrap_or(0))
-            .collect();
-        let layout = KeyLayout::new(&maxima, perm);
+        let layout = KeyLayout::of_columns(cols, perm);
         CoordKey {
             keys: (0..cols.first().map_or(0, Vec::len))
                 .map(|i| layout.pack(|m| cols[m][i]))

@@ -22,8 +22,12 @@ use crate::{CooTensor, Index, TensorError, TensorResult, Value};
 /// One batch of raw nonzeros, structure-of-arrays: `coords[mode][i]` is
 /// the mode-`mode` coordinate of the chunk's `i`-th entry. `lines[i]` is
 /// the entry's 1-based source line (text) or ordinal (binary/synthetic),
-/// carried so duplicate errors and merge tie-breaks can name the exact
-/// source position regardless of how entries were batched or re-sorted.
+/// carried so duplicate errors can name the exact source position
+/// regardless of how entries were batched or re-sorted. A source's lines
+/// ascend in the order it yields entries. A sorted stream fills `lines`
+/// with its own numbering: the entry's id in the resident tensor
+/// ([`crate::SortedView`]) or its ordinal in the stream
+/// ([`crate::MergeStream`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CooChunk {
     pub coords: Vec<Vec<Index>>,
