@@ -13,13 +13,13 @@
 //! a `u64` key under a key layout (the longest prefix of the mode order
 //! whose fields fit), the remaining tail modes as `u32`, then the value,
 //! and in a raw run the line. A raw run's layout gives every field 32
-//! bits, since the maxima are not known yet: `4·order + 12` B per record.
-//! A [`SpilledTensor`]'s runs size each field by the largest coordinate
-//! of its mode: 12 B for a 3-mode tensor whose fields fit, and never more
-//! than the raw record. [`SpilledTensor::resort`] re-packs each key under
-//! another order and sorts the records as they are, without decoding them
-//! into chunks. [`MergeStream`] applies no policy; only the raw merge
-//! does.
+//! bits, since the maxima are not known yet: `4·order + 12` B per record
+//! from order 2. A [`SpilledTensor`]'s runs size each field by the
+//! largest coordinate of its mode: 12 B for a 3-mode tensor whose fields
+//! fit, and never more than the raw record. [`SpilledTensor::resort`]
+//! re-packs each key under another order and sorts the records as they
+//! are, without decoding them into chunks. [`MergeStream`] applies no
+//! policy; only the raw merge does.
 //!
 //! Determinism contract: every merge breaks ties by the lower run index,
 //! and every run is a consecutive slice of its input, sorted stably. A
@@ -425,7 +425,7 @@ const HEADER_LEN: usize = 12;
 
 /// The layout of raw runs: written before the maxima are known, so every
 /// field is 32 bits wide — the first two modes in the key, the rest in
-/// the tail, `4·order + 12` B per record with the line.
+/// the tail: `4·order + 12` B per record with the line, from order 2.
 fn raw_layout(order: usize) -> KeyLayout {
     let identity: Vec<usize> = (0..order).collect();
     KeyLayout::new(&vec![Index::MAX; order], &identity)
@@ -436,6 +436,8 @@ fn record_len(layout: &KeyLayout, raw: bool) -> usize {
     12 + 4 * layout.tail().len() + if raw { 8 } else { 0 }
 }
 
+/// Encodes one record into `rec`, which is exactly one record long:
+/// the key, the tail coordinates, the value, then the line if given.
 fn encode(
     rec: &mut [u8],
     key: u64,
