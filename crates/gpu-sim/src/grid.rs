@@ -33,10 +33,29 @@ pub enum Op {
     Sync(u32),
 }
 
-/// The instruction stream of one warp.
+/// Bit position of an instruction word's tag; the payload sits below it.
+const TAG_SHIFT: u32 = 61;
+/// The payload bits of an instruction word.
+const PAYLOAD: u64 = (1 << TAG_SHIFT) - 1;
+
+// Instruction word tags, one per [`Op`] variant.
+const FMA: u64 = 0;
+const ALU: u64 = 1;
+const LOAD: u64 = 2;
+const STORE: u64 = 3;
+const ATOMIC: u64 = 4;
+const REPLAY: u64 = 5;
+const SYNC: u64 = 6;
+
+/// The instruction stream of one warp, packed one [`Op`] per 8-byte word:
+/// a 3-bit tag in the top bits and the operand in the low 61. Segment ids
+/// are byte addresses / 128, so they stay below `2^57` and every `Load`
+/// and `Store` fits one word. `AtomicAdd` takes two: the tag with `row`,
+/// then `seg` whole. [`WarpWork::ops`] decodes the words back into
+/// [`Op`]s in push order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarpWork {
-    pub ops: Vec<Op>,
+    words: Vec<u64>,
 }
 
 impl WarpWork {
@@ -44,36 +63,86 @@ impl WarpWork {
         WarpWork::default()
     }
 
+    /// Appends `op`.
+    ///
+    /// # Panics
+    /// If a `Load` or `Store` segment id does not fit 61 bits
+    /// ([`segments`] never yields one that does not).
     #[inline]
     pub fn push(&mut self, op: Op) {
-        self.ops.push(op);
+        let word = |tag: u64, payload: u64| {
+            assert!(
+                payload <= PAYLOAD,
+                "op payload {payload:#x} does not fit an instruction word"
+            );
+            tag << TAG_SHIFT | payload
+        };
+        match op {
+            Op::Fma(n) => self.words.push(word(FMA, n.into())),
+            Op::Alu(n) => self.words.push(word(ALU, n.into())),
+            Op::Load(seg) => self.words.push(word(LOAD, seg)),
+            Op::Store(seg) => self.words.push(word(STORE, seg)),
+            Op::AtomicAdd { row, seg } => {
+                self.words.push(word(ATOMIC, row.into()));
+                self.words.push(seg);
+            }
+            Op::Replay(n) => self.words.push(word(REPLAY, n.into())),
+            Op::Sync(n) => self.words.push(word(SYNC, n.into())),
+        }
     }
 
     /// Emits loads covering `bytes` bytes starting at `addr` (coalesced:
     /// one `Load` per touched 128-B segment).
     pub fn load_span(&mut self, addr: u64, bytes: u64) {
         for seg in segments(addr, bytes) {
-            self.ops.push(Op::Load(seg));
+            self.push(Op::Load(seg));
         }
     }
 
     /// Emits stores covering `bytes` bytes starting at `addr`.
     pub fn store_span(&mut self, addr: u64, bytes: u64) {
         for seg in segments(addr, bytes) {
-            self.ops.push(Op::Store(seg));
+            self.push(Op::Store(seg));
         }
     }
 
     /// Emits atomic adds covering `bytes` at `addr`, tagged with `row`.
     pub fn atomic_span(&mut self, row: u32, addr: u64, bytes: u64) {
         for seg in segments(addr, bytes) {
-            self.ops.push(Op::AtomicAdd { row, seg });
+            self.push(Op::AtomicAdd { row, seg });
         }
+    }
+
+    /// The warp's ops, decoded in push order.
+    pub fn ops(&self) -> impl Iterator<Item = Op> + '_ {
+        let mut words = self.words.iter();
+        std::iter::from_fn(move || {
+            let word = *words.next()?;
+            let payload = word & PAYLOAD;
+            Some(match word >> TAG_SHIFT {
+                FMA => Op::Fma(payload as u32),
+                ALU => Op::Alu(payload as u32),
+                LOAD => Op::Load(payload),
+                STORE => Op::Store(payload),
+                ATOMIC => Op::AtomicAdd {
+                    row: payload as u32,
+                    seg: *words.next().expect("an atomic op has a segment word"),
+                },
+                REPLAY => Op::Replay(payload as u32),
+                SYNC => Op::Sync(payload as u32),
+                tag => unreachable!("instruction word tag {tag}"),
+            })
+        })
+    }
+
+    /// Bytes the packed stream occupies (8 per word, `AtomicAdd` 16).
+    pub fn bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
     }
 
     /// True when the warp does nothing (skipped by the scheduler).
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.words.is_empty()
     }
 }
 
@@ -127,6 +196,28 @@ impl KernelLaunch {
 
     pub fn num_warps(&self) -> usize {
         self.blocks.iter().map(|b| b.warps.len()).sum()
+    }
+
+    /// Bytes of the packed instruction streams of every warp.
+    pub fn op_bytes(&self) -> usize {
+        self.blocks
+            .iter()
+            .flat_map(|b| &b.warps)
+            .map(WarpWork::bytes)
+            .sum()
+    }
+
+    /// Drops the growth slack of every warp's instruction stream, for a
+    /// launch that is complete and kept. A stream with slack is copied
+    /// into an exact allocation rather than shrunk in place: an in-place
+    /// shrink frees an odd-sized tail per warp, and tens of thousands of
+    /// those slowed the allocations of the next capture by a third.
+    pub fn trim(&mut self) {
+        for warp in self.blocks.iter_mut().flat_map(|b| &mut b.warps) {
+            if warp.words.capacity() > warp.words.len() {
+                warp.words = warp.words.to_vec();
+            }
+        }
     }
 }
 
@@ -208,9 +299,33 @@ mod tests {
     fn load_span_emits_coalesced_ops() {
         let mut w = WarpWork::new();
         w.load_span(100, 128); // crosses a boundary -> 2 segments
-        assert_eq!(w.ops.len(), 2);
-        assert_eq!(w.ops[0], Op::Load(0));
-        assert_eq!(w.ops[1], Op::Load(1));
+        assert_eq!(w.ops().collect::<Vec<_>>(), [Op::Load(0), Op::Load(1)]);
+    }
+
+    #[test]
+    fn extreme_payloads_round_trip() {
+        let ops = [
+            Op::Fma(u32::MAX),
+            Op::AtomicAdd {
+                row: u32::MAX,
+                seg: (1 << 57) - 1,
+            },
+            Op::Load((1 << 61) - 1),
+            Op::Store(0),
+            Op::Sync(u32::MAX),
+        ];
+        let mut w = WarpWork::new();
+        for op in ops {
+            w.push(op);
+        }
+        assert_eq!(w.ops().collect::<Vec<_>>(), ops);
+        assert_eq!(w.bytes(), 6 * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an instruction word")]
+    fn oversized_load_payload_panics() {
+        WarpWork::new().push(Op::Load(1 << 61));
     }
 
     #[test]

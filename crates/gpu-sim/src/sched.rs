@@ -266,9 +266,9 @@ fn compute_block_costs(
     let mut writers: HashMap<u32, (u32, u32)> = HashMap::new(); // row -> (last block, count)
     for (b, block) in launch.blocks.iter().enumerate() {
         for warp in &block.warps {
-            for op in &warp.ops {
+            for op in warp.ops() {
                 if let Op::AtomicAdd { row, .. } = op {
-                    let e = writers.entry(*row).or_insert((u32::MAX, 0));
+                    let e = writers.entry(row).or_insert((u32::MAX, 0));
                     if e.0 != b as u32 {
                         *e = (b as u32, e.1 + 1);
                     }
@@ -290,8 +290,8 @@ fn compute_block_costs(
     for (b, block) in launch.blocks.iter().enumerate() {
         hit_ptr.push(hits.len());
         for (w, warp) in block.warps.iter().enumerate() {
-            for op in &warp.ops {
-                let seg = match *op {
+            for op in warp.ops() {
+                let seg = match op {
                     Op::Load(seg) | Op::Store(seg) => seg,
                     Op::AtomicAdd { row, seg } => {
                         if detail {
@@ -417,8 +417,8 @@ fn fold_block(
         warps_in_block += 1;
         let mut compute = 0.0f64;
         let mut latency = 0.0f64;
-        for op in &warp.ops {
-            match *op {
+        for op in warp.ops() {
+            match op {
                 Op::Fma(n) => {
                     compute += n as f64 * cost.fma_cycles;
                     block_flops += n as u64 * dev.warp_size as u64 * 2;

@@ -7,6 +7,14 @@ use gpu_sim::{
 };
 use proptest::prelude::*;
 
+fn warp(ops: &[Op]) -> WarpWork {
+    let mut w = WarpWork::new();
+    for &op in ops {
+        w.push(op);
+    }
+    w
+}
+
 fn arb_launch() -> impl Strategy<Value = KernelLaunch> {
     let op = prop_oneof![
         (1u32..50).prop_map(Op::Fma),
@@ -16,7 +24,7 @@ fn arb_launch() -> impl Strategy<Value = KernelLaunch> {
         ((0u32..8), (0u64..40)).prop_map(|(row, seg)| Op::AtomicAdd { row, seg }),
         (1u32..10).prop_map(Op::Sync),
     ];
-    let warp = proptest::collection::vec(op, 1..20).prop_map(|ops| WarpWork { ops });
+    let warp = proptest::collection::vec(op, 1..20).prop_map(|ops| warp(&ops));
     let block = proptest::collection::vec(warp, 1..6).prop_map(|warps| BlockWork { warps });
     proptest::collection::vec(block, 0..20).prop_map(|blocks| KernelLaunch {
         name: "prop".into(),
@@ -24,8 +32,37 @@ fn arb_launch() -> impl Strategy<Value = KernelLaunch> {
     })
 }
 
+/// Every op variant over its whole operand range, with the extremes the
+/// packed encoding must hold as arms of their own.
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        any::<u32>().prop_map(Op::Fma),
+        Just(Op::Fma(u32::MAX)),
+        any::<u32>().prop_map(Op::Alu),
+        (0u64..1 << 61).prop_map(Op::Load),
+        (0u64..1 << 61).prop_map(Op::Store),
+        (any::<u32>(), 0u64..1 << 57).prop_map(|(row, seg)| Op::AtomicAdd { row, seg }),
+        Just(Op::AtomicAdd {
+            row: u32::MAX,
+            seg: (1 << 57) - 1
+        }),
+        any::<u32>().prop_map(Op::Replay),
+        any::<u32>().prop_map(Op::Sync),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn packed_ops_round_trip(ops in proptest::collection::vec(arb_op(), 0..64)) {
+        let w = warp(&ops);
+        prop_assert_eq!(w.ops().collect::<Vec<_>>(), ops.clone());
+        // One word per op, two per atomic.
+        let atomics = ops.iter().filter(|op| matches!(op, Op::AtomicAdd { .. })).count();
+        prop_assert_eq!(w.bytes(), 8 * (ops.len() + atomics));
+        prop_assert_eq!(w.is_empty(), ops.is_empty());
+    }
 
     #[test]
     fn makespan_obeys_list_scheduling_bounds(launch in arb_launch()) {

@@ -60,7 +60,7 @@ pub(crate) fn plan_named(ctx: &GpuContext, bcsf: &Bcsf, rank: usize, name: &str)
     let mut pb = PlanBuilder::new(name, mode, rank, bcsf.csf.dims[mode] as usize);
     pb.set_footprint(MemoryFootprint::from_layout(&space, &fa));
     emit(ctx, bcsf, &fa, &spans, &mut pb);
-    pb.finish()
+    pb.finish(ctx)
 }
 
 /// Emits the kernel's blocks into the builder's launch and records the

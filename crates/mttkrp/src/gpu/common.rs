@@ -502,13 +502,14 @@ mod tests {
         let fa = FactorAddrs::layout(&mut space, &[10, 10, 10], 32, 0);
         let mut w = WarpWork::new();
         fa.load_row(&mut w, 1, 3);
-        assert_eq!(w.ops.len(), 1); // 128-B row = 1 segment
+        assert_eq!(w.ops().count(), 1); // 128-B row = 1 segment
         fa.store_y(&mut w, 2);
         fa.atomic_y(&mut w, 2);
-        assert_eq!(w.ops.len(), 3);
-        match w.ops[2] {
-            Op::AtomicAdd { row, .. } => assert_eq!(row, 2),
-            ref other => panic!("expected atomic, got {other:?}"),
+        assert_eq!(w.ops().count(), 3);
+        let third = w.ops().nth(2);
+        match third {
+            Some(Op::AtomicAdd { row, .. }) => assert_eq!(row, 2),
+            other => panic!("expected atomic, got {other:?}"),
         }
     }
 
@@ -551,10 +552,10 @@ mod tests {
         let span = space.alloc_elems(1000, 4);
         let mut w = WarpWork::new();
         load_u32s(&mut w, span, 0, 32); // 128 B = 1 segment
-        assert_eq!(w.ops.len(), 1);
+        assert_eq!(w.ops().count(), 1);
         load_u32s(&mut w, span, 31, 2); // straddles a boundary
-        assert_eq!(w.ops.len(), 3);
+        assert_eq!(w.ops().count(), 3);
         load_u32s(&mut w, span, 0, 0);
-        assert_eq!(w.ops.len(), 3);
+        assert_eq!(w.ops().count(), 3);
     }
 }

@@ -90,7 +90,7 @@ pub(crate) fn plan_impl(ctx: &GpuContext, csl: &Csl, rank: usize) -> Plan {
     let mut pb = PlanBuilder::new("csl", mode, rank, csl.dims[mode] as usize);
     pb.set_footprint(MemoryFootprint::from_layout(&space, &fa));
     emit(ctx, csl, &fa, &spans, &mut pb);
-    pb.finish()
+    pb.finish(ctx)
 }
 
 /// Emits the CSL kernel into the builder's launch and replay schedule.

@@ -206,7 +206,7 @@ pub(crate) fn plan_impl(ctx: &GpuContext, fcoo: &Fcoo, rank: usize) -> Plan {
         pb.launch.blocks.push(block);
     }
 
-    pb.finish()
+    pb.finish(ctx)
 }
 
 /// Emits the segments touched when 32 lanes read 4-byte entries at

@@ -27,7 +27,7 @@ pub(crate) fn plan_impl(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Plan {
     let mode = h.perm[0];
     let mut pb = PlanBuilder::new("hb-csf", mode, rank, h.dims[mode] as usize);
     capture_into(ctx, h, rank, &mut pb);
-    pb.finish()
+    pb.finish(ctx)
 }
 
 /// The capture body behind [`plan_impl`], parameterized over the builder

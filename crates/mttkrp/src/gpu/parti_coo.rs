@@ -67,7 +67,7 @@ pub(crate) fn plan_impl(ctx: &GpuContext, t: &CooTensor, mode: usize, rank: usiz
         }
         pb.launch.blocks.push(block);
     }
-    pb.finish()
+    pb.finish(ctx)
 }
 
 #[cfg(test)]

@@ -202,6 +202,20 @@ impl ReplaySchedule {
         self.block_ptr.len() - 1
     }
 
+    /// Bytes of the schedule arrays' elements (their capacity slack and
+    /// the reach table are not counted).
+    pub fn bytes(&self) -> usize {
+        4 * (self.block_ptr.len()
+            + self.rows.len()
+            + self.init_vals.len()
+            + self.leaf_ptr.len()
+            + self.leaf_vals.len()
+            + self.leaf_rows.len()
+            + self.chain_ptr.len()
+            + self.chain_modes.len()
+            + self.chain_rows.len())
+    }
+
     /// Checks the structure replay indexes by: each pointer array starts
     /// at 0, never decreases and ends at the length of the arrays it
     /// indexes; there is one seed and one leaf and chain range per
@@ -608,16 +622,27 @@ impl<'a> PlanBuilder<'a> {
         self.sched.chain_rows.push(row as u32);
     }
 
-    /// Seals the capture into an executable [`Plan`].
-    pub fn finish(mut self) -> Plan {
-        self.seal()
+    /// Seals the capture into an executable [`Plan`]. A profiling `ctx`
+    /// counts the plan's resident bytes: `plan.launch_bytes` (the packed
+    /// instruction stream) and `plan.schedule_bytes` (the schedule arrays).
+    pub fn finish(mut self, ctx: &GpuContext) -> Plan {
+        let plan = self.seal();
+        if ctx.profiling() {
+            ctx.registry
+                .add("plan.launch_bytes", plan.launch.op_bytes() as u64);
+            ctx.registry
+                .add("plan.schedule_bytes", plan.sched.bytes() as u64);
+        }
+        plan
     }
 
     /// Seals the kept schedule into a [`Plan`], leaving an empty schedule
-    /// (same leaf mode) and launch behind. A shard plan sealed this way
-    /// has *local* block ordinals — correct for clean replay (the ordered
-    /// fold is position-independent) but not for fault draws, which key
-    /// on global ordinals.
+    /// (same leaf mode) and launch behind. The kept launch is trimmed
+    /// once, here: a plan holds it for its whole life, and the growth
+    /// slack of its instruction streams would be a third of it. A shard
+    /// plan sealed this way has *local* block ordinals — correct for
+    /// clean replay (the ordered fold is position-independent) but not
+    /// for fault draws, which key on global ordinals.
     fn seal(&mut self) -> Plan {
         let fresh = ReplaySchedule::empty(self.sched.leaf_mode);
         let mut sched = std::mem::replace(&mut self.sched, fresh);
@@ -625,13 +650,15 @@ impl<'a> PlanBuilder<'a> {
         sched.leaf_ptr.push(sched.leaf_vals.len() as u32);
         sched.chain_ptr.push(sched.chain_modes.len() as u32);
         sched.measure_reach();
+        let mut launch = std::mem::replace(&mut self.launch, KernelLaunch::new(&self.name));
+        launch.trim();
         Plan {
             name: self.name.clone(),
             mode: self.mode,
             rank: self.rank,
             out_rows: self.out_rows,
             dispatch: RankDispatch::for_rank(self.rank),
-            launch: std::mem::replace(&mut self.launch, KernelLaunch::new(&self.name)),
+            launch,
             sched,
             footprint: self.footprint,
             sim_clean: OnceLock::new(),

@@ -557,6 +557,58 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_spill_record_is_a_typed_error() {
+        let ctx = GpuContext::tiny();
+        let t = uniform_random(&[14, 17, 12], 900, 33);
+        let dir = tmp("corrupt");
+        let opts = IngestOptions::new().with_policy(DuplicatePolicy::Sum);
+        let spill = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
+        // The ingest leaves one packed run: a 12-byte header, then
+        // equal-length records, each led by its u64 coordinate key.
+        let run_dir = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("spill-ingest-")
+            })
+            .expect("the ingest's run directory");
+        let run = run_dir.join("run000000.bin");
+        let mut bytes = std::fs::read(&run).unwrap();
+        let rec = (bytes.len() - 12) / spill.nnz() as usize;
+        assert_eq!(12 + rec * spill.nnz() as usize, bytes.len());
+        // Record 0 takes the last record's key, so mode 0's build (the
+        // spill's own order) sees entry 1 step back.
+        let last: [u8; 8] = bytes[bytes.len() - rec..][..8].try_into().unwrap();
+        bytes[12..20].copy_from_slice(&last);
+        std::fs::write(&run, bytes).unwrap();
+
+        let sopts = StreamOptions {
+            cpd: CpdOptions {
+                rank: 4,
+                max_iters: 2,
+                tol: 0.0,
+                seed: 1,
+            },
+            devices: 2,
+            chunk_nnz: 64,
+            bcsf: BcsfOptions::default(),
+        };
+        match cpd_als_streamed(&ctx, &spill, &sopts, &dir) {
+            Err(TensorError::Invalid {
+                context: "csf",
+                msg,
+            }) => assert!(msg.contains("entry 1 is out of order"), "{msg}"),
+            Err(e) => panic!("expected the build's order error, got {e:?}"),
+            Ok(res) => panic!("a corrupt run solved to fits {:?}", res.result.fits),
+        }
+        drop(spill);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn streamed_cpd_rejects_low_order_tensors() {
         let ctx = GpuContext::tiny();
         for dims in [vec![9u32], vec![7, 8]] {

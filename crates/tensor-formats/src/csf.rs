@@ -79,16 +79,21 @@ impl Csf {
     /// (address space, not memory, until written) and shrunk at the end.
     ///
     /// The stream must be sorted under the permutation it reports
-    /// ([`SortedChunks::perm`]) and yield exactly [`SortedChunks::nnz`]
-    /// entries; a count mismatch is an error. Equal coordinates (under
+    /// ([`SortedChunks::perm`]), keep every coordinate below its mode's
+    /// extent, and yield exactly [`SortedChunks::nnz`] entries. All three
+    /// are checked: an entry is compared once for order, with the open
+    /// group at the first level where it differs (in the same fiber, with
+    /// the previous leaf), and each coordinate it adds to the tree with
+    /// its extent. Equal coordinates (under
     /// [`sptensor::DuplicatePolicy::Keep`]) become equal leaves of one
     /// fiber, in stream order.
     ///
     /// # Errors
     /// [`TensorError::OrderTooLow`] for a tensor of order < 2, and
     /// [`TensorError::Invalid`] for an invalid permutation, a count that
-    /// overflows the `u32` pointers, or a stream that yields a different
-    /// number of entries than it declares.
+    /// overflows the `u32` pointers, an entry out of order or outside
+    /// the extents, or a stream that yields a different number of entries
+    /// than it declares.
     pub fn build_streamed(stream: &mut dyn SortedChunks, chunk_nnz: usize) -> TensorResult<Csf> {
         let dims = stream.dims().to_vec();
         let perm: ModePerm = stream.perm().to_vec();
@@ -109,6 +114,7 @@ impl Csf {
             .filter(|&m| u32::try_from(m).is_ok())
             .ok_or_else(|| TensorError::invalid("csf", "nonzero count exceeds u32 pointers"))?;
         let chunk_nnz = chunk_nnz.max(1);
+        let extents: Vec<Index> = perm.iter().map(|&mo| dims[mo]).collect();
 
         let mut level_idx: Vec<Vec<Index>> = (0..nlev).map(|_| Vec::with_capacity(m)).collect();
         let mut level_ptr: Vec<Vec<u32>> = (0..nlev).map(|_| Vec::with_capacity(m + 1)).collect();
@@ -133,13 +139,41 @@ impl Csf {
             let keys: Vec<&[Index]> = perm.iter().map(|&mo| &chunk.coords[mo][..n]).collect();
             for i in 0..n {
                 let z = vals.len();
+                let leaf = keys[nlev][i];
+                // The open groups' coordinates, and the previous leaf of
+                // the open fiber, are the last ones pushed.
                 let boundary = if z == 0 {
                     0
                 } else {
-                    (0..nlev)
-                        .find(|&l| level_idx[l].last() != Some(&keys[l][i]))
-                        .unwrap_or(nlev)
+                    let boundary = (0..nlev)
+                        .find(|&l| level_idx[l][level_idx[l].len() - 1] != keys[l][i])
+                        .unwrap_or(nlev);
+                    let stepped_back = match level_idx.get(boundary) {
+                        Some(idx) => keys[boundary][i] < idx[idx.len() - 1],
+                        None => leaf < leaf_idx[z - 1],
+                    };
+                    if stepped_back {
+                        return Err(TensorError::invalid(
+                            "csf",
+                            format!("stream entry {z} is out of order"),
+                        ));
+                    }
+                    boundary
                 };
+                // Only a new group's coordinate, and the leaf's, can be
+                // outside its extent: the rest equal checked ones.
+                for l in boundary..=nlev {
+                    let c = if l < nlev { keys[l][i] } else { leaf };
+                    if c >= extents[l] {
+                        return Err(TensorError::invalid(
+                            "csf",
+                            format!(
+                                "stream entry {z}: mode {} coordinate {c} is outside its extent {}",
+                                perm[l], extents[l]
+                            ),
+                        ));
+                    }
+                }
                 for l in boundary..nlev {
                     let child_start = if l + 1 < nlev {
                         level_idx[l + 1].len()
@@ -149,7 +183,7 @@ impl Csf {
                     level_ptr[l].push(child_start as u32);
                     level_idx[l].push(keys[l][i]);
                 }
-                leaf_idx.push(keys[nlev][i]);
+                leaf_idx.push(leaf);
                 vals.push(chunk.vals[i]);
             }
         }
@@ -464,6 +498,105 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A stream that yields its entries as listed, sorted or not.
+    struct Listed {
+        dims: Vec<Index>,
+        perm: Vec<usize>,
+        entries: Vec<Vec<Index>>,
+        next: usize,
+    }
+
+    impl SortedChunks for Listed {
+        fn dims(&self) -> &[Index] {
+            &self.dims
+        }
+
+        fn nnz(&self) -> u64 {
+            self.entries.len() as u64
+        }
+
+        fn perm(&self) -> &[usize] {
+            &self.perm
+        }
+
+        fn next_chunk(&mut self, max_entries: usize, out: &mut CooChunk) -> TensorResult<usize> {
+            *out = CooChunk::with_order(self.dims.len());
+            let end = (self.next + max_entries).min(self.entries.len());
+            for e in &self.entries[self.next..end] {
+                for (col, &c) in out.coords.iter_mut().zip(e) {
+                    col.push(c);
+                }
+                out.vals.push(1.0);
+                out.lines.push(out.lines.len() as u64);
+            }
+            let n = end - self.next;
+            self.next = end;
+            Ok(n)
+        }
+
+        fn rewind(&mut self) -> TensorResult<()> {
+            self.next = 0;
+            Ok(())
+        }
+    }
+
+    /// Builds `entries` of a `[3, 3, 4]` tensor streamed under `perm`,
+    /// one entry per chunk (each check spans a chunk boundary).
+    fn build_listed(perm: &[usize], entries: &[[Index; 3]]) -> TensorResult<Csf> {
+        let mut stream = Listed {
+            dims: vec![3, 3, 4],
+            perm: perm.to_vec(),
+            entries: entries.iter().map(|e| e.to_vec()).collect(),
+            next: 0,
+        };
+        Csf::build_streamed(&mut stream, 1)
+    }
+
+    fn is_invalid(res: TensorResult<Csf>, what: &str) -> String {
+        match res {
+            Err(TensorError::Invalid {
+                context: "csf",
+                msg,
+            }) => msg,
+            other => panic!("{what}: expected a typed csf error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_order_entry_is_a_typed_error() {
+        // A slice, a fiber and a leaf that step back.
+        let cases: [(&[usize], &[[Index; 3]]); 4] = [
+            (&[0, 1, 2], &[[1, 0, 0], [0, 2, 3]]),
+            (&[0, 1, 2], &[[0, 1, 2], [0, 2, 0], [0, 1, 3]]),
+            (&[0, 1, 2], &[[0, 1, 2], [0, 1, 1]]),
+            (&[1, 0, 2], &[[0, 1, 0], [2, 0, 0]]),
+        ];
+        for (perm, entries) in cases {
+            let msg = is_invalid(build_listed(perm, entries), "out of order");
+            assert!(msg.contains("out of order"), "{msg}");
+        }
+        // Equal entries are Keep duplicates: leaves of one fiber.
+        let csf = build_listed(&[0, 1, 2], &[[0, 1, 2], [0, 1, 2], [0, 1, 3]]).unwrap();
+        assert_eq!(csf.fiber_lengths(), vec![3]);
+        // A leaf may restart lower in a new fiber.
+        build_listed(&[0, 1, 2], &[[0, 1, 3], [0, 2, 0]]).unwrap();
+    }
+
+    #[test]
+    fn out_of_extent_entry_is_a_typed_error() {
+        // A leaf in an open fiber, a new slice, and the first entry.
+        let cases: [(&[usize], &[[Index; 3]]); 3] = [
+            (&[0, 1, 2], &[[0, 1, 2], [0, 1, 4]]),
+            (&[0, 1, 2], &[[0, 1, 2], [3, 0, 0]]),
+            (&[1, 0, 2], &[[0, 3, 0]]),
+        ];
+        for (perm, entries) in cases {
+            let msg = is_invalid(build_listed(perm, entries), "out of extent");
+            assert!(msg.contains("outside its extent"), "{msg}");
+        }
+        build_listed(&[0, 1, 2], &[[2, 2, 3]]).unwrap();
     }
 
     #[test]

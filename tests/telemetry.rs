@@ -169,3 +169,21 @@ fn launch_histograms_are_stable_across_device_counts() {
         assert!(h1.is_some(), "{metric} never observed");
     }
 }
+
+#[test]
+fn capture_counts_resident_plan_bytes() {
+    let t = tensor();
+    let ctx = GpuContext::default().with_profiling();
+    let plans = ModePlans::build_hbcsf(&ctx, &t, opts().rank, BcsfOptions::default());
+    let sum = |bytes: &dyn Fn(usize) -> usize| (0..plans.len()).map(bytes).sum::<usize>() as u64;
+    let launch = sum(&|m| plans.plan(m).launch().op_bytes());
+    let schedule = sum(&|m| plans.plan(m).schedule().bytes());
+    assert!(launch > 0 && schedule > 0);
+    assert_eq!(ctx.registry.counter("plan.launch_bytes"), launch);
+    assert_eq!(ctx.registry.counter("plan.schedule_bytes"), schedule);
+
+    // A disabled registry records nothing.
+    let plain = GpuContext::default();
+    ModePlans::build_hbcsf(&plain, &t, opts().rank, BcsfOptions::default());
+    assert!(plain.registry.counters().is_empty());
+}
