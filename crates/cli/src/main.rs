@@ -347,8 +347,11 @@ fn load(path: &str) -> Result<CooTensor> {
 fn load_with(path: &str, opts: &sptensor::IngestOptions) -> Result<CooTensor> {
     let t = if path.ends_with(".tns") {
         let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        sptensor::ingest(sptensor::TnsSource::new(BufReader::new(f)), opts)
-            .map_err(|e| format!("{path}: {e}"))?
+        sptensor::ingest(
+            sptensor::TnsSource::new(BufReader::with_capacity(1 << 20, f)),
+            opts,
+        )
+        .map_err(|e| format!("{path}: {e}"))?
     } else {
         let src = sptensor::BinSource::open(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
         let opts = opts.clone().with_policy(sptensor::DuplicatePolicy::Keep);

@@ -11,7 +11,7 @@
 
 use std::io::{self, Write};
 
-use crate::CooTensor;
+use crate::{CooTensor, Index, Value};
 
 /// What to do when two input nonzeros carry identical coordinates.
 ///
@@ -38,26 +38,8 @@ pub enum DuplicatePolicy {
 /// bit; non-finite values (which the reader rejects) are refused here
 /// rather than silently producing an unreadable file.
 pub fn write_tns<W: Write>(t: &CooTensor, mut writer: W) -> io::Result<()> {
-    let order = t.order();
-    let mut buf = String::new();
-    for z in 0..t.nnz() {
-        buf.clear();
-        for m in 0..order {
-            buf.push_str(&(t.mode_indices(m)[z] + 1).to_string());
-            buf.push(' ');
-        }
-        let v = t.values()[z];
-        if !v.is_finite() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("non-finite value at nonzero {z} cannot be written as .tns"),
-            ));
-        }
-        buf.push_str(&format!("{v}"));
-        buf.push('\n');
-        writer.write_all(buf.as_bytes())?;
-    }
-    Ok(())
+    let coords: Vec<&[Index]> = (0..t.order()).map(|m| t.mode_indices(m)).collect();
+    write_tns_lines(&coords, t.values(), "nonzero", &mut writer)
 }
 
 /// Writes one ingestion chunk's first `n` entries in `.tns` text, with
@@ -70,24 +52,34 @@ pub fn write_tns_chunk<W: Write>(
     n: usize,
     writer: &mut W,
 ) -> io::Result<()> {
-    let order = chunk.order();
-    let mut buf = String::new();
-    for z in 0..n {
-        buf.clear();
-        for m in 0..order {
-            buf.push_str(&(chunk.coords[m][z] + 1).to_string());
-            buf.push(' ');
-        }
-        let v = chunk.vals[z];
+    let coords: Vec<&[Index]> = chunk.coords.iter().map(|arr| &arr[..n]).collect();
+    write_tns_lines(&coords, &chunk.vals[..n], "chunk entry", writer)
+}
+
+/// The one `.tns` line format: `coords[m][z] + 1` for each mode, each
+/// followed by a space, then `vals[z]` and `\n`. Each line is formatted
+/// into one reused buffer. A non-finite value is an error naming its
+/// position as `what` `z`.
+fn write_tns_lines<W: Write>(
+    coords: &[&[Index]],
+    vals: &[Value],
+    what: &str,
+    writer: &mut W,
+) -> io::Result<()> {
+    let mut line = Vec::new();
+    for (z, &v) in vals.iter().enumerate() {
         if !v.is_finite() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("non-finite value at chunk entry {z} cannot be written as .tns"),
+                format!("non-finite value at {what} {z} cannot be written as .tns"),
             ));
         }
-        buf.push_str(&format!("{v}"));
-        buf.push('\n');
-        writer.write_all(buf.as_bytes())?;
+        line.clear();
+        for arr in coords {
+            write!(line, "{} ", arr[z] + 1)?;
+        }
+        writeln!(line, "{v}")?;
+        writer.write_all(&line)?;
     }
     Ok(())
 }

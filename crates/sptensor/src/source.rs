@@ -8,13 +8,13 @@
 //! duplicate policy, chunk size, host-memory budget —
 //! is configured through [`IngestOptions`].
 //!
-//! Contract: for any chunk size, [`ingest`] produces exactly the same
-//! tensor (and exactly the same errors, down to line numbers). Chunk
-//! boundaries are invisible.
+//! Contract: for any chunk size and any read-buffer size, [`ingest`]
+//! produces exactly the same tensor (and exactly the same errors, down to
+//! line numbers). Chunk and buffer boundaries are invisible.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
-use std::io::{BufRead, Read, Seek, SeekFrom};
+use std::io::{BufRead, ErrorKind, Read, Seek, SeekFrom};
 
 use crate::io::DuplicatePolicy;
 use crate::{CooTensor, Index, TensorError, TensorResult, Value};
@@ -204,9 +204,24 @@ pub trait TensorSource {
 // ---------------------------------------------------------------------
 
 /// Streaming FROSTT `.tns` parser: one nonzero per line, 1-based
-/// whitespace-separated indices then the value, `#` comments. Order is
-/// inferred from the first data line; extents are left to the consumer
-/// (per-mode maxima, as FROSTT itself defines them).
+/// indices then the value, `#` comments. Order is inferred from the first
+/// data line; extents are left to the consumer (per-mode maxima, as FROSTT
+/// itself defines them).
+///
+/// Accepted syntax: tokens are separated by any run of Unicode whitespace,
+/// lines end in `\n` or `\r\n` (the last may lack it), an index may carry
+/// a `+` sign and leading zeros, and the value is whatever
+/// `str::parse::<f32>` reads, as long as it is finite. Blank and `#` lines
+/// are skipped.
+///
+/// Once the first data line has fixed the order, each line is first
+/// offered to a fast path that reads it in place in the reader's buffer.
+/// It takes only plain lines (ASCII space, tab or CR separators, unsigned
+/// decimal indices of at most ten digits, a finite value) and hands every
+/// other line, unread, to the general parser, which is the only source of
+/// errors. The fast path is an optimisation only: both paths read the
+/// value with the same function, so a line yields the same entry, or the
+/// same error at the same line, whichever path reads it.
 pub struct TnsSource<R: BufRead> {
     reader: R,
     /// 0-based count of physical lines consumed so far.
@@ -234,6 +249,28 @@ impl<R: BufRead> TnsSource<R> {
 
     /// Parses one data line into `self.coords` + value. `Ok(None)` on EOF.
     fn next_entry(&mut self) -> TensorResult<Option<Value>> {
+        if let Some(order) = self.order {
+            match self.reader.fill_buf() {
+                Ok(buf) => {
+                    if let Some(p) = buf.iter().position(|&b| b == b'\n') {
+                        if let Some(v) = fast_line(&buf[..p], order, &mut self.coords) {
+                            self.reader.consume(p + 1);
+                            self.lineno += 1;
+                            return Ok(Some(v));
+                        }
+                    }
+                }
+                // `read_until` retries an interrupted read; let it.
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.str_line()
+    }
+
+    /// The general parser: reads lines through `read_until` until one data
+    /// line, and is the only source of parse errors. `Ok(None)` on EOF.
+    fn str_line(&mut self) -> TensorResult<Option<Value>> {
         loop {
             self.line_buf.clear();
             let n = self.reader.read_until(b'\n', &mut self.line_buf)?;
@@ -298,6 +335,42 @@ impl<R: BufRead> TnsSource<R> {
 
 fn bad_line(lineno: usize, msg: &str) -> TensorError {
     TensorError::parse_at(lineno, msg)
+}
+
+/// Reads one plain data line of `order` indices (`line` without its
+/// `\n`) into `coords`, or returns `None` for the general parser to read
+/// it. Takes only ASCII space, tab and CR separators, indices of 1 to 10
+/// ASCII digits in `1..=u32::MAX`, and a value that `str::parse::<f32>`
+/// reads as finite: every line it takes, the general parser takes too,
+/// with the same coordinates and value bits.
+fn fast_line(line: &[u8], order: usize, coords: &mut Vec<Index>) -> Option<Value> {
+    let mut toks = line
+        .split(|b| matches!(b, b' ' | b'\t' | b'\r'))
+        .filter(|tok| !tok.is_empty());
+    coords.clear();
+    for _ in 0..order {
+        let tok = toks.next()?;
+        if tok.len() > 10 {
+            return None;
+        }
+        let mut idx = 0u64;
+        for &b in tok {
+            if !b.is_ascii_digit() {
+                return None;
+            }
+            idx = idx * 10 + u64::from(b - b'0');
+        }
+        if idx == 0 || idx > u64::from(Index::MAX) {
+            return None;
+        }
+        coords.push((idx - 1) as Index);
+    }
+    let val = toks.next()?;
+    if toks.next().is_some() {
+        return None;
+    }
+    let v: Value = std::str::from_utf8(val).ok()?.parse().ok()?;
+    v.is_finite().then_some(v)
 }
 
 impl<R: BufRead> TensorSource for TnsSource<R> {
@@ -917,6 +990,73 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_takes_only_plain_lines() {
+        let mut coords = Vec::new();
+        let line = b"\r1\t007  4294967295\t+2.5\r";
+        assert_eq!(fast_line(line, 3, &mut coords), Some(2.5));
+        assert_eq!(coords, vec![0, 6, u32::MAX - 1]);
+        for line in [
+            &b"1 2 3 1.0"[..],
+            b"1 2 1.0 5",
+            b"# 1 2 1.0",
+            b"",
+            b"+1 2 1.0",
+            b"0 2 1.0",
+            b"00000000001 2 1.0",
+            b"4294967296 2 1.0",
+            b"1\x0B2 1.0",
+            b"1\x0C2 1.0",
+            "1\u{a0}2 1.0".as_bytes(),
+            b"1 2 NaN",
+            b"1 2 inf",
+            b"1 2 1.0\xFF",
+            b"1 2 x",
+        ] {
+            assert_eq!(fast_line(line, 2, &mut coords), None, "{line:?}");
+        }
+    }
+
+    /// The same documents, OK or not, through read buffers from one byte
+    /// (every line straddles) to 1 MiB (none does) give the same tensor or
+    /// the same error: buffer boundaries are as invisible as chunk ones.
+    #[test]
+    fn ingest_is_buffer_size_invariant() {
+        let long_pad = " ".repeat(100);
+        let long_line = format!("3{long_pad}1\t2{long_pad}1.{}\n", "0".repeat(90));
+        let texts: Vec<Vec<u8>> = [
+            "1 2 3 1.5\n2 1 3 2.5\n3 3 1 -0.5\n".to_string(),
+            "# crlf\r\n1 2 3 1.5\r\n\r\n2 1 3 2.5\r\n3 3 1 -0.5".to_string(),
+            format!("1 2 3 1.5\n{long_line}2\x0B1\x0C3 2.5\n+4 007 1 1e-3\n"),
+            format!("1 2 3 1.5\n{long_line}2 1 3 NaN\n"),
+            "1 2 3 1.5\n2 1 3 2.5\n2 0 3 1.0\n".to_string(),
+            "1 2 3 1.5\n2 1 3 2.5\n2 1 3.5".to_string(),
+            "1 2 3 1.5\n2 1 3 2.5\n1 2 3 0.5".to_string(),
+            "1 2 3 1.5\n\u{3000}2\u{a0}1 3 2.5\n1 2 4294967296 1.0\n".to_string(),
+        ]
+        .into_iter()
+        .map(String::into_bytes)
+        .chain([b"1 2 3 1.5\n2 1 3 2.5\n3 3 1 1.\xFF\n".to_vec()])
+        .collect();
+        let describe = |r: TensorResult<CooTensor>| match r {
+            Ok(t) => {
+                let bits: Vec<u32> = t.values().iter().map(|v| v.to_bits()).collect();
+                format!("{t:?} {bits:?}")
+            }
+            Err(e) => format!("{e:?}"),
+        };
+        for text in &texts {
+            let read = |cap: usize| {
+                let src = TnsSource::new(BufReader::with_capacity(cap, &text[..]));
+                describe(ingest(src, &IngestOptions::new()))
+            };
+            let want = read(1 << 20);
+            for cap in [1usize, 2, 3, 7, 64] {
+                assert_eq!(read(cap), want, "capacity {cap} on {text:?}");
+            }
+        }
+    }
+
+    #[test]
     fn entry_ids_stop_below_the_empty_marker() {
         assert_eq!(entry_id(0), Some(0));
         assert_eq!(entry_id(u32::MAX as usize - 2), Some(u32::MAX - 2));
@@ -1057,6 +1197,75 @@ mod tests {
                 (got, want) => prop_assert!(false, "got {:?}, want {:?}", got, want),
             }
             Ok(())
+        }
+
+        /// `.tns` tokens: indices, values and odd ones. A repeated entry
+        /// is drawn more often, so that plain lines, which the fast path
+        /// takes, are a fair share of the cases.
+        const TOKENS: &[&str] = &[
+            "1",
+            "1",
+            "1",
+            "+7",
+            "007",
+            "007",
+            "0",
+            "4294967295",
+            "4294967295",
+            "4294967296",
+            "00000000001",
+            "1e-3",
+            "1e-3",
+            "-0",
+            ".5",
+            "1.",
+            "+2.5",
+            "NaN",
+            "inf",
+            "#",
+            "x",
+            "é",
+        ];
+        const SEPARATORS: &[&str] = &[
+            " ", " ", " ", " ", "\t", "\t", "\r", "\x0B", "\x0C", "\u{a0}", "\u{3000}",
+        ];
+
+        fn pick(alphabet: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+            (0..alphabet.len()).prop_map(move |i| alphabet[i])
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn fast_path_never_disagrees_with_str_path(
+                order in 1usize..=3,
+                toks in pvec(pick(TOKENS), 1..=5),
+                seps in pvec(pvec(pick(SEPARATORS), 1..=2), 4),
+                ends in pvec(pvec(pick(SEPARATORS), 0..=2), 2),
+            ) {
+                let mut line = ends[0].concat();
+                for (i, tok) in toks.iter().enumerate() {
+                    if i > 0 {
+                        line.push_str(&seps[i - 1].concat());
+                    }
+                    line.push_str(tok);
+                }
+                line.push_str(&ends[1].concat());
+                let mut coords = Vec::new();
+                if let Some(v) = fast_line(line.as_bytes(), order, &mut coords) {
+                    let text = format!("{line}\n");
+                    let mut src = tns(&text);
+                    src.order = Some(order);
+                    match src.str_line() {
+                        Ok(Some(w)) => {
+                            prop_assert_eq!(&src.coords, &coords, "{:?}", line);
+                            prop_assert_eq!(w.to_bits(), v.to_bits(), "{:?}", line);
+                        }
+                        other => prop_assert!(false, "{:?}: fast {:?}, str {:?}", line, v, other),
+                    }
+                }
+            }
         }
 
         proptest! {
