@@ -5,11 +5,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gpu_sim::{DeviceMemory, FaultPlan, FaultSpecError};
-use mttkrp::gpu::GpuContext;
-use mttkrp::{
-    cpd_als_resilient, cpd_als_resilient_durable, CheckpointError, CpdOptions, DurableOptions,
-    ResilienceOptions,
+use mttkrp::cpd::{
+    self, from_fn, CpdError, CpdOptions, DurableOptions, ResilienceOptions, RunSpec,
 };
+use mttkrp::gpu::GpuContext;
 use serve::{Service, ServiceConfig, Workload, WorkloadConfig};
 use simprof::{RingSink, Telemetry, TelemetrySink};
 use sptensor::synth::uniform_random;
@@ -22,9 +21,10 @@ use crate::schedule::{ChaosConfig, ChaosSchedule};
 pub enum ChaosError {
     /// A fault spec failed to parse.
     Spec(FaultSpecError),
-    /// Durable checkpoint I/O failed outright (disk full, permissions —
-    /// never an injected crash; those are part of the experiment).
-    Checkpoint(CheckpointError),
+    /// A durable run's checkpoint I/O failed outright (disk full,
+    /// permissions — never an injected crash; those are part of the
+    /// experiment).
+    Checkpoint(CpdError),
     /// Report serialization failed.
     Json(String),
 }
@@ -47,8 +47,8 @@ impl From<FaultSpecError> for ChaosError {
     }
 }
 
-impl From<CheckpointError> for ChaosError {
-    fn from(e: CheckpointError) -> Self {
+impl From<CpdError> for ChaosError {
+    fn from(e: CpdError) -> Self {
         ChaosError::Checkpoint(e)
     }
 }
@@ -264,14 +264,12 @@ pub fn crash_restart_cycle(dir: &Path, seed: u64) -> Result<CrashCycleReport, Ch
     };
     let ropts = ResilienceOptions::default();
 
-    let (clean, _) = cpd_als_resilient(
-        &t,
-        &opts,
-        &ropts,
-        |factors, mode| mttkrp::reference::mttkrp(&t, factors, mode),
-        None,
-        None,
-    );
+    let reference = || from_fn(|factors, mode| mttkrp::reference::mttkrp(&t, factors, mode));
+    let guarded = RunSpec {
+        resilience: Some(&ropts),
+        ..RunSpec::new(opts)
+    };
+    let clean = cpd::run(&t, guarded, reference())?.result;
 
     let ctx = GpuContext::tiny().with_faults(FaultPlan::parse("crash:0.6", seed)?);
     let _ = std::fs::remove_dir_all(dir);
@@ -292,15 +290,14 @@ pub fn crash_restart_cycle(dir: &Path, seed: u64) -> Result<CrashCycleReport, Ch
     // the bound only guards against a pathological plan.
     while restarts < 64 {
         restarts += 1;
-        let (res, _stats, rec) = cpd_als_resilient_durable(
-            &t,
-            &opts,
-            &ropts,
-            &dopts,
-            |factors, mode| mttkrp::reference::mttkrp(&t, factors, mode),
-            None,
-            Some(&ctx),
-        )?;
+        let durable = RunSpec {
+            resilience: Some(&ropts),
+            durable: Some(&dopts),
+            ctx: Some(&ctx),
+            ..RunSpec::new(opts)
+        };
+        let out = cpd::run(&t, durable, reference())?;
+        let (res, rec) = (out.result, out.checkpointing);
         crashes += rec.crashes;
         torn_skipped += rec.torn_skipped;
         resumes += rec.resumes;

@@ -14,7 +14,6 @@
 //! File format by extension: `.tns` = FROSTT text, anything else = the
 //! crate's `SPT1` binary.
 
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -24,10 +23,9 @@ use std::time::Instant;
 
 use experiments::calibrate::FleetConfig;
 use gpu_sim::{DeviceMemory, FaultPlan, Interconnect};
-use mttkrp::abft::{run_verified, AbftOptions};
+use mttkrp::abft::AbftOptions;
 use mttkrp::cpd::{
-    cpd_als_adaptive, cpd_als_resilient, cpd_als_resilient_durable, cpd_als_sharded,
-    cpd_als_with_rule, CpdOptions, DurableOptions, ResilienceOptions, UpdateRule,
+    self, CpdError, CpdOptions, DurableOptions, PlanSource, ResilienceOptions, RunSpec, UpdateRule,
 };
 use mttkrp::cpu::splatt::{SplattCsf, SplattOptions};
 use mttkrp::gpu::{self, GpuContext, MemReport, MttkrpKernel, OocOptions};
@@ -1354,120 +1352,58 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
         .map(|m| plans.plan(m).footprint().total_bytes())
         .max()
         .unwrap_or(0);
-    if let Some(spec) = &mem_capacity {
-        let cap = spec.resolve(worst_footprint);
-        // With a grid the cap models each device's memory instead of the
-        // (single) context device.
-        if devices.is_none() {
-            ctx = ctx.with_memory(Arc::new(DeviceMemory::with_capacity(cap)));
-        }
+    let capacity = mem_capacity.map(|spec| spec.resolve(worst_footprint));
+    // With a grid the cap models each device's memory instead of the
+    // (single) context device.
+    if let (Some(cap), None) = (capacity, devices) {
+        ctx = ctx.with_memory(Arc::new(DeviceMemory::with_capacity(cap)));
     }
-    // The last profiled MTTKRP run of each mode, kept so the profile
-    // artifacts show a representative launch per mode.
-    let last_runs: RefCell<Vec<Option<gpu::GpuRun>>> = RefCell::new(vec![None; t.order()]);
-    let backend = |factors: &[dense::Matrix], mode: usize| {
-        // Replay validation only compares factor shapes against the
-        // captured rank; a mismatch degrades to the CPU reference
-        // instead of panicking.
-        match plans.execute(&ctx, factors, mode) {
-            Ok(run) if run.profile.is_some() => {
-                let y = run.y.clone();
-                last_runs.borrow_mut()[mode] = Some(run);
-                y
-            }
-            Ok(run) => run.y,
-            Err(_) => mttkrp::reference::mttkrp(&t, factors, mode),
-        }
-    };
-    // Under a fault plan every per-mode MTTKRP goes through the ABFT
-    // verify/retry/degrade wrapper, and kernel-level recovery events are
-    // accumulated for the manifest's resilience record. Replays are safe
-    // here because capture is value-independent: the wrapper's retry
-    // contexts carry different fault plans, which the plan re-simulates.
-    let kernel_events: RefCell<simprof::ResilienceRecord> = RefCell::new(Default::default());
-    let fault_backend = |factors: &[dense::Matrix], mode: usize| {
-        // Validation is context-independent, so one up-front check
-        // covers every retry context the ABFT wrapper passes in and the
-        // replay closure below is infallible; a shape mismatch degrades
-        // to the CPU reference instead of panicking.
-        if plans.plan(mode).validate_factors(factors).is_err() {
-            return mttkrp::reference::mttkrp(&t, factors, mode);
-        }
-        let (run, report) = run_verified(&ctx, &t, factors, mode, &AbftOptions::default(), |c| {
-            plans.plan(mode).execute_validated(c, factors)
-        });
-        kernel_events.borrow_mut().merge(&report.to_record());
-        let y = run.y.clone();
-        last_runs.borrow_mut()[mode] = Some(run);
-        y
-    };
+    // One plan-backed source: the grid with --devices, the out-of-core
+    // ladder under a capacity or memory faults, plain replay otherwise.
+    // Under an exec-fault plan every MTTKRP is ABFT-verified.
     let start = Instant::now();
-    let mut memrec: Option<simprof::MemoryRecord> = None;
-    let mut gridrec: Option<simprof::GridRecord> = None;
-    let res = if let Some(n) = devices {
-        // Sharded driver: one ShardModel per mode, replayed per
-        // iteration; bit-identical to the planned driver for any N.
-        let mut grid = gpu::GridSpec::new(n, interconnect.clone());
-        if let Some(spec) = &mem_capacity {
-            grid = grid.with_capacity(spec.resolve(worst_footprint));
+    let oopts = OocOptions::default();
+    let mut source = if let Some(n) = devices {
+        let mut grid = gpu::GridSpec::new(n, interconnect);
+        if let Some(cap) = capacity {
+            grid = grid.with_capacity(cap);
         }
-        let (res, _stats, rec) = cpd_als_sharded(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            &ctx,
-            &plans,
-            &grid,
-            &OocOptions::default(),
-            Some(&mut manifest),
-        );
-        gridrec = Some(rec);
-        res
+        PlanSource::new(&t, &ctx, &plans).grid(&grid, &oopts)
     } else if adaptive {
-        let (res, _stats, mem) = cpd_als_adaptive(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            &ctx,
-            &plans,
-            &OocOptions::default(),
-            Some(&mut manifest),
-        );
-        memrec = Some(mem);
-        res
-    } else if let Some(dir) = &checkpoint_dir {
-        // Durable driver: a versioned, checksummed checkpoint per
-        // iteration, written atomically (temp + rename); --resume scans
-        // back past torn files to the last valid one and warm-restarts.
-        let dopts = DurableOptions {
-            dir: dir.clone(),
-            label: "cpd".to_string(),
-            resume,
-            halt_on_crash,
-        };
-        let ropts = ResilienceOptions::default();
-        let (res, _stats, rec) = if faults.is_some() {
-            cpd_als_resilient_durable(
-                &t,
-                &opts,
-                &ropts,
-                &dopts,
-                fault_backend,
-                Some(&mut manifest),
-                Some(&ctx),
-            )
+        PlanSource::new(&t, &ctx, &plans).out_of_core(&oopts)
+    } else {
+        PlanSource::new(&t, &ctx, &plans)
+    };
+    // Durable checkpoints: a versioned, checksummed file per in-memory
+    // checkpoint, written atomically (temp + rename); --resume scans back
+    // past torn files to the last valid one and warm-restarts.
+    let dopts = checkpoint_dir.as_ref().map(|dir| DurableOptions {
+        dir: dir.clone(),
+        label: "cpd".to_string(),
+        resume,
+        halt_on_crash,
+    });
+    let ropts = ResilienceOptions::default();
+    let guarded = faults.is_some() || adaptive || devices.is_some() || dopts.is_some();
+    // The manifest is always filled but only written under --profile.
+    let spec = RunSpec {
+        rule: if nonneg {
+            UpdateRule::Nonneg
         } else {
-            cpd_als_resilient_durable(
-                &t,
-                &opts,
-                &ropts,
-                &dopts,
-                backend,
-                Some(&mut manifest),
-                Some(&ctx),
-            )
-        }
-        .map_err(|e| format!("checkpoint store: {e}"))?;
+            UpdateRule::LeastSquares
+        },
+        resilience: guarded.then_some(&ropts),
+        durable: dopts.as_ref(),
+        manifest: Some(&mut manifest),
+        ctx: Some(&ctx),
+        ..RunSpec::new(opts)
+    };
+    let out = cpd::run(&t, spec, &mut source).map_err(|e| match e {
+        CpdError::Checkpoint(e) => format!("checkpoint store: {e}"),
+        e => e.to_string(),
+    })?;
+    if dopts.is_some() {
+        let rec = &out.checkpointing;
         println!(
             "checkpoints: {} writes ({} B), {} crashes, {} resumes, {} torn skipped{}",
             rec.writes,
@@ -1488,28 +1424,8 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
                 rec.writes
             ));
         }
-        res
-    } else if faults.is_some() {
-        let (res, _stats) = cpd_als_resilient(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            fault_backend,
-            Some(&mut manifest),
-            Some(&ctx),
-        );
-        res
-    } else {
-        // The manifest is always filled but only written under --profile.
-        let rule = if nonneg {
-            UpdateRule::Nonneg
-        } else {
-            UpdateRule::LeastSquares
-        };
-        cpd_als_with_rule(&t, &opts, rule, backend, Some(&mut manifest), Some(&ctx))
-            .map_err(|e| e.to_string())?
-    };
-    manifest.resilience.merge(&kernel_events.into_inner());
+    }
+    let res = &out.result;
     println!(
         "{} CPD rank {rank}: fit {:.4} after {} iterations ({:.2}s host)",
         if nonneg { "non-negative" } else { "standard" },
@@ -1536,7 +1452,8 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
             r.checkpoints
         );
     }
-    if let Some(mem) = &memrec {
+    if adaptive && devices.is_none() {
+        let mem = &out.memory;
         println!(
             "memory: capacity {}, worst footprint {} B, high water {} B",
             if ctx.memory.is_unlimited() {
@@ -1565,7 +1482,8 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
             ));
         }
     }
-    if let Some(g) = &gridrec {
+    if devices.is_some() {
+        let g = &out.grid;
         println!(
             "grid: {} devices over {}, {} sharded launches, compute {:.3} ms + \
              allreduce {:.3} ms ({} B on the wire)",
@@ -1598,7 +1516,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     manifest.events_path = ctx.telemetry.events_path().map(String::from);
     manifest.histograms = ctx.registry.histograms();
     if let Some(dir) = &profile_dir {
-        write_cpd_profile(dir, &ctx, &manifest, &last_runs.into_inner())?;
+        write_cpd_profile(dir, &ctx, &manifest, source.last_runs())?;
         println!(
             "profile: {} (manifest.json, trace.json, nvprof_table.txt, counters.json, \
              histograms.txt)",

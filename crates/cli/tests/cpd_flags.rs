@@ -60,7 +60,13 @@ fn rejected_flag_combinations_exit_one_with_their_message() {
     for (flags, message) in REJECTED {
         let flags: Vec<&str> = flags
             .iter()
-            .map(|&f| if f == "CKPT" { ckpt.to_str().unwrap() } else { f })
+            .map(|&f| {
+                if f == "CKPT" {
+                    ckpt.to_str().unwrap()
+                } else {
+                    f
+                }
+            })
             .collect();
         let out = Command::new(env!("CARGO_BIN_EXE_sptk"))
             .arg("cpd")

@@ -4,7 +4,7 @@
 
 use gpu_sim::FaultPlan;
 use mttkrp::abft::{run_verified, AbftOptions};
-use mttkrp::cpd::{cpd_als_planned, cpd_als_resilient, CpdOptions, ResilienceOptions};
+use mttkrp::cpd::{self, CpdOptions, PlanSource, ResilienceOptions, RunSpec};
 use mttkrp::cpu::onemode::SplattOneMode;
 use mttkrp::cpu::splatt::{SplattAllMode, SplattOptions};
 use mttkrp::gpu::{self, GpuContext};
@@ -252,10 +252,21 @@ pub fn ext_resilience(cfg: &ExpConfig) -> Value {
     let clean = mttkrp_plans
         .execute(&clean_ctx, &factors, 0)
         .expect("factors match the captured plan rank");
-    let clean_fit = {
-        let ctx = cfg.gpu();
-        cpd_als_planned(&t, &opts, &ctx, &cpd_plans).final_fit()
+    // A CPD replaying the captured plans on `ctx`; under faults every
+    // MTTKRP is ABFT-verified.
+    let cpd_fit = |ctx: &gpu::GpuContext, resilience| {
+        let spec = RunSpec {
+            resilience,
+            ctx: Some(ctx),
+            ..RunSpec::new(opts)
+        };
+        cpd::run(&t, spec, &mut PlanSource::new(&t, ctx, &cpd_plans))
+            .expect("a least-squares run without a store never fails")
+            .result
+            .final_fit()
     };
+    let ropts = ResilienceOptions::default();
+    let clean_fit = cpd_fit(&cfg.gpu(), None);
 
     let mut rows = Vec::new();
     let mut out = Vec::new();
@@ -274,24 +285,7 @@ pub fn ext_resilience(cfg: &ExpConfig) -> Value {
         let out_diff = run.y.rel_fro_diff(&clean.y);
 
         // End-to-end resilient CPD under the same plan.
-        let fit = cpd_als_resilient(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            |f, m| {
-                run_verified(&ctx, &t, f, m, &AbftOptions::default(), |c| {
-                    cpd_plans
-                        .execute(c, f, m)
-                        .expect("factors match the captured plan rank")
-                })
-                .0
-                .y
-            },
-            None,
-            Some(&ctx),
-        )
-        .0
-        .final_fit();
+        let fit = cpd_fit(&ctx, Some(&ropts));
 
         rows.push(vec![
             format!("{rate:.0e}"),

@@ -18,14 +18,12 @@
 
 #![deny(clippy::unwrap_used)]
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 
 use dense::Matrix;
 use sptensor::CooTensor;
 
-use crate::gpu::ooc::{self, MemReport, OocOptions};
-use crate::gpu::{AbftData, GpuContext, GpuRun, Plan};
+use crate::gpu::{AbftData, GpuContext, GpuRun};
 use crate::reference;
 
 /// Detection/recovery policy for [`run_verified`].
@@ -254,33 +252,6 @@ where
     }
 
     (run, report)
-}
-
-/// [`run_verified`] over the out-of-core degradation ladder: every
-/// attempt (base run and each ABFT retry) executes `plan` through
-/// [`ooc::execute_adaptive`], so allocation pressure and injected OOMs
-/// degrade gracefully *inside* each attempt while checksum verification
-/// still repairs data corruption across attempts. Returns the memory
-/// story of every attempt alongside the kernel report.
-///
-/// Attempts that end on the CPU rung produce no ABFT data (the reference
-/// path is trusted), which `run_verified` already treats as "nothing to
-/// verify" — so the two ladders compose without special cases.
-pub fn run_verified_adaptive(
-    ctx: &GpuContext,
-    t: &CooTensor,
-    factors: &[Matrix],
-    opts: &AbftOptions,
-    oopts: &OocOptions,
-    plan: &Plan,
-) -> (GpuRun, KernelReport, Vec<MemReport>) {
-    let reports: RefCell<Vec<MemReport>> = RefCell::new(Vec::new());
-    let (run, kernel_report) = run_verified(ctx, t, factors, plan.mode(), opts, |c| {
-        let (run, mem) = ooc::execute_adaptive(c, plan, factors, t, oopts);
-        reports.borrow_mut().push(mem);
-        run
-    });
-    (run, kernel_report, reports.into_inner())
 }
 
 #[cfg(test)]

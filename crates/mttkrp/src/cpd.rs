@@ -1,26 +1,48 @@
-//! CPD-ALS — paper Algorithm 1, generic over the MTTKRP backend.
+//! CPD-ALS — paper Algorithm 1, generic over the MTTKRP source.
 //!
 //! Each iteration updates every factor in turn:
 //! `Aₙ ← MTTKRP(X, n) · (∗ₘ≠ₙ AₘᵀAₘ)†`, then normalizes the updated
-//! factor's columns into `λ`. The MTTKRP is supplied as a closure so any
-//! kernel in this crate (CPU or simulated-GPU) can drive a full
-//! decomposition — MTTKRP being "a common bottleneck for CPD" is the
-//! paper's entire motivation.
+//! factor's columns into `λ`. MTTKRP being "a common bottleneck for CPD"
+//! is the paper's entire motivation, so the source is pluggable: any
+//! kernel in this crate (CPU or simulated-GPU) wrapped by [`from_fn`], or
+//! a [`PlanSource`] replaying captured launch plans.
 //!
-//! Every `cpd_als*` entry point runs the same private loop, `als`. A
-//! driver differs only in what it hands that loop: the start state
-//! (factors and `‖X‖`), the MTTKRP source, the [`UpdateRule`], and
-//! optional guards and observers.
+//! [`run`] is the one entry point. A [`RunSpec`] describes the run: the
+//! [`CpdOptions`], the [`UpdateRule`], and the optional guards and
+//! observers. Every run — the streamed one
+//! ([`cpd_als_streamed`](crate::gpu::cpd_als_streamed)) included — goes
+//! through the same private loop, `als`.
+//!
+//! ```
+//! use mttkrp::cpd::{from_fn, run, CpdOptions, RunSpec};
+//! use mttkrp::reference;
+//! use sptensor::synth::uniform_random;
+//!
+//! let t = uniform_random(&[6, 7, 8], 100, 1);
+//! let opts = CpdOptions { rank: 3, max_iters: 5, tol: 0.0, seed: 2 };
+//! let source = from_fn(|factors, mode| reference::mttkrp(&t, factors, mode));
+//! let res = run(&t, RunSpec::new(opts), source).unwrap().result;
+//! assert_eq!(res.iterations, 5);
+//! assert_eq!(res.factors.len(), 3);
+//! assert!(res.final_fit() > 0.0);
+//! ```
 
+use std::cell::RefCell;
 use std::convert::Infallible;
 use std::time::Instant;
 
 use dense::{pseudo_inverse, spd_condition, HadamardChain, Matrix, UpdateBuffers};
-use simprof::{FieldValue, ModeTiming, ResilienceRecord, RunManifest};
+use simprof::{
+    CheckpointRecord, FieldValue, GridRecord, MemoryRecord, ModeTiming, ResilienceRecord,
+    RunManifest,
+};
 use sptensor::CooTensor;
 
-use crate::gpu::GpuContext;
-use crate::reference::random_factors;
+use crate::abft::AbftOptions;
+use crate::checkpoint::{CheckpointError, CheckpointState, CheckpointStore};
+use crate::gpu::exec::{execute_ladder, verified};
+use crate::gpu::{GpuContext, GpuRun, GridSpec, ModePlans, OocOptions, ShardModel};
+use crate::reference::{self, random_factors};
 
 /// CPD-ALS configuration.
 #[derive(Debug, Clone, Copy)]
@@ -124,123 +146,13 @@ impl std::fmt::Display for NegativeValue {
 
 impl std::error::Error for NegativeValue {}
 
-/// Runs CPD-ALS on `t` using `mttkrp(factors, mode)` as the kernel.
-///
-/// The closure must return `X₍ₙ₎ ⨀ₘ≠ₙ factors[m]` exactly like
-/// [`crate::reference::mttkrp`] — every backend in this crate qualifies.
-///
-/// ```
-/// use mttkrp::cpd::{cpd_als, CpdOptions};
-/// use mttkrp::reference;
-/// use sptensor::synth::uniform_random;
-///
-/// let t = uniform_random(&[6, 7, 8], 100, 1);
-/// let opts = CpdOptions { rank: 3, max_iters: 5, tol: 0.0, seed: 2 };
-/// let res = cpd_als(&t, &opts, |factors, mode| reference::mttkrp(&t, factors, mode));
-/// assert_eq!(res.iterations, 5);
-/// assert_eq!(res.factors.len(), 3);
-/// assert!(res.final_fit() > 0.0);
-/// ```
-pub fn cpd_als(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-) -> CpdResult {
-    resident(t, opts, UpdateRule::LeastSquares, mttkrp, Hooks::default()).0
-}
-
-/// [`cpd_als`] with iteration telemetry: per-mode MTTKRP wall time, fit
-/// trajectory, and total run time are appended to `manifest` (one
-/// [`IterationRecord`](simprof::IterationRecord) per ALS iteration). The
-/// manifest's `rank`/`max_iters`/`tol`/`seed` are overwritten from `opts`
-/// so the written document always describes the run that produced it.
-/// With a `ctx`, per-iteration simulated timings are observed into its
-/// registry (`cpd.iter_sim_us`) and `iteration` events are emitted when
-/// its telemetry stream is enabled.
-pub fn cpd_als_profiled(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    manifest: &mut RunManifest,
-    ctx: Option<&GpuContext>,
-) -> CpdResult {
-    let hooks = Hooks {
-        manifest: Some(manifest),
-        ctx,
-        ..Hooks::default()
-    };
-    resident(t, opts, UpdateRule::LeastSquares, mttkrp, hooks).0
-}
-
-/// [`cpd_als`] driven by pre-captured launch plans: one
-/// [`ModePlans`](crate::gpu::ModePlans) replay per (iteration, mode)
-/// instead of a fresh kernel emission. Numerically identical to wiring
-/// `plans.execute` into [`cpd_als`] by hand — this is the convenience
-/// spelling of the plan/execute split.
-pub fn cpd_als_planned(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ctx: &GpuContext,
-    plans: &crate::gpu::ModePlans,
-) -> CpdResult {
-    let backend = |factors: &[Matrix], mode: usize| match plans.execute(ctx, factors, mode) {
-        Ok(run) => run.y,
-        // A launch refusal (rank/shape mismatch against the captured
-        // plan) cannot be retried at this layer; degrade to the
-        // reference kernel rather than poison the whole run.
-        Err(_) => crate::reference::mttkrp(t, factors, mode),
-    };
-    let hooks = Hooks {
-        ctx: Some(ctx),
-        ..Hooks::default()
-    };
-    resident(t, opts, UpdateRule::LeastSquares, backend, hooks).0
-}
-
-/// CPD under either [`UpdateRule`], with the observers of
-/// [`cpd_als_profiled`]. [`UpdateRule::Nonneg`] requires a non-negative
-/// tensor and returns the first offending value otherwise;
-/// [`UpdateRule::LeastSquares`] never fails.
-pub fn cpd_als_with_rule(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    rule: UpdateRule,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    manifest: Option<&mut RunManifest>,
-    ctx: Option<&GpuContext>,
-) -> Result<CpdResult, NegativeValue> {
-    if rule == UpdateRule::Nonneg {
-        if let Some(index) = t.values().iter().position(|&v| v < 0.0 || v.is_nan()) {
-            let value = t.values()[index];
-            return Err(NegativeValue { index, value });
-        }
-    }
-    let hooks = Hooks {
-        manifest,
-        ctx,
-        ..Hooks::default()
-    };
-    Ok(resident(t, opts, rule, mttkrp, hooks).0)
-}
-
-/// Non-negative CPD: [`cpd_als`] under [`UpdateRule::Nonneg`]. A tensor
-/// with a negative or NaN value is refused with [`NegativeValue`].
-///
-/// Shares the MTTKRP-backend contract with [`cpd_als`], so the same
-/// simulated-GPU kernels drive it.
-pub fn cpd_als_nonneg(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-) -> Result<CpdResult, NegativeValue> {
-    cpd_als_with_rule(t, opts, UpdateRule::Nonneg, mttkrp, None, None)
-}
-
-/// Self-healing policy for [`cpd_als_resilient`].
+/// Self-healing policy for a run under [`RunSpec::resilience`].
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceOptions {
     /// Take a factor checkpoint every this many ALS iterations (the last
-    /// non-regressed state rollbacks return to).
+    /// non-regressed state rollbacks return to). `0` disables
+    /// checkpointing entirely: a fit regression then has no rollback
+    /// target and the run rides it out (rollbacks stay at zero).
     pub checkpoint_every: usize,
     /// A fit drop larger than this (vs. the best fit seen) triggers a
     /// rollback to the last checkpoint.
@@ -268,7 +180,8 @@ impl Default for ResilienceOptions {
     }
 }
 
-/// What the self-healing machinery did during a [`cpd_als_resilient`] run.
+/// What the self-healing machinery did during a run under
+/// [`RunSpec::resilience`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Non-finite entries scrubbed from MTTKRP outputs and factor updates.
@@ -281,62 +194,7 @@ pub struct ResilienceStats {
     pub rollbacks: u64,
 }
 
-/// [`cpd_als`] hardened against faulty MTTKRP backends — the CPD layer of
-/// the simfault stack. Three independent guards:
-///
-/// 1. **NaN/Inf scrubbing** — non-finite entries in a kernel's output or
-///    in the updated factor are replaced with zero (then repaired by later
-///    iterations) instead of poisoning the whole decomposition.
-/// 2. **Tikhonov fallback** — when the Gram-Hadamard matrix `V` is
-///    ill-conditioned (corrupted factors routinely degenerate it), a
-///    relative ridge is added before the pseudo-inverse.
-/// 3. **Checkpoint & rollback** — factors are checkpointed every
-///    [`ResilienceOptions::checkpoint_every`] iterations; a fit regression
-///    beyond [`ResilienceOptions::fit_drop_tol`] rolls back to the last
-///    checkpoint and re-jitters the factors (deterministically, from
-///    `opts.seed` and the rollback count) so the re-run does not retrace
-///    the corrupted trajectory.
-///
-/// The fit's `⟨X, X̃⟩` is taken from the last mode's MTTKRP output, so
-/// rollback sees corruption there only indirectly. After the least-squares update, an error `E` in that
-/// output adds `tr(E V⁺ Eᵀ) ≥ 0` to `⟨X, X̃⟩`: it raises the fit rather
-/// than dropping it. A blow-up that drives the residual below zero by
-/// more than [`ResilienceOptions::fit_drop_tol`] is caught (the fit
-/// reads as NaN and rolls back). A smaller error is not: it inflates the
-/// best fit, and later honest iterations then spend rollbacks against
-/// it. Feed this driver verified output, e.g. from
-/// [`abft::run_verified`](crate::abft::run_verified), as every caller in
-/// this workspace does.
-///
-/// Every event is counted in the returned [`ResilienceStats`] and — when a
-/// manifest is supplied — merged into [`RunManifest::resilience`]. With a
-/// fault-free backend every guard is inert: the result equals
-/// [`cpd_als`]'s exactly.
-///
-/// Checkpoints here are in-memory rollback targets. Setting
-/// [`ResilienceOptions::checkpoint_every`] to `0` disables checkpointing
-/// entirely: no checkpoints are taken, so a fit regression has no
-/// rollback target and the run rides it out (rollbacks stay at zero).
-/// For durable, crash-consistent checkpoints on disk see
-/// [`cpd_als_resilient_durable`].
-pub fn cpd_als_resilient(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    manifest: Option<&mut RunManifest>,
-    ctx: Option<&GpuContext>,
-) -> (CpdResult, ResilienceStats) {
-    let hooks = Hooks {
-        resilience: Some(ropts),
-        manifest,
-        ctx,
-        ..Hooks::default()
-    };
-    resident(t, opts, UpdateRule::LeastSquares, mttkrp, hooks)
-}
-
-/// How [`cpd_als_resilient_durable`] persists and resumes state.
+/// How a run under [`RunSpec::durable`] persists and resumes state.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Directory the checkpoint files live in (created if missing).
@@ -354,16 +212,501 @@ pub struct DurableOptions {
     pub halt_on_crash: bool,
 }
 
-/// Durable-checkpoint state threaded through one resilient ALS run.
-struct DurableSession {
-    store: crate::checkpoint::CheckpointStore,
-    record: simprof::CheckpointRecord,
-    resume: Option<crate::checkpoint::CheckpointState>,
+/// One CPD run as [`run`] executes it: the options, the update rule, and
+/// the optional guards and observers. [`RunSpec::new`] is a plain
+/// least-squares run that guards and records nothing; set the other
+/// fields with struct-update syntax.
+///
+/// Combinations no run supports are refused by [`run`] with
+/// [`CpdError::Unsupported`]: a durable store without resilience,
+/// [`UpdateRule::Nonneg`] with resilience, and an out-of-core or grid
+/// [`PlanSource`] without resilience.
+pub struct RunSpec<'a> {
+    /// Rank, iteration cap, convergence tolerance and seed.
+    pub opts: CpdOptions,
+    /// How each factor is recomputed. [`UpdateRule::Nonneg`] requires a
+    /// non-negative tensor; [`run`] returns the first offending value as
+    /// [`CpdError::NegativeValue`] otherwise.
+    pub rule: UpdateRule,
+    /// Hardens the run against a faulty MTTKRP source. Three independent
+    /// guards:
+    ///
+    /// 1. **NaN/Inf scrubbing** — non-finite entries in a kernel's output
+    ///    or in the updated factor are replaced with zero (then repaired by
+    ///    later iterations) instead of poisoning the whole decomposition.
+    /// 2. **Tikhonov fallback** — when the Gram-Hadamard matrix `V` is
+    ///    ill-conditioned (corrupted factors routinely degenerate it), a
+    ///    relative ridge is added before the pseudo-inverse.
+    /// 3. **Checkpoint & rollback** — factors are checkpointed in memory
+    ///    every [`ResilienceOptions::checkpoint_every`] iterations; a fit
+    ///    regression beyond [`ResilienceOptions::fit_drop_tol`] rolls back
+    ///    to the last checkpoint and re-jitters the factors
+    ///    (deterministically, from the seed and the rollback count) so the
+    ///    re-run does not retrace the corrupted trajectory.
+    ///
+    /// The fit's `⟨X, X̃⟩` is taken from the last mode's MTTKRP output, so
+    /// rollback sees corruption there only indirectly. After the
+    /// least-squares update, an error `E` in that output adds
+    /// `tr(E V⁺ Eᵀ) ≥ 0` to `⟨X, X̃⟩`: it raises the fit rather than
+    /// dropping it. A blow-up that drives the residual below zero by more
+    /// than [`ResilienceOptions::fit_drop_tol`] is caught (the fit reads as
+    /// NaN and rolls back). A smaller error is not: it inflates the best
+    /// fit, and later honest iterations then spend rollbacks against it.
+    /// Feed a guarded run verified output — a [`PlanSource`] under an
+    /// exec-fault plan runs every MTTKRP inside
+    /// [`run_verified`](crate::abft::run_verified), as every caller in this
+    /// workspace does.
+    ///
+    /// Every event is counted in [`RunOutput::stats`] and, with a
+    /// manifest, merged into [`RunManifest::resilience`]. With a fault-free
+    /// source every guard is inert: the result equals the unguarded run's
+    /// exactly. Without guards no guard code runs at all. Only
+    /// [`UpdateRule::LeastSquares`] runs guarded.
+    pub resilience: Option<&'a ResilienceOptions>,
+    /// Durable, crash-consistent checkpoints: at every in-memory checkpoint
+    /// the guards take, a versioned, checksummed file is written atomically
+    /// (temp + fsync + rename) through a
+    /// [`CheckpointStore`]. With
+    /// [`DurableOptions::resume`] the run warm-restarts from the newest
+    /// valid file — scanning back past any torn files a `crash:RATE` fault
+    /// (drawn from [`RunSpec::ctx`]'s
+    /// [`crash_fault_plan`](crate::gpu::GpuContext::crash_fault_plan)) left
+    /// behind. Needs [`RunSpec::resilience`], whose checkpoints it writes.
+    ///
+    /// ALS is deterministic, so with a fault-free source a resumed run
+    /// replays the identical remaining iterations: its final fit equals
+    /// the uninterrupted run's **exactly** — the invariant the chaos
+    /// harness asserts at 1e-9.
+    ///
+    /// The activity lands in [`RunOutput::checkpointing`] (and, with a
+    /// manifest, [`RunManifest::checkpointing`]); its `halted` flag reports
+    /// whether an injected crash stopped the run early under
+    /// [`DurableOptions::halt_on_crash`]. Injected crashes are data, not
+    /// errors: [`CpdError::Checkpoint`] is reserved for genuine I/O
+    /// failures and for a newest valid checkpoint whose shape (order, rows
+    /// per mode, rank) does not match this run
+    /// ([`CheckpointError::ShapeMismatch`]).
+    pub durable: Option<&'a DurableOptions>,
+    /// Iteration telemetry: per-mode MTTKRP wall time, the fit trajectory
+    /// and total run time are appended (one
+    /// [`IterationRecord`](simprof::IterationRecord) per ALS iteration),
+    /// and the resilience, checkpoint, memory and grid records are merged
+    /// in. The manifest's `rank`/`max_iters`/`tol`/`seed` are overwritten
+    /// from [`RunSpec::opts`], so the written document always describes
+    /// the run that produced it. Observational: the math is unchanged.
+    pub manifest: Option<&'a mut RunManifest>,
+    /// The simulated-clock observer: per-iteration simulated timings are
+    /// observed into its registry (`cpd.iter_sim_us`), `iteration` and
+    /// checkpoint events are emitted when its telemetry stream is enabled,
+    /// and its crash-fault plan drives [`RunSpec::durable`]'s store.
+    pub ctx: Option<&'a GpuContext>,
+}
+
+impl RunSpec<'_> {
+    /// A plain least-squares run under `opts`: no guards, no store,
+    /// nothing recorded.
+    pub fn new(opts: CpdOptions) -> Self {
+        RunSpec {
+            opts,
+            rule: UpdateRule::LeastSquares,
+            resilience: None,
+            durable: None,
+            manifest: None,
+            ctx: None,
+        }
+    }
+}
+
+/// Everything one [`run`] produced.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// The decomposition.
+    pub result: CpdResult,
+    /// What the resilience guards did (all zero for an unguarded run).
+    pub stats: ResilienceStats,
+    /// Durable-checkpoint activity (empty without a store).
+    pub checkpointing: CheckpointRecord,
+    /// The out-of-core ladder's story, one launch per MTTKRP (empty unless
+    /// the source was [`PlanSource::out_of_core`]).
+    pub memory: MemoryRecord,
+    /// One sharded launch per MTTKRP attempt (empty unless the source was
+    /// [`PlanSource::grid`]).
+    pub grid: GridRecord,
+}
+
+/// Why [`run`] refused or stopped a run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CpdError {
+    /// [`UpdateRule::Nonneg`] met a negative or NaN value.
+    NegativeValue(NegativeValue),
+    /// The durable store failed, or its newest checkpoint belongs to
+    /// another run shape.
+    Checkpoint(CheckpointError),
+    /// The [`RunSpec`] and source combine inputs no run supports.
+    Unsupported(&'static str),
+}
+
+impl std::fmt::Display for CpdError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CpdError::NegativeValue(e) => e.fmt(f),
+            CpdError::Checkpoint(e) => e.fmt(f),
+            CpdError::Unsupported(why) => f.write_str(why),
+        }
+    }
+}
+
+impl std::error::Error for CpdError {}
+
+/// Where [`run`] takes each MTTKRP from.
+pub trait MttkrpSource {
+    /// `X₍ₙ₎ ⨀ₘ≠ₙ factors[m]` for `mode = n`, exactly like
+    /// [`crate::reference::mttkrp`].
+    fn mttkrp(&mut self, factors: &[Matrix], mode: usize) -> Matrix;
+
+    /// Whether the source only runs under [`RunSpec::resilience`].
+    fn needs_resilience(&self) -> bool {
+        false
+    }
+
+    /// Folds what the source recorded over the run into `out` and, when
+    /// given, the manifest. Called once, after the last iteration.
+    fn finish(&mut self, _out: &mut RunOutput, _manifest: Option<&mut RunManifest>) {}
+}
+
+/// An MTTKRP closure as a [`MttkrpSource`]; see [`from_fn`].
+pub struct FnSource<F>(F);
+
+/// Wraps `mttkrp(factors, mode)` as a source. The closure must return
+/// `X₍ₙ₎ ⨀ₘ≠ₙ factors[m]` exactly like [`crate::reference::mttkrp`] —
+/// every kernel in this crate qualifies.
+pub fn from_fn<F: FnMut(&[Matrix], usize) -> Matrix>(mttkrp: F) -> FnSource<F> {
+    FnSource(mttkrp)
+}
+
+impl<F: FnMut(&[Matrix], usize) -> Matrix> MttkrpSource for FnSource<F> {
+    fn mttkrp(&mut self, factors: &[Matrix], mode: usize) -> Matrix {
+        (self.0)(factors, mode)
+    }
+}
+
+/// MTTKRP replayed from captured [`ModePlans`] for a resident tensor: one
+/// replay per (iteration, mode) instead of a fresh kernel emission.
+///
+/// Three forms, one per degradation ladder:
+/// * [`PlanSource::new`] — plain replay; a launch refusal (a rank or
+///   shape mismatch against the captured plan) degrades to the reference
+///   kernel rather than poison the whole run.
+/// * [`PlanSource::out_of_core`] — the out-of-core ladder
+///   ([`execute_adaptive`](crate::gpu::ooc::execute_adaptive)): in-core
+///   when a plan's [`MemoryFootprint`](crate::gpu::MemoryFootprint) fits
+///   the context's [`DeviceMemory`](gpu_sim::DeviceMemory), tiled when it
+///   does not, CPU reference when injected OOMs exhaust the tile budget
+///   ladder. On an unconstrained, fault-free context every launch takes
+///   the full-device rung, bit-identical to plain replay.
+/// * [`PlanSource::grid`] — sharded over a simulated multi-GPU node. One
+///   [`ShardModel`] per mode is built up front (the expensive phase: shard
+///   fit, per-device tiling, interconnect pricing), then replayed for
+///   every (iteration, mode). Each replay folds the shards' contributions
+///   in global emission order, so the trajectory is bit-identical to plain
+///   replay for any device count. Memory-fault draws happen once at model
+///   build — a model that degraded to the CPU reference stays degraded for
+///   the whole run.
+///
+/// Under an exec-fault plan (bit flips, aborts, stragglers) every form
+/// runs each attempt inside [`run_verified`](crate::abft::run_verified),
+/// so checksum repair composes with the ladder. Replay is safe there
+/// because capture is value-independent: the retry contexts carry
+/// different fault plans, which the plan re-simulates.
+///
+/// The ladder and grid forms only run under [`RunSpec::resilience`]. ABFT
+/// counts are merged into [`RunManifest::resilience`], the memory ladder's
+/// story into [`RunOutput::memory`], and one grid launch per attempt into
+/// [`RunOutput::grid`].
+pub struct PlanSource<'a> {
+    t: &'a CooTensor,
+    ctx: &'a GpuContext,
+    plans: &'a ModePlans,
+    ladder: Ladder<'a>,
+    kernel: ResilienceRecord,
+    memory: MemoryRecord,
+    grid: GridRecord,
+    last_runs: Vec<Option<GpuRun>>,
+}
+
+/// Which ladder a [`PlanSource`] runs each MTTKRP down.
+enum Ladder<'a> {
+    Replay,
+    OutOfCore(&'a OocOptions),
+    Grid(Vec<ShardModel>),
+}
+
+impl<'a> PlanSource<'a> {
+    /// Plain replay of `plans` (captured from `t`) on `ctx`.
+    pub fn new(t: &'a CooTensor, ctx: &'a GpuContext, plans: &'a ModePlans) -> Self {
+        PlanSource {
+            t,
+            ctx,
+            plans,
+            ladder: Ladder::Replay,
+            kernel: ResilienceRecord::default(),
+            memory: MemoryRecord::default(),
+            grid: GridRecord::default(),
+            last_runs: vec![None; t.order()],
+        }
+    }
+
+    /// Every replay down the out-of-core ladder of the context's device
+    /// memory instead.
+    pub fn out_of_core(mut self, oopts: &'a OocOptions) -> Self {
+        self.ladder = Ladder::OutOfCore(oopts);
+        self
+    }
+
+    /// Every replay sharded over `grid` instead; builds each mode's shard
+    /// model now, once.
+    pub fn grid(mut self, grid: &GridSpec, oopts: &OocOptions) -> Self {
+        let models = (0..self.t.order())
+            .map(|m| ShardModel::build(self.ctx, self.plans.plan(m), grid, oopts))
+            .collect();
+        self.ladder = Ladder::Grid(models);
+        self
+    }
+
+    /// The last plain replay of each mode, kept only while the context
+    /// profiles, so profile artifacts can show one launch per mode.
+    pub fn last_runs(&self) -> &[Option<GpuRun>] {
+        &self.last_runs
+    }
+}
+
+impl MttkrpSource for &mut PlanSource<'_> {
+    fn mttkrp(&mut self, factors: &[Matrix], mode: usize) -> Matrix {
+        let (t, ctx, plan) = (self.t, self.ctx, self.plans.plan(mode));
+        let abft = ctx.fault_plan().map(|_| AbftOptions::default());
+        let exec = match &self.ladder {
+            Ladder::Replay => {
+                // Validation is context-independent, so one up-front check
+                // covers every retry context and the replay is infallible.
+                if plan.validate_factors(factors).is_err() {
+                    return reference::mttkrp(t, factors, mode);
+                }
+                let exec = verified(ctx, t, factors, mode, abft.as_ref(), |c| {
+                    plan.execute_validated(c, factors)
+                });
+                if ctx.profiling() {
+                    self.last_runs[mode] = Some(exec.run.clone());
+                }
+                exec
+            }
+            Ladder::OutOfCore(oopts) => execute_ladder(ctx, plan, factors, t, abft.as_ref(), oopts),
+            Ladder::Grid(models) => {
+                // One grid launch recorded per attempt. A model fails only
+                // without a tensor, and one is attached here.
+                let grids = RefCell::new(Vec::new());
+                let exec = verified(ctx, t, factors, mode, abft.as_ref(), |c| {
+                    let (run, g) = models[mode]
+                        .execute(c, plan, factors, Some(t))
+                        .expect("the tensor is attached");
+                    grids.borrow_mut().push(g);
+                    run
+                });
+                for g in grids.into_inner() {
+                    self.grid.merge(&g.to_record());
+                }
+                exec
+            }
+        };
+        exec.absorb_into(&mut self.kernel, &mut self.memory, &mut self.grid);
+        exec.run.y
+    }
+
+    fn needs_resilience(&self) -> bool {
+        !matches!(self.ladder, Ladder::Replay)
+    }
+
+    fn finish(&mut self, out: &mut RunOutput, manifest: Option<&mut RunManifest>) {
+        if let Ladder::OutOfCore(_) = self.ladder {
+            let mem = &self.ctx.memory;
+            self.memory.high_water_bytes = self.memory.high_water_bytes.max(mem.high_water());
+            if !mem.is_unlimited() {
+                self.memory.capacity_bytes = self.memory.capacity_bytes.max(mem.capacity());
+            }
+        }
+        out.memory.merge(&self.memory);
+        out.grid.merge(&self.grid);
+        if let Some(m) = manifest {
+            m.resilience.merge(&self.kernel);
+            m.memory.merge(&self.memory);
+            m.grid.merge(&self.grid);
+        }
+    }
+}
+
+/// Runs CPD-ALS on `t` as `spec` describes, taking every MTTKRP from
+/// `source`.
+///
+/// Factors are seeded from `t`'s shape and [`CpdOptions::seed`], `‖X‖` is
+/// folded from its values, and the run stops after
+/// [`CpdOptions::max_iters`] iterations or once the fit moves by less
+/// than [`CpdOptions::tol`]. Fails only as [`CpdError`] says.
+pub fn run(
+    t: &CooTensor,
+    mut spec: RunSpec<'_>,
+    mut source: impl MttkrpSource,
+) -> Result<RunOutput, CpdError> {
+    let guarded = spec.resilience.is_some();
+    let unsupported = if spec.durable.is_some() && !guarded {
+        Some("a durable store writes at the resilience guards' checkpoints; it needs resilience")
+    } else if spec.rule == UpdateRule::Nonneg && guarded {
+        Some("the resilience guards drive least-squares ALS; a non-negative run is unguarded")
+    } else if source.needs_resilience() && !guarded {
+        Some("the out-of-core and grid sources run under the resilience guards")
+    } else {
+        None
+    };
+    if let Some(why) = unsupported {
+        return Err(CpdError::Unsupported(why));
+    }
+    if spec.rule == UpdateRule::Nonneg {
+        if let Some(index) = t.values().iter().position(|&v| v < 0.0 || v.is_nan()) {
+            let value = t.values()[index];
+            return Err(CpdError::NegativeValue(NegativeValue { index, value }));
+        }
+    }
+    let open = |d| DurableSession::open(d, t, spec.opts.rank, spec.ctx);
+    let mut durable = spec
+        .durable
+        .map(open)
+        .transpose()
+        .map_err(CpdError::Checkpoint)?;
+    let factors = random_factors(t, spec.opts.rank, spec.opts.seed);
+    let norm_x = fold_squares(0.0, t.values()).sqrt();
+    let mttkrp = |f: &[Matrix], mode: usize| Ok::<_, Infallible>(source.mttkrp(f, mode));
+    let Ok((result, stats)) = als(&mut spec, durable.as_mut(), factors, norm_x, mttkrp);
+    let mut out = RunOutput {
+        result,
+        stats,
+        checkpointing: CheckpointRecord::default(),
+        memory: MemoryRecord::default(),
+        grid: GridRecord::default(),
+    };
+    if let Some(session) = durable {
+        if let Some(e) = session.error {
+            return Err(CpdError::Checkpoint(e));
+        }
+        out.checkpointing = session.record;
+        if let Some(m) = spec.manifest.as_deref_mut() {
+            m.checkpointing.merge(&out.checkpointing);
+        }
+    }
+    source.finish(&mut out, spec.manifest);
+    Ok(out)
+}
+
+/// Kept for `mttkrp-bench`: [`run`] under [`RunSpec::new`] observed by
+/// `ctx`, over [`PlanSource::new`].
+pub fn cpd_als_planned(
+    t: &CooTensor,
+    opts: &CpdOptions,
+    ctx: &GpuContext,
+    plans: &ModePlans,
+) -> CpdResult {
+    let spec = RunSpec {
+        ctx: Some(ctx),
+        ..RunSpec::new(*opts)
+    };
+    run(t, spec, &mut PlanSource::new(t, ctx, plans))
+        .expect(INFALLIBLE)
+        .result
+}
+
+/// Kept for `mttkrp-bench`: [`run`] under [`RunSpec::new`] with
+/// `manifest` and `ctx` set, over [`from_fn`]`(mttkrp)`.
+pub fn cpd_als_profiled(
+    t: &CooTensor,
+    opts: &CpdOptions,
+    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
+    manifest: &mut RunManifest,
+    ctx: Option<&GpuContext>,
+) -> CpdResult {
+    let spec = RunSpec {
+        manifest: Some(manifest),
+        ctx,
+        ..RunSpec::new(*opts)
+    };
+    run(t, spec, from_fn(mttkrp)).expect(INFALLIBLE).result
+}
+
+/// Kept for `mttkrp-bench`: [`run`] with `ropts`, `manifest` and `ctx`
+/// set, over [`PlanSource::grid`].
+// The signature is the benchmark's; its knobs are already grouped into
+// option structs.
+#[allow(clippy::too_many_arguments)]
+pub fn cpd_als_sharded(
+    t: &CooTensor,
+    opts: &CpdOptions,
+    ropts: &ResilienceOptions,
+    ctx: &GpuContext,
+    plans: &ModePlans,
+    grid: &GridSpec,
+    oopts: &OocOptions,
+    manifest: Option<&mut RunManifest>,
+) -> (CpdResult, ResilienceStats, GridRecord) {
+    let spec = RunSpec {
+        resilience: Some(ropts),
+        manifest,
+        ctx: Some(ctx),
+        ..RunSpec::new(*opts)
+    };
+    let source = &mut PlanSource::new(t, ctx, plans).grid(grid, oopts);
+    let out = run(t, spec, source).expect(INFALLIBLE);
+    (out.result, out.stats, out.grid)
+}
+
+/// Why the kept drivers' runs cannot fail.
+const INFALLIBLE: &str = "a least-squares run without a store never fails";
+
+/// Durable-checkpoint state threaded through one guarded ALS run.
+pub(crate) struct DurableSession {
+    store: CheckpointStore,
+    record: CheckpointRecord,
+    resume: Option<CheckpointState>,
     halt_on_crash: bool,
-    error: Option<crate::checkpoint::CheckpointError>,
+    error: Option<CheckpointError>,
 }
 
 impl DurableSession {
+    /// Opens the store under `ctx`'s crash-fault plan and, with
+    /// [`DurableOptions::resume`], adopts the newest valid checkpoint
+    /// after checking it fits `t` at `rank`.
+    fn open(
+        dopts: &DurableOptions,
+        t: &CooTensor,
+        rank: usize,
+        ctx: Option<&GpuContext>,
+    ) -> Result<DurableSession, CheckpointError> {
+        let crash = ctx.and_then(|c| c.crash_fault_plan());
+        let mut session = DurableSession {
+            store: CheckpointStore::open(&dopts.dir, &dopts.label)?.with_crash_plan(crash),
+            record: CheckpointRecord::default(),
+            resume: None,
+            halt_on_crash: dopts.halt_on_crash,
+            error: None,
+        };
+        if dopts.resume {
+            let scan = session.store.latest_valid()?;
+            session.record.torn_skipped += scan.skipped;
+            if let Some(state) = scan.state {
+                state.check_shape(t.dims(), rank)?;
+                session.record.resumes += 1;
+                session.record.resumed_iteration = state.iteration as u64;
+                session.resume = Some(state);
+            }
+        }
+        Ok(session)
+    }
+
     /// Writes one durable checkpoint and records what happened. Returns
     /// `false` when the run must stop here: an injected crash under
     /// `halt_on_crash`, or a genuine I/O error (kept for the caller).
@@ -403,286 +746,30 @@ impl DurableSession {
     }
 }
 
-/// [`cpd_als_resilient`] with durable, crash-consistent checkpoints: at
-/// every in-memory checkpoint a versioned, checksummed file is written
-/// atomically (temp + fsync + rename) through a
-/// [`CheckpointStore`](crate::checkpoint::CheckpointStore), and with
-/// `resume` set the run warm-restarts from the newest valid file —
-/// scanning back past any torn files a `crash:RATE` fault (drawn from
-/// the context's [`crash_fault_plan`](crate::gpu::GpuContext::crash_fault_plan))
-/// left behind.
+/// The ALS loop every run goes through, from `factors` on a tensor of
+/// norm `norm_x`. Each sweep takes one MTTKRP per mode from `mttkrp`
+/// (whose error ends the run), updates that factor under `spec.rule`, and
+/// folds the fit from the last mode's output. The run stops after
+/// `max_iters` iterations or once the fit moves by less than `tol`.
 ///
-/// ALS is deterministic, so with a fault-free backend a resumed run
-/// replays the identical remaining iterations: its final fit equals the
-/// uninterrupted run's **exactly** — the invariant the chaos harness
-/// asserts at 1e-9.
-///
-/// Returns the checkpoint activity alongside the usual result and stats
-/// (also merged into [`RunManifest::checkpointing`] when a manifest is
-/// supplied); `record.halted` reports whether an injected crash stopped
-/// the run early under [`DurableOptions::halt_on_crash`]. `Err` is
-/// reserved for genuine I/O failures and for a newest valid checkpoint
-/// whose shape (order, rows per mode, rank) does not match this run
-/// ([`CheckpointError::ShapeMismatch`](crate::checkpoint::CheckpointError::ShapeMismatch))
-/// — injected crashes are data, not errors.
-pub fn cpd_als_resilient_durable(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    dopts: &DurableOptions,
-    mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    mut manifest: Option<&mut RunManifest>,
-    ctx: Option<&GpuContext>,
-) -> Result<
-    (CpdResult, ResilienceStats, simprof::CheckpointRecord),
-    crate::checkpoint::CheckpointError,
-> {
-    let crash = ctx.and_then(|c| c.crash_fault_plan());
-    let mut session = DurableSession {
-        store: crate::checkpoint::CheckpointStore::open(&dopts.dir, &dopts.label)?
-            .with_crash_plan(crash),
-        record: simprof::CheckpointRecord::default(),
-        resume: None,
-        halt_on_crash: dopts.halt_on_crash,
-        error: None,
-    };
-    if dopts.resume {
-        let scan = session.store.latest_valid()?;
-        session.record.torn_skipped += scan.skipped;
-        if let Some(state) = scan.state {
-            state.check_shape(t.dims(), opts.rank)?;
-            session.record.resumes += 1;
-            session.record.resumed_iteration = state.iteration as u64;
-            session.resume = Some(state);
-        }
-    }
-    let hooks = Hooks {
-        resilience: Some(ropts),
-        durable: Some(&mut session),
-        manifest: manifest.as_deref_mut(),
-        ctx,
-    };
-    let (result, stats) = resident(t, opts, UpdateRule::LeastSquares, mttkrp, hooks);
-    if let Some(e) = session.error {
-        return Err(e);
-    }
-    if let Some(m) = manifest {
-        m.checkpointing.merge(&session.record);
-    }
-    Ok((result, stats, session.record))
-}
-
-/// [`cpd_als_resilient`] with every MTTKRP routed through the out-of-core
-/// degradation ladder — the memory-aware layer of the simfault stack.
-///
-/// Each (iteration, mode) MTTKRP executes the captured plan via
-/// [`crate::gpu::ooc::execute_adaptive`]: in-core when the plan's
-/// [`MemoryFootprint`](crate::gpu::MemoryFootprint) fits the context's
-/// [`DeviceMemory`](gpu_sim::DeviceMemory), tiled when it does not, CPU
-/// reference when injected OOMs exhaust the tile budget ladder. When the
-/// context also carries exec faults (bit flips / aborts / stragglers) the
-/// attempt additionally runs under
-/// [`run_verified`](crate::abft::run_verified), so checksum repair and
-/// memory degradation compose per attempt.
-///
-/// Returns the aggregated [`simprof::MemoryRecord`] (one ladder story per
-/// kernel execution) alongside the usual result and stats; with a
-/// manifest, kernel-level ABFT events are merged into
-/// [`RunManifest::resilience`] and the memory record into
-/// [`RunManifest::memory`]. On an unconstrained, fault-free context every
-/// execution takes the full-device rung and the result is bit-identical
-/// to [`cpd_als_planned`].
-pub fn cpd_als_adaptive(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    ctx: &GpuContext,
-    plans: &crate::gpu::ModePlans,
-    oopts: &crate::gpu::OocOptions,
-    mut manifest: Option<&mut RunManifest>,
-) -> (CpdResult, ResilienceStats, simprof::MemoryRecord) {
-    use std::cell::RefCell;
-
-    let kernel_events: RefCell<ResilienceRecord> = RefCell::new(ResilienceRecord::default());
-    let memrec: RefCell<simprof::MemoryRecord> = RefCell::new(simprof::MemoryRecord::default());
-    let abft_opts = crate::abft::AbftOptions::default();
-    let exec_faulted = ctx.fault_plan().is_some();
-
-    let backend = |factors: &[Matrix], mode: usize| -> Matrix {
-        let plan = plans.plan(mode);
-        if exec_faulted {
-            let (run, rep, mems) =
-                crate::abft::run_verified_adaptive(ctx, t, factors, &abft_opts, oopts, plan);
-            kernel_events.borrow_mut().merge(&rep.to_record());
-            let mut mr = memrec.borrow_mut();
-            for m in &mems {
-                m.absorb_into(&mut mr);
-            }
-            run.y
-        } else {
-            let (run, mem) = crate::gpu::ooc::execute_adaptive(ctx, plan, factors, t, oopts);
-            mem.absorb_into(&mut memrec.borrow_mut());
-            run.y
-        }
-    };
-
-    let (result, stats) =
-        cpd_als_resilient(t, opts, ropts, backend, manifest.as_deref_mut(), Some(ctx));
-
-    let mut mem = memrec.into_inner();
-    mem.high_water_bytes = mem.high_water_bytes.max(ctx.memory.high_water());
-    if !ctx.memory.is_unlimited() {
-        mem.capacity_bytes = mem.capacity_bytes.max(ctx.memory.capacity());
-    }
-    if let Some(m) = manifest {
-        m.resilience.merge(&kernel_events.into_inner());
-        m.memory.merge(&mem);
-    }
-    (result, stats, mem)
-}
-
-/// [`cpd_als_resilient`] with every MTTKRP sharded across a simulated
-/// multi-GPU node — the `simgrid` CPD driver.
-///
-/// One [`ShardModel`](crate::gpu::ShardModel) is built per mode up front
-/// (the expensive phase: shard fit, per-device tiling, interconnect
-/// pricing), then replayed for every (iteration, mode) — the multi-device
-/// analogue of [`cpd_als_planned`]'s capture-once/replay-many split. Each
-/// replay folds the shards' contributions in global emission order, so the
-/// decomposition trajectory is bit-identical to [`cpd_als_planned`] for
-/// any device count, including `--devices 1`.
-///
-/// Under an active execution-fault plan every replay runs inside
-/// [`run_verified`](crate::abft::run_verified), composing checksum repair
-/// with sharding exactly as the single-device adaptive driver does.
-/// Memory-fault draws happen once at model build (leases are modeled per
-/// mode, not per iteration) — a model that degraded to the CPU reference
-/// stays degraded for the whole run.
-///
-/// Returns the accumulated [`simprof::GridRecord`] (one launch recorded
-/// per sharded MTTKRP) alongside the usual result and stats; with a
-/// manifest, the record is merged into [`RunManifest::grid`] and kernel
-/// ABFT events into [`RunManifest::resilience`].
-// The driver composes four subsystems (CPD, resilience, sharding,
-// profiling); its knobs are already grouped into option structs.
-#[allow(clippy::too_many_arguments)]
-pub fn cpd_als_sharded(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    ctx: &GpuContext,
-    plans: &crate::gpu::ModePlans,
-    grid: &crate::gpu::GridSpec,
-    oopts: &crate::gpu::OocOptions,
-    mut manifest: Option<&mut RunManifest>,
-) -> (CpdResult, ResilienceStats, simprof::GridRecord) {
-    use std::cell::RefCell;
-
-    use crate::gpu::ShardModel;
-
-    // `execute` fails only when a CPU-fallback model has no tensor, and
-    // the tensor is always attached here.
-    const ATTACHED: &str = "the tensor is attached";
-
-    // Model phase, once per mode: the per-iteration replays only clone
-    // values out of these.
-    let models: Vec<ShardModel> = (0..t.order())
-        .map(|m| ShardModel::build(ctx, plans.plan(m), grid, oopts))
-        .collect();
-
-    let grid_rec: RefCell<simprof::GridRecord> = RefCell::new(simprof::GridRecord::default());
-    let kernel_events: RefCell<ResilienceRecord> = RefCell::new(ResilienceRecord::default());
-    let abft_opts = crate::abft::AbftOptions::default();
-    let exec_faulted = ctx.fault_plan().is_some();
-
-    let backend = |factors: &[Matrix], mode: usize| -> Matrix {
-        let plan = plans.plan(mode);
-        let model = &models[mode];
-        if exec_faulted {
-            // Verified sharded replay: the sharded engine is the kernel
-            // under test, run_verified wraps it with checksum + retry.
-            let (run, rep) =
-                crate::abft::run_verified(ctx, t, factors, plan.mode(), &abft_opts, |c| {
-                    let (run, g) = model.execute(c, plan, factors, Some(t)).expect(ATTACHED);
-                    grid_rec.borrow_mut().merge(&g.to_record());
-                    run
-                });
-            kernel_events.borrow_mut().merge(&rep.to_record());
-            run.y
-        } else {
-            let (run, g) = model.execute(ctx, plan, factors, Some(t)).expect(ATTACHED);
-            grid_rec.borrow_mut().merge(&g.to_record());
-            run.y
-        }
-    };
-
-    let (result, stats) =
-        cpd_als_resilient(t, opts, ropts, backend, manifest.as_deref_mut(), Some(ctx));
-
-    let rec = grid_rec.into_inner();
-    if let Some(m) = manifest {
-        m.resilience.merge(&kernel_events.into_inner());
-        m.grid.merge(&rec);
-    }
-    (result, stats, rec)
-}
-
-/// Optional guards and observers of one [`als`] run. The default is a
-/// plain run: no scrubbing, no conditioning check, no rollback, nothing
-/// recorded.
-#[derive(Default)]
-pub(crate) struct Hooks<'a> {
-    /// Scrubbing, the Tikhonov fallback, the NaN-fit rule, rollback and
-    /// in-memory checkpoints.
-    resilience: Option<&'a ResilienceOptions>,
-    /// Durable checkpoints and warm restart; written only at the
-    /// in-memory checkpoints `resilience` takes.
-    durable: Option<&'a mut DurableSession>,
-    /// Per-iteration wall times and fits, resilience counts.
-    manifest: Option<&'a mut RunManifest>,
-    /// Simulated-clock iteration records and checkpoint events.
-    ctx: Option<&'a GpuContext>,
-}
-
-/// [`als`] over a resident tensor: factors seeded from its shape, `‖X‖`
-/// folded from its values, and an infallible kernel.
-fn resident(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    rule: UpdateRule,
-    mut mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    hooks: Hooks,
-) -> (CpdResult, ResilienceStats) {
-    let factors = random_factors(t, opts.rank, opts.seed);
-    let norm_x = fold_squares(0.0, t.values()).sqrt();
-    let source = |f: &[Matrix], mode: usize| Ok::<_, Infallible>(mttkrp(f, mode));
-    let Ok(out) = als(opts, factors, norm_x, rule, source, hooks);
-    out
-}
-
-/// The ALS loop every driver runs, from `factors` on a tensor of norm
-/// `norm_x`. Each sweep takes one MTTKRP per mode from `mttkrp` (whose
-/// error ends the run), updates that factor under `rule`, and folds the
-/// fit from the last mode's output. The run stops after
-/// `opts.max_iters` iterations or once the fit moves by less than
-/// `opts.tol`.
-///
-/// With `hooks.resilience` the guards of [`cpd_als_resilient`] run; with
-/// none, no guard code runs at all.
+/// With `spec.resilience` the guards of [`RunSpec::resilience`] run; with
+/// none, no guard code runs at all. `durable` writes at the guards'
+/// checkpoints.
 pub(crate) fn als<E>(
-    opts: &CpdOptions,
+    spec: &mut RunSpec<'_>,
+    mut durable: Option<&mut DurableSession>,
     mut factors: Vec<Matrix>,
     norm_x: f64,
-    rule: UpdateRule,
     mut mttkrp: impl FnMut(&[Matrix], usize) -> Result<Matrix, E>,
-    hooks: Hooks,
 ) -> Result<(CpdResult, ResilienceStats), E> {
-    let Hooks {
+    let RunSpec {
+        opts,
+        rule,
         resilience: ropts,
-        mut durable,
-        mut manifest,
+        ref mut manifest,
         ctx,
-    } = hooks;
+        ..
+    } = *spec;
     let run_start = Instant::now();
     if let Some(m) = manifest.as_deref_mut() {
         // The written document always describes the run that produced it.
@@ -1043,8 +1130,43 @@ pub fn factor_match_score(a: &[Matrix], b: &[Matrix]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
     use sptensor::CooTensor;
+
+    /// [`run`] over the reference kernel.
+    fn reference_run(t: &CooTensor, spec: RunSpec<'_>) -> Result<RunOutput, CpdError> {
+        run(t, spec, from_fn(|f, m| reference::mttkrp(t, f, m)))
+    }
+
+    /// A plain least-squares run over the reference kernel.
+    fn plain_run(t: &CooTensor, opts: &CpdOptions) -> CpdResult {
+        reference_run(t, RunSpec::new(*opts)).unwrap().result
+    }
+
+    /// A non-negative run over the reference kernel.
+    fn nonneg_run(t: &CooTensor, opts: &CpdOptions) -> Result<CpdResult, CpdError> {
+        let spec = RunSpec {
+            rule: UpdateRule::Nonneg,
+            ..RunSpec::new(*opts)
+        };
+        reference_run(t, spec).map(|out| out.result)
+    }
+
+    /// A guarded run over `mttkrp`, optionally recorded into `manifest`.
+    fn resilient_run(
+        t: &CooTensor,
+        opts: &CpdOptions,
+        ropts: &ResilienceOptions,
+        mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
+        manifest: Option<&mut RunManifest>,
+    ) -> (CpdResult, ResilienceStats) {
+        let spec = RunSpec {
+            resilience: Some(ropts),
+            manifest,
+            ..RunSpec::new(*opts)
+        };
+        let out = run(t, spec, from_fn(mttkrp)).unwrap();
+        (out.result, out.stats)
+    }
 
     /// A tensor that *is* rank-1: CPD must fit it almost exactly.
     fn rank_one_tensor() -> CooTensor {
@@ -1071,7 +1193,7 @@ mod tests {
             tol: 1e-9,
             seed: 7,
         };
-        let res = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let res = plain_run(&t, &opts);
         assert!(
             res.final_fit() > 0.999,
             "fit {} after {} iters",
@@ -1089,7 +1211,7 @@ mod tests {
             tol: 0.0,
             seed: 11,
         };
-        let res = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let res = plain_run(&t, &opts);
         for w in res.fits.windows(2) {
             assert!(
                 w[1] >= w[0] - 1e-4,
@@ -1110,7 +1232,7 @@ mod tests {
             tol: 1e-7,
             seed: 5,
         };
-        let res = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let res = plain_run(&t, &opts);
         assert!(res.iterations < 100, "should converge before max_iters");
     }
 
@@ -1125,10 +1247,11 @@ mod tests {
             tol: 0.0,
             seed: 21,
         };
-        let r_ref = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
-        let r_splatt = cpd_als(&t, &opts, |f, m| {
+        let r_ref = plain_run(&t, &opts);
+        let splatt = from_fn(|f, m| {
             crate::cpu::splatt::mttkrp(&t, f, m, crate::cpu::splatt::SplattOptions::nontiled())
         });
+        let r_splatt = run(&t, RunSpec::new(opts), splatt).unwrap().result;
         assert!(
             (r_ref.final_fit() - r_splatt.final_fit()).abs() < 1e-3,
             "ref {} vs splatt {}",
@@ -1195,7 +1318,7 @@ mod tests {
             tol: 1e-9,
             seed: 3,
         };
-        let res = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let res = plain_run(&t, &opts);
         let planted = vec![
             Matrix::from_vec(4, 1, vec![1.0, 2.0, 0.5, 1.5]),
             Matrix::from_vec(3, 1, vec![0.5, 1.0, 2.0]),
@@ -1214,7 +1337,7 @@ mod tests {
             tol: 0.0,
             seed: 14,
         };
-        let res = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap();
+        let res = nonneg_run(&t, &opts).unwrap();
         for f in &res.factors {
             assert!(f.data().iter().all(|&v| v >= 0.0), "negative factor entry");
         }
@@ -1234,7 +1357,7 @@ mod tests {
             tol: 1e-10,
             seed: 15,
         };
-        let res = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap();
+        let res = nonneg_run(&t, &opts).unwrap();
         assert!(
             res.final_fit() > 0.99,
             "fit {} after {} iters",
@@ -1248,15 +1371,51 @@ mod tests {
         let mut t = rank_one_tensor();
         t.values_mut()[3] = -1.0;
         let opts = CpdOptions::default();
-        let err = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap_err();
+        let err = nonneg_run(&t, &opts).unwrap_err();
         assert_eq!(
             err,
-            NegativeValue {
+            CpdError::NegativeValue(NegativeValue {
                 index: 3,
                 value: -1.0
-            }
+            })
         );
         assert!(err.to_string().contains("non-negative"), "{err}");
+    }
+
+    #[test]
+    fn unsupported_combinations_are_typed_errors() {
+        use crate::gpu::{GpuContext, ModePlans, OocOptions};
+
+        let t = rank_one_tensor();
+        let opts = CpdOptions::default();
+        let ropts = ResilienceOptions::default();
+        let dopts = DurableOptions {
+            dir: std::env::temp_dir().join("sptk_cpd_unsupported"),
+            label: "unsupported".to_string(),
+            resume: false,
+            halt_on_crash: false,
+        };
+        let durable_alone = RunSpec {
+            durable: Some(&dopts),
+            ..RunSpec::new(opts)
+        };
+        let guarded_nonneg = RunSpec {
+            rule: UpdateRule::Nonneg,
+            resilience: Some(&ropts),
+            ..RunSpec::new(opts)
+        };
+        for spec in [durable_alone, guarded_nonneg] {
+            let err = reference_run(&t, spec).unwrap_err();
+            assert!(matches!(err, CpdError::Unsupported(_)), "{err}");
+        }
+        assert!(!dopts.dir.exists(), "a refused run opened its store");
+
+        let ctx = GpuContext::tiny();
+        let plans = ModePlans::build_hbcsf(&ctx, &t, opts.rank, Default::default());
+        let oopts = OocOptions::default();
+        let source = &mut PlanSource::new(&t, &ctx, &plans).out_of_core(&oopts);
+        let err = run(&t, RunSpec::new(opts), source).unwrap_err();
+        assert!(matches!(err, CpdError::Unsupported(_)), "{err}");
     }
 
     #[test]
@@ -1278,10 +1437,25 @@ mod tests {
         let ctx = GpuContext::tiny();
         let plans = ModePlans::build_hbcsf(&ctx, &t, opts.rank, BcsfOptions::default());
         let plain = cpd_als_planned(&t, &opts, &ctx, &plans);
+        let adaptive = |ctx: &GpuContext, manifest: Option<&mut RunManifest>| {
+            let spec = RunSpec {
+                resilience: Some(&ropts),
+                manifest,
+                ctx: Some(ctx),
+                ..RunSpec::new(opts)
+            };
+            let out = run(
+                &t,
+                spec,
+                &mut PlanSource::new(&t, ctx, &plans).out_of_core(&oopts),
+            );
+            let out = out.unwrap();
+            (out.result, out.stats, out.memory)
+        };
 
         // Unconstrained: every launch takes the full-device rung and the
         // decomposition is bit-identical to the plain planned driver.
-        let (res, stats, mem) = cpd_als_adaptive(&t, &opts, &ropts, &ctx, &plans, &oopts, None);
+        let (res, stats, mem) = adaptive(&ctx, None);
         assert_eq!(res.fits, plain.fits, "in-core adaptive must be bit-exact");
         // Proactive checkpoints still fire on a clean run; every corrective
         // counter must stay at zero.
@@ -1299,7 +1473,7 @@ mod tests {
             .unwrap();
         let capacity = worst.total_bytes() - worst.format_bytes / 8;
         let small = GpuContext::tiny().with_memory(Arc::new(DeviceMemory::with_capacity(capacity)));
-        let (res2, _, mem2) = cpd_als_adaptive(&t, &opts, &ropts, &small, &plans, &oopts, None);
+        let (res2, _, mem2) = adaptive(&small, None);
         assert_eq!(res2.fits, plain.fits, "tiled adaptive must be bit-exact");
         assert!(mem2.tiled_launches > 0, "tiling never engaged: {mem2:?}");
         assert_eq!(mem2.cpu_fallbacks, 0);
@@ -1307,15 +1481,7 @@ mod tests {
 
         // The manifest absorbs the same memory story.
         let mut manifest = RunManifest::new("hb-csf", "synth", 0, 0, 0.0, 0);
-        let (_, _, mem3) = cpd_als_adaptive(
-            &t,
-            &opts,
-            &ropts,
-            &small,
-            &plans,
-            &oopts,
-            Some(&mut manifest),
-        );
+        let (_, _, mem3) = adaptive(&small, Some(&mut manifest));
         assert_eq!(manifest.memory.tiled_launches, mem3.tiled_launches);
         assert!(manifest.memory.any());
     }
@@ -1343,16 +1509,15 @@ mod tests {
         for devices in [1usize, 3, 4] {
             let grid = GridSpec::new(devices, Interconnect::nvlink());
             let mut manifest = RunManifest::new("hb-csf", "synth", 0, 0, 0.0, 0);
-            let (res, stats, rec) = cpd_als_sharded(
-                &t,
-                &opts,
-                &ropts,
-                &ctx,
-                &plans,
-                &grid,
-                &oopts,
-                Some(&mut manifest),
-            );
+            let spec = RunSpec {
+                resilience: Some(&ropts),
+                manifest: Some(&mut manifest),
+                ctx: Some(&ctx),
+                ..RunSpec::new(opts)
+            };
+            let source = &mut PlanSource::new(&t, &ctx, &plans).grid(&grid, &oopts);
+            let out = run(&t, spec, source).unwrap();
+            let (res, stats, rec) = (out.result, out.stats, out.grid);
             assert_eq!(
                 res.fits, plain.fits,
                 "{devices}-device sharded CPD must be bit-exact"
@@ -1382,15 +1547,13 @@ mod tests {
             tol: 0.0,
             seed: 11,
         };
-        let plain = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let plain = plain_run(&t, &opts);
         let mut manifest = RunManifest::new("reference", "uniform-200", 0, 0, 0.0, 0);
-        let prof = cpd_als_profiled(
-            &t,
-            &opts,
-            |f, m| reference::mttkrp(&t, f, m),
-            &mut manifest,
-            None,
-        );
+        let spec = RunSpec {
+            manifest: Some(&mut manifest),
+            ..RunSpec::new(opts)
+        };
+        let prof = reference_run(&t, spec).unwrap().result;
         // Telemetry is observational: the math is unchanged.
         assert_eq!(plain.fits, prof.fits);
         assert_eq!(plain.factors, prof.factors);
@@ -1425,17 +1588,14 @@ mod tests {
             tol: 0.0,
             seed: 9,
         };
-        let plain = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m)).unwrap();
+        let plain = nonneg_run(&t, &opts).unwrap();
         let mut manifest = RunManifest::new("reference-nonneg", "uniform-150", 0, 0, 0.0, 0);
-        let prof = cpd_als_with_rule(
-            &t,
-            &opts,
-            UpdateRule::Nonneg,
-            |f, m| reference::mttkrp(&t, f, m),
-            Some(&mut manifest),
-            None,
-        )
-        .unwrap();
+        let spec = RunSpec {
+            rule: UpdateRule::Nonneg,
+            manifest: Some(&mut manifest),
+            ..RunSpec::new(opts)
+        };
+        let prof = reference_run(&t, spec).unwrap().result;
         // Telemetry is observational: the math is unchanged.
         assert_eq!(plain.fits, prof.fits);
         assert_eq!(plain.factors, prof.factors);
@@ -1454,13 +1614,12 @@ mod tests {
             tol: 0.0,
             seed: 21,
         };
-        let plain = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
-        let (res, stats) = cpd_als_resilient(
+        let plain = plain_run(&t, &opts);
+        let (res, stats) = resilient_run(
             &t,
             &opts,
             &ResilienceOptions::default(),
             |f, m| reference::mttkrp(&t, f, m),
-            None,
             None,
         );
         assert_eq!(plain.fits, res.fits, "clean backend: guards must be inert");
@@ -1485,15 +1644,9 @@ mod tests {
             checkpoint_every: 0,
             ..ResilienceOptions::default()
         };
-        let plain = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
-        let (res, stats) = cpd_als_resilient(
-            &t,
-            &opts,
-            &ropts,
-            |f, m| reference::mttkrp(&t, f, m),
-            None,
-            None,
-        );
+        let plain = plain_run(&t, &opts);
+        let (res, stats) =
+            resilient_run(&t, &opts, &ropts, |f, m| reference::mttkrp(&t, f, m), None);
         assert_eq!(
             stats.checkpoints, 0,
             "checkpoint_every: 0 must take no checkpoints"
@@ -1519,14 +1672,8 @@ mod tests {
             seed: 21,
         };
         let ropts = ResilienceOptions::default();
-        let (uninterrupted, _) = cpd_als_resilient(
-            &t,
-            &opts,
-            &ropts,
-            |f, m| reference::mttkrp(&t, f, m),
-            None,
-            None,
-        );
+        let (uninterrupted, _) =
+            resilient_run(&t, &opts, &ropts, |f, m| reference::mttkrp(&t, f, m), None);
 
         let dir = std::env::temp_dir().join("sptk_cpd_durable_restart");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1543,16 +1690,14 @@ mod tests {
         let mut resumes = 0u64;
         let mut last = None;
         for _restart in 0..32 {
-            let (res, _, record) = cpd_als_resilient_durable(
-                &t,
-                &opts,
-                &ropts,
-                &dopts,
-                |f, m| reference::mttkrp(&t, f, m),
-                None,
-                Some(&ctx),
-            )
-            .expect("no genuine I/O errors in temp dir");
+            let spec = RunSpec {
+                resilience: Some(&ropts),
+                durable: Some(&dopts),
+                ctx: Some(&ctx),
+                ..RunSpec::new(opts)
+            };
+            let out = reference_run(&t, spec).expect("no genuine I/O errors in temp dir");
+            let (res, record) = (out.result, out.checkpointing);
             crashes += record.crashes;
             torn_skipped += record.torn_skipped;
             resumes += record.resumes;
@@ -1581,7 +1726,7 @@ mod tests {
         dir: &std::path::Path,
         t: &CooTensor,
         rank: usize,
-    ) -> Result<CpdResult, crate::checkpoint::CheckpointError> {
+    ) -> Result<CpdResult, CpdError> {
         let _ = std::fs::remove_dir_all(dir);
         let opts = CpdOptions {
             rank: 3,
@@ -1597,30 +1742,23 @@ mod tests {
             halt_on_crash: false,
         };
         let first = sptensor::synth::uniform_random(&[10, 12, 14], 300, 9);
-        let (_, _, rec) = cpd_als_resilient_durable(
-            &first,
-            &opts,
-            &ropts,
-            &dopts,
-            |f, m| reference::mttkrp(&first, f, m),
-            None,
-            None,
-        )
-        .unwrap();
+        let spec = RunSpec {
+            resilience: Some(&ropts),
+            durable: Some(&dopts),
+            ..RunSpec::new(opts)
+        };
+        let rec = reference_run(&first, spec).unwrap().checkpointing;
         assert!(rec.writes > 0);
         dopts.resume = true;
         let opts = CpdOptions { rank, ..opts };
-        let out = cpd_als_resilient_durable(
-            t,
-            &opts,
-            &ropts,
-            &dopts,
-            |f, m| reference::mttkrp(t, f, m),
-            None,
-            None,
-        );
+        let spec = RunSpec {
+            resilience: Some(&ropts),
+            durable: Some(&dopts),
+            ..RunSpec::new(opts)
+        };
+        let out = reference_run(t, spec);
         std::fs::remove_dir_all(dir).unwrap();
-        out.map(|(res, _, _)| res)
+        out.map(|out| out.result)
     }
 
     #[test]
@@ -1630,7 +1768,7 @@ mod tests {
         let t = sptensor::synth::uniform_random(&[10, 12, 14], 300, 9);
         let err = resume_foreign_checkpoint(&dir, &t, 4).unwrap_err();
         assert!(
-            matches!(&err, CheckpointError::ShapeMismatch { detail, .. } if detail.contains("rank 3")),
+            matches!(&err, CpdError::Checkpoint(CheckpointError::ShapeMismatch { detail, .. }) if detail.contains("rank 3")),
             "{err}"
         );
     }
@@ -1642,14 +1780,14 @@ mod tests {
         let t = sptensor::synth::uniform_random(&[10, 40, 14], 300, 9);
         let err = resume_foreign_checkpoint(&dir, &t, 3).unwrap_err();
         assert!(
-            matches!(&err, CheckpointError::ShapeMismatch { detail, .. } if detail.contains("mode 1")),
+            matches!(&err, CpdError::Checkpoint(CheckpointError::ShapeMismatch { detail, .. }) if detail.contains("mode 1")),
             "{err}"
         );
         let t4 = sptensor::synth::uniform_random(&[10, 12, 14, 5], 300, 9);
         let dir4 = std::env::temp_dir().join("sptk_cpd_resume_order");
         let err = resume_foreign_checkpoint(&dir4, &t4, 3).unwrap_err();
         assert!(
-            matches!(&err, CheckpointError::ShapeMismatch { detail, .. } if detail.contains("order 3")),
+            matches!(&err, CpdError::Checkpoint(CheckpointError::ShapeMismatch { detail, .. }) if detail.contains("order 3")),
             "{err}"
         );
     }
@@ -1674,14 +1812,7 @@ mod tests {
             }
             y
         };
-        let (res, stats) = cpd_als_resilient(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            poisoned,
-            None,
-            None,
-        );
+        let (res, stats) = resilient_run(&t, &opts, &ResilienceOptions::default(), poisoned, None);
         assert!(stats.nan_resets > 0, "poisoned entries must be scrubbed");
         assert!(
             res.final_fit().is_finite() && res.final_fit() > 0.0,
@@ -1699,7 +1830,7 @@ mod tests {
             tol: 0.0,
             seed: 33,
         };
-        let clean = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let clean = plain_run(&t, &opts);
         // One catastrophic kernel execution mid-run (iteration 4, mode 0):
         // a third of the output entries sign-flipped and blown up 30× —
         // structural corruption normalization cannot absorb.
@@ -1718,13 +1849,12 @@ mod tests {
             y
         };
         let mut manifest = RunManifest::new("reference", "uniform-400", 0, 0, 0.0, 0);
-        let (res, stats) = cpd_als_resilient(
+        let (res, stats) = resilient_run(
             &t,
             &opts,
             &ResilienceOptions::default(),
             corrupting,
             Some(&mut manifest),
-            None,
         );
         assert!(stats.rollbacks >= 1, "regression must trigger a rollback");
         assert_eq!(manifest.resilience.rollbacks, stats.rollbacks);
@@ -1749,7 +1879,7 @@ mod tests {
             tol: 0.0,
             seed: 33,
         };
-        let clean = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let clean = plain_run(&t, &opts);
         let calls = std::cell::Cell::new(0usize);
         let corrupting = |f: &[Matrix], m: usize| {
             let mut y = reference::mttkrp(&t, f, m);
@@ -1764,14 +1894,8 @@ mod tests {
             }
             y
         };
-        let (res, stats) = cpd_als_resilient(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            corrupting,
-            None,
-            None,
-        );
+        let (res, stats) =
+            resilient_run(&t, &opts, &ResilienceOptions::default(), corrupting, None);
         assert!(
             res.fits[3].is_nan() && !res.fits.iter().any(|&f| f >= 1.0),
             "an impossible residual must read as NaN, not as a perfect fit: {:?}",
@@ -1790,7 +1914,7 @@ mod tests {
     fn empty_tensor_is_fit_one() {
         let t = CooTensor::new(vec![3, 3, 3]);
         let opts = CpdOptions::default();
-        let res = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let res = plain_run(&t, &opts);
         assert!(res.final_fit() >= 1.0 - 1e-12);
     }
 }

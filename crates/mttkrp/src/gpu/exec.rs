@@ -9,6 +9,8 @@
 //! is the only public entry point — the historical per-module
 //! `run`/`plan`/`build_and_run` free functions have been removed.
 
+use std::cell::RefCell;
+
 use dense::Matrix;
 use sptensor::CooTensor;
 
@@ -205,24 +207,77 @@ impl Execution {
         &self.run.y
     }
 
-    /// Folds every report this execution produced into an accumulating
-    /// run manifest: memory ladder stories into
-    /// [`RunManifest::memory`](simprof::RunManifest), the grid report
-    /// into [`RunManifest::grid`](simprof::RunManifest), and ABFT
-    /// verification counts into
-    /// [`RunManifest::resilience`](simprof::RunManifest). Call once per
-    /// launch — records are additive.
-    pub fn absorb_into(&self, manifest: &mut simprof::RunManifest) {
+    /// Folds every report this execution produced into a run's records:
+    /// memory ladder stories into `memory`, the grid report into `grid`,
+    /// and ABFT verification counts into `kernel` — the records
+    /// [`RunManifest`](simprof::RunManifest) keeps as `memory`, `grid` and
+    /// `resilience`. Call once per launch — records are additive.
+    pub fn absorb_into(
+        &self,
+        kernel: &mut simprof::ResilienceRecord,
+        memory: &mut simprof::MemoryRecord,
+        grid: &mut simprof::GridRecord,
+    ) {
         for mem in &self.mem {
-            mem.absorb_into(&mut manifest.memory);
+            mem.absorb_into(memory);
         }
         if let Some(g) = &self.grid {
-            manifest.grid.merge(&g.to_record());
+            grid.merge(&g.to_record());
         }
         if let Some(r) = &self.abft {
-            manifest.resilience.merge(&r.to_record());
+            kernel.merge(&r.to_record());
         }
     }
+}
+
+/// `kernel` on `ctx` as one [`Execution`]; with `abft`, inside
+/// [`abft::run_verified`], which re-runs it on retry contexts.
+pub(crate) fn verified(
+    ctx: &GpuContext,
+    t: &CooTensor,
+    factors: &[Matrix],
+    mode: usize,
+    abft: Option<&AbftOptions>,
+    kernel: impl Fn(&GpuContext) -> GpuRun,
+) -> Execution {
+    let (run, abft) = match abft {
+        Some(opts) => {
+            let (run, report) = abft::run_verified(ctx, t, factors, mode, opts, kernel);
+            (run, Some(report))
+        }
+        None => (kernel(ctx), None),
+    };
+    Execution {
+        run,
+        mem: Vec::new(),
+        abft,
+        grid: None,
+    }
+}
+
+/// The single-device ladder with the tensor attached: every attempt runs
+/// `plan` through [`ooc::execute_adaptive`], so allocation pressure and
+/// injected OOMs degrade gracefully inside each attempt, while with
+/// `abft` checksum verification repairs data corruption across attempts.
+/// Attempts that end on the CPU rung produce no ABFT data (the reference
+/// path is trusted), which verification treats as "nothing to verify" —
+/// so the two ladders compose without special cases.
+pub(crate) fn execute_ladder(
+    ctx: &GpuContext,
+    plan: &Plan,
+    factors: &[Matrix],
+    t: &CooTensor,
+    abft: Option<&AbftOptions>,
+    oopts: &OocOptions,
+) -> Execution {
+    let mems = RefCell::new(Vec::new());
+    let mut exec = verified(ctx, t, factors, plan.mode(), abft, |c| {
+        let (run, mem) = ooc::execute_adaptive(c, plan, factors, t, oopts);
+        mems.borrow_mut().push(mem);
+        run
+    });
+    exec.mem = mems.into_inner();
+    exec
 }
 
 /// The unified executor: owns a [`GpuContext`] plus the launch policy
@@ -336,31 +391,8 @@ impl Executor {
 
         match args.tensor {
             Some(t) => {
-                if ctx.fault_plan().is_some() {
-                    if let Some(abft_opts) = &self.abft {
-                        let (run, report, mem) = abft::run_verified_adaptive(
-                            ctx,
-                            t,
-                            args.factors,
-                            abft_opts,
-                            &ooc_opts,
-                            plan,
-                        );
-                        return Ok(Execution {
-                            run,
-                            mem,
-                            abft: Some(report),
-                            grid: None,
-                        });
-                    }
-                }
-                let (run, mem) = ooc::execute_adaptive(ctx, plan, args.factors, t, &ooc_opts);
-                Ok(Execution {
-                    run,
-                    mem: vec![mem],
-                    abft: None,
-                    grid: None,
-                })
+                let abft = self.abft.as_ref().filter(|_| ctx.fault_plan().is_some());
+                Ok(execute_ladder(ctx, plan, args.factors, t, abft, &ooc_opts))
             }
             None => {
                 // No tensor: no CPU rung exists, so refuse configurations
@@ -419,41 +451,18 @@ impl Executor {
         {
             // Verified sharded execution: the sharded engine is the
             // kernel under test; ABFT wraps it with the same
-            // checksum/retry loop as the single-device path.
-            use std::cell::RefCell;
-            let grids: RefCell<Vec<GridReport>> = RefCell::new(Vec::new());
-            let result: RefCell<Option<LaunchError>> = RefCell::new(None);
-            let (run, report) =
-                abft::run_verified(ctx, t, args.factors, plan.mode(), abft_opts, |c| {
-                    match sharded::execute_sharded(c, plan, args.factors, Some(t), spec, &ooc_opts)
-                    {
-                        Ok((run, grid)) => {
-                            grids.borrow_mut().push(grid);
-                            run
-                        }
-                        Err(e) => {
-                            // Unreachable with a tensor attached; recorded
-                            // defensively.
-                            *result.borrow_mut() = Some(e);
-                            GpuRun {
-                                y: Matrix::zeros(plan.out_rows(), plan.rank()),
-                                sim: ooc::cpu_fallback_sim(plan),
-                                profile: None,
-                                abft: None,
-                            }
-                        }
-                    }
-                });
-            if let Some(e) = result.into_inner() {
-                return Err(e);
-            }
-            let grid = merge_grid_reports(grids.into_inner());
-            return Ok(Execution {
-                run,
-                mem: Vec::new(),
-                abft: Some(report),
-                grid,
+            // checksum/retry loop as the single-device path. Sharding
+            // fails only without a tensor, and one is attached here.
+            let grids = RefCell::new(Vec::new());
+            let mut exec = verified(ctx, t, args.factors, plan.mode(), Some(abft_opts), |c| {
+                let (run, grid) =
+                    sharded::execute_sharded(c, plan, args.factors, Some(t), spec, &ooc_opts)
+                        .expect("the tensor is attached");
+                grids.borrow_mut().push(grid);
+                run
             });
+            exec.grid = merge_grid_reports(grids.into_inner());
+            return Ok(exec);
         }
         let (run, grid) =
             sharded::execute_sharded(ctx, plan, args.factors, args.tensor, spec, &ooc_opts)?;

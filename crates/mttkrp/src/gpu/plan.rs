@@ -216,6 +216,20 @@ impl ReplaySchedule {
             + self.chain_rows.len())
     }
 
+    /// Drops every array's growth slack: a sealed schedule lives as long
+    /// as its plan.
+    fn trim(&mut self) {
+        self.block_ptr.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        self.init_vals.shrink_to_fit();
+        self.leaf_ptr.shrink_to_fit();
+        self.leaf_vals.shrink_to_fit();
+        self.leaf_rows.shrink_to_fit();
+        self.chain_ptr.shrink_to_fit();
+        self.chain_modes.shrink_to_fit();
+        self.chain_rows.shrink_to_fit();
+    }
+
     /// Checks the structure replay indexes by: each pointer array starts
     /// at 0, never decreases and ends at the length of the arrays it
     /// indexes; there is one seed and one leaf and chain range per
@@ -622,11 +636,16 @@ impl<'a> PlanBuilder<'a> {
         self.sched.chain_rows.push(row as u32);
     }
 
-    /// Seals the capture into an executable [`Plan`]. A profiling `ctx`
-    /// counts the plan's resident bytes: `plan.launch_bytes` (the packed
-    /// instruction stream) and `plan.schedule_bytes` (the schedule arrays).
+    /// Seals the capture into an executable [`Plan`], with its schedule
+    /// arrays trimmed: the plan holds them for its whole life, and their
+    /// growth slack would be a fifth of them. (Shard plans are written out
+    /// and dropped, so `seal_shards` leaves theirs.) A
+    /// profiling `ctx` counts the plan's resident bytes: `plan.launch_bytes`
+    /// (the packed instruction stream) and `plan.schedule_bytes` (the
+    /// schedule arrays).
     pub fn finish(mut self, ctx: &GpuContext) -> Plan {
-        let plan = self.seal();
+        let mut plan = self.seal();
+        plan.sched.trim();
         if ctx.profiling() {
             ctx.registry
                 .add("plan.launch_bytes", plan.launch.op_bytes() as u64);

@@ -25,8 +25,9 @@
 //! consecutive-range folds are bit-identical to the untiled replay (the
 //! same argument `sharded.rs` relies on), so a streamed MTTKRP equals
 //! [`Plan::execute`]'s `y` bit for bit, and [`cpd_als_streamed`] equals
-//! [`cpd_als_planned`](crate::cpd::cpd_als_planned) on the materialized
-//! tensor exactly.
+//! [`cpd::run`](crate::cpd::run) over
+//! plain [`PlanSource`](crate::cpd::PlanSource) replay on the
+//! materialized tensor exactly.
 //!
 //! The streaming driver computes *values only*: deserialized shard plans
 //! carry no instruction stream, so there is no machine-model simulation,
@@ -46,7 +47,7 @@ use tensor_formats::{BcsfOptions, Csf, Hbcsf};
 use super::common::GpuContext;
 use super::plan::{Plan, PlanBuilder};
 use super::sharded::shard_ranges;
-use crate::cpd::{als, fold_squares, CpdOptions, CpdResult, Hooks, UpdateRule};
+use crate::cpd::{als, fold_squares, CpdOptions, CpdResult, RunSpec};
 
 /// On-disk store of serialized shard plans, keyed `(mode, shard)`. Owns a
 /// fresh subdirectory of the root it was created under and removes it on
@@ -285,7 +286,8 @@ impl SortedChunks for SquareSum<'_> {
 /// a whole-schedule plan.
 ///
 /// Bit-identity contract: on a duplicate-free tensor this equals
-/// [`cpd_als_planned`](crate::cpd::cpd_als_planned) over the identity-
+/// [`cpd::run`](crate::cpd::run) over
+/// plain [`PlanSource`](crate::cpd::PlanSource) replay of the identity-
 /// sorted materialized tensor with in-core HB-CSF plans — same fits, same
 /// factors, bit for bit (asserted in this module's tests and the CI
 /// ingest smoke job).
@@ -358,14 +360,7 @@ pub fn cpd_als_streamed(
     let factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
     let norm_x = norm_sq.sqrt();
     let replay = |f: &[Matrix], mode: usize| replay_mode(&store, mode, rank, f);
-    let (result, _) = als(
-        &opts.cpd,
-        factors,
-        norm_x,
-        UpdateRule::LeastSquares,
-        replay,
-        Hooks::default(),
-    )?;
+    let (result, _) = als(&mut RunSpec::new(opts.cpd), None, factors, norm_x, replay)?;
 
     Ok(StreamedCpd {
         result,

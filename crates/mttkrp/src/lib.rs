@@ -13,8 +13,9 @@
 //! * [`gpu`] — the GPU kernels: ParTI-style COO + atomics, F-COO with
 //!   warp-segmented scan, naive GPU-CSF (the Table II subject), B-CSF,
 //!   CSL, and the composite HB-CSF kernel (Algorithm 5).
-//! * [`cpd`] — the CPD-ALS driver (Algorithm 1) over any MTTKRP backend,
-//!   a non-negative variant, and factor-match scoring.
+//! * [`cpd`] — CPD-ALS (Algorithm 1): one entry point, [`cpd::run`], over
+//!   any MTTKRP source, with a non-negative rule, resilience guards,
+//!   durable checkpoints, and factor-match scoring.
 //! * [`preprocess`] — format-construction timing (Figs. 9–10).
 //!
 //! All mode-`n` kernels share one contract: given factor matrices
@@ -39,9 +40,8 @@ pub mod reference;
 pub use abft::{run_verified, AbftOptions, KernelReport};
 pub use checkpoint::{CheckpointError, CheckpointState, CheckpointStore, Scan, WriteOutcome};
 pub use cpd::{
-    cpd_als, cpd_als_nonneg, cpd_als_profiled, cpd_als_resilient, cpd_als_resilient_durable,
-    cpd_als_sharded, cpd_als_with_rule, factor_match_score, CpdOptions, CpdResult, DurableOptions,
-    NegativeValue, ResilienceOptions, ResilienceStats, UpdateRule,
+    factor_match_score, CpdError, CpdOptions, CpdResult, DurableOptions, NegativeValue, PlanSource,
+    ResilienceOptions, ResilienceStats, RunOutput, RunSpec, UpdateRule,
 };
 pub use reference::mttkrp as mttkrp_reference;
 

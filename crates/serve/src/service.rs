@@ -37,10 +37,10 @@ use std::sync::Arc;
 use dense::Matrix;
 use gpu_sim::DeviceMemory;
 use gpu_sim::Interconnect;
+use mttkrp::cpd::{self, from_fn, CpdOptions, DurableOptions, ResilienceOptions, RunSpec};
 use mttkrp::gpu::{
     Executor, GpuContext, GridSpec, KernelKind, LaunchArgs, OocOptions, Plan, ShardModel,
 };
-use mttkrp::{cpd_als, cpd_als_resilient_durable, CpdOptions, DurableOptions, ResilienceOptions};
 use simprof::{CheckpointRecord, FieldValue, Histogram, ServiceRecord, TenantRecord};
 use sptensor::CooTensor;
 
@@ -479,20 +479,20 @@ impl Service {
                         }
                     }
                 };
+                // A least-squares run without a store never fails.
+                let plain = |mttkrp_fn| cpd::run(&t, RunSpec::new(opts), from_fn(mttkrp_fn));
                 let result = match self.durable_opts(spec, scope) {
                     Some((ropts, dopts)) => {
-                        match cpd_als_resilient_durable(
-                            &t,
-                            &opts,
-                            &ropts,
-                            &dopts,
-                            &mut mttkrp_fn,
-                            None,
-                            Some(&ctx),
-                        ) {
-                            Ok((result, _stats, record)) => {
-                                self.record_checkpointing(&record);
-                                result
+                        let durable = RunSpec {
+                            resilience: Some(&ropts),
+                            durable: Some(&dopts),
+                            ctx: Some(&ctx),
+                            ..RunSpec::new(opts)
+                        };
+                        match cpd::run(&t, durable, from_fn(&mut mttkrp_fn)) {
+                            Ok(out) => {
+                                self.record_checkpointing(&out.checkpointing);
+                                Ok(out)
                             }
                             Err(e) => {
                                 // Checkpoint I/O failed outright (not an
@@ -503,16 +503,16 @@ impl Service {
                                     spec,
                                     &[("detail", FieldValue::from(e.to_string()))],
                                 );
-                                cpd_als(&t, &opts, &mut mttkrp_fn)
+                                plain(&mut mttkrp_fn)
                             }
                         }
                     }
-                    None => cpd_als(&t, &opts, &mut mttkrp_fn),
+                    None => plain(&mut mttkrp_fn),
                 };
                 if failed {
                     return None;
                 }
-                Some((seconds, losses, result.final_fit()))
+                Some((seconds, losses, result.ok()?.result.final_fit()))
             }
         }
     }

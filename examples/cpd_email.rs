@@ -10,7 +10,7 @@
 //! cargo run --release --example cpd_email
 //! ```
 
-use mttkrp_repro::mttkrp::cpd::{cpd_als, CpdOptions};
+use mttkrp_repro::mttkrp::cpd::{from_fn, run, CpdOptions, RunSpec};
 use mttkrp_repro::mttkrp::gpu::{Executor, GpuContext, LaunchArgs};
 use mttkrp_repro::sptensor::{mode_orientation, synth};
 use mttkrp_repro::tensor_formats::{BcsfOptions, Hbcsf};
@@ -42,7 +42,7 @@ fn main() {
         seed: 99,
     };
     let mut sim_seconds = 0.0f64;
-    let result = cpd_als(&tensor, &opts, |factors, mode| {
+    let gpu = from_fn(|factors, mode| {
         let run = exec
             .run(&formats[mode], &LaunchArgs::new(factors))
             .expect("valid launch")
@@ -50,6 +50,9 @@ fn main() {
         sim_seconds += run.sim.time_s;
         run.y
     });
+    let result = run(&tensor, RunSpec::new(opts), gpu)
+        .expect("a least-squares run without a store never fails")
+        .result;
 
     println!("\nCPD-ALS (rank {}):", opts.rank);
     for (i, fit) in result.fits.iter().enumerate() {

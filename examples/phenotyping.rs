@@ -12,7 +12,7 @@
 //! cargo run --release --example phenotyping
 //! ```
 
-use mttkrp_repro::mttkrp::cpd::{cpd_als_nonneg, CpdOptions};
+use mttkrp_repro::mttkrp::cpd::{from_fn, run, CpdOptions, RunSpec, UpdateRule};
 use mttkrp_repro::mttkrp::gpu::{Executor, GpuContext, LaunchArgs};
 use mttkrp_repro::sptensor::{mode_orientation, CooTensor};
 use mttkrp_repro::tensor_formats::{BcsfOptions, Hbcsf};
@@ -42,13 +42,19 @@ fn main() {
         tol: 1e-6,
         seed: 7,
     };
-    let result = cpd_als_nonneg(&tensor, &opts, |factors, mode| {
+    let spec = RunSpec {
+        rule: UpdateRule::Nonneg,
+        ..RunSpec::new(opts)
+    };
+    let gpu = from_fn(|factors, mode| {
         exec.run(&formats[mode], &LaunchArgs::new(factors))
             .expect("valid launch")
             .run
             .y
-    })
-    .expect("the cohort tensor holds non-negative counts");
+    });
+    let result = run(&tensor, spec, gpu)
+        .expect("the cohort tensor holds non-negative counts")
+        .result;
     println!(
         "non-negative CPD: fit {:.3} after {} iterations\n",
         result.final_fit(),

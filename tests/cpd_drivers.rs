@@ -8,11 +8,12 @@ use std::sync::Arc;
 
 use mttkrp_repro::gpu_sim::{DeviceMemory, Interconnect};
 use mttkrp_repro::mttkrp::cpd::{
-    cpd_als_adaptive, cpd_als_nonneg, cpd_als_planned, cpd_als_sharded, CpdOptions, CpdResult,
-    NegativeValue, ResilienceOptions,
+    cpd_als_planned, from_fn, run, CpdError, CpdOptions, CpdResult, NegativeValue, PlanSource,
+    ResilienceOptions, RunSpec, UpdateRule,
 };
 use mttkrp_repro::mttkrp::gpu::{GpuContext, GridSpec, ModePlans, OocOptions};
 use mttkrp_repro::mttkrp::reference;
+use mttkrp_repro::simprof::MemoryRecord;
 use mttkrp_repro::sptensor::synth::uniform_random;
 use mttkrp_repro::sptensor::CooTensor;
 
@@ -43,21 +44,30 @@ fn bits(res: &CpdResult) -> (Vec<Vec<u32>>, Vec<u32>, Vec<u64>) {
     )
 }
 
+/// A guarded run observed by `ctx`, as the plan-backed drivers run.
+fn guarded<'a>(ctx: &'a GpuContext, ropts: &'a ResilienceOptions) -> RunSpec<'a> {
+    RunSpec {
+        resilience: Some(ropts),
+        ctx: Some(ctx),
+        ..RunSpec::new(OPTS)
+    }
+}
+
+/// The adaptive driver: a guarded run down `ctx`'s out-of-core ladder.
+fn adaptive(t: &CooTensor, ctx: &GpuContext, plans: &ModePlans) -> (CpdResult, MemoryRecord) {
+    let (ropts, oopts) = (ResilienceOptions::default(), OocOptions::default());
+    let source = &mut PlanSource::new(t, ctx, plans).out_of_core(&oopts);
+    let out = run(t, guarded(ctx, &ropts), source).unwrap();
+    (out.result, out.memory)
+}
+
 #[test]
 fn adaptive_driver_in_core_equals_planned() {
     for t in tensors() {
         let ctx = GpuContext::tiny();
         let plans = ModePlans::build_hbcsf(&ctx, &t, OPTS.rank, Default::default());
         let planned = cpd_als_planned(&t, &OPTS, &ctx, &plans);
-        let (res, _, mem) = cpd_als_adaptive(
-            &t,
-            &OPTS,
-            &ResilienceOptions::default(),
-            &ctx,
-            &plans,
-            &OocOptions::default(),
-            None,
-        );
+        let (res, mem) = adaptive(&t, &ctx, &plans);
         assert_eq!(bits(&res), bits(&planned), "order {}", t.order());
         assert_eq!(mem.tiled_launches + mem.cpu_fallbacks, 0);
         assert_eq!(mem.in_core_launches as usize, OPTS.max_iters * t.order());
@@ -76,15 +86,7 @@ fn adaptive_driver_tiled_equals_planned() {
             .unwrap();
         let capacity = worst.total_bytes() - worst.format_bytes / 8;
         let small = GpuContext::tiny().with_memory(Arc::new(DeviceMemory::with_capacity(capacity)));
-        let (res, _, mem) = cpd_als_adaptive(
-            &t,
-            &OPTS,
-            &ResilienceOptions::default(),
-            &small,
-            &plans,
-            &OocOptions::default(),
-            None,
-        );
+        let (res, mem) = adaptive(&t, &small, &plans);
         assert!(mem.tiled_launches > 0, "order {}: never tiled", t.order());
         assert_eq!(mem.cpu_fallbacks, 0);
         assert_eq!(bits(&res), bits(&planned), "order {}", t.order());
@@ -98,16 +100,10 @@ fn sharded_driver_equals_planned_at_one_and_four_devices() {
         let plans = ModePlans::build_hbcsf(&ctx, &t, OPTS.rank, Default::default());
         let planned = cpd_als_planned(&t, &OPTS, &ctx, &plans);
         for devices in [1, 4] {
-            let (res, _, grid) = cpd_als_sharded(
-                &t,
-                &OPTS,
-                &ResilienceOptions::default(),
-                &ctx,
-                &plans,
-                &GridSpec::new(devices, Interconnect::pcie()),
-                &OocOptions::default(),
-                None,
-            );
+            let grid = GridSpec::new(devices, Interconnect::pcie());
+            let source = &mut PlanSource::new(&t, &ctx, &plans).grid(&grid, &OocOptions::default());
+            let out = run(&t, guarded(&ctx, &ResilienceOptions::default()), source).unwrap();
+            let (res, grid) = (out.result, out.grid);
             assert_eq!(
                 bits(&res),
                 bits(&planned),
@@ -125,12 +121,16 @@ fn nonneg_names_the_first_negative_value() {
     let mut t = uniform_random(&[6, 7, 8], 150, 5);
     t.values_mut()[40] = -0.5;
     t.values_mut()[90] = -2.0;
-    let err = cpd_als_nonneg(&t, &OPTS, |f, m| reference::mttkrp(&t, f, m)).unwrap_err();
+    let spec = RunSpec {
+        rule: UpdateRule::Nonneg,
+        ..RunSpec::new(OPTS)
+    };
+    let err = run(&t, spec, from_fn(|f, m| reference::mttkrp(&t, f, m))).unwrap_err();
     assert_eq!(
         err,
-        NegativeValue {
+        CpdError::NegativeValue(NegativeValue {
             index: 40,
             value: -0.5
-        }
+        })
     );
 }

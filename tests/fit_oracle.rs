@@ -9,10 +9,9 @@ use mttkrp_repro::dense::Matrix;
 use mttkrp_repro::gpu_sim::FaultPlan;
 use mttkrp_repro::mttkrp::abft::{run_verified, AbftOptions};
 use mttkrp_repro::mttkrp::cpd::cpd_als_planned;
+use mttkrp_repro::mttkrp::cpd::{from_fn, run, RunSpec, UpdateRule};
 use mttkrp_repro::mttkrp::gpu::{cpd_als_streamed, GpuContext, ModePlans, StreamOptions};
-use mttkrp_repro::mttkrp::{
-    cpd_als, cpd_als_nonneg, cpd_als_resilient, reference, CpdOptions, CpdResult, ResilienceOptions,
-};
+use mttkrp_repro::mttkrp::{reference, CpdOptions, CpdResult, ResilienceOptions};
 use mttkrp_repro::sptensor::dims::identity_perm;
 use mttkrp_repro::sptensor::synth::uniform_random;
 use mttkrp_repro::sptensor::{
@@ -108,18 +107,29 @@ fn assert_matches_oracle(label: &str, t: &CooTensor, res: &CpdResult, tol: f64) 
 #[test]
 fn cpd_als_fit_matches_oracle() {
     for t in tensors() {
-        let res = cpd_als(&t, &opts(6), |f, m| reference::mttkrp(&t, f, m));
-        assert_matches_oracle(&format!("cpd_als order {}", t.order()), &t, &res, CLEAN_TOL);
+        let exact = from_fn(|f, m| reference::mttkrp(&t, f, m));
+        let res = run(&t, RunSpec::new(opts(6)), exact).unwrap().result;
+        assert_matches_oracle(
+            &format!("plain run order {}", t.order()),
+            &t,
+            &res,
+            CLEAN_TOL,
+        );
     }
 }
 
 #[test]
 fn nonneg_fit_matches_oracle() {
     for t in tensors() {
-        let res = cpd_als_nonneg(&t, &opts(6), |f, m| reference::mttkrp(&t, f, m))
-            .expect("synthetic tensors are non-negative");
+        let spec = RunSpec {
+            rule: UpdateRule::Nonneg,
+            ..RunSpec::new(opts(6))
+        };
+        let res = run(&t, spec, from_fn(|f, m| reference::mttkrp(&t, f, m)))
+            .expect("synthetic tensors are non-negative")
+            .result;
         assert_matches_oracle(
-            &format!("cpd_als_nonneg order {}", t.order()),
+            &format!("non-negative run order {}", t.order()),
             &t,
             &res,
             CLEAN_TOL,
@@ -179,20 +189,20 @@ fn resilient_fit_under_verified_bitflips_matches_oracle() {
     let ctx = GpuContext::tiny().with_faults(FaultPlan::parse("bitflip:1e-3", 0xFA17).unwrap());
     let plans = ModePlans::build_hbcsf(&GpuContext::tiny(), &t, 8, BcsfOptions::default());
     let flips = std::cell::Cell::new(0u64);
-    let (res, _) = cpd_als_resilient(
-        &t,
-        &opts(8),
-        &ResilienceOptions::default(),
-        |f, m| {
-            let (run, report) = run_verified(&ctx, &t, f, m, &AbftOptions::default(), |c| {
-                plans.execute(c, f, m).expect("captured rank")
-            });
-            flips.set(flips.get() + report.flips_applied);
-            run.y
-        },
-        None,
-        Some(&ctx),
-    );
+    let ropts = ResilienceOptions::default();
+    let spec = RunSpec {
+        resilience: Some(&ropts),
+        ctx: Some(&ctx),
+        ..RunSpec::new(opts(8))
+    };
+    let verified = from_fn(|f, m| {
+        let (run, report) = run_verified(&ctx, &t, f, m, &AbftOptions::default(), |c| {
+            plans.execute(c, f, m).expect("captured rank")
+        });
+        flips.set(flips.get() + report.flips_applied);
+        run.y
+    });
+    let res = run(&t, spec, verified).unwrap().result;
     assert!(flips.get() > 0, "bitflip:1e-3 must land flips");
-    assert_matches_oracle("cpd_als_resilient (bitflip:1e-3)", &t, &res, FAULTED_TOL);
+    assert_matches_oracle("guarded run (bitflip:1e-3)", &t, &res, FAULTED_TOL);
 }

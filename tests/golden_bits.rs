@@ -16,9 +16,8 @@
 use std::cell::Cell;
 
 use mttkrp_repro::dense::Matrix;
-use mttkrp_repro::mttkrp::{
-    cpd_als, cpd_als_nonneg, cpd_als_resilient, reference, CpdOptions, CpdResult, ResilienceOptions,
-};
+use mttkrp_repro::mttkrp::cpd::{from_fn, run, RunSpec, UpdateRule};
+use mttkrp_repro::mttkrp::{reference, CpdOptions, CpdResult, ResilienceOptions};
 use mttkrp_repro::sptensor::synth::uniform_random;
 use mttkrp_repro::sptensor::CooTensor;
 
@@ -104,10 +103,15 @@ fn recompute() -> Vec<Golden> {
         let exact = |f: &[Matrix], m: usize| reference::mttkrp(t, f, m);
         for rank in RANKS {
             let o = opts(rank);
-            out.push(row("plain", ti, rank, &cpd_als(t, &o, exact)));
+            let res = run(t, RunSpec::new(o), from_fn(exact)).unwrap().result;
+            out.push(row("plain", ti, rank, &res));
 
-            let res = cpd_als_nonneg(t, &o, exact).expect("uniform_random values are positive");
-            out.push(row("nonneg", ti, rank, &res));
+            let nonneg = RunSpec {
+                rule: UpdateRule::Nonneg,
+                ..RunSpec::new(o)
+            };
+            let res = run(t, nonneg, from_fn(exact)).expect("uniform_random values are positive");
+            out.push(row("nonneg", ti, rank, &res.result));
 
             // Every 5th output gets a NaN, every 7th an overflowing row:
             // the NaN is scrubbed from the MTTKRP, the overflow reaches the
@@ -125,9 +129,13 @@ fn recompute() -> Vec<Golden> {
                 y
             };
             let ropts = ResilienceOptions::default();
-            let (res, stats) = cpd_als_resilient(t, &o, &ropts, poisoned, None, None);
-            let mut g = row("resilient", ti, rank, &res);
-            (g.6, g.7) = (stats.nan_resets, stats.rollbacks);
+            let guarded = RunSpec {
+                resilience: Some(&ropts),
+                ..RunSpec::new(o)
+            };
+            let res = run(t, guarded, from_fn(poisoned)).unwrap();
+            let mut g = row("resilient", ti, rank, &res.result);
+            (g.6, g.7) = (res.stats.nan_resets, res.stats.rollbacks);
             out.push(g);
         }
     }

@@ -7,7 +7,7 @@
 //! under a fixed seed.
 
 use mttkrp_repro::gpu_sim::{DeviceMemory, FaultPlan};
-use mttkrp_repro::mttkrp::cpd::{cpd_als, cpd_als_planned, CpdOptions};
+use mttkrp_repro::mttkrp::cpd::{cpd_als_planned, from_fn, run, CpdOptions, RunSpec};
 use mttkrp_repro::mttkrp::gpu::{self, GpuContext, KernelKind, ModePlans, OocOptions, Plan};
 use mttkrp_repro::mttkrp::reference::{self, random_factors};
 use mttkrp_repro::sptensor::synth::{standin, uniform_random, SynthConfig};
@@ -349,12 +349,13 @@ fn capacity_capped_cpd_tiles_and_matches_in_core_fits() {
     let capped = GpuContext::default().with_memory(Arc::new(DeviceMemory::with_capacity(capacity)));
     let oopts = OocOptions::default();
     let (mut tiled, mut cpu) = (0usize, 0usize);
-    let streamed = cpd_als(&t, &opts, |factors, mode| {
+    let adaptive = from_fn(|factors, mode| {
         let (run, report) = gpu::execute_adaptive(&capped, plans.plan(mode), factors, &t, &oopts);
         tiled += usize::from(!report.in_core && !report.cpu_fallback);
         cpu += usize::from(report.cpu_fallback);
         run.y
     });
+    let streamed = run(&t, RunSpec::new(opts), adaptive).unwrap().result;
     assert!(
         tiled >= 1,
         "capacity {capacity} B never forced a tiled launch"

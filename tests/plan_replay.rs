@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use mttkrp_repro::dense::Matrix;
 use mttkrp_repro::gpu_sim::FaultPlan;
-use mttkrp_repro::mttkrp::cpd::{cpd_als, cpd_als_planned, CpdOptions};
+use mttkrp_repro::mttkrp::cpd::{cpd_als_planned, from_fn, run, CpdOptions, RunSpec};
 use mttkrp_repro::mttkrp::gpu::{
     GpuContext, GpuRun, KernelKind, LaunchError, ModePlans, MttkrpKernel, Plan, RankDispatch,
 };
@@ -323,13 +323,14 @@ fn recapturing_every_call_matches_planned_cpd_fits() {
     let formats: Vec<Hbcsf> = (0..t.order())
         .map(|m| Hbcsf::build(&t, &mode_orientation(t.order(), m), BcsfOptions::default()))
         .collect();
-    let recaptured = cpd_als(&t, &opts, |factors, mode| {
+    let recapture = from_fn(|factors, mode| {
         formats[mode]
             .capture(&ctx, opts.rank)
             .execute(&ctx, factors)
             .unwrap()
             .y
     });
+    let recaptured = run(&t, RunSpec::new(opts), recapture).unwrap().result;
     let plans = ModePlans::build_hbcsf(&ctx, &t, opts.rank, BcsfOptions::default());
     let planned = cpd_als_planned(&t, &opts, &ctx, &plans);
     assert_eq!(planned.iterations, opts.max_iters);

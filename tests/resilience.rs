@@ -6,10 +6,9 @@
 
 use mttkrp_repro::gpu_sim::FaultPlan;
 use mttkrp_repro::mttkrp::abft::{run_verified, AbftOptions};
+use mttkrp_repro::mttkrp::cpd::{from_fn, run, RunSpec};
 use mttkrp_repro::mttkrp::gpu::{GpuContext, KernelKind};
-use mttkrp_repro::mttkrp::{
-    cpd_als, cpd_als_resilient, outputs_match, reference, CpdOptions, ResilienceOptions,
-};
+use mttkrp_repro::mttkrp::{outputs_match, reference, CpdOptions, ResilienceOptions};
 use mttkrp_repro::simprof::RunManifest;
 use mttkrp_repro::sptensor::mode_orientation;
 use mttkrp_repro::sptensor::synth::uniform_random;
@@ -122,24 +121,30 @@ fn resilient_cpd_under_faults_stays_within_one_percent_of_clean_fit() {
     };
 
     let clean_ctx = GpuContext::tiny();
-    let clean_fit = cpd_als(&t, &opts, |f, m| run_kernel(&clean_ctx, &formats[m], f).y).final_fit();
+    let clean = from_fn(|f, m| run_kernel(&clean_ctx, &formats[m], f).y);
+    let clean_fit = run(&t, RunSpec::new(opts), clean)
+        .unwrap()
+        .result
+        .final_fit();
 
     let ctx = GpuContext::tiny().with_faults(FaultPlan::bitflips(1e-3, 0xFA17));
     let mut manifest = RunManifest::new("hbcsf", "uniform", opts.rank, opts.max_iters, 0.0, 3);
-    let (result, stats) = cpd_als_resilient(
-        &t,
-        &opts,
-        &ResilienceOptions::default(),
-        |f, m| {
-            run_verified(&ctx, &t, f, m, &AbftOptions::default(), |c| {
-                run_kernel(c, &formats[m], f)
-            })
-            .0
-            .y
-        },
-        Some(&mut manifest),
-        Some(&ctx),
-    );
+    let ropts = ResilienceOptions::default();
+    let spec = RunSpec {
+        resilience: Some(&ropts),
+        manifest: Some(&mut manifest),
+        ctx: Some(&ctx),
+        ..RunSpec::new(opts)
+    };
+    let verified = from_fn(|f, m| {
+        run_verified(&ctx, &t, f, m, &AbftOptions::default(), |c| {
+            run_kernel(c, &formats[m], f)
+        })
+        .0
+        .y
+    });
+    let out = run(&t, spec, verified).unwrap();
+    let (result, stats) = (out.result, out.stats);
 
     let fit = result.final_fit();
     assert!(

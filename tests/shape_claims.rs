@@ -128,7 +128,7 @@ fn hybrid_beats_fcoo_on_fibrous_tensors() {
 /// non-decreasing fit — the full pipeline of the paper, end to end.
 #[test]
 fn cpd_with_gpu_backend_converges() {
-    use mttkrp_repro::mttkrp::cpd::{cpd_als, CpdOptions};
+    use mttkrp_repro::mttkrp::cpd::{from_fn, run, CpdOptions, RunSpec};
     let t = standin("uber").unwrap().generate(&SynthConfig::tiny());
     let ctx = GpuContext::tiny();
     let formats: Vec<Hbcsf> = (0..t.order())
@@ -140,9 +140,8 @@ fn cpd_with_gpu_backend_converges() {
         tol: 0.0,
         seed: 5,
     };
-    let res = cpd_als(&t, &opts, |factors, mode| {
-        run_kernel(&ctx, &formats[mode], factors).y
-    });
+    let gpu = from_fn(|factors, mode| run_kernel(&ctx, &formats[mode], factors).y);
+    let res = run(&t, RunSpec::new(opts), gpu).unwrap().result;
     assert_eq!(res.iterations, 8);
     for w in res.fits.windows(2) {
         assert!(w[1] >= w[0] - 1e-4, "fit decreased: {:?}", res.fits);

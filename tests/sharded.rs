@@ -6,12 +6,13 @@
 //! monotonically in the device count and charge nothing on one device.
 
 use mttkrp_repro::gpu_sim::{FaultPlan, Interconnect};
+use mttkrp_repro::mttkrp::cpd::cpd_als_sharded;
 use mttkrp_repro::mttkrp::gpu::{
     AnyFormat, BuildOptions, Executor, GpuContext, GridSpec, KernelKind, LaunchArgs, ModePlans,
     OocOptions,
 };
 use mttkrp_repro::mttkrp::reference::random_factors;
-use mttkrp_repro::mttkrp::{cpd_als_sharded, CpdOptions, ResilienceOptions};
+use mttkrp_repro::mttkrp::{CpdOptions, ResilienceOptions};
 use mttkrp_repro::simprof::RunManifest;
 use mttkrp_repro::sptensor::synth::uniform_random;
 use mttkrp_repro::sptensor::CooTensor;
