@@ -259,3 +259,130 @@ fn sharded_cpd_records_injected_bitflips() {
         manifest.resilience
     );
 }
+
+/// Device capacity holding the padded resident set (factors + output)
+/// plus `num/den` of the padded format arrays.
+fn capacity_for(fp: &mttkrp_repro::mttkrp::gpu::MemoryFootprint, num: u64, den: u64) -> u64 {
+    let pad = |b: u64| b.div_ceil(256).max(1) * 256;
+    pad(fp.factor_bytes) + pad(fp.output_bytes) + pad(fp.format_bytes) * num / den
+}
+
+/// Property: the shard fit of a one-device grid and the out-of-core
+/// ladder are one memory walker — under injected OOM and fragmentation,
+/// at capacities from a whole footprint down to a fifth of the format
+/// arrays, both report the same in-core decision, tile count, OOM count
+/// and CPU fallback for every kernel, order and mode.
+#[test]
+fn one_device_grid_fits_like_the_out_of_core_ladder() {
+    let mut tiled_or_cpu = 0usize;
+    for spec in ["oom:0.25", "oom:0.6", "oom:1.0", "frag:0.5"] {
+        let faults = FaultPlan::parse(spec, 0xBEEF).expect("spec parses");
+        for_each_case(|name, format, t, factors, mode| {
+            let ctx = GpuContext::tiny().with_faults(faults.clone());
+            let plan = Executor::new(ctx.clone())
+                .capture(format, &LaunchArgs::new(factors))
+                .expect("valid launch");
+            for (num, den) in [(1u64, 1u64), (1, 2), (1, 5)] {
+                let cap = capacity_for(plan.footprint(), num, den);
+                let capped = ctx.clone().with_memory(std::sync::Arc::new(
+                    mttkrp_repro::gpu_sim::DeviceMemory::with_capacity(cap),
+                ));
+                let (_, mem) = mttkrp_repro::mttkrp::gpu::execute_adaptive(
+                    &capped,
+                    &plan,
+                    factors,
+                    t,
+                    &OocOptions::default(),
+                );
+                let grid = Executor::new(ctx.clone())
+                    .with_grid(GridSpec::new(1, Interconnect::nvlink()).with_capacity(cap))
+                    .execute(&plan, &LaunchArgs::new(factors).with_tensor(t))
+                    .expect("valid launch")
+                    .grid
+                    .expect("grid report present");
+                let shard = &grid.shards[0];
+                let case = format!("{name} mode {mode} {spec} cap {num}/{den}");
+                assert_eq!(shard.in_core, mem.in_core, "{case}: in_core");
+                assert_eq!(grid.cpu_fallback, mem.cpu_fallback, "{case}: cpu_fallback");
+                assert_eq!(shard.oom_events, mem.oom_events, "{case}: oom_events");
+                if !mem.in_core {
+                    tiled_or_cpu += 1;
+                    assert_eq!(shard.tiles_run, mem.tiles_run, "{case}: tiles");
+                }
+            }
+        });
+    }
+    assert!(
+        tiled_or_cpu > 0,
+        "the capacities must force tiling or fallback"
+    );
+}
+
+/// Property: ABFT verification through the executor does not depend on
+/// the route a launch takes. Under `bitflip:0.05`, the in-core, tiled,
+/// one-device grid and four-device grid routes return the same output
+/// bits and the same detected, retried, recovered and degraded rows.
+///
+/// The tiled route runs at the smallest listed capacity below the
+/// footprint that the packer splits into two or more tiles. F-COO's
+/// schedules on these small tensors put nearly all their weight in one
+/// block, so no capacity below the footprint tiles them; their capped
+/// route would be the CPU rung, which is not bit-identical by design.
+#[test]
+fn verified_launches_agree_across_routes() {
+    use mttkrp_repro::gpu_sim::DeviceMemory;
+    use mttkrp_repro::mttkrp::gpu::ooc::plan_tiles;
+    use mttkrp_repro::mttkrp::AbftOptions;
+    let ctx = GpuContext::tiny().with_faults(FaultPlan::bitflips(0.05, 0xFA17));
+    let (mut detected, mut tiled) = (0usize, 0usize);
+    for_each_case(|name, format, t, factors, mode| {
+        let args = LaunchArgs::new(factors).with_tensor(t);
+        let plan = Executor::new(ctx.clone())
+            .capture(format, &args)
+            .expect("valid launch");
+        let verified = |exec: Executor| {
+            let out = exec
+                .with_abft(AbftOptions::default())
+                .execute(&plan, &args)
+                .expect("valid launch");
+            let r = out.abft.expect("an ABFT report under exec faults");
+            let rows = (
+                r.detected_rows,
+                r.retries,
+                r.recovered_rows,
+                r.degraded_rows,
+            );
+            (bits(&out.run.y), rows, out.mem)
+        };
+        let base = verified(Executor::new(ctx.clone()));
+        detected += base.1 .0.len();
+        let mut routes = Vec::new();
+        let capped = [(1u64, 2u64), (3, 4), (9, 10), (99, 100)]
+            .into_iter()
+            .map(|(num, den)| {
+                let cap = capacity_for(plan.footprint(), num, den);
+                std::sync::Arc::new(DeviceMemory::with_capacity(cap))
+            })
+            .find(|mem| plan_tiles(&plan, mem.capacity(), mem).is_some_and(|t| t.len() > 1));
+        if let Some(mem) = capped {
+            let run = verified(Executor::new(ctx.clone().with_memory(mem)));
+            assert!(
+                run.2.iter().all(|m| !m.in_core && !m.cpu_fallback),
+                "{name} mode {mode}: the capped route must tile"
+            );
+            tiled += 1;
+            routes.push(("tiled".to_string(), run));
+        }
+        for devices in [1usize, 4] {
+            let grid = Executor::new(ctx.clone())
+                .with_grid(GridSpec::new(devices, Interconnect::nvlink()));
+            routes.push((format!("x{devices}"), verified(grid)));
+        }
+        for (route, (y, rows, _)) in routes {
+            assert_eq!(base.0, y, "{name} mode {mode} {route}: y");
+            assert_eq!(base.1, rows, "{name} mode {mode} {route}: rows");
+        }
+    });
+    assert!(detected > 0, "bitflip:0.05 must corrupt detectable rows");
+    assert_eq!(tiled, 31, "every case but F-COO's three must tile");
+}
