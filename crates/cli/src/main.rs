@@ -857,18 +857,32 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
                 (None, true) => ", adaptive".to_string(),
                 _ => String::new(),
             };
-            println!(
-                "{gpu_kernel} (simulated {}{variant}): {:.3} ms, {:.2} GFLOPs, sm_eff {:.1}%, \
-                 occ {:.1}%, L2 {:.1}%, {} atomics, ||Y|| = {:.6e}",
-                ctx.device.name,
-                run.sim.time_s * 1e3,
-                flops / run.sim.time_s.max(1e-30) / 1e9,
-                run.sim.sm_efficiency,
-                run.sim.achieved_occupancy,
-                run.sim.l2_hit_rate,
-                run.sim.atomic_ops,
-                checksum(&run.y)
-            );
+            // The returned run is the first attempt's; ABFT retries only
+            // follow a GPU rung, and a grid's attempts share one model.
+            let cpu_rung = execution.mem.first().is_some_and(|m| m.cpu_fallback)
+                || execution.grid.as_ref().is_some_and(|g| g.cpu_fallback);
+            if cpu_rung {
+                // No simulated launch ran, so there are no rates to print.
+                println!(
+                    "{gpu_kernel} (simulated {}{variant}): every GPU rung refused, \
+                     the CPU reference ran, ||Y|| = {:.6e}",
+                    ctx.device.name,
+                    checksum(&run.y)
+                );
+            } else {
+                println!(
+                    "{gpu_kernel} (simulated {}{variant}): {:.3} ms, {:.2} GFLOPs, \
+                     sm_eff {:.1}%, occ {:.1}%, L2 {:.1}%, {} atomics, ||Y|| = {:.6e}",
+                    ctx.device.name,
+                    run.sim.time_s * 1e3,
+                    flops / run.sim.time_s.max(1e-30) / 1e9,
+                    run.sim.sm_efficiency,
+                    run.sim.achieved_occupancy,
+                    run.sim.l2_hit_rate,
+                    run.sim.atomic_ops,
+                    checksum(&run.y)
+                );
+            }
             if let Some(dir) = &profile_dir {
                 let profile = run
                     .profile
@@ -1516,12 +1530,8 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     manifest.events_path = ctx.telemetry.events_path().map(String::from);
     manifest.histograms = ctx.registry.histograms();
     if let Some(dir) = &profile_dir {
-        write_cpd_profile(dir, &ctx, &manifest, source.last_runs())?;
-        println!(
-            "profile: {} (manifest.json, trace.json, nvprof_table.txt, counters.json, \
-             histograms.txt)",
-            dir.display()
-        );
+        let files = write_cpd_profile(dir, &ctx, &manifest, source.last_runs())?;
+        println!("profile: {} ({})", dir.display(), files.join(", "));
     }
     if let Some(path) = ctx.telemetry.events_path() {
         ctx.telemetry.flush();
@@ -1532,13 +1542,15 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
 
 /// Writes a CPD run's observability artifacts: the run manifest, one
 /// Chrome-trace process per mode's final MTTKRP, the per-mode nvprof
-/// table, and the aggregated registry counters.
+/// table, and the aggregated registry counters. Runs that kept no
+/// per-block profile (tiled, sharded) get no trace and no table. Returns
+/// the names of the files written.
 fn write_cpd_profile(
     dir: &Path,
     ctx: &GpuContext,
     manifest: &simprof::RunManifest,
     last_runs: &[Option<gpu::GpuRun>],
-) -> Result<()> {
+) -> Result<Vec<&'static str>> {
     let io_err = |e: std::io::Error| format!("{}: {e}", dir.display());
     manifest
         .write_to(&dir.join("manifest.json"))
@@ -1556,12 +1568,16 @@ fn write_cpd_profile(
         row.kernel = format!("{} mode {}", row.kernel, mode + 1);
         rows.push(row);
     }
-    trace.write_to(&dir.join("trace.json")).map_err(io_err)?;
-    let table = simprof::nvprof_table(
-        "nvprof metrics per mode (simulated, final iteration)",
-        &rows,
-    );
-    std::fs::write(dir.join("nvprof_table.txt"), table).map_err(io_err)?;
+    let mut files = vec!["manifest.json"];
+    if !rows.is_empty() {
+        trace.write_to(&dir.join("trace.json")).map_err(io_err)?;
+        let table = simprof::nvprof_table(
+            "nvprof metrics per mode (simulated, final iteration)",
+            &rows,
+        );
+        std::fs::write(dir.join("nvprof_table.txt"), table).map_err(io_err)?;
+        files.extend(["trace.json", "nvprof_table.txt"]);
+    }
     std::fs::write(
         dir.join("counters.json"),
         serde_json::to_string_pretty(&ctx.registry.snapshot_json())
@@ -1573,5 +1589,6 @@ fn write_cpd_profile(
         simprof::histogram_table("distribution metrics (simulated)", &manifest.histograms),
     )
     .map_err(io_err)?;
-    Ok(())
+    files.extend(["counters.json", "histograms.txt"]);
+    Ok(files)
 }

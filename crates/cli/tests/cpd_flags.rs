@@ -87,3 +87,53 @@ fn rejected_flag_combinations_exit_one_with_their_message() {
     assert!(!ckpt.exists(), "a rejected run wrote checkpoints");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A tiled or sharded CPD keeps no per-block profile, so `--profile`
+/// writes the manifest, counters and histograms but no empty trace or
+/// nvprof table, and its `profile:` line names only the files it wrote.
+#[test]
+fn profile_without_per_block_runs_writes_no_empty_trace() {
+    let dir = std::env::temp_dir().join(format!("sptk_cpd_profile_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spt = dir.join("nell2.spt");
+    let sptk = env!("CARGO_BIN_EXE_sptk");
+    let gen = Command::new(sptk)
+        .args(["gen", "nell2"])
+        .arg(&spt)
+        .args(["--nnz", "5000"])
+        .output()
+        .unwrap();
+    assert!(gen.status.success(), "sptk gen failed");
+    let cases: &[(&[&str], bool)] = &[
+        (&[], true),
+        (&["--devices", "2"], false),
+        (&["--mem-capacity", "0.7x"], false),
+    ];
+    for (i, &(flags, per_block)) in cases.iter().enumerate() {
+        let prof = dir.join(format!("p{i}"));
+        let out = Command::new(sptk)
+            .arg("cpd")
+            .arg(&spt)
+            .args(["--rank", "4", "--iters", "2", "--profile"])
+            .arg(&prof)
+            .args(flags)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "sptk cpd {flags:?}: {stdout}");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("profile:"))
+            .unwrap_or_else(|| panic!("sptk cpd {flags:?} printed no profile line"));
+        for file in ["manifest.json", "counters.json", "histograms.txt"] {
+            assert!(prof.join(file).exists(), "{flags:?}: {file} missing");
+            assert!(line.contains(file), "{flags:?}: {line}");
+        }
+        for file in ["trace.json", "nvprof_table.txt"] {
+            assert_eq!(prof.join(file).exists(), per_block, "{flags:?}: {file}");
+            assert_eq!(line.contains(file), per_block, "{flags:?}: {line}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,11 +3,11 @@
 //! reproduction makes cheap (rank, SM scaling, ONEMODE-vs-ALLMODE).
 
 use gpu_sim::FaultPlan;
-use mttkrp::abft::{run_verified, AbftOptions};
+use mttkrp::abft::{AbftOptions, KernelReport};
 use mttkrp::cpd::{self, CpdOptions, PlanSource, ResilienceOptions, RunSpec};
 use mttkrp::cpu::onemode::SplattOneMode;
 use mttkrp::cpu::splatt::{SplattAllMode, SplattOptions};
-use mttkrp::gpu::{self, GpuContext};
+use mttkrp::gpu::{self, GpuContext, LaunchArgs};
 use mttkrp::reference::random_factors;
 use rayon::prelude::*;
 use serde_json::{json, Value};
@@ -223,7 +223,8 @@ pub fn ext_onemode(cfg: &ExpConfig) -> Value {
 
 /// **ext-resilience** — the simfault sweep: transient bit-flip rates vs
 /// ABFT detection, recovery cost, and end-to-end CPD fit. Per rate the
-/// table reports one mode-1 HB-CSF MTTKRP under [`run_verified`]
+/// table reports one mode-1 HB-CSF MTTKRP verified by an ABFT
+/// [`Executor`](gpu::Executor)
 /// (injected/corrupted/detected/retried/degraded rows, detection %, and
 /// an execution-overhead estimate `attempts × faulted-time / clean-time`)
 /// plus a short resilient CPD-ALS run's final fit against the fault-free
@@ -276,11 +277,19 @@ pub fn ext_resilience(cfg: &ExpConfig) -> Value {
             .with_faults(FaultPlan::bitflips(rate, cfg.seed ^ 0xFA17));
 
         // One verified MTTKRP: detection and recovery accounting.
-        let (run, report) = run_verified(&ctx, &t, &factors, 0, &AbftOptions::default(), |c| {
-            mttkrp_plans
-                .execute(c, &factors, 0)
-                .expect("factors match the captured plan rank")
+        let exec = gpu::Executor::new(ctx.clone())
+            .with_abft(AbftOptions::default())
+            .execute(
+                mttkrp_plans.plan(0),
+                &LaunchArgs::new(&factors).with_tensor(&t),
+            )
+            .expect("factors match the captured plan rank");
+        // A fault-free launch runs once, with nothing to verify.
+        let report = exec.abft.unwrap_or(KernelReport {
+            attempts: 1,
+            ..KernelReport::default()
         });
+        let run = exec.run;
         let overhead = f64::from(report.attempts) * run.sim.time_s / clean.sim.time_s.max(1e-30);
         let out_diff = run.y.rel_fro_diff(&clean.y);
 

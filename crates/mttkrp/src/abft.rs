@@ -147,10 +147,10 @@ pub fn run_verified<F>(
     factors: &[Matrix],
     mode: usize,
     opts: &AbftOptions,
-    run_kernel: F,
+    mut run_kernel: F,
 ) -> (GpuRun, KernelReport)
 where
-    F: Fn(&GpuContext) -> GpuRun,
+    F: FnMut(&GpuContext) -> GpuRun,
 {
     let mut run = run_kernel(ctx);
     let mut report = KernelReport {

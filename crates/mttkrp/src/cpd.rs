@@ -27,7 +27,6 @@
 //! assert!(res.final_fit() > 0.0);
 //! ```
 
-use std::cell::RefCell;
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -40,7 +39,7 @@ use sptensor::CooTensor;
 
 use crate::abft::AbftOptions;
 use crate::checkpoint::{CheckpointError, CheckpointState, CheckpointStore};
-use crate::gpu::exec::{execute_ladder, verified};
+use crate::gpu::exec::{launch, Route};
 use crate::gpu::{GpuContext, GpuRun, GridSpec, ModePlans, OocOptions, ShardModel};
 use crate::reference::{self, random_factors};
 
@@ -393,10 +392,9 @@ impl<F: FnMut(&[Matrix], usize) -> Matrix> MttkrpSource for FnSource<F> {
 /// MTTKRP replayed from captured [`ModePlans`] for a resident tensor: one
 /// replay per (iteration, mode) instead of a fresh kernel emission.
 ///
-/// Three forms, one per degradation ladder:
-/// * [`PlanSource::new`] — plain replay; a launch refusal (a rank or
-///   shape mismatch against the captured plan) degrades to the reference
-///   kernel rather than poison the whole run.
+/// Three routes, each MTTKRP one launch down the path
+/// [`Executor`](crate::gpu::Executor) launches take:
+/// * [`PlanSource::new`] — plain replay.
 /// * [`PlanSource::out_of_core`] — the out-of-core ladder
 ///   ([`execute_adaptive`](crate::gpu::ooc::execute_adaptive)): in-core
 ///   when a plan's [`MemoryFootprint`](crate::gpu::MemoryFootprint) fits
@@ -413,32 +411,28 @@ impl<F: FnMut(&[Matrix], usize) -> Matrix> MttkrpSource for FnSource<F> {
 ///   build — a model that degraded to the CPU reference stays degraded for
 ///   the whole run.
 ///
-/// Under an exec-fault plan (bit flips, aborts, stragglers) every form
+/// A launch refusal (a rank or shape mismatch against the captured plan)
+/// degrades to the reference kernel rather than poison the whole run.
+/// Under an exec-fault plan (bit flips, aborts, stragglers) every route
 /// runs each attempt inside [`run_verified`](crate::abft::run_verified),
 /// so checksum repair composes with the ladder. Replay is safe there
 /// because capture is value-independent: the retry contexts carry
 /// different fault plans, which the plan re-simulates.
 ///
-/// The ladder and grid forms only run under [`RunSpec::resilience`]. ABFT
-/// counts are merged into [`RunManifest::resilience`], the memory ladder's
-/// story into [`RunOutput::memory`], and one grid launch per attempt into
+/// The out-of-core and grid routes only run under
+/// [`RunSpec::resilience`]. ABFT counts are merged into
+/// [`RunManifest::resilience`], the memory ladder's story into
+/// [`RunOutput::memory`], and one grid launch per attempt into
 /// [`RunOutput::grid`].
 pub struct PlanSource<'a> {
     t: &'a CooTensor,
     ctx: &'a GpuContext,
     plans: &'a ModePlans,
-    ladder: Ladder<'a>,
+    route: Route<Vec<ShardModel>>,
     kernel: ResilienceRecord,
     memory: MemoryRecord,
     grid: GridRecord,
     last_runs: Vec<Option<GpuRun>>,
-}
-
-/// Which ladder a [`PlanSource`] runs each MTTKRP down.
-enum Ladder<'a> {
-    Replay,
-    OutOfCore(&'a OocOptions),
-    Grid(Vec<ShardModel>),
 }
 
 impl<'a> PlanSource<'a> {
@@ -448,7 +442,7 @@ impl<'a> PlanSource<'a> {
             t,
             ctx,
             plans,
-            ladder: Ladder::Replay,
+            route: Route::Replay,
             kernel: ResilienceRecord::default(),
             memory: MemoryRecord::default(),
             grid: GridRecord::default(),
@@ -459,7 +453,7 @@ impl<'a> PlanSource<'a> {
     /// Every replay down the out-of-core ladder of the context's device
     /// memory instead.
     pub fn out_of_core(mut self, oopts: &'a OocOptions) -> Self {
-        self.ladder = Ladder::OutOfCore(oopts);
+        self.route = Route::OutOfCore(*oopts);
         self
     }
 
@@ -469,7 +463,7 @@ impl<'a> PlanSource<'a> {
         let models = (0..self.t.order())
             .map(|m| ShardModel::build(self.ctx, self.plans.plan(m), grid, oopts))
             .collect();
-        self.ladder = Ladder::Grid(models);
+        self.route = Route::Grid(models);
         self
     }
 
@@ -483,50 +477,27 @@ impl<'a> PlanSource<'a> {
 impl MttkrpSource for &mut PlanSource<'_> {
     fn mttkrp(&mut self, factors: &[Matrix], mode: usize) -> Matrix {
         let (t, ctx, plan) = (self.t, self.ctx, self.plans.plan(mode));
-        let abft = ctx.fault_plan().map(|_| AbftOptions::default());
-        let exec = match &self.ladder {
-            Ladder::Replay => {
-                // Validation is context-independent, so one up-front check
-                // covers every retry context and the replay is infallible.
-                if plan.validate_factors(factors).is_err() {
-                    return reference::mttkrp(t, factors, mode);
-                }
-                let exec = verified(ctx, t, factors, mode, abft.as_ref(), |c| {
-                    plan.execute_validated(c, factors)
-                });
-                if ctx.profiling() {
-                    self.last_runs[mode] = Some(exec.run.clone());
-                }
-                exec
-            }
-            Ladder::OutOfCore(oopts) => execute_ladder(ctx, plan, factors, t, abft.as_ref(), oopts),
-            Ladder::Grid(models) => {
-                // One grid launch recorded per attempt. A model fails only
-                // without a tensor, and one is attached here.
-                let grids = RefCell::new(Vec::new());
-                let exec = verified(ctx, t, factors, mode, abft.as_ref(), |c| {
-                    let (run, g) = models[mode]
-                        .execute(c, plan, factors, Some(t))
-                        .expect("the tensor is attached");
-                    grids.borrow_mut().push(g);
-                    run
-                });
-                for g in grids.into_inner() {
-                    self.grid.merge(&g.to_record());
-                }
-                exec
-            }
+        let route = self.route.map_grid(|models| &models[mode]);
+        let abft = AbftOptions::default();
+        let Ok((exec, grids)) = launch(ctx, plan, factors, Some(t), Some(&abft), route) else {
+            return reference::mttkrp(t, factors, mode);
         };
+        if ctx.profiling() && matches!(self.route, Route::Replay) {
+            self.last_runs[mode] = Some(exec.run.clone());
+        }
+        for g in &grids {
+            self.grid.merge(&g.to_record());
+        }
         exec.absorb_into(&mut self.kernel, &mut self.memory, &mut self.grid);
         exec.run.y
     }
 
     fn needs_resilience(&self) -> bool {
-        !matches!(self.ladder, Ladder::Replay)
+        !matches!(self.route, Route::Replay)
     }
 
     fn finish(&mut self, out: &mut RunOutput, manifest: Option<&mut RunManifest>) {
-        if let Ladder::OutOfCore(_) = self.ladder {
+        if let Route::OutOfCore(_) = self.route {
             let mem = &self.ctx.memory;
             self.memory.high_water_bytes = self.memory.high_water_bytes.max(mem.high_water());
             if !mem.is_unlimited() {

@@ -5,11 +5,11 @@
 //!
 //! [`Executor`] is what drivers hold. Configure it once (memory, faults,
 //! ABFT, grid, format options), then [`Executor::run`] any
-//! [`MttkrpKernel`] or [`Executor::execute`] any captured [`Plan`]. This
-//! is the only public entry point — the historical per-module
-//! `run`/`plan`/`build_and_run` free functions have been removed.
-
-use std::cell::RefCell;
+//! [`MttkrpKernel`] or [`Executor::execute`] any captured [`Plan`].
+//! Every launch — the executor's and
+//! [`PlanSource`](crate::cpd::PlanSource)'s — goes through one private
+//! launch path over a route (plain replay, the out-of-core ladder, or a
+//! grid's [`ShardModel`]), the one place a launch is ABFT-verified.
 
 use dense::Matrix;
 use sptensor::CooTensor;
@@ -20,7 +20,7 @@ use super::common::{GpuContext, GpuRun};
 use super::kernel::{AnyFormat, BuildOptions, KernelKind, MttkrpKernel};
 use super::ooc::{self, MemReport, OocOptions};
 use super::plan::Plan;
-use super::sharded::{self, GridReport, GridSpec};
+use super::sharded::{GridReport, GridSpec, ShardModel};
 
 /// A launch rejected before touching the simulator — every condition the
 /// old free functions turned into an `assert!` deep inside a kernel.
@@ -230,54 +230,80 @@ impl Execution {
     }
 }
 
-/// `kernel` on `ctx` as one [`Execution`]; with `abft`, inside
-/// [`abft::run_verified`], which re-runs it on retry contexts.
-pub(crate) fn verified(
-    ctx: &GpuContext,
-    t: &CooTensor,
-    factors: &[Matrix],
-    mode: usize,
-    abft: Option<&AbftOptions>,
-    kernel: impl Fn(&GpuContext) -> GpuRun,
-) -> Execution {
-    let (run, abft) = match abft {
-        Some(opts) => {
-            let (run, report) = abft::run_verified(ctx, t, factors, mode, opts, kernel);
-            (run, Some(report))
+/// The route one launch takes: plain replay, the out-of-core ladder, or a
+/// grid's [`ShardModel`], held as `G`.
+pub(crate) enum Route<G> {
+    Replay,
+    OutOfCore(OocOptions),
+    Grid(G),
+}
+
+impl<G> Route<G> {
+    /// The same route with its grid mapped through `f`.
+    pub(crate) fn map_grid<'r, H>(&'r self, f: impl FnOnce(&'r G) -> H) -> Route<H> {
+        match self {
+            Route::Replay => Route::Replay,
+            Route::OutOfCore(opts) => Route::OutOfCore(*opts),
+            Route::Grid(g) => Route::Grid(f(g)),
         }
-        None => (kernel(ctx), None),
-    };
-    Execution {
-        run,
-        mem: Vec::new(),
-        abft,
-        grid: None,
     }
 }
 
-/// The single-device ladder with the tensor attached: every attempt runs
-/// `plan` through [`ooc::execute_adaptive`], so allocation pressure and
-/// injected OOMs degrade gracefully inside each attempt, while with
-/// `abft` checksum verification repairs data corruption across attempts.
-/// Attempts that end on the CPU rung produce no ABFT data (the reference
-/// path is trusted), which verification treats as "nothing to verify" —
-/// so the two ladders compose without special cases.
-pub(crate) fn execute_ladder(
+/// One launch of `plan` down `route`: the one place a launch is
+/// ABFT-verified. With `abft`, an attached tensor and an active
+/// execution-fault plan, every attempt runs inside
+/// [`abft::run_verified`], which re-runs the route on retry contexts;
+/// attempts that end on the CPU rung carry no checksums, which
+/// verification reads as "nothing to verify", so the memory ladder and
+/// the checksum ladder compose without special cases. Returns the
+/// execution, with every attempt's memory report and without a grid
+/// report, plus the grid report of every attempt.
+///
+/// Refuses factors that disagree with the captured plan, and a route
+/// that needs the CPU rung without the tensor to run it on.
+pub(crate) fn launch(
     ctx: &GpuContext,
     plan: &Plan,
     factors: &[Matrix],
-    t: &CooTensor,
+    t: Option<&CooTensor>,
     abft: Option<&AbftOptions>,
-    oopts: &OocOptions,
-) -> Execution {
-    let mems = RefCell::new(Vec::new());
-    let mut exec = verified(ctx, t, factors, plan.mode(), abft, |c| {
-        let (run, mem) = ooc::execute_adaptive(c, plan, factors, t, oopts);
-        mems.borrow_mut().push(mem);
-        run
-    });
-    exec.mem = mems.into_inner();
-    exec
+    route: Route<&ShardModel>,
+) -> Result<(Execution, Vec<GridReport>), LaunchError> {
+    plan.validate_factors(factors)?;
+    let mut mem = Vec::new();
+    let mut grids = Vec::new();
+    let mut attempt = |c: &GpuContext| -> Result<GpuRun, LaunchError> {
+        Ok(match &route {
+            Route::Replay => plan.execute_validated(c, factors),
+            Route::OutOfCore(opts) => {
+                let t = t.ok_or(LaunchError::TensorRequired)?;
+                let (run, report) = ooc::execute_adaptive(c, plan, factors, t, opts);
+                mem.push(report);
+                run
+            }
+            Route::Grid(model) => {
+                let (run, report) = model.execute(c, plan, factors, t)?;
+                grids.push(report);
+                run
+            }
+        })
+    };
+    let (run, abft) = match (t, abft) {
+        (Some(t), Some(opts)) if ctx.fault_plan().is_some() => {
+            let (run, report) = abft::run_verified(ctx, t, factors, plan.mode(), opts, |c| {
+                attempt(c).expect("no attempt is refused with the tensor attached")
+            });
+            (run, Some(report))
+        }
+        _ => (attempt(ctx)?, None),
+    };
+    let exec = Execution {
+        run,
+        mem,
+        abft,
+        grid: None,
+    };
+    Ok((exec, grids))
 }
 
 /// The unified executor: owns a [`GpuContext`] plus the launch policy
@@ -368,64 +394,64 @@ impl Executor {
         self.run(&format, &LaunchArgs::new(factors).with_tensor(t))
     }
 
-    /// Executes a captured plan down the configured ladder:
+    /// Executes a captured plan down the configured route:
     ///
-    /// 1. **Sharded** when a grid with more than one device is set (or
-    ///    any grid at all — a one-device grid still routes here so
-    ///    device-count sweeps compare like with like).
-    /// 2. **ABFT-verified adaptive** when verification is enabled, an
-    ///    execution-fault plan is active, and the tensor is attached.
-    /// 3. **Adaptive** (full-device / tiled / CPU) when the tensor is
+    /// 1. **Sharded** when a grid is set (a one-device grid still routes
+    ///    here so device-count sweeps compare like with like). One
+    ///    [`ShardModel`] is built per launch and reused by every ABFT
+    ///    retry.
+    /// 2. **Out-of-core** (full-device / tiled / CPU) when the tensor is
     ///    attached.
-    /// 4. **Plain in-core replay** otherwise — requires unlimited,
+    /// 3. **Plain in-core replay** otherwise — requires unlimited,
     ///    fault-free memory, else [`LaunchError::TensorRequired`].
+    ///
+    /// With ABFT enabled, an active execution-fault plan and the tensor
+    /// attached, the route runs verified.
     pub fn execute(&self, plan: &Plan, args: &LaunchArgs<'_>) -> Result<Execution, LaunchError> {
         args.validate_for_plan(plan)?;
         let ctx = &self.ctx;
-        let ooc_opts = OocOptions::default();
-        self.note_dispatch(plan, args);
-
-        if let Some(spec) = &self.grid {
-            return self.execute_gridded(plan, args, spec);
+        let route = match (&self.grid, args.tensor) {
+            (Some(spec), _) => Route::Grid(spec),
+            (None, Some(_)) => Route::OutOfCore(OocOptions::default()),
+            (None, None) => Route::Replay,
+        };
+        self.note_dispatch(plan, &route);
+        // No tensor: no CPU rung exists, so refuse configurations that
+        // could need one instead of failing mid-ladder.
+        if matches!(route, Route::Replay)
+            && (!ctx.memory.is_unlimited() || ctx.mem_fault_plan().is_some())
+        {
+            return Err(LaunchError::TensorRequired);
         }
-
-        match args.tensor {
-            Some(t) => {
-                let abft = self.abft.as_ref().filter(|_| ctx.fault_plan().is_some());
-                Ok(execute_ladder(ctx, plan, args.factors, t, abft, &ooc_opts))
-            }
-            None => {
-                // No tensor: no CPU rung exists, so refuse configurations
-                // that could need one instead of failing mid-ladder.
-                if !ctx.memory.is_unlimited() || ctx.mem_fault_plan().is_some() {
-                    return Err(LaunchError::TensorRequired);
-                }
-                let run = plan.execute(ctx, args.factors)?;
-                Ok(Execution {
-                    run,
-                    mem: Vec::new(),
-                    abft: None,
-                    grid: None,
-                })
-            }
-        }
+        let route =
+            route.map_grid(|spec| ShardModel::build(ctx, plan, spec, &OocOptions::default()));
+        let abft = self.abft.as_ref();
+        let (mut exec, grids) = launch(
+            ctx,
+            plan,
+            args.factors,
+            args.tensor,
+            abft,
+            route.map_grid(|m| m),
+        )?;
+        exec.grid = merge_grid_reports(grids);
+        Ok(exec)
     }
 
-    /// Emits a `dispatch` event naming the ladder rung the executor chose
-    /// for this launch, before the rung runs.
-    fn note_dispatch(&self, plan: &Plan, args: &LaunchArgs<'_>) {
+    /// Emits a `dispatch` event naming the rung of `route`, before the
+    /// launch runs.
+    fn note_dispatch<G>(&self, plan: &Plan, route: &Route<G>) {
         let tel = &self.ctx.telemetry;
         if !tel.enabled() {
             return;
         }
-        let rung = if self.grid.is_some() {
-            "gridded"
-        } else if args.tensor.is_some() && self.ctx.fault_plan().is_some() && self.abft.is_some() {
-            "verified-adaptive"
-        } else if args.tensor.is_some() {
-            "adaptive"
-        } else {
-            "plain"
+        let rung = match route {
+            Route::Grid(_) => "gridded",
+            Route::OutOfCore(_) if self.ctx.fault_plan().is_some() && self.abft.is_some() => {
+                "verified-adaptive"
+            }
+            Route::OutOfCore(_) => "adaptive",
+            Route::Replay => "plain",
         };
         let mut fields = vec![
             ("kernel", simprof::FieldValue::from(plan.name())),
@@ -436,42 +462,6 @@ impl Executor {
             fields.push(("devices", simprof::FieldValue::from(spec.devices)));
         }
         tel.emit("dispatch", None, tel.new_span(), &fields);
-    }
-
-    fn execute_gridded(
-        &self,
-        plan: &Plan,
-        args: &LaunchArgs<'_>,
-        spec: &GridSpec,
-    ) -> Result<Execution, LaunchError> {
-        let ctx = &self.ctx;
-        let ooc_opts = OocOptions::default();
-        if let (Some(t), Some(abft_opts), true) =
-            (args.tensor, self.abft.as_ref(), ctx.fault_plan().is_some())
-        {
-            // Verified sharded execution: the sharded engine is the
-            // kernel under test; ABFT wraps it with the same
-            // checksum/retry loop as the single-device path. Sharding
-            // fails only without a tensor, and one is attached here.
-            let grids = RefCell::new(Vec::new());
-            let mut exec = verified(ctx, t, args.factors, plan.mode(), Some(abft_opts), |c| {
-                let (run, grid) =
-                    sharded::execute_sharded(c, plan, args.factors, Some(t), spec, &ooc_opts)
-                        .expect("the tensor is attached");
-                grids.borrow_mut().push(grid);
-                run
-            });
-            exec.grid = merge_grid_reports(grids.into_inner());
-            return Ok(exec);
-        }
-        let (run, grid) =
-            sharded::execute_sharded(ctx, plan, args.factors, args.tensor, spec, &ooc_opts)?;
-        Ok(Execution {
-            run,
-            mem: Vec::new(),
-            abft: None,
-            grid: Some(grid),
-        })
     }
 }
 

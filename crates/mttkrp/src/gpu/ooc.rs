@@ -2,18 +2,22 @@
 //!
 //! When a captured [`Plan`]'s [`MemoryFootprint`] exceeds the context's
 //! device-memory capacity — or a seeded OOM fault refuses an allocation
-//! mid-run — [`execute_adaptive`] degrades instead of failing:
+//! — [`execute_adaptive`] degrades instead of failing. One memory walker
+//! (`fit_range`) decides what fits for any block range of the schedule:
 //!
-//! 1. **Full device.** If the whole footprint fits, lease it (checked)
-//!    and run the ordinary replay.
-//! 2. **Tiled.** Partition the captured
+//! 1. **Full device.** One checked lease of the whole range.
+//! 2. **Tiled.** Partition the range of the captured
 //!    [`ReplaySchedule`](super::ReplaySchedule) into consecutive
 //!    *block ranges* whose resident set (factors + output)
-//!    plus format share each fit the byte budget, and stream the tiles
-//!    through the simulator one lease at a time. If an injected OOM kills
-//!    a tile, discard the partial output and retry the whole attempt at
-//!    half the budget, up to [`OocOptions::max_shrinks`] times.
-//! 3. **CPU.** Fall back to the sequential [`crate::reference::mttkrp`].
+//!    plus format share each fit the byte budget, and lease each tile.
+//!    If a lease is refused, retry at half the budget, up to
+//!    [`OocOptions::max_shrinks`] times.
+//! 3. **Refuse.** The caller runs the sequential
+//!    [`crate::reference::mttkrp`].
+//!
+//! [`execute_adaptive`] runs the walker over the whole schedule and
+//! replays what it chose; the sharded engine runs it over each device's
+//! shard.
 //!
 //! Tiles are ranges of the *captured schedule*, never rebuilt sub-tensor
 //! formats: tiling only moves the parallel batch boundaries, while the
@@ -23,17 +27,19 @@
 //! route through one [`AbftSink`](super::AbftSink) using *global* block
 //! ordinals, so injected faults and checksums also match the untiled run
 //! exactly. The CPU rung uses a different summation order and is
-//! therefore *not* bit-identical — clean capacity-constrained runs never
-//! reach it (the packer only refuses when a budget cannot hold even one
-//! block, and budgets start at the effective capacity), only
-//! injected-OOM runs can be driven there.
+//! therefore *not* bit-identical. A clean capacity-constrained run
+//! reaches it only when the capacity cannot hold the resident set plus
+//! one block's format share; otherwise only injected OOMs drive a run
+//! there.
 //!
 //! Every decision is recorded in a [`MemReport`]: the ladder steps taken,
 //! tile counts, budgets, OOM events, and the high-water mark — all
 //! deterministic under a fixed seed.
 
+use std::sync::Arc;
+
 use dense::Matrix;
-use gpu_sim::{MemError, SimResult};
+use gpu_sim::{DeviceMemory, FaultPlan, MemError, SimResult};
 use simprof::FieldValue;
 use sptensor::CooTensor;
 
@@ -142,24 +148,23 @@ pub fn plan_tiles(
     budget: u64,
     mem: &gpu_sim::DeviceMemory,
 ) -> Option<Vec<(usize, usize)>> {
-    let nblocks = plan.block_weight_prefix().len() - 1;
-    plan_tiles_range(plan, budget, mem, 0, nblocks)
+    let prefix = plan.block_weight_prefix();
+    plan_tiles_range(plan, &prefix, budget, mem, 0, prefix.len() - 1)
 }
 
 /// [`plan_tiles`] restricted to the schedule-block range `range_b0 ..
-/// range_b1` — the per-device packer of the sharded engine, which carves
-/// one device's shard into tiles that fit that device's memory. The
-/// resident set (factors + output) is charged in full per tile; format
-/// bytes are charged by weight share exactly as in the whole-plan case.
-pub(crate) fn plan_tiles_range(
+/// range_b1`, over the plan's weight `prefix`. The resident set (factors
+/// and output) is charged in full per tile; format bytes are charged by
+/// weight share exactly as in the whole-plan case.
+fn plan_tiles_range(
     plan: &Plan,
+    prefix: &[u64],
     budget: u64,
     mem: &gpu_sim::DeviceMemory,
     range_b0: usize,
     range_b1: usize,
 ) -> Option<Vec<(usize, usize)>> {
     let fp = plan.footprint();
-    let prefix = plan.block_weight_prefix();
     let nblocks = prefix.len() - 1;
     let range_b1 = range_b1.min(nblocks);
     if range_b0 >= range_b1 {
@@ -171,7 +176,7 @@ pub(crate) fn plan_tiles_range(
         return None;
     }
     let avail = budget - resident;
-    let share = |b0: usize, b1: usize| pad(format_share(fp, &prefix, b0, b1));
+    let share = |b0: usize, b1: usize| pad(format_share(fp, prefix, b0, b1));
     let mut tiles = Vec::new();
     let mut b0 = range_b0;
     while b0 < range_b1 {
@@ -191,19 +196,144 @@ pub(crate) fn plan_tiles_range(
 }
 
 /// Bytes of the format arrays attributed to schedule blocks `b0..b1`:
-/// `ceil(format_bytes × (W[b1] − W[b0]) / W_total)`, exact in u128.
-pub(crate) fn format_share(fp: &MemoryFootprint, prefix: &[u64], b0: usize, b1: usize) -> u64 {
-    let total = prefix[prefix.len() - 1].max(1);
+/// `ceil(format_bytes × (W[b1] − W[b0]) / W_total)`, exact in u128. A
+/// range holding the whole weight (the whole schedule, even an empty one)
+/// holds the whole format.
+fn format_share(fp: &MemoryFootprint, prefix: &[u64], b0: usize, b1: usize) -> u64 {
+    let total = prefix[prefix.len() - 1];
     let w = prefix[b1] - prefix[b0];
+    if w == total {
+        return fp.format_bytes;
+    }
     let num = u128::from(fp.format_bytes) * u128::from(w);
-    let den = u128::from(total);
-    u64::try_from(num.div_ceil(den)).unwrap_or(u64::MAX)
+    u64::try_from(num.div_ceil(u128::from(total))).unwrap_or(u64::MAX)
 }
 
-/// Fault-draw site for checked leases: rung 0 is the full-device lease,
-/// tiled rung `r` (0-based shrink count) uses `((r + 1) << 32) | tile`.
-fn lease_site(shrink_rung: u64, tile: u64) -> u64 {
-    ((shrink_rung + 1) << 32) | tile
+/// What [`fit_range`] chose for one block range.
+pub(crate) struct RangeFit {
+    /// Every rung attempted, in order.
+    pub(crate) ladder: Vec<LadderStep>,
+    /// The block ranges the winning rung leased — the whole range as one
+    /// tile in core — or `None` when every GPU rung refused.
+    pub(crate) tiles: Option<Vec<(usize, usize)>>,
+    /// Allocation refusals across all rungs (injected + genuine).
+    pub(crate) oom_events: u64,
+}
+
+impl RangeFit {
+    /// Whether the whole-range lease won.
+    pub(crate) fn in_core(&self) -> bool {
+        self.ladder[0].outcome == "ok"
+    }
+
+    fn step(&mut self, rung: &str, budget: u64, tiles: usize, outcome: &str) {
+        self.ladder.push(LadderStep {
+            rung: rung.to_string(),
+            budget_bytes: budget,
+            tiles,
+            outcome: outcome.to_string(),
+        });
+    }
+}
+
+/// The memory walker: fits schedule blocks `b0..b1` of `plan` to `mem`.
+/// It tries one lease of the whole range, then tiles at the effective
+/// capacity, then up to [`OocOptions::max_shrinks`] budget halvings, then
+/// refuses (the caller's CPU rung). Leases are released as soon as they
+/// are granted: they decide what fits, and the caller replays the tiles
+/// chosen. Fault draws key on lease sites in `device`'s namespace —
+/// device 0 holds the single-device sites, so a one-device grid draws the
+/// out-of-core ladder's exact OOM stream.
+pub(crate) fn fit_range(
+    plan: &Plan,
+    mem: &Arc<DeviceMemory>,
+    faults: Option<&FaultPlan>,
+    device: usize,
+    (b0, b1): (usize, usize),
+    opts: &OocOptions,
+) -> RangeFit {
+    let fp = plan.footprint();
+    let name = plan.name();
+    let prefix = plan.block_weight_prefix();
+    let capacity = mem.effective_capacity(faults);
+    let mut fit = RangeFit {
+        ladder: Vec::new(),
+        tiles: None,
+        oom_events: 0,
+    };
+    // Site `rung` shifted into the device's namespace: rung 0 is the
+    // whole-range lease, tiled rung `r` (0-based shrink count) uses
+    // `((r + 1) << 32) | tile`.
+    let lease = |format: (String, u64), rung: u64| {
+        let parts = [
+            (format!("{name}.factors"), fp.factor_bytes),
+            (format!("{name}.output"), fp.output_bytes),
+            format,
+        ];
+        let site = ((device as u64) << 44) | rung;
+        mem.try_lease(name, &parts, faults, site).map(drop)
+    };
+
+    // The whole range at once, checked padded (the way the lease pads)
+    // so the check and the allocation agree at the boundary.
+    let pad = |b: u64| mem.pad(b).unwrap_or(u64::MAX);
+    let whole = format_share(fp, &prefix, b0, b1);
+    let padded = [fp.factor_bytes, fp.output_bytes, whole]
+        .map(pad)
+        .into_iter()
+        .fold(0u64, u64::saturating_add);
+    let outcome = if padded > capacity {
+        "exceeds-capacity"
+    } else {
+        match lease((format!("{name}.format"), whole), 0) {
+            Ok(()) => "ok",
+            Err(e) => {
+                fit.oom_events += 1;
+                outcome_of(&e)
+            }
+        }
+    };
+    fit.step("full-device", capacity, 1, outcome);
+    if outcome == "ok" {
+        fit.tiles = Some(vec![(b0, b1)]);
+        return fit;
+    }
+
+    let mut budget = capacity;
+    for shrink in 0..=u64::from(opts.max_shrinks) {
+        if shrink > 0 {
+            budget /= 2;
+        }
+        let Some(tiles) = plan_tiles_range(plan, &prefix, budget, mem, b0, b1) else {
+            // A single block cannot be split, so halving would only
+            // re-discover the same failure.
+            let why = if b1 - b0 <= 1 {
+                "untileable"
+            } else {
+                "budget-too-small"
+            };
+            fit.step("tiled", budget, 0, why);
+            break;
+        };
+        let refusal = tiles.iter().enumerate().find_map(|(k, &(t0, t1))| {
+            let part = format_share(fp, &prefix, t0, t1);
+            let rung = ((shrink + 1) << 32) | k as u64;
+            lease((format!("{name}.format.tile{k}"), part), rung).err()
+        });
+        match refusal {
+            None => {
+                fit.step("tiled", budget, tiles.len(), "ok");
+                fit.tiles = Some(tiles);
+                return fit;
+            }
+            Some(e) => {
+                fit.oom_events += 1;
+                fit.step("tiled", budget, tiles.len(), outcome_of(&e));
+            }
+        }
+    }
+    fit.step("cpu", 0, 0, "ok");
+    fit
 }
 
 /// Runs `plan` under the degradation ladder; see the module docs. Returns
@@ -216,103 +346,47 @@ pub fn execute_adaptive(
     t: &CooTensor,
     opts: &OocOptions,
 ) -> (GpuRun, MemReport) {
-    let fp = *plan.footprint();
-    let mem_plan = ctx.mem_fault_plan().cloned();
-    let capacity = ctx.memory.effective_capacity(mem_plan.as_ref());
+    let whole = (0, plan.schedule().num_blocks());
+    let fit = fit_range(plan, &ctx.memory, ctx.mem_fault_plan(), 0, whole, opts);
     let mut report = MemReport {
         kernel: plan.name().to_string(),
         mode: plan.mode(),
-        footprint_bytes: fp.total_bytes(),
+        footprint_bytes: plan.footprint().total_bytes(),
         capacity_bytes: ctx.memory.capacity(),
+        in_core: fit.in_core(),
+        oom_events: fit.oom_events,
+        cpu_fallback: fit.tiles.is_none(),
         ..MemReport::default()
     };
-
-    // Rung 0: the whole footprint at once (padded the way the lease will
-    // pad it, so the check and the allocation agree at the boundary).
-    let padded_footprint = [fp.factor_bytes, fp.output_bytes, fp.format_bytes]
-        .iter()
-        .map(|&b| ctx.memory.pad(b).unwrap_or(u64::MAX))
-        .fold(0u64, u64::saturating_add);
-    if padded_footprint <= capacity {
-        match ctx
-            .memory
-            .try_lease(plan.name(), &plan.footprint_parts(), mem_plan.as_ref(), 0)
-        {
-            Ok(_lease) => {
-                let run = plan.execute_inner(ctx, factors);
-                report.in_core = true;
-                push_step(&mut report, "full-device", capacity, 1, "ok");
-                return finish(ctx, run, report);
-            }
-            Err(e) => {
-                report.oom_events += 1;
-                push_step(&mut report, "full-device", capacity, 1, outcome_of(&e));
+    let run = match fit.tiles {
+        Some(_) if report.in_core => plan.execute_inner(ctx, factors),
+        Some(tiles) => {
+            report.tiles_run = tiles.len();
+            report.tile_budget_bytes = fit.ladder[fit.ladder.len() - 1].budget_bytes;
+            let (y, abft) = plan.replay_ranges(ctx, factors, &tiles);
+            let sim = plan.tiled_sim_cached(report.tile_budget_bytes, || {
+                aggregate_tiled_sim(ctx, plan, &tiles)
+            });
+            // Tiled runs return no per-block profile: the sub-launches'
+            // timelines do not concatenate into one whole-run profile.
+            GpuRun {
+                y,
+                sim,
+                profile: None,
+                abft,
             }
         }
-    } else {
-        push_step(&mut report, "full-device", capacity, 1, "exceeds-capacity");
-    }
-
-    // Tiled rungs: capacity budget, then halvings.
-    let mut budget = capacity;
-    for shrink in 0..=u64::from(opts.max_shrinks) {
-        if shrink > 0 {
-            budget /= 2;
-        }
-        let Some(tiles) = plan_tiles(plan, budget, &ctx.memory) else {
-            // Distinguish "no budget would ever help" from "this budget is
-            // too small": a single-block schedule cannot be split, so the
-            // halving loop would only re-discover the same failure.
-            if plan.block_weight_prefix().len() - 1 <= 1 {
-                push_step(&mut report, "tiled", budget, 0, "untileable");
-            } else {
-                push_step(&mut report, "tiled", budget, 0, "budget-too-small");
-            }
-            break;
-        };
-        match run_tiled(
-            ctx,
-            plan,
-            factors,
-            &tiles,
-            budget,
-            shrink,
-            mem_plan.as_ref(),
-        ) {
-            Ok(run) => {
-                report.tiles_run = tiles.len();
-                report.tile_budget_bytes = budget;
-                push_step(&mut report, "tiled", budget, tiles.len(), "ok");
-                return finish(ctx, run, report);
-            }
-            Err(e) => {
-                report.oom_events += 1;
-                push_step(&mut report, "tiled", budget, tiles.len(), outcome_of(&e));
-            }
-        }
-    }
-
-    // Final rung: the sequential CPU reference (different summation order
-    // — correct to f32 tolerance, not bit-identical to the GPU fold).
-    report.cpu_fallback = true;
-    push_step(&mut report, "cpu", 0, 0, "ok");
-    let y = crate::reference::mttkrp(t, factors, plan.mode());
-    let run = GpuRun {
-        y,
-        sim: cpu_fallback_sim(plan),
-        profile: None,
-        abft: None,
+        // The sequential CPU reference: a different summation order,
+        // correct to f32 tolerance but not bit-identical to the GPU fold.
+        None => GpuRun {
+            y: crate::reference::mttkrp(t, factors, plan.mode()),
+            sim: cpu_fallback_sim(plan),
+            profile: None,
+            abft: None,
+        },
     };
+    report.ladder = fit.ladder;
     finish(ctx, run, report)
-}
-
-fn push_step(report: &mut MemReport, rung: &str, budget: u64, tiles: usize, outcome: &str) {
-    report.ladder.push(LadderStep {
-        rung: rung.to_string(),
-        budget_bytes: budget,
-        tiles,
-        outcome: outcome.to_string(),
-    });
 }
 
 fn outcome_of(e: &MemError) -> &'static str {
@@ -377,62 +451,6 @@ fn finish(ctx: &GpuContext, run: GpuRun, mut report: MemReport) -> (GpuRun, MemR
         tel.advance_us(run.sim.time_s * 1e6);
     }
     (run, report)
-}
-
-/// One tiled attempt: leases each tile (checked), replays its block range
-/// into the shared `y`, and aggregates per-tile simulations. Any lease
-/// refusal aborts the attempt — the partially accumulated `y` is
-/// discarded by the caller retrying at a smaller budget.
-fn run_tiled(
-    ctx: &GpuContext,
-    plan: &Plan,
-    factors: &[Matrix],
-    tiles: &[(usize, usize)],
-    budget: u64,
-    shrink_rung: u64,
-    mem_plan: Option<&gpu_sim::FaultPlan>,
-) -> Result<GpuRun, MemError> {
-    let fp = plan.footprint();
-    let prefix = plan.block_weight_prefix();
-    let mut y = Matrix::zeros(plan.out_rows(), plan.rank());
-    // Under execution faults every contribution routes through ONE sink
-    // spanning all tiles, with global block ordinals: the injected fault
-    // stream and checksums match the untiled faulted replay bit-for-bit.
-    let mut sink = ctx
-        .fault_plan()
-        .is_some()
-        .then(|| ctx.abft_sink(plan.name(), plan.out_rows()));
-
-    for (k, &(b0, b1)) in tiles.iter().enumerate() {
-        let parts = vec![
-            (format!("{}.factors", plan.name()), fp.factor_bytes),
-            (format!("{}.output", plan.name()), fp.output_bytes),
-            (
-                format!("{}.format.tile{k}", plan.name()),
-                format_share(fp, &prefix, b0, b1),
-            ),
-        ];
-        let site = lease_site(shrink_rung, k as u64);
-        let _lease = ctx.memory.try_lease(plan.name(), &parts, mem_plan, site)?;
-        plan.replay_range(&mut y, factors, sink.as_mut(), b0, b1);
-    }
-
-    let abft = match sink {
-        Some(mut s) => {
-            s.flush(&mut y);
-            s.into_data()
-        }
-        None => None,
-    };
-    let sim = plan.tiled_sim_cached(budget, || aggregate_tiled_sim(ctx, plan, tiles));
-    // Tiled runs return no per-block profile: placements/timelines of the
-    // sub-launches do not concatenate into a meaningful whole-run profile.
-    Ok(GpuRun {
-        y,
-        sim,
-        profile: None,
-        abft,
-    })
 }
 
 /// Simulates each tile's sub-launch and folds the metrics: streamed tiles

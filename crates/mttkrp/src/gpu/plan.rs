@@ -40,7 +40,7 @@ use simprof::FieldValue;
 use sptensor::{CooTensor, TensorError, TensorResult};
 use tensor_formats::{BcsfOptions, Hbcsf};
 
-use super::common::{axpy_into, scale_by, AbftSink, FactorAddrs, GpuContext, GpuRun};
+use super::common::{axpy_into, scale_by, AbftData, AbftSink, FactorAddrs, GpuContext, GpuRun};
 use super::exec::LaunchError;
 
 /// Which value-phase implementation a plan replays through, keyed off the
@@ -937,16 +937,7 @@ impl Plan {
             self.name,
             self.rank
         );
-        let mut y = Matrix::zeros(self.out_rows, self.rank);
-        let mut sink = ctx
-            .fault_plan()
-            .is_some()
-            .then(|| ctx.abft_sink(&self.name, self.out_rows));
-        self.replay_range(&mut y, factors, sink.as_mut(), 0, self.sched.num_blocks());
-        let abft = sink.and_then(|mut s| {
-            s.flush(&mut y);
-            s.into_data()
-        });
+        let (y, abft) = self.replay_ranges(ctx, factors, &[(0, self.sched.num_blocks())]);
         let (sim, profile) = self.sim_for(ctx);
         if ctx.profiling() {
             ctx.registry.add("plan.replays", 1);
@@ -1149,6 +1140,32 @@ impl Plan {
                 fold.commit(y, i as usize, acc.as_ref());
             }
         }
+    }
+
+    /// Replays the schedule-block `ranges` in order into one fresh output.
+    /// Under an execution-fault plan every contribution routes through one
+    /// ABFT sink with global block ordinals, so consecutive ranges that
+    /// cover the schedule give the untiled replay's output and checksums
+    /// bit for bit.
+    pub(crate) fn replay_ranges(
+        &self,
+        ctx: &GpuContext,
+        factors: &[Matrix],
+        ranges: &[(usize, usize)],
+    ) -> (Matrix, Option<AbftData>) {
+        let mut y = Matrix::zeros(self.out_rows, self.rank);
+        let mut sink = ctx
+            .fault_plan()
+            .is_some()
+            .then(|| ctx.abft_sink(&self.name, self.out_rows));
+        for &(b0, b1) in ranges {
+            self.replay_range(&mut y, factors, sink.as_mut(), b0, b1);
+        }
+        let abft = sink.and_then(|mut s| {
+            s.flush(&mut y);
+            s.into_data()
+        });
+        (y, abft)
     }
 
     /// Prefix sums of per-block tiling weights (`len == num_blocks + 1`).

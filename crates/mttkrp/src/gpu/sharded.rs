@@ -186,14 +186,6 @@ pub(crate) fn shard_ranges(prefix: &[u64], devices: usize) -> Vec<(usize, usize)
     cuts.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// Fault-draw site for device `d`'s leases: the single-device site layout
-/// (`0` = whole shard, `((shrink+1) << 32) | tile` = tiled) shifted into
-/// a per-device namespace. Device 0 reuses the single-device sites, so a
-/// one-device grid draws the exact OOM stream of the adaptive path.
-fn device_site(device: usize, rung_site: u64) -> u64 {
-    ((device as u64) << 44) | rung_site
-}
-
 /// The captured model of one plan sharded across a grid: shard ranges,
 /// per-device tilings and memory ledgers, per-device simulations, and the
 /// priced all-reduce. Building the model is the expensive phase; cloning
@@ -372,7 +364,7 @@ impl ShardModel {
         let fits: Vec<DeviceFit> = ranges
             .par_iter()
             .enumerate()
-            .map(|(d, &(b0, b1))| fit_device(ctx, plan, opts, &prefix, d, b0, b1, &device_mems[d]))
+            .map(|(d, &range)| fit_device(ctx, plan, opts, &prefix, d, range, &device_mems[d]))
             .collect();
 
         let cpu_fallback = fits.iter().any(|f| f.failed);
@@ -489,21 +481,7 @@ impl ShardModel {
                 abft: None,
             }
         } else {
-            let mut y = Matrix::zeros(plan.out_rows(), plan.rank());
-            let mut sink = ctx
-                .fault_plan()
-                .is_some()
-                .then(|| ctx.abft_sink(plan.name(), plan.out_rows()));
-            for &(b0, b1) in &self.ranges {
-                plan.replay_range(&mut y, factors, sink.as_mut(), b0, b1);
-            }
-            let abft = match sink {
-                Some(mut s) => {
-                    s.flush(&mut y);
-                    s.into_data()
-                }
-                None => None,
-            };
+            let (y, abft) = plan.replay_ranges(ctx, factors, &self.ranges);
             GpuRun {
                 y,
                 sim: self.node_sim.clone(),
@@ -660,29 +638,23 @@ impl ShardModel {
     }
 }
 
-/// Fits one device's shard: whole-shard lease first, then tiles at the
-/// device capacity with budget halvings, mirroring the single-device
-/// out-of-core ladder (sites are device-distinguished so the injected
-/// OOM stream is stable under any device count).
-#[allow(clippy::too_many_arguments)]
+/// Fits one device's shard with the memory walker ([`ooc::fit_range`]
+/// in the device's namespace) and simulates the tiles it chose.
 fn fit_device(
     ctx: &GpuContext,
     plan: &Plan,
     opts: &OocOptions,
     prefix: &[u64],
     device: usize,
-    b0: usize,
-    b1: usize,
+    (b0, b1): (usize, usize),
     mem: &Arc<DeviceMemory>,
 ) -> DeviceFit {
-    let fp = plan.footprint();
-    let weight = prefix[b1] - prefix[b0];
     let mut report = DeviceShardReport {
         device,
         block_begin: b0,
         block_end: b1,
-        weight,
-        in_core: false,
+        weight: prefix[b1] - prefix[b0],
+        in_core: true,
         tiles_run: 0,
         oom_events: 0,
         high_water_bytes: 0,
@@ -691,124 +663,25 @@ fn fit_device(
         total_flops: 0,
     };
     // An empty shard (more devices than blocks) holds nothing and runs
-    // nothing.
-    if b0 >= b1 {
-        report.in_core = true;
-        let sim = ooc::aggregate_tiled_sim(ctx, plan, &[]);
-        return DeviceFit {
-            report,
-            sim,
-            failed: false,
-        };
+    // nothing; a shard every rung refused runs on the CPU.
+    let mut tiles = Some(Vec::new());
+    if b0 < b1 {
+        let fit = ooc::fit_range(plan, mem, ctx.mem_fault_plan(), device, (b0, b1), opts);
+        report.in_core = fit.in_core();
+        report.oom_events = fit.oom_events;
+        tiles = fit.tiles;
     }
-
-    let mem_plan = ctx.mem_fault_plan().cloned();
-    let capacity = mem.effective_capacity(mem_plan.as_ref());
-    let pad = |b: u64| mem.pad(b).unwrap_or(u64::MAX);
-    let share = ooc::format_share(fp, prefix, b0, b1);
-    let name = plan.name();
-
-    // Rung 0: the whole shard at once.
-    let padded = pad(fp.factor_bytes)
-        .saturating_add(pad(fp.output_bytes))
-        .saturating_add(pad(share));
-    if padded <= capacity {
-        let parts = vec![
-            (format!("{name}.factors"), fp.factor_bytes),
-            (format!("{name}.output"), fp.output_bytes),
-            (format!("{name}.shard{device}.format"), share),
-        ];
-        match mem.try_lease(name, &parts, mem_plan.as_ref(), device_site(device, 0)) {
-            Ok(_lease) => {
-                report.in_core = true;
-                report.tiles_run = 1;
-                let sim = finish_fit(ctx, plan, &mut report, &[(b0, b1)]);
-                return DeviceFit {
-                    report,
-                    sim,
-                    failed: false,
-                };
-            }
-            Err(_) => report.oom_events += 1,
-        }
-    }
-
-    // Tiled rungs: capacity budget, then halvings — the single-device
-    // ladder confined to this shard's block range.
-    let mut budget = capacity;
-    for shrink in 0..=u64::from(opts.max_shrinks) {
-        if shrink > 0 {
-            budget /= 2;
-        }
-        let Some(tiles) = ooc::plan_tiles_range(plan, budget, mem, b0, b1) else {
-            break;
-        };
-        let mut leased_all = true;
-        for (k, &(t0, t1)) in tiles.iter().enumerate() {
-            let parts = vec![
-                (format!("{name}.factors"), fp.factor_bytes),
-                (format!("{name}.output"), fp.output_bytes),
-                (
-                    format!("{name}.shard{device}.format.tile{k}"),
-                    ooc::format_share(fp, prefix, t0, t1),
-                ),
-            ];
-            let site = device_site(device, ((shrink + 1) << 32) | k as u64);
-            if mem
-                .try_lease(name, &parts, mem_plan.as_ref(), site)
-                .is_err()
-            {
-                report.oom_events += 1;
-                leased_all = false;
-                break;
-            }
-        }
-        if leased_all {
-            report.tiles_run = tiles.len();
-            let sim = finish_fit(ctx, plan, &mut report, &tiles);
-            return DeviceFit {
-                report,
-                sim,
-                failed: false,
-            };
-        }
-    }
-
-    // Every rung refused: the node degrades to the CPU reference.
-    let sim = ooc::aggregate_tiled_sim(ctx, plan, &[]);
-    DeviceFit {
-        report,
-        sim,
-        failed: true,
-    }
-}
-
-fn finish_fit(
-    ctx: &GpuContext,
-    plan: &Plan,
-    report: &mut DeviceShardReport,
-    tiles: &[(usize, usize)],
-) -> SimResult {
-    let sim = ooc::aggregate_tiled_sim(ctx, plan, tiles);
+    let ranges = tiles.as_deref().unwrap_or_default();
+    report.tiles_run = ranges.len();
+    let sim = ooc::aggregate_tiled_sim(ctx, plan, ranges);
     report.sim_time_s = sim.time_s;
     report.makespan_cycles = sim.makespan_cycles;
     report.total_flops = sim.total_flops;
-    sim
-}
-
-/// One-shot sharded execution: build the model, check the CPU-fallback
-/// precondition, execute. Iterative drivers should hold a [`ShardModel`]
-/// instead of paying the model phase per call.
-pub(crate) fn execute_sharded(
-    ctx: &GpuContext,
-    plan: &Plan,
-    factors: &[Matrix],
-    tensor: Option<&CooTensor>,
-    spec: &GridSpec,
-    opts: &OocOptions,
-) -> Result<(GpuRun, GridReport), LaunchError> {
-    let model = ShardModel::build(ctx, plan, spec, opts);
-    model.execute(ctx, plan, factors, tensor)
+    DeviceFit {
+        report,
+        sim,
+        failed: tiles.is_none(),
+    }
 }
 
 #[cfg(test)]
