@@ -11,6 +11,7 @@ use mttkrp::cpd::{
 use mttkrp::gpu::GpuContext;
 use serve::{Service, ServiceConfig, Workload, WorkloadConfig};
 use simprof::{RingSink, Telemetry, TelemetrySink};
+use sptensor::hash::splitmix64;
 use sptensor::synth::uniform_random;
 
 use crate::report::{ChaosReport, CrashCycleReport, ScheduleReport};
@@ -51,13 +52,6 @@ impl From<CpdError> for ChaosError {
     fn from(e: CpdError) -> Self {
         ChaosError::Checkpoint(e)
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One measured pass of one schedule.

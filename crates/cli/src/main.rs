@@ -31,6 +31,7 @@ use mttkrp::cpu::splatt::{SplattCsf, SplattOptions};
 use mttkrp::gpu::{self, GpuContext, MemReport, MttkrpKernel, OocOptions};
 use mttkrp::reference::random_factors;
 use serve::{Service, ServiceConfig, Workload, WorkloadConfig};
+use sptensor::spill::ScratchDir;
 use sptensor::stats::ModeStats;
 use sptensor::{io as tio, mode_orientation, CooTensor};
 use tensor_formats::{BcsfOptions, Csf, Csl, Fcoo, Hbcsf, Hicoo, IndexBytes};
@@ -440,16 +441,14 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
         Some(other) => return Err(format!("--policy wants sum|keep|reject, got '{other}'")),
     };
     let profile_dir = flag(args, "--profile").map(PathBuf::from);
-    let (scratch, own_scratch) = match flag(args, "--scratch") {
-        Some(dir) => (PathBuf::from(dir), false),
-        None => (
-            std::env::temp_dir().join(format!("sptk_ingest_{}", std::process::id())),
-            true,
-        ),
+    let given = flag(args, "--scratch").map(PathBuf::from);
+    // A scratch directory this run makes is removed however it ends.
+    let owned = match given {
+        Some(_) => None,
+        None => Some(ScratchDir::create(&std::env::temp_dir(), "sptk").map_err(|e| e.to_string())?),
     };
-    std::fs::create_dir_all(&scratch).map_err(|e| format!("{}: {e}", scratch.display()))?;
-    // A scratch directory this run made is removed however it ends.
-    let _owned = own_scratch.then(|| RemoveOnDrop(scratch.clone()));
+    let scratch = given.as_deref().or(owned.as_ref().map(ScratchDir::path));
+    let scratch = scratch.expect("a given or an owned scratch directory");
 
     let mut iopts = sptensor::IngestOptions::new().with_policy(policy);
     if let Some(v) = flag(args, "--chunk-nnz") {
@@ -468,11 +467,11 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
         sptensor::SpilledTensor::ingest(
             sptensor::TnsSource::new(BufReader::with_capacity(1 << 20, f)),
             &iopts,
-            &scratch,
+            scratch,
         )
     } else {
         let src = sptensor::BinSource::open(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        sptensor::SpilledTensor::ingest(src, &iopts, &scratch)
+        sptensor::SpilledTensor::ingest(src, &iopts, scratch)
     }
     .map_err(|e| format!("{path}: {e}"))?;
     let ingest_s = ingest_start.elapsed().as_secs_f64();
@@ -499,7 +498,7 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
         bcsf: BcsfOptions::default(),
     };
     let cpd_start = Instant::now();
-    let res = gpu::cpd_als_streamed(&ctx, &spill, &sopts, &scratch)
+    let res = gpu::cpd_als_streamed(&ctx, &spill, &sopts, scratch)
         .map_err(|e| format!("streamed cpd: {e}"))?;
     let cpd_s = cpd_start.elapsed().as_secs_f64();
 
@@ -561,15 +560,6 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
         println!("host budget check: {peak} <= {budget} ok");
     }
     Ok(())
-}
-
-/// A directory removed, with everything in it, when this value drops.
-struct RemoveOnDrop(PathBuf);
-
-impl Drop for RemoveOnDrop {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn cmd_info(args: &[String]) -> Result<()> {

@@ -20,6 +20,8 @@
 
 #![deny(clippy::unwrap_used)]
 
+use sptensor::hash::{splitmix64, u01, Fnv1a};
+
 /// Bits eligible for injection: the f32 exponent byte (bits 23..=30).
 /// Exponent flips change a value's magnitude by at least 2×, which is what
 /// makes them *detectable* above f32 summation noise — low-order mantissa
@@ -454,34 +456,10 @@ impl FaultPlan {
 
     /// One hash per (plan, kernel, stream, site): the whole entropy source.
     fn site_hash(&self, kernel: &str, stream: u64, site: u64) -> u64 {
-        let mut h = self.seed ^ fnv1a(kernel.as_bytes());
+        let mut h = self.seed ^ Fnv1a::default().bytes(kernel.as_bytes()).0;
         h = splitmix64(h ^ (u64::from(self.attempt) << 32) ^ stream);
         splitmix64(h ^ site)
     }
-}
-
-/// SplitMix64: a full-period 64-bit mixer — the standard way to turn a
-/// counter into well-distributed bits.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over bytes, for mixing kernel names into the seed.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Maps a hash to a uniform float in `[0, 1)` (53-bit mantissa).
-fn u01(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

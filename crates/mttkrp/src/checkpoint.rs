@@ -9,11 +9,13 @@
 //! crashed write leaves a torn byte-prefix at the *final* path, and
 //! recovery must scan back past it.
 //!
-//! # File format (`SPCK`, version 1, little-endian)
+//! # File format (`SPCK`, version 2, little-endian)
+//!
+//! A schema over the [`sptensor::frame`] container:
 //!
 //! ```text
 //! magic      4  b"SPCK"
-//! version    u32
+//! version    u32   2
 //! seq        u64   monotone write sequence within the store
 //! iteration  u64   completed ALS iterations at checkpoint time
 //! rank       u32
@@ -21,8 +23,11 @@
 //! per mode:  rows u64, then rows·rank f32 (row-major factor data)
 //! lambda:    len u64, then len f32
 //! fits:      len u64, then len f64 (the fit trajectory so far)
-//! checksum   u64   FNV-1a over every preceding byte
+//! checksum   u64   the frame's trailer: FNV-1a over every preceding
+//!                  byte, folded by little-endian words
 //! ```
+//!
+//! Version 1 had the same fields under a byte-wise FNV-1a trailer.
 //!
 //! The trailing checksum makes torn and corrupt files self-evident:
 //! [`CheckpointStore::latest_valid`] walks files in descending sequence
@@ -36,11 +41,13 @@ use std::path::{Path, PathBuf};
 
 use dense::Matrix;
 use gpu_sim::FaultPlan;
+use sptensor::frame::{FrameError, FrameReader, FrameWriter};
+use sptensor::{TensorError, TensorResult};
 
 /// Format magic: the first four bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SPCK";
-/// Current (and only) format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current (and only readable) format version.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Everything a warm restart needs to continue an ALS run exactly where
 /// a checkpoint left it.
@@ -97,16 +104,8 @@ impl CheckpointState {
 pub enum CheckpointError {
     /// The underlying filesystem operation failed.
     Io { path: String, detail: String },
-    /// The file is shorter than the fixed header + checksum.
-    TooShort { path: String },
-    /// The file does not start with the `SPCK` magic.
-    BadMagic { path: String },
-    /// The file's version is not one this build can read.
-    UnsupportedVersion { path: String, version: u32 },
-    /// The trailing checksum does not match the payload (torn/corrupt).
-    ChecksumMismatch { path: String },
-    /// The payload is structurally inconsistent (lengths overrun).
-    Malformed { path: String, detail: String },
+    /// The file is torn, corrupt, foreign or of another version.
+    Frame { path: String, error: FrameError },
     /// A valid checkpoint of another run: its order, rows per mode or
     /// rank differ from the run that tried to resume from it.
     ShapeMismatch { seq: u64, detail: String },
@@ -127,21 +126,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io { path, detail } => {
                 write!(f, "checkpoint I/O error at {path}: {detail}")
             }
-            CheckpointError::TooShort { path } => {
-                write!(f, "checkpoint {path} is too short (torn write)")
-            }
-            CheckpointError::BadMagic { path } => {
-                write!(f, "checkpoint {path} has no SPCK magic")
-            }
-            CheckpointError::UnsupportedVersion { path, version } => {
-                write!(f, "checkpoint {path} has unsupported version {version}")
-            }
-            CheckpointError::ChecksumMismatch { path } => {
-                write!(f, "checkpoint {path} fails its checksum (torn/corrupt)")
-            }
-            CheckpointError::Malformed { path, detail } => {
-                write!(f, "checkpoint {path} is malformed: {detail}")
-            }
+            CheckpointError::Frame { path, error } => write!(f, "checkpoint {path}: {error}"),
             CheckpointError::ShapeMismatch { seq, detail } => {
                 write!(f, "checkpoint {seq} does not fit this run: {detail}")
             }
@@ -251,8 +236,9 @@ impl CheckpointStore {
     ) -> Result<WriteOutcome, CheckpointError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let bytes = encode(seq, iteration, factors, lambda, fits);
         let path = self.file_path(seq);
+        let bytes = encode(seq, iteration, factors, lambda, fits)
+            .map_err(|e| CheckpointError::io(&path, e))?;
         if let Some(frac) = self
             .crash
             .as_ref()
@@ -307,37 +293,30 @@ impl CheckpointStore {
 }
 
 /// Encodes one checkpoint to its on-disk byte representation.
-fn encode(seq: u64, iteration: usize, factors: &[Matrix], lambda: &[f32], fits: &[f64]) -> Vec<u8> {
+fn encode(
+    seq: u64,
+    iteration: usize,
+    factors: &[Matrix],
+    lambda: &[f32],
+    fits: &[f64],
+) -> std::io::Result<Vec<u8>> {
     let rank = factors.first().map_or(0, |m| m.cols());
-    let mut b = Vec::with_capacity(
-        64 + factors
-            .iter()
-            .map(|m| 8 + m.data().len() * 4)
-            .sum::<usize>(),
-    );
-    b.extend_from_slice(&CHECKPOINT_MAGIC);
-    b.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    b.extend_from_slice(&seq.to_le_bytes());
-    b.extend_from_slice(&(iteration as u64).to_le_bytes());
-    b.extend_from_slice(&(rank as u32).to_le_bytes());
-    b.extend_from_slice(&(factors.len() as u32).to_le_bytes());
+    let mut w = FrameWriter::new(Vec::new(), &CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+    w.u64(seq)?;
+    w.u64(iteration as u64)?;
+    w.u32(rank as u32)?;
+    w.u32(factors.len() as u32)?;
     for m in factors {
-        b.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-        for v in m.data() {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
+        w.u64(m.rows() as u64)?;
+        w.u32s(m.data().iter().map(|v| v.to_bits()))?;
     }
-    b.extend_from_slice(&(lambda.len() as u64).to_le_bytes());
-    for v in lambda {
-        b.extend_from_slice(&v.to_le_bytes());
-    }
-    b.extend_from_slice(&(fits.len() as u64).to_le_bytes());
+    w.u64(lambda.len() as u64)?;
+    w.u32s(lambda.iter().map(|v| v.to_bits()))?;
+    w.u64(fits.len() as u64)?;
     for v in fits {
-        b.extend_from_slice(&v.to_le_bytes());
+        w.u64(v.to_bits())?;
     }
-    let sum = fnv1a64(&b);
-    b.extend_from_slice(&sum.to_le_bytes());
-    b
+    w.finish()
 }
 
 /// Loads and validates one checkpoint file.
@@ -346,52 +325,44 @@ pub fn load(path: &Path) -> Result<CheckpointState, CheckpointError> {
     decode(&bytes, path)
 }
 
-/// Decodes one checkpoint from bytes, validating magic, version, and
-/// the trailing checksum before trusting any length field.
+/// Decodes one checkpoint from bytes: every length field is checked
+/// against the bytes left before it is trusted, and the trailing
+/// checksum before the state is returned.
 pub fn decode(bytes: &[u8], path: &Path) -> Result<CheckpointState, CheckpointError> {
-    let p = || path.display().to_string();
-    // Header (4+4+8+8+4+4) + three zero-length sections (8·3) + checksum.
-    if bytes.len() < 4 + 4 + 8 + 8 + 4 + 4 + 8 {
-        return Err(CheckpointError::TooShort { path: p() });
-    }
-    if bytes[..4] != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::BadMagic { path: p() });
-    }
-    let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 4,
-        path,
-    };
-    let version = c.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion { path: p(), version });
-    }
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(sum_bytes);
-    if fnv1a64(payload) != u64::from_le_bytes(sum) {
-        return Err(CheckpointError::ChecksumMismatch { path: p() });
-    }
-    let seq = c.u64()?;
-    let iteration = c.u64()? as usize;
-    let rank = c.u32()? as usize;
-    let order = c.u32()? as usize;
-    let mut factors = Vec::with_capacity(order.min(8));
+    read_state(bytes).map_err(|e| {
+        let path = path.display().to_string();
+        match e {
+            TensorError::Frame(error) => CheckpointError::Frame { path, error },
+            other => CheckpointError::Io {
+                path,
+                detail: other.to_string(),
+            },
+        }
+    })
+}
+
+fn read_state(bytes: &[u8]) -> TensorResult<CheckpointState> {
+    let mut r = FrameReader::new(
+        bytes,
+        bytes.len() as u64,
+        &CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+    )?;
+    let seq = r.u64()?;
+    let iteration = r.u64()? as usize;
+    let rank = r.u32()?;
+    let order = r.u32()?;
+    let mut factors = Vec::new();
     for _ in 0..order {
-        let rows = c.u64()? as usize;
-        let n = rows
-            .checked_mul(rank)
-            .ok_or_else(|| c.malformed("factor size overflows"))?;
-        let data = c.f32s(n)?;
-        factors.push(Matrix::from_vec(rows, rank, data));
+        let rows = r.u64()?;
+        let data = r.f32s(rows.saturating_mul(u64::from(rank)))?;
+        factors.push(Matrix::from_vec(rows as usize, rank as usize, data));
     }
-    let lambda_len = c.u64()? as usize;
-    let lambda = c.f32s(lambda_len)?;
-    let fits_len = c.u64()? as usize;
-    let fits = c.f64s(fits_len)?;
-    if c.pos != payload.len() {
-        return Err(c.malformed("trailing bytes after fits"));
-    }
+    let n = r.u64()?;
+    let lambda = r.f32s(n)?;
+    let n = r.u64()?;
+    let fits = r.f64s(n)?;
+    r.finish()?;
     Ok(CheckpointState {
         seq,
         iteration,
@@ -399,78 +370,6 @@ pub fn decode(bytes: &[u8], path: &Path) -> Result<CheckpointState, CheckpointEr
         lambda,
         fits,
     })
-}
-
-/// Bounds-checked little-endian reader over a checkpoint payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    path: &'a Path,
-}
-
-impl Cursor<'_> {
-    fn malformed(&self, detail: &str) -> CheckpointError {
-        CheckpointError::Malformed {
-            path: self.path.display().to_string(),
-            detail: detail.to_string(),
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| self.malformed("length field overruns the file"))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
-        let raw = self.take(
-            n.checked_mul(4)
-                .ok_or_else(|| self.malformed("f32 count overflows"))?,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CheckpointError> {
-        let raw = self.take(
-            n.checked_mul(8)
-                .ok_or_else(|| self.malformed("f64 count overflows"))?,
-        )?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
-    }
-}
-
-/// FNV-1a over bytes — the file checksum. Not cryptographic; it only
-/// needs to make torn writes and bit rot self-evident.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -533,17 +432,12 @@ mod tests {
             panic!("rate-1 crash plan must tear the write: {out:?}");
         };
         assert_eq!(seq, 0);
-        let full = encode(0, 2, &factors, &lambda, &fits).len() as u64;
+        let full = encode(0, 2, &factors, &lambda, &fits).unwrap().len() as u64;
         assert!(torn_bytes < full, "torn file must be a strict prefix");
         // The torn file sits at the final path and fails validation.
         let err = load(&store.file_path(0)).unwrap_err();
         assert!(
-            matches!(
-                err,
-                CheckpointError::TooShort { .. }
-                    | CheckpointError::ChecksumMismatch { .. }
-                    | CheckpointError::BadMagic { .. }
-            ),
+            matches!(err, CheckpointError::Frame { .. }),
             "torn file must fail with a typed error, got {err:?}"
         );
         let scan = store.latest_valid().unwrap();
@@ -568,41 +462,39 @@ mod tests {
         let path = store.file_path(0);
         let mut bytes = std::fs::read(&path).unwrap();
 
+        let frame_err = |bytes: &[u8]| match decode(bytes, &path) {
+            Err(CheckpointError::Frame { error, .. }) => error,
+            other => panic!("expected a frame error, got {other:?}"),
+        };
+
         // Flip one payload byte: checksum mismatch.
         bytes[20] ^= 0xFF;
-        assert!(matches!(
-            decode(&bytes, &path),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
+        assert_eq!(frame_err(&bytes), FrameError::Checksum);
 
         // Wrong magic.
         let mut bad = std::fs::read(&path).unwrap();
         bad[0] = b'X';
-        assert!(matches!(
-            decode(&bad, &path),
-            Err(CheckpointError::BadMagic { .. })
-        ));
+        assert!(matches!(frame_err(&bad), FrameError::BadMagic));
 
         // Unsupported version (checksum re-stamped so version is reached).
         let mut vnext = std::fs::read(&path).unwrap();
-        vnext[4..8].copy_from_slice(&2u32.to_le_bytes());
+        vnext[4..8].copy_from_slice(&3u32.to_le_bytes());
         let n = vnext.len() - 8;
-        let sum = fnv1a64(&vnext[..n]);
-        vnext[n..].copy_from_slice(&sum.to_le_bytes());
+        let mut fold = sptensor::frame::WordFold::default();
+        fold.update(&vnext[..n]);
+        vnext[n..].copy_from_slice(&fold.value().to_le_bytes());
         assert!(matches!(
-            decode(&vnext, &path),
-            Err(CheckpointError::UnsupportedVersion { version: 2, .. })
+            frame_err(&vnext),
+            FrameError::UnsupportedVersion(3)
         ));
 
         // Truncation.
-        assert!(matches!(
-            decode(&bytes[..10], &path),
-            Err(CheckpointError::TooShort { .. })
-        ));
+        assert!(matches!(frame_err(&bytes[..10]), FrameError::Length { .. }));
 
         // Errors display as human-readable messages naming the path.
-        let msg = CheckpointError::ChecksumMismatch {
+        let msg = CheckpointError::Frame {
             path: "x.spck".to_string(),
+            error: FrameError::Checksum,
         }
         .to_string();
         assert!(msg.contains("x.spck"));

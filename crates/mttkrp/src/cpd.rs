@@ -32,8 +32,8 @@ use std::time::Instant;
 
 use dense::{pseudo_inverse, spd_condition, HadamardChain, Matrix, UpdateBuffers};
 use simprof::{
-    CheckpointRecord, FieldValue, GridRecord, MemoryRecord, ModeTiming, ResilienceRecord,
-    RunManifest,
+    CheckpointRecord, DeviceRecord, FieldValue, GridRecord, MemoryRecord, ModeTiming,
+    ResilienceRecord, RunManifest,
 };
 use sptensor::CooTensor;
 
@@ -460,9 +460,22 @@ impl<'a> PlanSource<'a> {
     /// Every replay sharded over `grid` instead; builds each mode's shard
     /// model now, once.
     pub fn grid(mut self, grid: &GridSpec, oopts: &OocOptions) -> Self {
-        let models = (0..self.t.order())
+        let models: Vec<ShardModel> = (0..self.t.order())
             .map(|m| ShardModel::build(self.ctx, self.plans.plan(m), grid, oopts))
             .collect();
+        // A model's OOM refusals happen once, at its build: they count
+        // here, not per launch.
+        let per_device = (models.iter().flat_map(|m| m.report().shards))
+            .map(|s| DeviceRecord {
+                device: s.device,
+                oom_events: s.oom_events,
+                ..DeviceRecord::default()
+            })
+            .collect();
+        self.grid.merge(&GridRecord {
+            per_device,
+            ..GridRecord::default()
+        });
         self.route = Route::Grid(models);
         self
     }
@@ -486,7 +499,9 @@ impl MttkrpSource for &mut PlanSource<'_> {
             self.last_runs[mode] = Some(exec.run.clone());
         }
         for g in &grids {
-            self.grid.merge(&g.to_record());
+            let mut launch = g.to_record();
+            launch.per_device.iter_mut().for_each(|d| d.oom_events = 0);
+            self.grid.merge(&launch);
         }
         exec.absorb_into(&mut self.kernel, &mut self.memory, &mut self.grid);
         exec.run.y

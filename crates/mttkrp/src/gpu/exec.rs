@@ -466,11 +466,12 @@ impl Executor {
 }
 
 /// Folds the grid reports of ABFT retries into one: times, wire volume,
-/// and per-device counters accumulate across attempts (the attempts
+/// and per-device run counters accumulate across attempts (the attempts
 /// really ran back to back), high-water marks take the max, and a CPU
-/// fallback on any attempt marks the merged report. Attempt reports
-/// share the grid spec, so shards line up by position (= device
-/// ordinal).
+/// fallback on any attempt marks the merged report. The attempts replay
+/// one model, whose OOM refusals happened once, at its build, so they
+/// count once. Attempt reports share the grid spec, so shards line up
+/// by position (= device ordinal).
 fn merge_grid_reports(reports: Vec<GridReport>) -> Option<GridReport> {
     let mut it = reports.into_iter();
     let mut acc = it.next()?;
@@ -489,7 +490,6 @@ fn merge_grid_reports(reports: Vec<GridReport>) -> Option<GridReport> {
         acc.lost_devices.sort_unstable();
         for (a, b) in acc.shards.iter_mut().zip(&r.shards) {
             a.tiles_run += b.tiles_run;
-            a.oom_events += b.oom_events;
             a.high_water_bytes = a.high_water_bytes.max(b.high_water_bytes);
             a.sim_time_s += b.sim_time_s;
             a.makespan_cycles += b.makespan_cycles;

@@ -37,6 +37,7 @@ use gpu_sim::{
 };
 use rayon::prelude::*;
 use simprof::FieldValue;
+use sptensor::frame::{FrameReader, FrameWriter};
 use sptensor::{CooTensor, TensorError, TensorResult};
 use tensor_formats::{BcsfOptions, Hbcsf};
 
@@ -1223,66 +1224,75 @@ impl Plan {
     }
 
     /// Serializes the *replayable* core of the plan (identity + schedule
-    /// SoA arrays, little-endian) for the streaming shard store. The
-    /// captured instruction stream and footprint are deliberately not
-    /// persisted: a deserialized plan replays values bit-identically but
-    /// carries an empty launch (no machine-model simulation) — the
-    /// streaming CPD driver computes values only.
-    pub(crate) fn write_schedule(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        w.write_all(SCHED_MAGIC)?;
-        let name = self.name.as_bytes();
-        w.write_all(&(name.len() as u32).to_le_bytes())?;
-        w.write_all(name)?;
-        w.write_all(&(self.mode as u32).to_le_bytes())?;
-        w.write_all(&(self.rank as u32).to_le_bytes())?;
-        w.write_all(&(self.out_rows as u64).to_le_bytes())?;
-        w.write_all(&(self.sched.leaf_mode as u32).to_le_bytes())?;
-        write_u32s(w, &self.sched.block_ptr)?;
-        write_u32s(w, &self.sched.rows)?;
-        write_f32s(w, &self.sched.init_vals)?;
-        write_u32s(w, &self.sched.leaf_ptr)?;
-        write_f32s(w, &self.sched.leaf_vals)?;
-        write_u32s(w, &self.sched.leaf_rows)?;
-        write_u32s(w, &self.sched.chain_ptr)?;
-        write_u32s(w, &self.sched.chain_modes)?;
-        write_u32s(w, &self.sched.chain_rows)?;
-        Ok(())
+    /// SoA arrays, little-endian) for the streaming shard store, as a
+    /// frame of magic [`SCHED_MAGIC`]: the kernel name, mode, rank,
+    /// output rows and leaf mode, then each schedule array as a `u64`
+    /// count and its values. The captured instruction stream and
+    /// footprint are deliberately not persisted: a deserialized plan
+    /// replays values bit-identically but carries an empty launch (no
+    /// machine-model simulation) — the streaming CPD driver computes
+    /// values only.
+    pub(crate) fn write_schedule(&self, w: impl std::io::Write) -> std::io::Result<()> {
+        let mut w = FrameWriter::new(w, SCHED_MAGIC, SCHED_VERSION)?;
+        w.u32(self.name.len() as u32)?;
+        w.bytes(self.name.as_bytes())?;
+        w.u32(self.mode as u32)?;
+        w.u32(self.rank as u32)?;
+        w.u64(self.out_rows as u64)?;
+        let s = &self.sched;
+        w.u32(s.leaf_mode as u32)?;
+        w.u64(s.block_ptr.len() as u64)?;
+        w.u32s(s.block_ptr.iter().copied())?;
+        w.u64(s.rows.len() as u64)?;
+        w.u32s(s.rows.iter().copied())?;
+        w.u64(s.init_vals.len() as u64)?;
+        w.u32s(s.init_vals.iter().map(|v| v.to_bits()))?;
+        w.u64(s.leaf_ptr.len() as u64)?;
+        w.u32s(s.leaf_ptr.iter().copied())?;
+        w.u64(s.leaf_vals.len() as u64)?;
+        w.u32s(s.leaf_vals.iter().map(|v| v.to_bits()))?;
+        for a in [&s.leaf_rows, &s.chain_ptr, &s.chain_modes, &s.chain_rows] {
+            w.u64(a.len() as u64)?;
+            w.u32s(a.iter().copied())?;
+        }
+        w.finish()?.flush()
     }
 
     /// Reconstructs a value-replayable plan written by
-    /// [`Plan::write_schedule`].
-    pub(crate) fn read_schedule(r: &mut impl std::io::Read) -> std::io::Result<Plan> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != SCHED_MAGIC {
-            return Err(bad("not a serialized replay schedule"));
-        }
-        let name_len = read_u32(r)? as usize;
-        if name_len > 1 << 16 {
-            return Err(bad("implausible kernel name length"));
-        }
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name)?;
-        let name = String::from_utf8(name).map_err(|_| bad("kernel name not utf-8"))?;
-        let mode = read_u32(r)? as usize;
-        let rank = read_u32(r)? as usize;
-        let out_rows = read_u64(r)? as usize;
-        let leaf_mode = read_u32(r)? as usize;
+    /// [`Plan::write_schedule`] from the `len` bytes `r` holds: the
+    /// frame's checks, then the schedule's structure.
+    pub(crate) fn read_schedule(r: impl std::io::Read, len: u64) -> TensorResult<Plan> {
+        let mut r = FrameReader::new(r, len, SCHED_MAGIC, SCHED_VERSION)?;
+        let n = r.u32()?;
+        let name = String::from_utf8(r.bytes(u64::from(n))?)
+            .map_err(|_| TensorError::invalid("plan", "kernel name not utf-8"))?;
+        let mode = r.u32()? as usize;
+        let rank = r.u32()? as usize;
+        let out_rows = r.u64()? as usize;
+        let leaf_mode = r.u32()? as usize;
+        let mut u32s = || r.u64().and_then(|n| r.u32s(n));
+        let block_ptr = u32s()?;
+        let rows = u32s()?;
+        let init_vals = u32s()?.into_iter().map(f32::from_bits).collect();
+        let leaf_ptr = u32s()?;
+        let leaf_vals = u32s()?.into_iter().map(f32::from_bits).collect();
         let mut sched = ReplaySchedule {
             leaf_mode,
-            block_ptr: read_u32s(r)?,
-            rows: read_u32s(r)?,
-            init_vals: read_f32s(r)?,
-            leaf_ptr: read_u32s(r)?,
-            leaf_vals: read_f32s(r)?,
-            leaf_rows: read_u32s(r)?,
-            chain_ptr: read_u32s(r)?,
-            chain_modes: read_u32s(r)?,
-            chain_rows: read_u32s(r)?,
+            block_ptr,
+            rows,
+            init_vals,
+            leaf_ptr,
+            leaf_vals,
+            leaf_rows: u32s()?,
+            chain_ptr: u32s()?,
+            chain_modes: u32s()?,
+            chain_rows: u32s()?,
             reach: Vec::new(),
         };
-        sched.check(out_rows).map_err(bad)?;
+        r.finish()?;
+        sched
+            .check(out_rows)
+            .map_err(|msg| TensorError::invalid("plan", msg))?;
         sched.measure_reach();
         Ok(Plan {
             name: name.clone(),
@@ -1300,68 +1310,12 @@ impl Plan {
     }
 }
 
-/// Magic prefix of a serialized [`ReplaySchedule`] ("sptk plan, v1").
+/// Magic of a serialized [`ReplaySchedule`] ("sptk plan"), a schema over
+/// [`sptensor::frame`].
 const SCHED_MAGIC: &[u8; 4] = b"SPL1";
-
-fn write_u32s(w: &mut impl std::io::Write, v: &[u32]) -> std::io::Result<()> {
-    w.write_all(&(v.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(4 * v.len().min(1 << 18));
-    for chunk in v.chunks(1 << 18) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn write_f32s(w: &mut impl std::io::Write, v: &[f32]) -> std::io::Result<()> {
-    w.write_all(&(v.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(4 * v.len().min(1 << 18));
-    for chunk in v.chunks(1 << 18) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn read_u32(r: &mut impl std::io::Read) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl std::io::Read) -> std::io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_u32s(r: &mut impl std::io::Read) -> std::io::Result<Vec<u32>> {
-    let n = read_u64(r)? as usize;
-    let mut out = Vec::new();
-    let mut buf = vec![0u8; 4 * n.min(1 << 18)];
-    let mut left = n;
-    while left > 0 {
-        let take = left.min(1 << 18);
-        r.read_exact(&mut buf[..4 * take])?;
-        out.extend(
-            buf[..4 * take]
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        left -= take;
-    }
-    Ok(out)
-}
-
-fn read_f32s(r: &mut impl std::io::Read) -> std::io::Result<Vec<f32>> {
-    Ok(read_u32s(r)?.into_iter().map(f32::from_bits).collect())
-}
+/// Version 2 frames the sections under a checksum trailer; version 1 had
+/// no version field and no trailer.
+const SCHED_VERSION: u32 = 2;
 
 /// Per-mode HB-CSF plans for a CPD hot loop: build all formats and capture
 /// all plans once (fanned over rayon — mode builds are independent), then
@@ -1480,7 +1434,7 @@ mod tests {
         uniform_random(&[7, 9, 6, 5], 120, 0x5A1)
     }
 
-    /// A small HB-CSF plan of [`tensor`] and its `SPL1` bytes.
+    /// A small HB-CSF plan of [`tensor`] and its plan-file bytes.
     fn fixture() -> (Plan, Vec<u8>) {
         let ctx = GpuContext::tiny();
         let h = Hbcsf::build(&tensor(), &identity_perm(4), BcsfOptions::default());
@@ -1492,26 +1446,35 @@ mod tests {
 
     /// Byte offset of each array's `u64` length prefix, and its length.
     fn arrays(bytes: &[u8]) -> Vec<(usize, usize)> {
-        let name_len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        // magic, name length, name, mode, rank, out_rows, leaf_mode
-        let mut at = 4 + 4 + name_len + 4 + 4 + 8 + 4;
+        let name_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        // frame header, name length, name, mode, rank, out_rows, leaf_mode
+        let mut at = 8 + 4 + name_len + 4 + 4 + 8 + 4;
         let mut out = Vec::new();
         for _ in ARRAYS {
             let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
             out.push((at, len));
             at += 8 + 4 * len;
         }
-        assert_eq!(at, bytes.len());
+        assert_eq!(at + 8, bytes.len());
         out
     }
 
-    fn read(bytes: &[u8]) -> std::io::Result<Plan> {
-        Plan::read_schedule(&mut &bytes[..])
+    fn read(bytes: &[u8]) -> TensorResult<Plan> {
+        Plan::read_schedule(bytes, bytes.len() as u64)
+    }
+
+    /// `bytes` under a re-computed trailer, so a tampered field reaches
+    /// the schedule's own checks.
+    fn stamped(bytes: &[u8]) -> Vec<u8> {
+        let n = bytes.len() - 8;
+        let mut fold = sptensor::frame::WordFold::default();
+        fold.update(&bytes[..n]);
+        [&bytes[..n], &fold.value().to_le_bytes()[..]].concat()
     }
 
     fn invalid(bytes: &[u8], what: &str) {
-        match read(bytes) {
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}"),
+        match read(&stamped(bytes)) {
+            Err(e) => assert!(matches!(e, TensorError::Invalid { .. }), "{what}: {e}"),
             Ok(_) => panic!("{what}: corrupt schedule accepted"),
         }
     }
@@ -1574,8 +1537,8 @@ mod tests {
         let ctx = GpuContext::tiny();
         let factors = random_factors(&tensor(), 4, 7);
         read(&bytes).unwrap().validate_factors(&factors).unwrap();
-        let refused = |bad: &[u8], what: &str| match read(bad) {
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}"),
+        let refused = |bad: &[u8], what: &str| match read(&stamped(bad)) {
+            Err(e) => assert!(matches!(e, TensorError::Invalid { .. }), "{what}: {e}"),
             Ok(plan) => {
                 assert!(plan.execute(&ctx, &factors).is_err(), "{what}: replayed");
             }
@@ -1597,7 +1560,7 @@ mod tests {
             let word = at + 8 + 4 * i;
             let mut bad = bytes.clone();
             bad[word..word + 4].copy_from_slice(&4u32.to_le_bytes());
-            let plan = read(&bad).unwrap();
+            let plan = read(&stamped(&bad)).unwrap();
             match plan.validate_factors(&factors) {
                 Err(LaunchError::FactorCount { expected, got }) => {
                     assert_eq!((expected, got), (5, 4), "chain_modes[{i}]")
@@ -1684,12 +1647,22 @@ mod tests {
     }
 
     #[test]
-    fn any_single_bit_flip_reads_without_panicking() {
+    fn any_single_bit_flip_is_a_typed_error() {
         let (_, bytes) = fixture();
         for at in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[at] ^= 1 << (at % 8);
-            let _ = read(&bad);
+            assert!(read(&bad).is_err(), "flip at byte {at} accepted");
         }
+        // A flipped value reads as a plan under a matching trailer.
+        let (at, len) = arrays(&bytes)[4];
+        assert!(len > 0);
+        let mut bad = bytes.clone();
+        bad[at + 8] ^= 1;
+        assert!(matches!(
+            read(&bad),
+            Err(TensorError::Frame(sptensor::frame::FrameError::Checksum))
+        ));
+        assert!(read(&stamped(&bad)).is_ok());
     }
 }

@@ -399,9 +399,12 @@ impl ShardModel {
         let out_bytes = (plan.out_rows() as u64)
             .saturating_mul(plan.rank() as u64)
             .saturating_mul(VALUE_BYTES);
+        // A grid that fell back to the CPU reference ran no device, so
+        // nothing crosses the wire: price it as a ring of one.
         let pricing = fabric.as_ref().unwrap_or(&spec.interconnect);
-        let allreduce_seconds = pricing.all_reduce_seconds(out_bytes, spec.devices);
-        let allreduce_bytes = pricing.all_reduce_volume(out_bytes, spec.devices);
+        let ring = if cpu_fallback { 1 } else { spec.devices };
+        let allreduce_seconds = pricing.all_reduce_seconds(out_bytes, ring);
+        let allreduce_bytes = pricing.all_reduce_volume(out_bytes, ring);
         node_sim.time_s = compute_seconds + allreduce_seconds;
         if busy_seconds > 0.0 {
             node_sim.sm_efficiency = weighted_eff / busy_seconds;

@@ -35,12 +35,12 @@
 //! timing stays with the resident engines.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 
 use dense::Matrix;
 use sptensor::source::CooChunk;
-use sptensor::spill::SortedChunks;
+use sptensor::spill::{ScratchDir, SortedChunks};
 use sptensor::{mode_orientation, Index, IngestOptions, SpilledTensor, TensorError, TensorResult};
 use tensor_formats::{BcsfOptions, Csf, Hbcsf};
 
@@ -53,33 +53,26 @@ use crate::cpd::{als, fold_squares, CpdOptions, CpdResult, RunSpec};
 /// fresh subdirectory of the root it was created under and removes it on
 /// drop.
 pub struct ShardStore {
-    dir: PathBuf,
+    dir: ScratchDir,
     counts: Vec<usize>,
+    /// Bytes of the plan files written.
+    bytes: u64,
 }
 
 impl ShardStore {
     /// Creates an empty store in a fresh subdirectory of `root`.
     pub fn create(root: &Path) -> TensorResult<ShardStore> {
-        std::fs::create_dir_all(root).map_err(TensorError::from)?;
-        let pid = std::process::id();
-        for k in 0.. {
-            let dir = root.join(format!("plans_{pid}_{k}"));
-            match std::fs::create_dir(&dir) {
-                Ok(()) => {
-                    return Ok(ShardStore {
-                        dir,
-                        counts: Vec::new(),
-                    })
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(TensorError::from(e)),
-            }
-        }
-        unreachable!("directory probe loop is unbounded")
+        Ok(ShardStore {
+            dir: ScratchDir::create(root, "plans")?,
+            counts: Vec::new(),
+            bytes: 0,
+        })
     }
 
     fn path(&self, mode: usize, shard: usize) -> PathBuf {
-        self.dir.join(format!("mode{mode}_shard{shard:04}.plan"))
+        self.dir
+            .path()
+            .join(format!("mode{mode}_shard{shard:04}.plan"))
     }
 
     /// Serializes `plan` as shard `shard` of `mode`.
@@ -87,17 +80,18 @@ impl ShardStore {
         if self.counts.len() <= mode {
             self.counts.resize(mode + 1, 0);
         }
-        let mut w = BufWriter::with_capacity(1 << 20, File::create(self.path(mode, shard))?);
-        plan.write_schedule(&mut w)?;
-        w.flush()?;
+        let path = self.path(mode, shard);
+        plan.write_schedule(BufWriter::with_capacity(1 << 20, File::create(&path)?))?;
+        self.bytes += std::fs::metadata(&path)?.len();
         self.counts[mode] = self.counts[mode].max(shard + 1);
         Ok(())
     }
 
     /// Loads shard `shard` of `mode` back into a value-replayable plan.
     pub fn load(&self, mode: usize, shard: usize) -> TensorResult<Plan> {
-        let mut r = BufReader::with_capacity(1 << 20, File::open(self.path(mode, shard))?);
-        Ok(Plan::read_schedule(&mut r)?)
+        let file = File::open(self.path(mode, shard))?;
+        let len = file.metadata()?.len();
+        Plan::read_schedule(BufReader::with_capacity(1 << 20, file), len)
     }
 
     /// Shards stored for `mode`.
@@ -108,25 +102,6 @@ impl ShardStore {
     /// Modes with at least one stored shard slot.
     pub fn modes(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Total bytes the store occupies on disk (bench reporting).
-    fn bytes_on_disk(&self) -> u64 {
-        let mut total = 0u64;
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                if let Ok(md) = e.metadata() {
-                    total += md.len();
-                }
-            }
-        }
-        total
-    }
-}
-
-impl Drop for ShardStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -352,7 +327,7 @@ pub fn cpd_als_streamed(
             &mut store,
         )?);
     }
-    let store_bytes = store.bytes_on_disk();
+    let store_bytes = store.bytes;
 
     // ALS phase: the shared loop with the MTTKRP served by sequential
     // shard replay. The fit's inner product comes from the last mode's
@@ -495,7 +470,7 @@ mod tests {
         let full = super::super::hbcsf::plan_impl(&ctx, &h, 8);
         let mut buf = Vec::new();
         full.write_schedule(&mut buf).unwrap();
-        let back = Plan::read_schedule(&mut &buf[..]).unwrap();
+        let back = Plan::read_schedule(&buf[..], buf.len() as u64).unwrap();
         assert_eq!(back.name(), full.name());
         assert_eq!(back.out_rows(), full.out_rows());
         let mut y0 = Matrix::zeros(full.out_rows(), 8);
@@ -503,6 +478,35 @@ mod tests {
         full.replay_range(&mut y0, &factors, None, 0, full.schedule().num_blocks());
         back.replay_range(&mut y1, &factors, None, 0, back.schedule().num_blocks());
         assert_eq!(y0, y1);
+    }
+
+    #[test]
+    fn flipped_plan_value_is_a_typed_error() {
+        let ctx = GpuContext::tiny();
+        let t = uniform_random(&[12, 14, 16], 600, 11);
+        let factors = crate::reference::random_factors(&t, 8, 78);
+        let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
+        let dir = tmp("flip-plan");
+        let mut store = ShardStore::create(&dir).unwrap();
+        capture_sharded_hbcsf(&ctx, &h, 8, 1, &mut store).unwrap();
+        replay_mode(&store, 0, 8, &factors).unwrap();
+        // The plan stores the tensor's values as little-endian f32.
+        let path = store.path(0, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let v = t.values()[0].to_le_bytes();
+        let at = bytes
+            .windows(4)
+            .position(|w| w == v)
+            .expect("a stored value");
+        bytes[at] ^= 1;
+        std::fs::write(&path, bytes).unwrap();
+        match replay_mode(&store, 0, 8, &factors) {
+            Err(TensorError::Frame(sptensor::frame::FrameError::Checksum)) => {}
+            Err(e) => panic!("expected a checksum error, got {e:?}"),
+            Ok(_) => panic!("a flipped plan value replayed"),
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -551,15 +555,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn corrupt_spill_record_is_a_typed_error() {
+    /// The streamed CPD of a spilled 900-entry tensor whose one packed
+    /// run was edited by `edit(bytes, record_len)`. The run is a 12-byte
+    /// header (frame header and order), equal-length records, each led
+    /// by its u64 coordinate key and ending with its f32 value, then the
+    /// 8-byte trailer.
+    fn solve_edited_run(tag: &str, edit: impl Fn(&mut [u8], usize)) -> TensorResult<StreamedCpd> {
         let ctx = GpuContext::tiny();
         let t = uniform_random(&[14, 17, 12], 900, 33);
-        let dir = tmp("corrupt");
+        let dir = tmp(tag);
         let opts = IngestOptions::new().with_policy(DuplicatePolicy::Sum);
         let spill = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
-        // The ingest leaves one packed run: a 12-byte header, then
-        // equal-length records, each led by its u64 coordinate key.
         let run_dir = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
@@ -572,12 +578,9 @@ mod tests {
             .expect("the ingest's run directory");
         let run = run_dir.join("run000000.bin");
         let mut bytes = std::fs::read(&run).unwrap();
-        let rec = (bytes.len() - 12) / spill.nnz() as usize;
-        assert_eq!(12 + rec * spill.nnz() as usize, bytes.len());
-        // Record 0 takes the last record's key, so mode 0's build (the
-        // spill's own order) sees entry 1 step back.
-        let last: [u8; 8] = bytes[bytes.len() - rec..][..8].try_into().unwrap();
-        bytes[12..20].copy_from_slice(&last);
+        let rec = (bytes.len() - 20) / spill.nnz() as usize;
+        assert_eq!(20 + rec * spill.nnz() as usize, bytes.len());
+        edit(&mut bytes, rec);
         std::fs::write(&run, bytes).unwrap();
 
         let sopts = StreamOptions {
@@ -591,7 +594,22 @@ mod tests {
             chunk_nnz: 64,
             bcsf: BcsfOptions::default(),
         };
-        match cpd_als_streamed(&ctx, &spill, &sopts, &dir) {
+        let res = cpd_als_streamed(&ctx, &spill, &sopts, &dir);
+        drop(spill);
+        std::fs::remove_dir_all(&dir).unwrap();
+        res
+    }
+
+    #[test]
+    fn corrupt_spill_record_is_a_typed_error() {
+        // Record 0 takes the last record's key, so mode 0's build (the
+        // spill's own order) sees entry 1 step back.
+        let res = solve_edited_run("corrupt", |bytes, rec| {
+            let last = bytes.len() - 8 - rec;
+            let key: [u8; 8] = bytes[last..last + 8].try_into().unwrap();
+            bytes[12..20].copy_from_slice(&key);
+        });
+        match res {
             Err(TensorError::Invalid {
                 context: "csf",
                 msg,
@@ -599,8 +617,34 @@ mod tests {
             Err(e) => panic!("expected the build's order error, got {e:?}"),
             Ok(res) => panic!("a corrupt run solved to fits {:?}", res.result.fits),
         }
-        drop(spill);
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_spill_value_and_in_order_coordinate_fail_the_checksum() {
+        let checksum = |res: TensorResult<StreamedCpd>, what: &str| match res {
+            Err(TensorError::Frame(sptensor::frame::FrameError::Checksum)) => {}
+            Err(e) => panic!("{what}: expected a checksum error, got {e:?}"),
+            Ok(res) => panic!("{what}: solved to fits {:?}", res.result.fits),
+        };
+        let value = solve_edited_run("flip-value", |bytes, rec| {
+            bytes[12 + 100 * rec + rec - 4] ^= 1;
+        });
+        checksum(value, "flipped value");
+        // The key's low bit is the last mode's lowest coordinate bit;
+        // flip it in a record whose neighbours keep it in order. Mode 2
+        // has an even extent, so the coordinate stays in range.
+        let coord = solve_edited_run("flip-coord", |bytes, rec| {
+            let key =
+                |b: &[u8], i: usize| u64::from_le_bytes(b[12 + i * rec..][..8].try_into().unwrap());
+            let n = (bytes.len() - 20) / rec;
+            let i = (1..n - 1)
+                .find(|&i| {
+                    key(bytes, i - 1) < key(bytes, i) ^ 1 && key(bytes, i) ^ 1 < key(bytes, i + 1)
+                })
+                .expect("a record with room to move");
+            bytes[12 + i * rec] ^= 1;
+        });
+        checksum(coord, "flipped in-order coordinate");
     }
 
     #[test]

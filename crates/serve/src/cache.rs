@@ -18,24 +18,8 @@ use mttkrp::gpu::{
     AnyFormat, BuildOptions, GpuContext, KernelKind, LaunchError, MttkrpKernel, Plan,
 };
 use simprof::FieldValue;
+use sptensor::hash::{splitmix64, Fnv1a};
 use sptensor::CooTensor;
-
-/// FNV-1a over bytes (the same mixer family the fault plans use).
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Deterministic hash of a tensor's sparsity *structure*: order, dims,
 /// nnz, and every index of every mode — values excluded, because plans
@@ -43,20 +27,19 @@ fn splitmix64(mut z: u64) -> u64 {
 /// different values share plans; any structural difference separates
 /// them.
 pub fn structure_hash(t: &CooTensor) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    h = fnv1a(h, &(t.order() as u64).to_le_bytes());
+    let mut h = Fnv1a::default();
+    h.bytes(&(t.order() as u64).to_le_bytes());
     for &d in t.dims() {
-        h = fnv1a(h, &u64::from(d).to_le_bytes());
+        h.bytes(&u64::from(d).to_le_bytes());
     }
-    h = fnv1a(h, &(t.nnz() as u64).to_le_bytes());
+    h.bytes(&(t.nnz() as u64).to_le_bytes());
     for mode in 0..t.order() {
         for &ix in t.mode_indices(mode) {
-            h ^= u64::from(ix);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h.word(u64::from(ix));
         }
-        h = splitmix64(h);
+        h = Fnv1a(splitmix64(h.0));
     }
-    splitmix64(h)
+    splitmix64(h.0)
 }
 
 /// What a cached plan is keyed on: everything capture depends on.

@@ -7,20 +7,10 @@
 //! reports. No wall clock, no OS randomness.
 
 use mttkrp::gpu::KernelKind;
+use sptensor::hash::{splitmix64, u01};
 use sptensor::{synth::uniform_random, CooTensor};
 
 use crate::job::{JobKind, JobSpec};
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn u01(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Knobs of the synthetic workload generator.
 #[derive(Debug, Clone)]

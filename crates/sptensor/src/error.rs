@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use crate::frame::FrameError;
+
 /// Result alias for fallible tensor operations.
 pub type TensorResult<T> = Result<T, TensorError>;
 
@@ -39,6 +41,10 @@ pub enum TensorError {
     /// (sum? keep? abort?) — never a silent default. `line` is the
     /// 1-based line of the *second* occurrence (0 for binary input).
     Duplicate { line: usize, coords: Vec<u32> },
+    /// A binary file whose container is refused: foreign magic, unknown
+    /// version, a length that disagrees with its counts, or a checksum
+    /// mismatch.
+    Frame(FrameError),
 }
 
 impl TensorError {
@@ -69,6 +75,7 @@ impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TensorError::Io(e) => write!(f, "i/o error: {e}"),
+            TensorError::Frame(e) => write!(f, "{e}"),
             TensorError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
             TensorError::Invalid { context, msg } => write!(f, "invalid {context}: {msg}"),
             TensorError::OrderTooLow { what, order, min } => {
@@ -103,24 +110,21 @@ impl std::error::Error for TensorError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TensorError::Io(e) => Some(e),
+            TensorError::Frame(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<FrameError> for TensorError {
+    fn from(e: FrameError) -> Self {
+        TensorError::Frame(e)
     }
 }
 
 impl From<std::io::Error> for TensorError {
     fn from(e: std::io::Error) -> Self {
         TensorError::Io(e)
-    }
-}
-
-/// Lets `TensorResult` flow into `io::Result` call chains unchanged.
-impl From<TensorError> for std::io::Error {
-    fn from(e: TensorError) -> Self {
-        match e {
-            TensorError::Io(inner) => inner,
-            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
-        }
     }
 }
 
@@ -143,13 +147,12 @@ mod tests {
     }
 
     #[test]
-    fn io_round_trip_preserves_kind() {
+    fn io_error_keeps_its_kind() {
         let io_err = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "short");
-        let te: TensorError = io_err.into();
-        let back: std::io::Error = te.into();
-        assert_eq!(back.kind(), std::io::ErrorKind::UnexpectedEof);
-        let back2: std::io::Error = TensorError::parse_at(0, "x").into();
-        assert_eq!(back2.kind(), std::io::ErrorKind::InvalidData);
+        match TensorError::from(io_err) {
+            TensorError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
     }
 
     #[test]

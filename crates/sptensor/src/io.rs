@@ -5,12 +5,13 @@
 //! by the value. Lines starting with `#` are comments. There is no header;
 //! the mode extents are the per-mode maxima. This reproduction runs on
 //! synthetic stand-ins by default, but real data can be dropped in: this
-//! module writes `.tns` text and the SPT1 binary format, and
+//! module writes `.tns` text and the `.spt` binary format, and
 //! [`crate::source`] reads both back ([`TnsSource`](crate::source::TnsSource),
 //! [`BinSource`](crate::source::BinSource), [`ingest`](crate::source::ingest)).
 
 use std::io::{self, Write};
 
+use crate::frame::FrameWriter;
 use crate::{CooTensor, Index, Value};
 
 /// What to do when two input nonzeros carry identical coordinates.
@@ -84,30 +85,30 @@ fn write_tns_lines<W: Write>(
     Ok(())
 }
 
-/// Magic prefix of the binary tensor format.
+/// Magic of the binary tensor format (`.spt`), a schema over
+/// [`crate::frame`].
 pub const BIN_MAGIC: &[u8; 4] = b"SPT1";
+/// Layout version of [`BIN_MAGIC`] files: 2 stores each entry's record
+/// whole (version 1 stored one array per mode, without a trailer).
+pub const BIN_VERSION: u32 = 2;
 
-/// Writes a tensor in the crate's little-endian binary format:
-/// `"SPT1"`, `u8` order, `order × u32` extents, `u64` nonzero count, the
-/// mode index arrays (`u32` each), then the values (`f32`). Roughly 10×
-/// faster to load than `.tns` text — useful for caching generated
-/// stand-ins between experiment runs.
-pub fn write_bin<W: Write>(t: &CooTensor, mut w: W) -> io::Result<()> {
-    w.write_all(BIN_MAGIC)?;
-    w.write_all(&[t.order() as u8])?;
-    for &d in t.dims() {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    w.write_all(&(t.nnz() as u64).to_le_bytes())?;
-    for m in 0..t.order() {
-        for &i in t.mode_indices(m) {
-            w.write_all(&i.to_le_bytes())?;
-        }
-    }
-    for &v in t.values() {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
+/// Writes a tensor in the crate's binary format, a frame of magic
+/// [`BIN_MAGIC`] and version [`BIN_VERSION`] holding the `u32` order, the
+/// `u32` extents, the `u64` nonzero count, then one record per nonzero:
+/// its `u32` coordinates, then its `f32` value. Roughly 10× faster to
+/// load than `.tns` text — useful for caching generated stand-ins
+/// between experiment runs.
+pub fn write_bin<W: Write>(t: &CooTensor, w: W) -> io::Result<()> {
+    let mut w = FrameWriter::new(w, BIN_MAGIC, BIN_VERSION)?;
+    w.u32(t.order() as u32)?;
+    w.u32s(t.dims().iter().copied())?;
+    w.u64(t.nnz() as u64)?;
+    let record = |(z, v): (usize, &Value)| {
+        let coords = (0..t.order()).map(move |m| t.mode_indices(m)[z]);
+        coords.chain([v.to_bits()])
+    };
+    w.u32s(t.values().iter().enumerate().flat_map(record))?;
+    w.finish()?.flush()
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //!   stand-ins for every dataset in the paper's Table III. Real FROSTT data
 //!   can be substituted via [`io`].
 //! * [`io`] — FROSTT `.tns` text format reader/writer.
+//! * [`frame`] — the one container of every binary file (magic, version,
+//!   payload, checksum trailer), and [`hash`], the workspace's hashes.
 //!
 //! Indices are `u32` and values are `f32` throughout, matching the paper's
 //! experimental setting ("we use 32 bit unsigned integers to store the
@@ -25,6 +27,8 @@
 pub mod coo;
 pub mod dims;
 pub mod error;
+pub mod frame;
+pub mod hash;
 pub mod io;
 mod key;
 pub mod reorder;

@@ -14,9 +14,10 @@
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
-use std::io::{BufRead, ErrorKind, Read, Seek, SeekFrom};
+use std::io::{BufRead, ErrorKind, Read};
 
-use crate::io::DuplicatePolicy;
+use crate::frame::{FrameError, FrameReader};
+use crate::io::{DuplicatePolicy, BIN_MAGIC, BIN_VERSION};
 use crate::{CooTensor, Index, TensorError, TensorResult, Value};
 
 /// One batch of raw nonzeros, structure-of-arrays: `coords[mode][i]` is
@@ -411,101 +412,68 @@ impl<R: BufRead> TensorSource for TnsSource<R> {
 }
 
 // ---------------------------------------------------------------------
-// SPT1 binary source
+// Binary (`.spt`) source
 // ---------------------------------------------------------------------
 
-/// Reads and validates an SPT1 header; returns `(dims, nnz)` and leaves
-/// the reader at the first index byte.
-pub(crate) fn read_bin_header<R: Read>(r: &mut R) -> TensorResult<(Vec<Index>, u64)> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != crate::io::BIN_MAGIC {
-        return Err(TensorError::invalid("spt1", "not an SPT1 binary tensor"));
-    }
-    let mut b1 = [0u8; 1];
-    r.read_exact(&mut b1)?;
-    let order = b1[0] as usize;
-    if order == 0 {
-        return Err(TensorError::invalid("spt1", "zero order"));
-    }
-    let mut u32buf = [0u8; 4];
-    let mut dims = Vec::with_capacity(order);
-    for m in 0..order {
-        r.read_exact(&mut u32buf)?;
-        let d = u32::from_le_bytes(u32buf);
-        if d == 0 {
+/// Chunked reader for the crate's binary format ([`crate::io::write_bin`]).
+/// Each entry's record is stored whole, so the file reads front to back,
+/// one block of records at a time; the trailer is checked when the last
+/// entry is read, before the chunk that holds it is returned.
+pub struct BinSource<R: Read> {
+    frame: FrameReader<R>,
+    dims: Vec<Index>,
+    nnz: u64,
+    /// Next entry ordinal to yield.
+    cursor: u64,
+    /// One block of records, reused.
+    block: Vec<u8>,
+}
+
+impl<R: Read> BinSource<R> {
+    /// Reads and checks the header of the `len`-byte binary tensor
+    /// `reader` starts at: no extent is zero, and the nonzero count
+    /// accounts for the rest of the file exactly.
+    pub fn new(reader: R, len: u64) -> TensorResult<Self> {
+        let mut frame = FrameReader::new(reader, len, BIN_MAGIC, BIN_VERSION)?;
+        let order = frame.u32()?;
+        if order == 0 {
+            return Err(TensorError::invalid("spt1", "zero order"));
+        }
+        let dims = frame.u32s(u64::from(order))?;
+        if let Some(m) = dims.iter().position(|&d| d == 0) {
             return Err(TensorError::invalid(
                 "spt1",
                 format!("mode {m} extent is zero"),
             ));
         }
-        dims.push(d);
-    }
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u64buf)?;
-    let nnz = u64::from_le_bytes(u64buf);
-    if usize::try_from(nnz).is_err() {
-        return Err(TensorError::invalid("spt1", "nonzero count exceeds usize"));
-    }
-    // (order + 1) arrays of 4-byte entries must be addressable.
-    if nnz
-        .checked_mul(order as u64 + 1)
-        .and_then(|n| n.checked_mul(4))
-        .is_none()
-    {
-        return Err(TensorError::invalid("spt1", "total byte size overflows"));
-    }
-    Ok((dims, nnz))
-}
-
-/// Chunked reader for the crate's SPT1 binary format. The on-disk layout
-/// is *columnar* (each mode's whole index array, then all values), so
-/// batching entries requires one seek per mode per chunk — cheap against
-/// a file, and the price of never holding more than one chunk of any
-/// array in memory.
-pub struct BinSource<R: Read + Seek> {
-    reader: R,
-    dims: Vec<Index>,
-    nnz: u64,
-    /// Next entry ordinal to yield.
-    cursor: u64,
-    /// Byte offset of the first index byte (end of header).
-    data_start: u64,
-}
-
-impl<R: Read + Seek> BinSource<R> {
-    /// Reads and validates the header, leaving the source positioned at
-    /// the first entry.
-    pub fn new(mut reader: R) -> TensorResult<Self> {
-        let (dims, nnz) = read_bin_header(&mut reader)?;
-        let data_start = reader.stream_position().map_err(TensorError::from)?;
+        let nnz = frame.u64()?;
+        let need = nnz.saturating_mul(4 * (u64::from(order) + 1));
+        if need != frame.remaining() {
+            return Err(FrameError::length(need, frame.remaining()));
+        }
+        if nnz == 0 {
+            frame.finish()?;
+        }
         Ok(BinSource {
-            reader,
+            frame,
             dims,
             nnz,
             cursor: 0,
-            data_start,
+            block: Vec::new(),
         })
-    }
-
-    pub fn dims(&self) -> &[Index] {
-        &self.dims
-    }
-
-    pub fn nnz(&self) -> u64 {
-        self.nnz
     }
 }
 
 impl BinSource<std::io::BufReader<std::fs::File>> {
-    /// Opens an SPT1 file for chunked reading.
+    /// Opens a binary tensor file for chunked reading.
     pub fn open(path: &std::path::Path) -> TensorResult<Self> {
         let f = std::fs::File::open(path)?;
-        BinSource::new(std::io::BufReader::new(f))
+        let len = f.metadata()?.len();
+        BinSource::new(std::io::BufReader::new(f), len)
     }
 }
 
-impl<R: Read + Seek> TensorSource for BinSource<R> {
+impl<R: Read> TensorSource for BinSource<R> {
     fn format_name(&self) -> &'static str {
         "spt1"
     }
@@ -521,39 +489,33 @@ impl<R: Read + Seek> TensorSource for BinSource<R> {
     fn fill_chunk(&mut self, max_entries: usize, out: &mut CooChunk) -> TensorResult<usize> {
         let order = self.dims.len();
         out.reset(order);
-        let remaining = self.nnz - self.cursor;
-        let take = (max_entries as u64).min(remaining) as usize;
-        if take == 0 {
-            return Ok(0);
-        }
-        let mut bytes = vec![0u8; take * 4];
-        for (m, arr) in out.coords.iter_mut().enumerate() {
-            let off = self.data_start + (m as u64 * self.nnz + self.cursor) * 4;
-            self.reader.seek(SeekFrom::Start(off))?;
-            self.reader.read_exact(&mut bytes)?;
-            arr.reserve(take);
-            for w in bytes.chunks_exact(4) {
-                let idx = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-                if idx >= self.dims[m] {
-                    return Err(TensorError::invalid(
-                        "spt1",
-                        format!("mode {m} index {idx} out of range"),
-                    ));
+        let rec = 4 * (order + 1);
+        let mut left = (max_entries as u64).min(self.nnz - self.cursor) as usize;
+        while left > 0 {
+            let n = left.min(4096);
+            self.block.resize(n * rec, 0);
+            self.frame.fill(&mut self.block)?;
+            for r in self.block.chunks_exact(rec) {
+                let word =
+                    |i: usize| u32::from_le_bytes(r[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+                for (m, arr) in out.coords.iter_mut().enumerate() {
+                    let idx = word(m);
+                    if idx >= self.dims[m] {
+                        let msg = format!("mode {m} index {idx} out of range");
+                        return Err(TensorError::invalid("spt1", msg));
+                    }
+                    arr.push(idx);
                 }
-                arr.push(idx);
+                out.vals.push(f32::from_bits(word(order)));
+                self.cursor += 1;
+                out.lines.push(self.cursor);
             }
+            left -= n;
         }
-        let voff = self.data_start + (order as u64 * self.nnz + self.cursor) * 4;
-        self.reader.seek(SeekFrom::Start(voff))?;
-        self.reader.read_exact(&mut bytes)?;
-        for w in bytes.chunks_exact(4) {
-            out.vals.push(f32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        if self.cursor == self.nnz && !out.is_empty() {
+            self.frame.finish()?;
         }
-        for i in 0..take {
-            out.lines.push(self.cursor + i as u64 + 1);
-        }
-        self.cursor += take as u64;
-        Ok(take)
+        Ok(out.len())
     }
 }
 
@@ -785,6 +747,7 @@ pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameWriter;
     use std::io::BufReader;
 
     fn tns(text: &str) -> TnsSource<BufReader<&[u8]>> {
@@ -798,10 +761,10 @@ mod tests {
         )
     }
 
-    /// Whole-stream SPT1 read, duplicates kept as stored.
+    /// Whole-stream binary read, duplicates kept as stored.
     fn read_bin(bytes: &[u8]) -> TensorResult<CooTensor> {
         let opts = IngestOptions::new().with_policy(DuplicatePolicy::Keep);
-        ingest(BinSource::new(std::io::Cursor::new(bytes))?, &opts)
+        ingest(BinSource::new(bytes, bytes.len() as u64)?, &opts)
     }
 
     #[test]
@@ -891,7 +854,25 @@ mod tests {
     }
 
     #[test]
-    fn binary_rejects_bad_magic() {
+    fn binary_rejects_bad_magic_and_the_old_layout() {
+        let t = crate::synth::uniform_random(&[5, 5, 5], 50, 10);
+        let mut buf = Vec::new();
+        crate::io::write_bin(&t, &mut buf).unwrap();
+        buf[0] = b'X';
+        assert!(matches!(
+            read_bin(&buf),
+            Err(TensorError::Frame(FrameError::BadMagic))
+        ));
+        // Version 1 followed the magic with a `u8` order and the extents.
+        let mut old = b"SPT1\x03".to_vec();
+        for _ in 0..3 {
+            old.extend_from_slice(&5u32.to_le_bytes());
+        }
+        old.extend_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            read_bin(&old),
+            Err(TensorError::Frame(FrameError::UnsupportedVersion(_)))
+        ));
         assert!(read_bin(b"NOPE\x03").is_err());
     }
 
@@ -909,40 +890,71 @@ mod tests {
         let t = crate::synth::uniform_random(&[4, 4], 10, 11);
         let mut buf = Vec::new();
         crate::io::write_bin(&t, &mut buf).unwrap();
-        // Corrupt a mode-0 index to 255 (> extent 4). Header is
-        // 4 (magic) + 1 (order) + 8 (dims) + 8 (nnz) = 21 bytes.
-        buf[21] = 255;
-        assert!(read_bin(&buf).is_err());
+        // Corrupt the first entry's mode-0 index to 255 (> extent 4). The
+        // header is 8 (frame) + 4 (order) + 8 (dims) + 8 (nnz) = 28 bytes.
+        buf[28] = 255;
+        assert!(matches!(
+            read_bin(&buf),
+            Err(TensorError::Invalid {
+                context: "spt1",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn binary_flipped_value_is_a_checksum_error() {
+        let t = crate::synth::uniform_random(&[5, 5, 5], 50, 10);
+        let mut buf = Vec::new();
+        crate::io::write_bin(&t, &mut buf).unwrap();
+        // Entry 0's value follows its three coordinates and the 32-byte
+        // header; its low mantissa bit keeps it finite and in range.
+        buf[32 + 12] ^= 1;
+        assert!(matches!(
+            read_bin(&buf),
+            Err(TensorError::Frame(FrameError::Checksum))
+        ));
+    }
+
+    /// A framed binary tensor holding exactly `payload` after the header.
+    fn bin_with(payload: impl Fn(&mut FrameWriter<&mut Vec<u8>>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = FrameWriter::new(&mut buf, BIN_MAGIC, BIN_VERSION).unwrap();
+        payload(&mut w);
+        w.finish().unwrap();
+        buf
     }
 
     #[test]
     fn binary_rejects_zero_extent_and_huge_nnz() {
-        use crate::io::BIN_MAGIC;
-        // Header claiming order 2, dims [3, 0]: invalid structure.
-        let mut buf = BIN_MAGIC.to_vec();
-        buf.push(2);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
+        let length = |r| matches!(r, Err(TensorError::Frame(FrameError::Length { .. })));
+        // Order 2, dims [3, 0]: invalid structure.
+        let buf = bin_with(|w| {
+            w.u32(2).unwrap();
+            w.u32s([3, 0]).unwrap();
+            w.u64(0).unwrap();
+        });
         assert!(matches!(read_bin(&buf), Err(TensorError::Invalid { .. })));
 
-        // Header claiming 2^60 nonzeros over an empty body: must die on a
-        // short read (chunk-bounded buffers), not an allocation abort.
-        let mut buf = BIN_MAGIC.to_vec();
-        buf.push(2);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(matches!(read_bin(&buf), Err(TensorError::Io(_))));
+        // 2^60 nonzeros over an empty body: refused by the length check
+        // before any chunk is sized from the count.
+        let buf = bin_with(|w| {
+            w.u32(2).unwrap();
+            w.u32s([3, 3]).unwrap();
+            w.u64(1 << 60).unwrap();
+        });
+        assert!(length(read_bin(&buf)));
 
-        // A count whose total byte size overflows u64 is a typed error.
-        let mut buf = BIN_MAGIC.to_vec();
-        buf.push(255);
-        for _ in 0..255 {
-            buf.extend_from_slice(&1u32.to_le_bytes());
-        }
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_bin(&buf).is_err(), "overflowing size must be rejected");
+        // A count whose total byte size overflows u64, and an order the
+        // file cannot hold the extents of.
+        let buf = bin_with(|w| {
+            w.u32(255).unwrap();
+            w.u32s([1; 255]).unwrap();
+            w.u64(u64::MAX).unwrap();
+        });
+        assert!(length(read_bin(&buf)));
+        let buf = bin_with(|w| w.u32(u32::MAX).unwrap());
+        assert!(length(read_bin(&buf)));
     }
 
     #[test]
@@ -1447,8 +1459,8 @@ mod tests {
         let mut buf = Vec::new();
         crate::io::write_bin(&t, &mut buf).unwrap();
         for chunk in [1usize, 7, 100, 1 << 20] {
-            let src = BinSource::new(std::io::Cursor::new(&buf)).unwrap();
-            assert_eq!(src.nnz(), t.nnz() as u64);
+            let src = BinSource::new(&buf[..], buf.len() as u64).unwrap();
+            assert_eq!(src.nnz_hint(), Some(t.nnz() as u64));
             let back = ingest(
                 src,
                 &IngestOptions::new()

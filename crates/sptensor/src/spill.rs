@@ -32,9 +32,10 @@
 
 use core::cmp::Ordering;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
+use crate::frame::{FrameError, FrameReader, FrameWriter, FRAME_BYTES};
 use crate::io::DuplicatePolicy;
 use crate::key::{cmp_under, KeyLayout};
 use crate::source::{CooChunk, IngestOptions, TensorSource};
@@ -67,17 +68,18 @@ pub trait SortedChunks {
 
 /// A scratch directory owned from the moment it is created: dropping it
 /// removes the directory and everything in it, on success and on error.
+/// It holds spill runs here and shard plans in the `mttkrp` crate.
 #[derive(Debug)]
-struct RunDir(PathBuf);
+pub struct ScratchDir(PathBuf);
 
-impl RunDir {
+impl ScratchDir {
     /// Creates a fresh `spill-{tag}-…` subdirectory of `dir`.
-    fn create(dir: &Path, tag: &str) -> TensorResult<RunDir> {
+    pub fn create(dir: &Path, tag: &str) -> TensorResult<ScratchDir> {
         std::fs::create_dir_all(dir)?;
         for attempt in 0..10_000u32 {
             let candidate = dir.join(format!("spill-{tag}-{:04x}-{attempt}", std::process::id()));
             match std::fs::create_dir(&candidate) {
-                Ok(()) => return Ok(RunDir(candidate)),
+                Ok(()) => return Ok(ScratchDir(candidate)),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
                 Err(e) => return Err(TensorError::Io(e)),
             }
@@ -85,12 +87,16 @@ impl RunDir {
         Err(TensorError::invalid("spill", "cannot create run directory"))
     }
 
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+
     fn file(&self, name: &str, i: usize) -> PathBuf {
         self.0.join(format!("{name}{i:06}.bin"))
     }
 }
 
-impl Drop for RunDir {
+impl Drop for ScratchDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
@@ -103,7 +109,7 @@ impl Drop for RunDir {
 #[derive(Debug)]
 pub struct SpilledTensor {
     /// Held for its `Drop`: the runs live in it.
-    _dir: RunDir,
+    _dir: ScratchDir,
     runs: Vec<PathBuf>,
     dims: Vec<Index>,
     /// Largest coordinate present per mode: sizes every layout's fields.
@@ -128,7 +134,7 @@ impl SpilledTensor {
         dir: &Path,
     ) -> TensorResult<SpilledTensor> {
         let declared = source.declared_dims();
-        let run_dir = RunDir::create(dir, "ingest")?;
+        let run_dir = ScratchDir::create(dir, "ingest")?;
         let mut raw = Vec::new();
         let mut chunk = CooChunk::default();
         let mut order: Option<usize> = None;
@@ -216,10 +222,11 @@ impl SpilledTensor {
         &self.perm
     }
 
-    /// Bytes of this tensor's run files: their headers and records.
+    /// Bytes of this tensor's run files: their frames, orders and
+    /// records.
     pub fn bytes_on_disk(&self) -> u64 {
         let rec = record_len(&self.layout, false) as u64;
-        self.runs.len() as u64 * HEADER_LEN as u64 + self.nnz * rec
+        self.runs.len() as u64 * RUN_OVERHEAD + self.nnz * rec
     }
 
     /// Opens a rescannable merged stream over the runs. Each call (and
@@ -248,7 +255,7 @@ impl SpilledTensor {
             "invalid mode permutation"
         );
         let order = self.dims.len();
-        let run_dir = RunDir::create(dir, "resort")?;
+        let run_dir = ScratchDir::create(dir, "resort")?;
         let layout = KeyLayout::new(&self.maxima, perm);
         let width = layout.tail().len();
         let chunk_nnz = opts.effective_chunk_nnz(order).clamp(1, u32::MAX as usize);
@@ -415,13 +422,17 @@ fn sort_keyed(pairs: &mut [(u64, u32)], has_tail: bool, cmp_tail: impl Fn(u32, u
 }
 
 // ---------------------------------------------------------------------
-// Run files: a header (order, entry count), then whole little-endian
-// records for sequential merge reads. A record is the entry's key under
-// the run's layout, its tail coordinates and its value; a raw run's
-// records end with the source line.
+// Run files: a frame of magic `SPRN` whose payload is the `u32` order,
+// then whole little-endian records for sequential merge reads; the
+// record count is what the frame's length leaves. A record is the
+// entry's key under the run's layout, its tail coordinates and its
+// value; a raw run's records end with the source line.
 // ---------------------------------------------------------------------
 
-const HEADER_LEN: usize = 12;
+const RUN_MAGIC: &[u8; 4] = b"SPRN";
+const RUN_VERSION: u32 = 1;
+/// Bytes of a run file besides its records: the frame and the order.
+const RUN_OVERHEAD: u64 = FRAME_BYTES + 4;
 
 /// The layout of raw runs: written before the maxima are known, so every
 /// field is 32 bits wide — the first two modes in the key, the rest in
@@ -472,12 +483,17 @@ fn write_raw_run(chunk: &CooChunk, positions: &[u32], path: &Path) -> TensorResu
     Ok(())
 }
 
-/// Writes one run file. Records are encoded into one reused buffer of
-/// about 1 MiB, which is written whenever it holds no room for another
-/// whole record; the header's count is written last.
+/// Bytes of whole `rec`-byte records in a block of about `bytes`: run
+/// files are written in blocks of 1 MiB, and read through a 1 MiB
+/// buffer in blocks of 64 KiB, so the trailer folds whole blocks.
+fn block_len(rec: usize, bytes: usize) -> usize {
+    (bytes / rec).max(1) * rec
+}
+
+/// Writes one run file. Records are encoded into one reused block,
+/// which is written whenever it holds no room for another whole record.
 struct RunWriter {
-    file: File,
-    order: usize,
+    frame: FrameWriter<File>,
     rec: usize,
     buf: Vec<u8>,
     used: usize,
@@ -486,13 +502,12 @@ struct RunWriter {
 
 impl RunWriter {
     fn create(path: &Path, order: usize, rec: usize) -> TensorResult<RunWriter> {
-        let mut file = File::create(path)?;
-        file.write_all(&[0; HEADER_LEN])?;
+        let mut frame = FrameWriter::new(File::create(path)?, RUN_MAGIC, RUN_VERSION)?;
+        frame.u32(order as u32)?;
         Ok(RunWriter {
-            file,
-            order,
+            frame,
             rec,
-            buf: vec![0; ((1 << 20) / rec).max(1) * rec],
+            buf: vec![0; block_len(rec, 1 << 20)],
             used: 0,
             count: 0,
         })
@@ -501,7 +516,7 @@ impl RunWriter {
     /// The next record's bytes, for the caller to fill.
     fn record(&mut self) -> TensorResult<&mut [u8]> {
         if self.used == self.buf.len() {
-            self.file.write_all(&self.buf)?;
+            self.frame.bytes(&self.buf)?;
             self.used = 0;
         }
         let start = self.used;
@@ -510,71 +525,22 @@ impl RunWriter {
         Ok(&mut self.buf[start..self.used])
     }
 
-    /// Writes what is buffered and the header; returns the entry count.
+    /// Writes what is buffered and the trailer; returns the entry count.
     fn finish(mut self) -> TensorResult<u64> {
-        self.file.write_all(&self.buf[..self.used])?;
-        let mut header = [0u8; HEADER_LEN];
-        header[..4].copy_from_slice(&(self.order as u32).to_le_bytes());
-        header[4..].copy_from_slice(&self.count.to_le_bytes());
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&header)?;
+        self.frame.bytes(&self.buf[..self.used])?;
+        self.frame.finish()?;
         Ok(self.count)
     }
 }
 
-/// Sequential reader over one run file's records.
-struct RunReader {
-    reader: BufReader<File>,
-    remaining: u64,
-    /// The last record read, whole.
-    rec: Vec<u8>,
-}
-
-impl RunReader {
-    /// Opens a run of `rec`-byte records over `order` modes. The
-    /// header's order must match, and its count must account for the
-    /// file's length exactly; nothing is sized from the header.
-    fn open(path: &Path, order: usize, rec: usize) -> TensorResult<RunReader> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        let mut reader = BufReader::with_capacity(1 << 20, file);
-        let mut header = [0u8; HEADER_LEN];
-        reader.read_exact(&mut header)?;
-        let stored_order = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        if stored_order as usize != order {
-            return Err(TensorError::invalid("spill", "run order mismatch"));
-        }
-        let count = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
-        let want = count
-            .checked_mul(rec as u64)
-            .and_then(|b| b.checked_add(HEADER_LEN as u64));
-        if want != Some(len) {
-            return Err(TensorError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("spill run holds {len} bytes, its header counts {count} records"),
-            )));
-        }
-        Ok(RunReader {
-            reader,
-            remaining: count,
-            rec: vec![0; rec],
-        })
-    }
-
-    /// Reads the next record into `rec`; `false` once the run is done.
-    fn next(&mut self) -> TensorResult<bool> {
-        if self.remaining == 0 {
-            return Ok(false);
-        }
-        self.reader.read_exact(&mut self.rec)?;
-        self.remaining -= 1;
-        Ok(true)
-    }
-}
-
-/// A run's front record, decoded.
+/// One run file, read a block of records at a time, and its front
+/// record, decoded.
 struct Front {
-    run: RunReader,
+    frame: FrameReader<BufReader<File>>,
+    rec: usize,
+    /// The last block read, and the offset of its next record.
+    block: Vec<u8>,
+    at: usize,
     key: u64,
     tail: Vec<Index>,
     val: Value,
@@ -583,12 +549,57 @@ struct Front {
 }
 
 impl Front {
-    /// Decodes the next record; `false` once the run is done.
-    fn advance(&mut self) -> TensorResult<bool> {
-        if !self.run.next()? {
-            return Ok(false);
+    /// Opens a run of records under `layout` over `order` modes, with
+    /// lines if `raw`, and decodes its first record; `None` if it holds
+    /// none. The stored order must match, and the payload must hold
+    /// whole records.
+    fn open(
+        path: &Path,
+        order: usize,
+        layout: &KeyLayout,
+        raw: bool,
+    ) -> TensorResult<Option<Front>> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let reader = BufReader::with_capacity(1 << 20, file);
+        let mut frame = FrameReader::new(reader, len, RUN_MAGIC, RUN_VERSION)?;
+        if frame.u32()? as usize != order {
+            return Err(TensorError::invalid("spill", "run order mismatch"));
         }
-        let (key, rest) = self.run.rec.split_at(8);
+        let (have, rec) = (frame.remaining(), record_len(layout, raw));
+        if have % rec as u64 != 0 {
+            return Err(FrameError::length(have.next_multiple_of(rec as u64), have));
+        }
+        let mut f = Front {
+            frame,
+            rec,
+            block: Vec::new(),
+            at: 0,
+            key: 0,
+            tail: vec![0; layout.tail().len()],
+            val: 0.0,
+            line: 0,
+        };
+        Ok(f.advance()?.then_some(f))
+    }
+
+    /// Decodes the next record; `false` once the run is done and its
+    /// trailer checked. Not called again after `false`.
+    fn advance(&mut self) -> TensorResult<bool> {
+        if self.at == self.block.len() {
+            let left = self.frame.remaining();
+            if left == 0 {
+                self.frame.finish()?;
+                return Ok(false);
+            }
+            let take = left.min(block_len(self.rec, 1 << 16) as u64) as usize;
+            self.block.resize(take, 0);
+            self.frame.fill(&mut self.block)?;
+            self.at = 0;
+        }
+        let rec = &self.block[self.at..self.at + self.rec];
+        self.at += self.rec;
+        let (key, rest) = rec.split_at(8);
         self.key = u64::from_le_bytes(key.try_into().expect("8 bytes"));
         let (tail, rest) = rest.split_at(4 * self.tail.len());
         for (c, b) in self.tail.iter_mut().zip(tail.chunks_exact(4)) {
@@ -615,16 +626,7 @@ impl Merge {
     fn open(runs: &[PathBuf], order: usize, layout: &KeyLayout, raw: bool) -> TensorResult<Merge> {
         let mut fronts = Vec::with_capacity(runs.len());
         for path in runs {
-            let mut f = Front {
-                run: RunReader::open(path, order, record_len(layout, raw))?,
-                key: 0,
-                tail: vec![0; layout.tail().len()],
-                val: 0.0,
-                line: 0,
-            };
-            if f.advance()? {
-                fronts.push(f);
-            }
+            fronts.extend(Front::open(path, order, layout, raw)?);
         }
         Ok(Merge { fronts })
     }
@@ -837,20 +839,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The bytes of a packed run: the header, then per entry the key as
-    /// `u64`, the tail coordinates as `u32` and the value.
+    /// The bytes of a packed run: the frame's header, the order, then
+    /// per entry the key as `u64`, the tail coordinates as `u32` and the
+    /// value, then the trailer.
     fn packed_bytes(order: u32, entries: &[(u64, &[Index], Value)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&order.to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        let mut out = FrameWriter::new(Vec::new(), RUN_MAGIC, RUN_VERSION).unwrap();
+        out.u32(order).unwrap();
         for &(key, tail, val) in entries {
-            out.extend_from_slice(&key.to_le_bytes());
-            for c in tail {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-            out.extend_from_slice(&val.to_le_bytes());
+            out.u64(key).unwrap();
+            out.u32s(tail.iter().copied()).unwrap();
+            out.u32(val.to_bits()).unwrap();
         }
-        out
+        out.finish().unwrap()
     }
 
     #[test]
@@ -907,43 +907,20 @@ mod tests {
                 packed_bytes(4, &[(4 << 3 | 6, &[big, 1], 0.5)]),
             ]
         );
-        assert_eq!(resorted.bytes_on_disk(), 2 * 32);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A spill whose one run's header is overwritten with `header`.
-    fn spill_with_header(dir: &Path, header: impl Fn(&mut [u8])) -> SpilledTensor {
-        let t = crate::synth::uniform_random(&[10, 11, 12], 300, 8);
-        let opts = IngestOptions::new().with_policy(DuplicatePolicy::Keep);
-        let spilled = SpilledTensor::ingest(CooSource::new(t), &opts, dir).unwrap();
-        let mut bytes = std::fs::read(&spilled.runs[0]).unwrap();
-        header(&mut bytes[..HEADER_LEN]);
-        std::fs::write(&spilled.runs[0], bytes).unwrap();
-        spilled
-    }
-
-    #[test]
-    fn header_counting_past_the_file_is_a_typed_error() {
-        let dir = tmp();
-        // A count no file could hold: any allocation sized from it
-        // would abort the test.
-        for count in [301u64, u64::MAX / 12, u64::MAX] {
-            let spilled = spill_with_header(&dir, |h| h[4..].copy_from_slice(&count.to_le_bytes()));
-            let err = spilled.to_coo().expect_err("count past the file");
-            assert!(matches!(err, TensorError::Io(_)), "count {count}: {err:?}");
-            let err = spilled
-                .resort(&[1, 0, 2], &dir, &IngestOptions::new())
-                .expect_err("count past the file");
-            assert!(matches!(err, TensorError::Io(_)), "{err:?}");
-        }
+        assert_eq!(resorted.bytes_on_disk(), 2 * (20 + 20));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn header_with_the_wrong_order_is_a_typed_error() {
         let dir = tmp();
+        let t = crate::synth::uniform_random(&[10, 11, 12], 300, 8);
+        let opts = IngestOptions::new().with_policy(DuplicatePolicy::Keep);
         for order in [0u32, 4, u32::MAX] {
-            let spilled = spill_with_header(&dir, |h| h[..4].copy_from_slice(&order.to_le_bytes()));
+            let spilled = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
+            let mut bytes = std::fs::read(&spilled.runs[0]).unwrap();
+            bytes[8..12].copy_from_slice(&order.to_le_bytes());
+            std::fs::write(&spilled.runs[0], bytes).unwrap();
             let err = spilled.to_coo().expect_err("wrong order");
             assert!(
                 matches!(
@@ -1018,7 +995,7 @@ mod tests {
             .with_policy(DuplicatePolicy::Keep)
             .with_chunk_nnz(100);
         let spilled = SpilledTensor::ingest(CooSource::new(t), &opts, &dir).unwrap();
-        // Cut the last run mid-record: the header still promises 100.
+        // Cut the last run mid-record: its payload holds no whole count.
         let run = spilled.runs.last().unwrap();
         let len = std::fs::metadata(run).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(run).unwrap();
@@ -1027,7 +1004,10 @@ mod tests {
         let err = spilled
             .to_coo()
             .expect_err("a truncated run must not stream");
-        assert!(matches!(err, TensorError::Io(_)), "{err:?}");
+        assert!(
+            matches!(err, TensorError::Frame(FrameError::Length { .. })),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

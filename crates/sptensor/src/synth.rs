@@ -21,6 +21,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::hash::Fnv1a;
 use crate::{CooTensor, Index, Value};
 
 /// Scale/seed configuration for stand-in generation.
@@ -150,7 +151,8 @@ impl DatasetSpec {
     /// Generates the stand-in tensor. Deterministic in `(self, cfg)`.
     pub fn generate(&self, cfg: &SynthConfig) -> CooTensor {
         let dims = self.scaled_dims(cfg.nnz);
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ fnv1a(self.name));
+        let rng =
+            ChaCha8Rng::seed_from_u64(cfg.seed ^ Fnv1a::default().bytes(self.name.as_bytes()).0);
         generate_structured(&dims, cfg.nnz, &self.structure_params(), rng)
     }
 
@@ -161,7 +163,8 @@ impl DatasetSpec {
     /// pipeline yields the exact tensor `generate` builds, bit for bit.
     pub fn source(&self, cfg: &SynthConfig) -> SynthSource {
         let dims = self.scaled_dims(cfg.nnz);
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ fnv1a(self.name));
+        let rng =
+            ChaCha8Rng::seed_from_u64(cfg.seed ^ Fnv1a::default().bytes(self.name.as_bytes()).0);
         SynthSource::new(StructuredEntries::new(
             &dims,
             cfg.nnz,
@@ -714,24 +717,11 @@ fn calibrate_slice_alpha(i_extent: usize, nnz: usize, target: f64, seed: u64) ->
 
 /// Hashes a middle-coordinate tuple for the per-slice fiber-identity set.
 fn hash_middles(middles: &[Index]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::default();
     for &m in middles {
-        for b in m.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.bytes(&m.to_le_bytes());
     }
-    h
-}
-
-/// 64-bit FNV-1a; used only to mix dataset names into seeds.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    h.0
 }
 
 /// Zipf sampler over `0..n` ranks with exponent `alpha`

@@ -93,7 +93,7 @@ proptest! {
     fn binary_round_trips_exactly(t in arb_tensor()) {
         let mut buf = Vec::new();
         sptensor::io::write_bin(&t, &mut buf).unwrap();
-        let src = sptensor::BinSource::new(std::io::Cursor::new(&buf)).unwrap();
+        let src = sptensor::BinSource::new(&buf[..], buf.len() as u64).unwrap();
         let back = sptensor::ingest(
             src,
             &sptensor::IngestOptions::new().with_policy(sptensor::DuplicatePolicy::Keep),
@@ -110,7 +110,7 @@ proptest! {
             sptensor::TnsSource::new(std::io::BufReader::new(&bytes[..])),
             &opts,
         );
-        if let Ok(src) = sptensor::BinSource::new(std::io::Cursor::new(&bytes)) {
+        if let Ok(src) = sptensor::BinSource::new(&bytes[..], bytes.len() as u64) {
             let _ = sptensor::ingest(src, &opts);
         }
     }

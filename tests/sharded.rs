@@ -9,10 +9,10 @@ use mttkrp_repro::gpu_sim::{FaultPlan, Interconnect};
 use mttkrp_repro::mttkrp::cpd::cpd_als_sharded;
 use mttkrp_repro::mttkrp::gpu::{
     AnyFormat, BuildOptions, Executor, GpuContext, GridSpec, KernelKind, LaunchArgs, ModePlans,
-    OocOptions,
+    OocOptions, ShardModel,
 };
 use mttkrp_repro::mttkrp::reference::random_factors;
-use mttkrp_repro::mttkrp::{CpdOptions, ResilienceOptions};
+use mttkrp_repro::mttkrp::{AbftOptions, CpdOptions, ResilienceOptions};
 use mttkrp_repro::simprof::RunManifest;
 use mttkrp_repro::sptensor::synth::uniform_random;
 use mttkrp_repro::sptensor::CooTensor;
@@ -332,7 +332,6 @@ fn one_device_grid_fits_like_the_out_of_core_ladder() {
 fn verified_launches_agree_across_routes() {
     use mttkrp_repro::gpu_sim::DeviceMemory;
     use mttkrp_repro::mttkrp::gpu::ooc::plan_tiles;
-    use mttkrp_repro::mttkrp::AbftOptions;
     let ctx = GpuContext::tiny().with_faults(FaultPlan::bitflips(0.05, 0xFA17));
     let (mut detected, mut tiled) = (0usize, 0usize);
     for_each_case(|name, format, t, factors, mode| {
@@ -385,4 +384,97 @@ fn verified_launches_agree_across_routes() {
     });
     assert!(detected > 0, "bitflip:0.05 must corrupt detectable rows");
     assert_eq!(tiled, 31, "every case but F-COO's three must tile");
+}
+
+/// A grid whose shard fit fell back to the CPU reference ran no device,
+/// so it prices no all-reduce: no seconds, no bytes on the wire.
+#[test]
+fn cpu_fallback_grid_prices_no_allreduce() {
+    let ctx = GpuContext::tiny().with_faults(FaultPlan::parse("oom:1.0", 0xBEEF).unwrap());
+    let t = tensor(3);
+    let factors = random_factors(&t, RANK, 11);
+    let format = AnyFormat::build(KernelKind::Hbcsf, &t, 0, &BuildOptions::default()).unwrap();
+    let grid = Executor::new(ctx)
+        .with_grid(GridSpec::new(4, Interconnect::pcie()))
+        .run(&format, &LaunchArgs::new(&factors).with_tensor(&t))
+        .expect("valid launch")
+        .grid
+        .expect("grid report present");
+    assert!(grid.cpu_fallback, "oom:1.0 must refuse every rung");
+    assert_eq!(grid.allreduce_bytes, 0);
+    assert_eq!(grid.allreduce_seconds, 0.0);
+    assert_eq!(grid.total_seconds, grid.compute_seconds);
+}
+
+/// A grid model's OOM refusals happen once, at its build. Neither the
+/// ABFT retries of one launch nor a CPD's launches over a mode's model
+/// may count them again.
+#[test]
+fn build_time_ooms_count_once_per_model() {
+    let faulted = FaultPlan::parse("bitflip:0.05,oom:0.3", 7).unwrap();
+    let ctx = GpuContext::tiny().with_faults(faulted);
+    let grid = GridSpec::new(4, Interconnect::nvlink());
+    let t = tensor(3);
+    let factors = random_factors(&t, RANK, 11);
+    let format = AnyFormat::build(KernelKind::Hbcsf, &t, 0, &BuildOptions::default()).unwrap();
+    let args = LaunchArgs::new(&factors).with_tensor(&t);
+    let plan = Executor::new(ctx.clone()).capture(&format, &args).unwrap();
+    let build_ooms = |plan| {
+        let model = ShardModel::build(&ctx, plan, &grid, &OocOptions::default());
+        model
+            .report()
+            .shards
+            .iter()
+            .map(|s| s.oom_events)
+            .collect::<Vec<_>>()
+    };
+    let once = build_ooms(&plan);
+    assert!(once.iter().sum::<u64>() > 0, "oom:0.3 must refuse a lease");
+    let out = Executor::new(ctx.clone())
+        .with_grid(grid.clone())
+        .with_abft(AbftOptions::default())
+        .execute(&plan, &args)
+        .expect("valid launch");
+    assert!(
+        out.abft.expect("verified").retries > 0,
+        "the launch must retry"
+    );
+    let merged: Vec<u64> = out
+        .grid
+        .unwrap()
+        .shards
+        .iter()
+        .map(|s| s.oom_events)
+        .collect();
+    assert_eq!(merged, once, "retries re-counted the build's refusals");
+
+    let opts = CpdOptions {
+        rank: 4,
+        max_iters: 3,
+        tol: 0.0,
+        seed: 17,
+    };
+    let plans = ModePlans::build_hbcsf(&GpuContext::tiny(), &t, opts.rank, Default::default());
+    let (_, _, record) = cpd_als_sharded(
+        &t,
+        &opts,
+        &ResilienceOptions::default(),
+        &ctx,
+        &plans,
+        &grid,
+        &OocOptions::default(),
+        None,
+    );
+    let mut per_device = vec![0u64; 4];
+    for mode in 0..3 {
+        for (d, n) in build_ooms(plans.plan(mode)).into_iter().enumerate() {
+            per_device[d] += n;
+        }
+    }
+    let recorded: Vec<u64> = record.per_device.iter().map(|d| d.oom_events).collect();
+    assert!(record.launches > 3, "one launch per mode and iteration");
+    assert_eq!(
+        recorded, per_device,
+        "launches re-counted the build's refusals"
+    );
 }
