@@ -206,19 +206,6 @@ impl KernelLaunch {
             .map(WarpWork::bytes)
             .sum()
     }
-
-    /// Drops the growth slack of every warp's instruction stream, for a
-    /// launch that is complete and kept. A stream with slack is copied
-    /// into an exact allocation rather than shrunk in place: an in-place
-    /// shrink frees an odd-sized tail per warp, and tens of thousands of
-    /// those slowed the allocations of the next capture by a third.
-    pub fn trim(&mut self) {
-        for warp in self.blocks.iter_mut().flat_map(|b| &mut b.warps) {
-            if warp.words.capacity() > warp.words.len() {
-                warp.words = warp.words.to_vec();
-            }
-        }
-    }
 }
 
 /// Bump allocator handing out synthetic device addresses, 128-B aligned.

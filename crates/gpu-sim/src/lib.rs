@@ -20,7 +20,10 @@
 //!   (compute throughput vs. memory throughput vs. the critical warp) and
 //!   greedy list scheduling of blocks onto SMs. Returns a [`SimResult`]
 //!   with makespan, `sm_efficiency`, `achieved_occupancy`, L2 hit rate and
-//!   GFLOPs.
+//!   GFLOPs. It runs [`cost_pass`] (the per-block costs, as a
+//!   [`CostTable`]) then [`schedule_pass`] (the grid schedule and fault
+//!   injection over that table); callers that keep the table schedule it
+//!   again without the instruction stream.
 //!
 //! ## Fidelity envelope
 //!
@@ -51,8 +54,8 @@ pub use interconnect::Interconnect;
 pub use mem::{AllocRecord, DeviceMemory, MemError, MemLease, OomEvent};
 pub use memtrace::{replay_launch, LaunchTrace, MemTraceRecorder, ReplayCheck, TraceAccess};
 pub use sched::{
-    co_resident_makespan, simulate, simulate_faulted, simulate_instrumented, simulate_profiled,
-    simulate_with_timeline, AtomicRowCharge, BlockCost, BlockPlacement, SimInstruments, SimProfile,
-    SimResult, StallReason, Timeline,
+    co_resident_makespan, cost_pass, schedule_pass, simulate, simulate_faulted,
+    simulate_instrumented, simulate_profiled, simulate_with_timeline, AtomicRowCharge, BlockCost,
+    BlockPlacement, CostTable, SimInstruments, SimProfile, SimResult, StallReason, Timeline,
 };
 pub use trace::{append_chrome_trace, chrome_trace};

@@ -20,6 +20,16 @@
 //! number of *other* blocks that update the same output row, which is what
 //! makes unsplit COO kernels (ParTI) pay for hot rows and makes slc-split's
 //! extra atomics "well tolerated" (few writers per row).
+//!
+//! **Two passes.** [`cost_pass`] does the warp and block levels: it walks
+//! the instruction stream (writer counts, the L2 replay, the per-block
+//! folds) and yields a [`CostTable`]. [`schedule_pass`] does the grid
+//! level over that table alone: list scheduling, fault injection (aborts,
+//! stragglers and flips key only on the launch name and block index), the
+//! `sim.*` counters and the `kernel-launch` event. Every `simulate*` entry
+//! point runs the two in sequence, so a caller that keeps the table —
+//! a captured plan — can schedule under any fault plan, bit for bit,
+//! without keeping the stream.
 
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -214,29 +224,48 @@ pub struct SimProfile {
     pub faults: Vec<InjectedFault>,
 }
 
-/// Shared first half of the machine model: replay the launch through the
-/// L2 in launch order, apply the instruction cost model, and fold every
-/// block into its roofline cost. Both schedulers ([`simulate`] and
-/// [`co_resident_makespan`]) consume this.
-struct CostPass {
-    blocks: Vec<BlockCost>,
-    total_flops: u64,
-    mem_segments: u64,
-    atomic_ops: u64,
-    num_warps: usize,
-    l2_hit_rate: f64,
+/// The cost pass's output: every non-empty block of a launch folded into
+/// its roofline [`BlockCost`], in launch order, plus the launch-wide
+/// counters the L2 replay and the folds produce. It is a function of the
+/// launch and the device and cost model alone — never of a fault plan,
+/// whose draws key only on the launch name and the block index — so a
+/// caller that keeps it can run the scheduling pass ([`schedule_pass`])
+/// under any fault plan without the instruction stream.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CostTable {
+    /// One entry per launch block with a non-empty warp, in launch order.
+    pub blocks: Vec<BlockCost>,
+    pub total_flops: u64,
+    pub mem_segments: u64,
+    pub atomic_ops: u64,
+    pub num_warps: usize,
+    pub l2_hit_rate: f64,
     /// Per-row atomic charges, hottest first. Only populated when the
     /// pass runs with `detail = true`; empty otherwise.
-    atomic_rows: Vec<AtomicRowCharge>,
+    pub atomic_rows: Vec<AtomicRowCharge>,
 }
 
-fn compute_block_costs(
+impl CostTable {
+    /// Bytes of the table's two arrays.
+    pub fn bytes(&self) -> usize {
+        self.blocks.len() * std::mem::size_of::<BlockCost>()
+            + self.atomic_rows.len() * std::mem::size_of::<AtomicRowCharge>()
+    }
+}
+
+/// The cost pass, the first half of the machine model: count the writer
+/// blocks of every atomic row (pass 1), replay the launch through the L2
+/// in launch order (pass 2a), and fold every block into its roofline cost
+/// (pass 2b). `detail` adds the per-row atomic charges; `trace` records
+/// the sampled L2 address stream. Both schedulers ([`schedule_pass`] and
+/// [`co_resident_makespan`]) consume its table.
+pub fn cost_pass(
     dev: &DeviceProfile,
     cost: &CostModel,
     launch: &KernelLaunch,
     detail: bool,
     trace: Option<&MemTraceRecorder>,
-) -> CostPass {
+) -> CostTable {
     assert_eq!(
         dev.line_bytes as u64,
         crate::grid::SEG_BYTES,
@@ -379,7 +408,7 @@ fn compute_block_costs(
             .then(a.row.cmp(&b.row))
     });
 
-    CostPass {
+    CostTable {
         blocks,
         total_flops,
         mem_segments,
@@ -566,13 +595,54 @@ fn simulate_inner(
     plan: Option<&FaultPlan>,
     instruments: SimInstruments<'_>,
 ) -> (SimResult, SimProfile) {
+    let _span = registry
+        .enabled()
+        .then(|| registry.span(&format!("simulate {}", launch.name), "sim"));
+    let costs = cost_pass(dev, cost, launch, registry.enabled(), instruments.trace);
+    schedule(
+        dev,
+        &launch.name,
+        costs,
+        registry,
+        plan,
+        instruments.telemetry,
+    )
+}
+
+/// The scheduling pass, the second half of the machine model: list-
+/// schedules the blocks of a [`CostTable`] onto the SMs of `dev` under an
+/// optional [`FaultPlan`], records the `sim.*` counters into an enabled
+/// `registry` (under a `simulate {name}` span) and emits one
+/// `kernel-launch` event on `telemetry`. `name` is the launch name the
+/// fault draws key on. Run over the table [`cost_pass`] computed from a
+/// launch, with `detail` set as `registry` is enabled, it returns bit for
+/// bit what [`simulate_instrumented`] returns for that launch.
+pub fn schedule_pass(
+    dev: &DeviceProfile,
+    name: &str,
+    costs: &CostTable,
+    registry: &Registry,
+    plan: Option<&FaultPlan>,
+    telemetry: Option<&Telemetry>,
+) -> (SimResult, SimProfile) {
+    let _span = registry
+        .enabled()
+        .then(|| registry.span(&format!("simulate {name}"), "sim"));
+    let plan = plan.filter(|p| p.is_active());
+    schedule(dev, name, costs.clone(), registry, plan, telemetry)
+}
+
+/// [`schedule_pass`] over an owned table, without the span.
+fn schedule(
+    dev: &DeviceProfile,
+    name: &str,
+    costs: CostTable,
+    registry: &Registry,
+    plan: Option<&FaultPlan>,
+    telemetry: Option<&Telemetry>,
+) -> (SimResult, SimProfile) {
     let profiling = registry.enabled();
-    let _span = if profiling {
-        Some(registry.span(&format!("simulate {}", launch.name), "sim"))
-    } else {
-        None
-    };
-    let CostPass {
+    let CostTable {
         blocks,
         total_flops,
         mem_segments,
@@ -580,7 +650,7 @@ fn simulate_inner(
         num_warps,
         l2_hit_rate,
         atomic_rows,
-    } = compute_block_costs(dev, cost, launch, profiling, instruments.trace);
+    } = costs;
 
     // ---- Pass 3: greedy list scheduling of blocks onto SMs. ----
     #[derive(PartialEq)]
@@ -622,7 +692,7 @@ fn simulate_inner(
     // of this runs and `cycles` is untouched — bit-for-bit fault-free.
     let stragglers: Vec<bool> = match plan {
         Some(p) => (0..dev.num_sms)
-            .map(|sm| p.sm_straggler(&launch.name, sm))
+            .map(|sm| p.sm_straggler(name, sm))
             .collect(),
         None => Vec::new(),
     };
@@ -631,7 +701,7 @@ fn simulate_inner(
     for (b, block) in blocks.iter().enumerate() {
         let mut cycles = block.cycles;
         if let Some(p) = plan {
-            if p.block_aborts(&launch.name, b) {
+            if p.block_aborts(name, b) {
                 // ECC retire: the first execution is wasted, the retry
                 // lands on the same SM right after.
                 faults.push(InjectedFault {
@@ -652,7 +722,7 @@ fn simulate_inner(
                 fault_extra_cycles += cycles * (p.straggler_slowdown - 1.0);
                 cycles *= p.straggler_slowdown;
             }
-            if let Some(flip) = p.block_bitflip(&launch.name, b) {
+            if let Some(flip) = p.block_bitflip(name, b) {
                 faults.push(InjectedFault {
                     block: b,
                     kind: FaultKind::BitFlip { bit: flip.bit },
@@ -697,7 +767,7 @@ fn simulate_inner(
     };
 
     let result = SimResult {
-        kernel: launch.name.clone(),
+        kernel: name.to_string(),
         makespan_cycles: makespan,
         time_s,
         sm_efficiency,
@@ -757,7 +827,7 @@ fn simulate_inner(
         }
     }
 
-    if let Some(tel) = instruments.telemetry {
+    if let Some(tel) = telemetry {
         if tel.enabled() {
             tel.emit(
                 "kernel-launch",
@@ -807,7 +877,7 @@ pub fn co_resident_makespan(
         .clamp(1, dev.max_blocks_per_sm)
         .max(1);
     let executors = dev.num_sms * k;
-    let pass = compute_block_costs(dev, cost, launch, false, None);
+    let pass = cost_pass(dev, cost, launch, false, None);
     let mut finish_times = vec![0.0f64; executors];
     let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
         (0..executors).map(|i| std::cmp::Reverse((0, i))).collect();
@@ -824,6 +894,7 @@ pub fn co_resident_makespan(
 mod tests {
     use super::*;
     use crate::grid::{BlockWork, WarpWork};
+    use proptest::prelude::*;
 
     fn dev() -> DeviceProfile {
         DeviceProfile::tiny() // 4 SMs
@@ -1428,5 +1499,111 @@ mod tests {
             profile.blocks[0].stall_reason(),
             StallReason::MemoryThroughputBound
         );
+    }
+
+    /// The cost pass then the scheduling pass, as a plan runs them.
+    fn split(
+        launch: &KernelLaunch,
+        registry: &Registry,
+        plan: Option<&FaultPlan>,
+    ) -> (SimResult, SimProfile) {
+        let d = dev();
+        let c = CostModel::default();
+        let costs = cost_pass(&d, &c, launch, registry.enabled(), None);
+        schedule_pass(&d, &launch.name, &costs, registry, plan, None)
+    }
+
+    fn same_profile(a: &SimProfile, b: &SimProfile) {
+        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.placements, b.placements);
+        assert_eq!(a.atomic_rows, b.atomic_rows);
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.timeline.spans, b.timeline.spans);
+    }
+
+    #[test]
+    fn split_passes_equal_the_fused_simulation() {
+        let d = dev();
+        let c = CostModel::default();
+        let launch = mixed_launch();
+        let plans = [
+            None,
+            Some(FaultPlan::parse("bitflip:0.3,abort:0.3,straggler:0.5", 11).expect("valid")),
+            Some(
+                FaultPlan::parse("abort:1.0", 3)
+                    .expect("valid")
+                    .with_attempt(2),
+            ),
+        ];
+        for plan in &plans {
+            for profiled in [false, true] {
+                let (r1, r2) = if profiled {
+                    (Registry::new(), Registry::new())
+                } else {
+                    (Registry::disabled(), Registry::disabled())
+                };
+                let fused = simulate_instrumented(
+                    &d,
+                    &c,
+                    &launch,
+                    &r1,
+                    plan.as_ref(),
+                    SimInstruments::default(),
+                );
+                let parts = split(&launch, &r2, plan.as_ref());
+                assert_eq!(fused.0, parts.0);
+                same_profile(&fused.1, &parts.1);
+                assert_eq!(r1.counters(), r2.counters());
+                assert_eq!(r1.spans().len(), r2.spans().len());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random launches, empty blocks and warps included: the split
+        /// passes give the fused simulation's bits under any fault seed.
+        #[test]
+        fn split_passes_match_on_random_launches(
+            shape in proptest::collection::vec((0u32..4, 0u32..6, 0u64..64), 0..24),
+            seed in 0u64..1_000,
+        ) {
+            let mut launch = KernelLaunch::new("rand");
+            for (b, &(warps, ops, base)) in shape.iter().enumerate() {
+                let mut blk = BlockWork::new();
+                for w in 0..warps {
+                    let mut warp = WarpWork::new();
+                    for o in 0..ops {
+                        warp.push(match (o + w) % 4 {
+                            0 => Op::Fma(1 + o),
+                            1 => Op::Load(base + u64::from(o)),
+                            2 => Op::AtomicAdd { row: (base as u32 + o) % 5, seg: 9_000 + base },
+                            _ => Op::Replay(o),
+                        });
+                    }
+                    blk.warps.push(warp);
+                }
+                if b % 7 == 3 {
+                    blk.warps.clear();
+                }
+                launch.blocks.push(blk);
+            }
+            let plan = FaultPlan::parse("bitflip:0.2,abort:0.2,straggler:0.3", seed).expect("valid");
+            for plan in [None, Some(&plan)] {
+                let fused = simulate_faulted(
+                    &dev(),
+                    &CostModel::default(),
+                    &launch,
+                    &Registry::disabled(),
+                    plan.unwrap_or(&FaultPlan::disabled()),
+                );
+                let parts = split(&launch, &Registry::disabled(), plan);
+                prop_assert_eq!(&fused.0, &parts.0);
+                prop_assert_eq!(&fused.1.blocks, &parts.1.blocks);
+                prop_assert_eq!(&fused.1.placements, &parts.1.placements);
+                prop_assert_eq!(&fused.1.faults, &parts.1.faults);
+            }
+        }
     }
 }

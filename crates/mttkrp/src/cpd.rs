@@ -463,8 +463,9 @@ impl<'a> PlanSource<'a> {
         let models: Vec<ShardModel> = (0..self.t.order())
             .map(|m| ShardModel::build(self.ctx, self.plans.plan(m), grid, oopts))
             .collect();
-        // A model's OOM refusals happen once, at its build: they count
-        // here, not per launch.
+        // A model's OOM refusals, and the compute its lost devices wasted
+        // before dying, happen once, at its build: they count here, not
+        // per launch.
         let per_device = (models.iter().flat_map(|m| m.report().shards))
             .map(|s| DeviceRecord {
                 device: s.device,
@@ -473,6 +474,7 @@ impl<'a> PlanSource<'a> {
             })
             .collect();
         self.grid.merge(&GridRecord {
+            compute_seconds: models.iter().map(|m| m.report().wasted_seconds).sum(),
             per_device,
             ..GridRecord::default()
         });
@@ -500,6 +502,7 @@ impl MttkrpSource for &mut PlanSource<'_> {
         }
         for g in &grids {
             let mut launch = g.to_record();
+            launch.compute_seconds -= g.wasted_seconds;
             launch.per_device.iter_mut().for_each(|d| d.oom_events = 0);
             self.grid.merge(&launch);
         }

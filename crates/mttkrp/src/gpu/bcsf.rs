@@ -18,8 +18,8 @@ use gpu_sim::{AddressSpace, ArraySpan, BlockWork, Op, WarpWork};
 use sptensor::Index;
 use tensor_formats::Bcsf;
 
-use super::common::{load_u32s, FactorAddrs, GpuContext};
-use super::plan::{MemoryFootprint, Plan, PlanBuilder};
+use super::common::{load_u32s, FactorAddrs};
+use super::plan::{MemoryFootprint, PlanBuilder};
 
 /// Synthetic addresses of the B-CSF arrays.
 pub(crate) struct BcsfSpans {
@@ -50,23 +50,23 @@ impl BcsfSpans {
     }
 }
 
-/// Captures the B-CSF kernel as a replayable [`Plan`] for rank `rank`;
-/// the output mode is `bcsf.csf.perm[0]`.
-pub(crate) fn plan_named(ctx: &GpuContext, bcsf: &Bcsf, rank: usize, name: &str) -> Plan {
+/// The B-CSF capture body (also the naive GPU-CSF's, over an unsplit
+/// B-CSF): lays out the arrays for rank `rank` and emits every block into
+/// `pb`, `warps_per_block` warps at most per block. The output mode is
+/// `bcsf.csf.perm[0]`.
+pub(crate) fn capture_into(bcsf: &Bcsf, rank: usize, warps_per_block: usize, pb: &mut PlanBuilder) {
     let mode = bcsf.csf.perm[0];
     let mut space = AddressSpace::new();
     let fa = FactorAddrs::layout(&mut space, &bcsf.csf.dims, rank, mode);
     let spans = BcsfSpans::alloc(&mut space, bcsf);
-    let mut pb = PlanBuilder::new(name, mode, rank, bcsf.csf.dims[mode] as usize);
     pb.set_footprint(MemoryFootprint::from_layout(&space, &fa));
-    emit(ctx, bcsf, &fa, &spans, &mut pb);
-    pb.finish(ctx)
+    emit(warps_per_block, bcsf, &fa, &spans, pb);
 }
 
 /// Emits the kernel's blocks into the builder's launch and records the
 /// replay schedule (callable from the HB-CSF composite kernel).
 pub(crate) fn emit(
-    ctx: &GpuContext,
+    warps_per_block: usize,
     bcsf: &Bcsf,
     fa: &FactorAddrs,
     spans: &BcsfSpans,
@@ -85,7 +85,7 @@ pub(crate) fn emit(
         let i = csf.level_idx[0][asg.slice as usize] as usize;
         let fibers = asg.fibers();
         let nfibers = fibers.len();
-        let nwarps = ctx.warps_per_block.min(nfibers).max(1);
+        let nwarps = warps_per_block.min(nfibers).max(1);
         // `.max(1)`: a zero-fiber assignment must not turn into
         // `step_by(0)` (panic) — it emits an empty block instead.
         let per_warp = nfibers.div_ceil(nwarps).max(1);
@@ -154,7 +154,7 @@ pub(crate) fn emit(
             }
         }
         block.warps = warps;
-        pb.launch.blocks.push(block);
+        pb.push_block(block);
     }
 }
 
@@ -188,7 +188,7 @@ fn fiber_ancestors(bcsf: &Bcsf) -> Vec<Vec<Index>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{BuildOptions, Executor, GpuRun, KernelKind, LaunchArgs};
+    use crate::gpu::{BuildOptions, Executor, GpuContext, GpuRun, KernelKind, LaunchArgs};
     use crate::reference;
     use dense::Matrix;
     use sptensor::synth::{standin, uniform_random, SynthConfig};

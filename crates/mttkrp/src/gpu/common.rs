@@ -11,9 +11,8 @@ use std::sync::Arc;
 
 use dense::Matrix;
 use gpu_sim::{
-    simulate, simulate_instrumented, AddressSpace, ArraySpan, BitFlip, CostModel, DeviceMemory,
-    DeviceProfile, FaultPlan, KernelLaunch, MemTraceRecorder, SimInstruments, SimProfile,
-    SimResult, WarpWork,
+    AddressSpace, ArraySpan, BitFlip, CostModel, DeviceMemory, DeviceProfile, FaultPlan,
+    MemTraceRecorder, SimProfile, SimResult, WarpWork,
 };
 use sptensor::Index;
 
@@ -107,17 +106,6 @@ impl GpuContext {
         self
     }
 
-    /// The observability hooks canonical (sequential) simulation sites
-    /// pass to [`simulate_instrumented`]. Parallel estimate sites (tile
-    /// sizing, shard fitting) must NOT use this: event order would become
-    /// scheduling-dependent.
-    pub(crate) fn instruments(&self) -> SimInstruments<'_> {
-        SimInstruments {
-            telemetry: Some(&self.telemetry),
-            trace: self.memtrace.as_deref(),
-        }
-    }
-
     /// Whether launches through this context collect profiles.
     pub fn profiling(&self) -> bool {
         self.registry.enabled()
@@ -169,49 +157,6 @@ impl GpuContext {
     /// carries an active fault plan; otherwise a zero-cost pass-through.
     pub fn abft_sink(&self, kernel: &str, rows: usize) -> AbftSink {
         AbftSink::new(self.fault_plan().cloned(), kernel, rows)
-    }
-
-    /// Runs a launch through the simulator (metrics only).
-    pub fn simulate(&self, launch: &KernelLaunch) -> SimResult {
-        simulate(&self.device, &self.cost, launch)
-    }
-
-    /// Completes a kernel: simulates `launch`, records into the context's
-    /// registry, and pairs the metrics with the computed output. The
-    /// per-block [`SimProfile`] is kept only when profiling is enabled.
-    pub fn finish(&self, y: Matrix, launch: &KernelLaunch) -> GpuRun {
-        self.finish_abft(y, launch, AbftSink::inactive())
-    }
-
-    /// [`GpuContext::finish`] for kernels that routed their output commits
-    /// through an [`AbftSink`]: flushes the sink's last pending fault into
-    /// `y`, simulates under the fault plan (when active), and attaches the
-    /// ABFT checksum data to the run. With no active plan this is exactly
-    /// the historical `finish` path.
-    pub fn finish_abft(&self, mut y: Matrix, launch: &KernelLaunch, mut sink: AbftSink) -> GpuRun {
-        sink.flush(&mut y);
-        let plan = self.fault_plan();
-        let (sim, profile) = simulate_instrumented(
-            &self.device,
-            &self.cost,
-            launch,
-            &self.registry,
-            plan,
-            self.instruments(),
-        );
-        // Faulted runs always keep the profile: the injected-fault ledger
-        // lives there and resilience reporting needs it.
-        let keep = plan.is_some() || self.profiling();
-        GpuRun {
-            y,
-            sim,
-            profile: keep.then_some(profile),
-            abft: if plan.is_some() {
-                sink.into_data()
-            } else {
-                None
-            },
-        }
     }
 }
 
@@ -377,8 +322,8 @@ impl AbftSink {
     }
 
     /// The finished checksum record (`None` for inactive sinks). Callers
-    /// must have flushed the final block first (`finish_abft` and
-    /// [`crate::gpu::plan::Plan::execute`] do).
+    /// must have flushed the final block first
+    /// ([`crate::gpu::plan::Plan::execute`] does).
     pub(crate) fn into_data(mut self) -> Option<AbftData> {
         self.plan.as_ref()?;
         self.corrupted_rows.sort_unstable();

@@ -2,26 +2,19 @@
 //! Table II profiles: one thread block per slice, fibers across warps, no
 //! splitting. Structurally this is the B-CSF kernel with both splits
 //! disabled, which is exactly how the paper frames it ("we term our GPU
-//! implementation of CSF as B-CSF" after fixing this kernel's imbalance).
-
-use tensor_formats::{Bcsf, BcsfOptions, Csf};
-
-use super::common::GpuContext;
-
-/// The capture body behind [`Csf`]'s `MttkrpKernel` impl.
-pub(crate) fn plan_impl(ctx: &GpuContext, csf: &Csf, rank: usize) -> super::plan::Plan {
-    let bcsf = Bcsf::from_csf(csf.clone(), BcsfOptions::unsplit());
-    super::bcsf::plan_named(ctx, &bcsf, rank, "gpu-csf")
-}
+//! implementation of CSF as B-CSF" after fixing this kernel's imbalance):
+//! a [`Csf`](tensor_formats::Csf) captures as an unsplit
+//! [`Bcsf`](tensor_formats::Bcsf) under the name `gpu-csf`, and its plan
+//! keeps that B-CSF to re-emit from.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::gpu::{Executor, GpuRun, KernelKind, LaunchArgs};
+    use crate::gpu::{Executor, GpuContext, GpuRun, KernelKind, LaunchArgs};
     use crate::reference;
     use dense::Matrix;
     use sptensor::synth::{standin, uniform_random, SynthConfig};
     use sptensor::CooTensor;
+    use tensor_formats::Csf;
 
     fn build_and_run(ctx: &GpuContext, t: &CooTensor, factors: &[Matrix], mode: usize) -> GpuRun {
         Executor::new(ctx.clone())

@@ -11,8 +11,8 @@
 use gpu_sim::{AddressSpace, ArraySpan, BlockWork, Op, WarpWork};
 use tensor_formats::Csl;
 
-use super::common::{load_u32s, FactorAddrs, GpuContext};
-use super::plan::{MemoryFootprint, Plan, PlanBuilder};
+use super::common::{load_u32s, FactorAddrs};
+use super::plan::{MemoryFootprint, PlanBuilder};
 
 /// Target nonzeros per warp. One 32-wide chunk keeps CSL's block
 /// granularity (16 warps × 32 = 512 nonzeros) identical to B-CSF's binning,
@@ -79,32 +79,28 @@ fn pack_warps(csl: &Csl, quota: usize) -> Vec<WarpJob> {
     jobs
 }
 
-/// Captures the CSL kernel as a replayable [`Plan`] for rank `rank`;
-/// output mode is `csl.perm[0]`. The capture body behind [`Csl`]'s
-/// `MttkrpKernel` impl.
-pub(crate) fn plan_impl(ctx: &GpuContext, csl: &Csl, rank: usize) -> Plan {
+/// The CSL capture body: lays out the arrays for rank `rank` and emits
+/// every block into `pb`. The output mode is `csl.perm[0]`.
+pub(crate) fn capture_into(csl: &Csl, rank: usize, warps_per_block: usize, pb: &mut PlanBuilder) {
     let mode = csl.perm[0];
     let mut space = AddressSpace::new();
     let fa = FactorAddrs::layout(&mut space, &csl.dims, rank, mode);
     let spans = CslSpans::alloc(&mut space, csl);
-    let mut pb = PlanBuilder::new("csl", mode, rank, csl.dims[mode] as usize);
     pb.set_footprint(MemoryFootprint::from_layout(&space, &fa));
-    emit(ctx, csl, &fa, &spans, &mut pb);
-    pb.finish(ctx)
+    emit(warps_per_block, csl, &fa, &spans, pb);
 }
 
 /// Emits the CSL kernel into the builder's launch and replay schedule.
 pub(crate) fn emit(
-    ctx: &GpuContext,
+    warps_per_block: usize,
     csl: &Csl,
     fa: &FactorAddrs,
     spans: &CslSpans,
     pb: &mut PlanBuilder,
 ) {
-    let order = csl.order();
     let jobs = pack_warps(csl, NNZ_PER_WARP);
 
-    for block_jobs in jobs.chunks(ctx.warps_per_block) {
+    for block_jobs in jobs.chunks(warps_per_block) {
         pb.begin_block();
         let mut block = BlockWork::new();
         for job in block_jobs {
@@ -141,15 +137,14 @@ pub(crate) fn emit(
             }
             block.warps.push(w);
         }
-        pb.launch.blocks.push(block);
+        pb.push_block(block);
     }
-    let _ = order;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{Executor, GpuRun, KernelKind};
+    use crate::gpu::{Executor, GpuContext, GpuRun, KernelKind};
     use crate::reference;
     use dense::Matrix;
     use sptensor::synth::{standin, uniform_random, SynthConfig};

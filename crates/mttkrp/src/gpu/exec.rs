@@ -11,6 +11,8 @@
 //! launch path over a route (plain replay, the out-of-core ladder, or a
 //! grid's [`ShardModel`]), the one place a launch is ABFT-verified.
 
+use std::sync::Arc;
+
 use dense::Matrix;
 use sptensor::CooTensor;
 
@@ -390,8 +392,10 @@ impl Executor {
         factors: &[Matrix],
         mode: usize,
     ) -> Result<Execution, LaunchError> {
-        let format = AnyFormat::build(kind, t, mode, &self.build)?;
-        self.run(&format, &LaunchArgs::new(factors).with_tensor(t))
+        let format = Arc::new(AnyFormat::build(kind, t, mode, &self.build)?);
+        let args = LaunchArgs::new(factors).with_tensor(t);
+        let rank = args.validate_for_kernel(&*format)?;
+        self.execute(&format.capture_shared(&self.ctx, rank), &args)
     }
 
     /// Executes a captured plan down the configured route:
@@ -469,19 +473,19 @@ impl Executor {
 /// and per-device run counters accumulate across attempts (the attempts
 /// really ran back to back), high-water marks take the max, and a CPU
 /// fallback on any attempt marks the merged report. The attempts replay
-/// one model, whose OOM refusals happened once, at its build, so they
-/// count once. Attempt reports share the grid spec, so shards line up
-/// by position (= device ordinal).
+/// one model, whose OOM refusals and lost devices happened once, at its
+/// build, so they count once: the compute a lost device wasted before
+/// dying is in the first attempt's times only. Attempt reports share the
+/// grid spec, so shards line up by position (= device ordinal).
 fn merge_grid_reports(reports: Vec<GridReport>) -> Option<GridReport> {
     let mut it = reports.into_iter();
     let mut acc = it.next()?;
     for r in it {
-        acc.compute_seconds += r.compute_seconds;
+        acc.compute_seconds += r.compute_seconds - r.wasted_seconds;
         acc.allreduce_seconds += r.allreduce_seconds;
         acc.allreduce_bytes += r.allreduce_bytes;
-        acc.total_seconds += r.total_seconds;
+        acc.total_seconds += r.total_seconds - r.wasted_seconds;
         acc.cpu_fallback |= r.cpu_fallback;
-        acc.wasted_seconds += r.wasted_seconds;
         for d in r.lost_devices {
             if !acc.lost_devices.contains(&d) {
                 acc.lost_devices.push(d);

@@ -22,20 +22,19 @@
 use gpu_sim::{AddressSpace, ArraySpan, BlockWork, Op, WarpWork};
 use tensor_formats::Fcoo;
 
-use super::common::{FactorAddrs, GpuContext};
-use super::plan::{MemoryFootprint, Plan, PlanBuilder};
+use super::common::FactorAddrs;
+use super::plan::{MemoryFootprint, PlanBuilder};
 
 /// Default per-thread chunk length (the framework's tuning sweet spot in
 /// our packing; the paper tunes over {8, 16, 32, 64}).
 pub const DEFAULT_THREADLEN: usize = 8;
 
-/// Captures the F-COO kernel (both passes) as a replayable [`Plan`];
-/// output mode is `fcoo.perm[0]`. The capture body behind [`Fcoo`]'s
-/// `MttkrpKernel` impl.
+/// The F-COO capture body (both passes) for rank `rank`; the output mode
+/// is `fcoo.perm[0]`.
 ///
 /// # Panics
 /// If the tensor is not third-order.
-pub(crate) fn plan_impl(ctx: &GpuContext, fcoo: &Fcoo, rank: usize) -> Plan {
+pub(crate) fn capture_into(fcoo: &Fcoo, rank: usize, warps_per_block: usize, pb: &mut PlanBuilder) {
     assert_eq!(
         fcoo.order(),
         3,
@@ -67,17 +66,16 @@ pub(crate) fn plan_impl(ctx: &GpuContext, fcoo: &Fcoo, rank: usize) -> Plan {
     let tl = fcoo.threadlen;
     let warp_span = 32 * tl;
 
-    let mut pb = PlanBuilder::new("f-coo-gpu", mode, rank, fcoo.dims[mode] as usize);
     pb.set_footprint(MemoryFootprint::from_layout(&space, &fa));
     let mut warp_base = 0usize;
     let mut boundary_rows: Vec<u32> = Vec::new();
     'outer: loop {
         pb.begin_block();
         let mut block = BlockWork::new();
-        for _ in 0..ctx.warps_per_block {
+        for _ in 0..warps_per_block {
             if warp_base >= fcoo.nnz() {
                 if !block.warps.is_empty() {
-                    pb.launch.blocks.push(block);
+                    pb.push_block(block);
                 }
                 break 'outer;
             }
@@ -174,7 +172,7 @@ pub(crate) fn plan_impl(ctx: &GpuContext, fcoo: &Fcoo, rank: usize) -> Plan {
             block.warps.push(w);
             warp_base = warp_end;
         }
-        pb.launch.blocks.push(block);
+        pb.push_block(block);
     }
 
     // ---- Pass 2: global segmented reduction of the spilled boundary
@@ -187,7 +185,7 @@ pub(crate) fn plan_impl(ctx: &GpuContext, fcoo: &Fcoo, rank: usize) -> Plan {
     while idx < boundary_rows.len() {
         pb.begin_block();
         let mut block = BlockWork::new();
-        for _ in 0..ctx.warps_per_block {
+        for _ in 0..warps_per_block {
             if idx >= boundary_rows.len() {
                 break;
             }
@@ -203,10 +201,8 @@ pub(crate) fn plan_impl(ctx: &GpuContext, fcoo: &Fcoo, rank: usize) -> Plan {
             block.warps.push(w);
             idx = end;
         }
-        pb.launch.blocks.push(block);
+        pb.push_block(block);
     }
-
-    pb.finish(ctx)
 }
 
 /// Emits the segments touched when 32 lanes read 4-byte entries at
@@ -238,7 +234,7 @@ fn emit_strided_step(
 mod tests {
     use super::*;
     use crate::gpu::{
-        AnyFormat, BuildOptions, Executor, GpuRun, KernelKind, LaunchArgs, LaunchError,
+        AnyFormat, BuildOptions, Executor, GpuContext, GpuRun, KernelKind, LaunchArgs, LaunchError,
         MttkrpKernel,
     };
     use crate::reference;

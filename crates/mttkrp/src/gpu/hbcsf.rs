@@ -15,27 +15,18 @@ use gpu_sim::{AddressSpace, BlockWork, Op, WarpWork};
 use tensor_formats::Hbcsf;
 
 use super::bcsf::BcsfSpans;
-use super::common::{load_u32s, FactorAddrs, GpuContext};
+use super::common::{load_u32s, FactorAddrs};
 use super::csl::CslSpans;
-use super::plan::{MemoryFootprint, Plan, PlanBuilder};
+use super::plan::{MemoryFootprint, PlanBuilder};
 
-/// Captures the composite kernel as a replayable [`Plan`] for rank
-/// `rank`: one fused launch, block indices running across the three
-/// groups, output mode `h.perm[0]`. The capture body behind [`Hbcsf`]'s
-/// `MttkrpKernel` impl and [`super::plan::ModePlans`].
-pub(crate) fn plan_impl(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Plan {
-    let mode = h.perm[0];
-    let mut pb = PlanBuilder::new("hb-csf", mode, rank, h.dims[mode] as usize);
-    capture_into(ctx, h, rank, &mut pb);
-    pb.finish(ctx)
-}
-
-/// The capture body behind [`plan_impl`], parameterized over the builder
-/// so the streaming capture (`super::stream`) can run it with a
-/// weights-only or a sharded builder. The emit sequence — and with
+/// The composite kernel's capture body for rank `rank`: one fused
+/// launch, block indices running across the three groups, output mode
+/// `h.perm[0]`. Parameterized over the builder, so the streaming capture
+/// (`super::stream`) runs it with a weights-only or a sharded builder and
+/// a plan re-emits block ranges through it. The emit sequence — and with
 /// it every block ordinal and weight — is identical regardless of what
 /// the builder retains.
-pub(crate) fn capture_into(ctx: &GpuContext, h: &Hbcsf, rank: usize, pb: &mut PlanBuilder) {
+pub(crate) fn capture_into(h: &Hbcsf, rank: usize, warps_per_block: usize, pb: &mut PlanBuilder) {
     let mode = h.perm[0];
     let mut space = AddressSpace::new();
     let fa = FactorAddrs::layout(&mut space, &h.dims, rank, mode);
@@ -54,14 +45,14 @@ pub(crate) fn capture_into(ctx: &GpuContext, h: &Hbcsf, rank: usize, pb: &mut Pl
 
     // Heavy group first: the longest blocks enter the SM schedule earliest,
     // which is the standard heavy-first heuristic a real launch order uses.
-    super::bcsf::emit(ctx, &h.bcsf, &fa, &bcsf_spans, pb);
-    super::csl::emit(ctx, &h.csl, &fa, &csl_spans, pb);
-    emit_coo_group(ctx, h, &fa, &coo_spans, coo_vals_span, pb);
+    super::bcsf::emit(warps_per_block, &h.bcsf, &fa, &bcsf_spans, pb);
+    super::csl::emit(warps_per_block, &h.csl, &fa, &csl_spans, pb);
+    emit_coo_group(warps_per_block, h, &fa, &coo_spans, coo_vals_span, pb);
 }
 
 /// COO group: warps of 32 single-nonzero slices, plain stores.
 fn emit_coo_group(
-    ctx: &GpuContext,
+    warps_per_block: usize,
     h: &Hbcsf,
     fa: &FactorAddrs,
     coord_spans: &[gpu_sim::ArraySpan],
@@ -69,7 +60,7 @@ fn emit_coo_group(
     pb: &mut PlanBuilder,
 ) {
     let m = h.coo_vals.len();
-    let per_block = 32 * ctx.warps_per_block;
+    let per_block = 32 * warps_per_block;
     for block_start in (0..m).step_by(per_block) {
         pb.begin_block();
         let mut block = BlockWork::new();
@@ -96,14 +87,13 @@ fn emit_coo_group(
             }
             block.warps.push(w);
         }
-        pb.launch.blocks.push(block);
+        pb.push_block(block);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::gpu::{BuildOptions, Executor, GpuRun, KernelKind};
+    use crate::gpu::{BuildOptions, Executor, GpuContext, GpuRun, KernelKind};
     use crate::reference;
     use dense::Matrix;
     use sptensor::synth::{standin, uniform_random, SynthConfig};

@@ -12,13 +12,14 @@
 //! bodies live on as `pub(crate)` implementation details.
 
 use std::str::FromStr;
+use std::sync::Arc;
 
 use sptensor::{mode_orientation, CooTensor, Index};
-use tensor_formats::{Bcsf, BcsfOptions, Csf, Csl, Fcoo, Hbcsf};
+use tensor_formats::{ArrayBytes, Bcsf, BcsfOptions, Csf, Csl, Fcoo, Hbcsf};
 
 use super::common::GpuContext;
 use super::exec::LaunchError;
-use super::plan::Plan;
+use super::plan::{Plan, PlanBuilder};
 
 /// A sparse-tensor layout that can capture a simulated-GPU MTTKRP launch
 /// over itself as a replayable [`Plan`].
@@ -37,7 +38,10 @@ pub trait MttkrpKernel {
     /// The tensor dimensions the layout was built for.
     fn dims(&self) -> &[Index];
 
-    /// Captures the kernel as a replayable [`Plan`] for rank `rank`.
+    /// Captures the kernel as a replayable [`Plan`] for rank `rank`. The
+    /// plan keeps a copy of the layout to re-emit block ranges from
+    /// (callers that own the layout skip the copy through
+    /// `ModePlans` or `Executor::build_run`).
     fn capture(&self, ctx: &GpuContext, rank: usize) -> Plan;
 }
 
@@ -52,7 +56,7 @@ impl MttkrpKernel for Bcsf {
         &self.csf.dims
     }
     fn capture(&self, ctx: &GpuContext, rank: usize) -> Plan {
-        super::bcsf::plan_named(ctx, self, rank, "b-csf")
+        Arc::new(AnyFormat::Bcsf(self.clone())).capture_shared(ctx, rank)
     }
 }
 
@@ -67,7 +71,7 @@ impl MttkrpKernel for Csf {
         &self.dims
     }
     fn capture(&self, ctx: &GpuContext, rank: usize) -> Plan {
-        super::csf::plan_impl(ctx, self, rank)
+        Arc::new(AnyFormat::Csf(self.clone())).capture_shared(ctx, rank)
     }
 }
 
@@ -82,7 +86,7 @@ impl MttkrpKernel for Csl {
         &self.dims
     }
     fn capture(&self, ctx: &GpuContext, rank: usize) -> Plan {
-        super::csl::plan_impl(ctx, self, rank)
+        Arc::new(AnyFormat::Csl(self.clone())).capture_shared(ctx, rank)
     }
 }
 
@@ -97,7 +101,7 @@ impl MttkrpKernel for Fcoo {
         &self.dims
     }
     fn capture(&self, ctx: &GpuContext, rank: usize) -> Plan {
-        super::fcoo::plan_impl(ctx, self, rank)
+        Arc::new(AnyFormat::Fcoo(self.clone())).capture_shared(ctx, rank)
     }
 }
 
@@ -112,7 +116,7 @@ impl MttkrpKernel for Hbcsf {
         &self.dims
     }
     fn capture(&self, ctx: &GpuContext, rank: usize) -> Plan {
-        super::hbcsf::plan_impl(ctx, self, rank)
+        Arc::new(AnyFormat::Hbcsf(self.clone())).capture_shared(ctx, rank)
     }
 }
 
@@ -271,6 +275,53 @@ impl AnyFormat {
         })
     }
 
+    /// Runs the kernel's capture body into `pb`: the array layout and every
+    /// block, `warps_per_block` warps at most per block. A
+    /// [`AnyFormat::Csf`] emits through the unsplit B-CSF body.
+    pub(crate) fn capture_into(&self, rank: usize, warps_per_block: usize, pb: &mut PlanBuilder) {
+        match self {
+            AnyFormat::Coo { tensor, mode } => {
+                super::parti_coo::capture_into(tensor, *mode, rank, warps_per_block, pb)
+            }
+            AnyFormat::Fcoo(f) => super::fcoo::capture_into(f, rank, warps_per_block, pb),
+            AnyFormat::Csf(f) => {
+                let unsplit = Bcsf::from_csf(f.clone(), BcsfOptions::unsplit());
+                super::bcsf::capture_into(&unsplit, rank, warps_per_block, pb)
+            }
+            AnyFormat::Bcsf(f) => super::bcsf::capture_into(f, rank, warps_per_block, pb),
+            AnyFormat::Csl(f) => super::csl::capture_into(f, rank, warps_per_block, pb),
+            AnyFormat::Hbcsf(f) => super::hbcsf::capture_into(f, rank, warps_per_block, pb),
+        }
+    }
+
+    /// Captures this layout as a [`Plan`] for rank `rank` that keeps the
+    /// layout to re-emit from. A CSF layout is kept as the unsplit B-CSF
+    /// its kernel emits through, so a re-emission does not rebuild it.
+    pub(crate) fn capture_shared(self: Arc<Self>, ctx: &GpuContext, rank: usize) -> Plan {
+        let name = self.kernel_name();
+        let source = match &*self {
+            AnyFormat::Csf(f) => Arc::new(AnyFormat::Bcsf(Bcsf::from_csf(
+                f.clone(),
+                BcsfOptions::unsplit(),
+            ))),
+            _ => self,
+        };
+        Plan::capture(ctx, name, source, rank)
+    }
+
+    /// Bytes of every array the layout holds (its index arrays and
+    /// values; growth slack not counted).
+    pub fn array_bytes(&self) -> u64 {
+        match self {
+            AnyFormat::Coo { tensor, .. } => tensor.array_bytes(),
+            AnyFormat::Fcoo(f) => f.array_bytes(),
+            AnyFormat::Csf(f) => f.array_bytes(),
+            AnyFormat::Bcsf(f) => f.array_bytes(),
+            AnyFormat::Csl(f) => f.array_bytes(),
+            AnyFormat::Hbcsf(f) => f.array_bytes(),
+        }
+    }
+
     /// Which kernel this layout drives.
     pub fn kind(&self) -> KernelKind {
         match self {
@@ -319,16 +370,7 @@ impl MttkrpKernel for AnyFormat {
     }
 
     fn capture(&self, ctx: &GpuContext, rank: usize) -> Plan {
-        match self {
-            AnyFormat::Coo { tensor, mode } => {
-                super::parti_coo::plan_impl(ctx, tensor, *mode, rank)
-            }
-            AnyFormat::Fcoo(f) => f.capture(ctx, rank),
-            AnyFormat::Csf(f) => f.capture(ctx, rank),
-            AnyFormat::Bcsf(f) => f.capture(ctx, rank),
-            AnyFormat::Csl(f) => f.capture(ctx, rank),
-            AnyFormat::Hbcsf(f) => f.capture(ctx, rank),
-        }
+        Arc::new(self.clone()).capture_shared(ctx, rank)
     }
 }
 

@@ -365,7 +365,7 @@ pub fn execute_adaptive(
             report.tile_budget_bytes = fit.ladder[fit.ladder.len() - 1].budget_bytes;
             let (y, abft) = plan.replay_ranges(ctx, factors, &tiles);
             let sim = plan.tiled_sim_cached(report.tile_budget_bytes, || {
-                aggregate_tiled_sim(ctx, plan, &tiles)
+                aggregate_tiled_sim(ctx, plan, &plan.simulate_ranges(ctx, &tiles))
             });
             // Tiled runs return no per-block profile: the sub-launches'
             // timelines do not concatenate into one whole-run profile.
@@ -453,14 +453,15 @@ fn finish(ctx: &GpuContext, run: GpuRun, mut report: MemReport) -> (GpuRun, MemR
     (run, report)
 }
 
-/// Simulates each tile's sub-launch and folds the metrics: streamed tiles
-/// run back-to-back, so cycle/time/flop counts add, rate metrics average
+/// Folds the simulations of a run's tiles ([`Plan::simulate_ranges`];
+/// `None` for a tile with no launch block): streamed tiles run
+/// back-to-back, so cycle/time/flop counts add, rate metrics average
 /// time-weighted, and extrema take the max. Deterministic (tile order is
 /// fixed by the packing).
 pub(crate) fn aggregate_tiled_sim(
     ctx: &GpuContext,
     plan: &Plan,
-    tiles: &[(usize, usize)],
+    tiles: &[Option<SimResult>],
 ) -> SimResult {
     let mut agg = cpu_fallback_sim(plan);
     agg.kernel = format!("{}+tiled", plan.name());
@@ -468,12 +469,7 @@ pub(crate) fn aggregate_tiled_sim(
     let mut weighted_occ = 0.0f64;
     let mut weighted_l2 = 0.0f64;
     let mut weighted_mean_block = 0.0f64;
-    for &(b0, b1) in tiles {
-        let sub = plan.sub_launch(b0, b1);
-        if sub.blocks.is_empty() {
-            continue;
-        }
-        let sim = ctx.simulate(&sub);
+    for sim in tiles.iter().flatten() {
         // Histogram-only (no events): bucket increments are
         // order-independent, so this stays safe if tiles are ever
         // estimated in parallel.

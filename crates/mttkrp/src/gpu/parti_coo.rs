@@ -9,19 +9,24 @@
 use gpu_sim::{AddressSpace, BlockWork, Op, WarpWork};
 use sptensor::CooTensor;
 
-use super::common::{load_u32s, FactorAddrs, GpuContext};
-use super::plan::{MemoryFootprint, Plan, PlanBuilder};
+use super::common::{load_u32s, FactorAddrs};
+use super::plan::{MemoryFootprint, PlanBuilder};
 
 /// Nonzeros handled by one warp (rank across lanes; nonzeros serial).
 const NNZ_PER_WARP: usize = 32;
 
-/// Captures the ParTI-COO kernel as a replayable [`Plan`] for rank
-/// `rank`. The capture body behind
-/// [`AnyFormat::Coo`](super::AnyFormat)'s `MttkrpKernel` impl.
+/// The ParTI-COO capture body for output mode `mode` and rank `rank`,
+/// behind [`AnyFormat::Coo`](super::AnyFormat).
 ///
 /// # Panics
 /// If the tensor is not third-order (the ParTI-GPU limitation).
-pub(crate) fn plan_impl(ctx: &GpuContext, t: &CooTensor, mode: usize, rank: usize) -> Plan {
+pub(crate) fn capture_into(
+    t: &CooTensor,
+    mode: usize,
+    rank: usize,
+    warps_per_block: usize,
+    pb: &mut PlanBuilder,
+) {
     assert_eq!(
         t.order(),
         3,
@@ -33,9 +38,8 @@ pub(crate) fn plan_impl(ctx: &GpuContext, t: &CooTensor, mode: usize, rank: usiz
     let vals_span = space.alloc_elems(t.nnz(), 4);
 
     let product_modes: Vec<usize> = (0..3).filter(|&m| m != mode).collect();
-    let nnz_per_block = NNZ_PER_WARP * ctx.warps_per_block;
+    let nnz_per_block = NNZ_PER_WARP * warps_per_block;
 
-    let mut pb = PlanBuilder::new("parti-coo-gpu", mode, rank, t.dims()[mode] as usize);
     pb.set_footprint(MemoryFootprint::from_layout(&space, &fa));
     for block_start in (0..t.nnz()).step_by(nnz_per_block) {
         pb.begin_block();
@@ -65,15 +69,16 @@ pub(crate) fn plan_impl(ctx: &GpuContext, t: &CooTensor, mode: usize, rank: usiz
             }
             block.warps.push(w);
         }
-        pb.launch.blocks.push(block);
+        pb.push_block(block);
     }
-    pb.finish(ctx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{AnyFormat, BuildOptions, Executor, GpuRun, KernelKind, LaunchError};
+    use crate::gpu::{
+        AnyFormat, BuildOptions, Executor, GpuContext, GpuRun, KernelKind, LaunchError,
+    };
     use crate::reference;
     use dense::Matrix;
     use sptensor::synth::{standin, uniform_random, SynthConfig};

@@ -4,12 +4,28 @@
 //! A kernel's instruction stream, address layout, and traversal order
 //! depend only on *structure* — the tensor's format, the rank, and the
 //! [`GpuContext`]'s block geometry — never on factor values. A [`Plan`]
-//! captures all of that once: the emitted [`KernelLaunch`] plus a
-//! [`ReplaySchedule`], a flat record of every semantic output contribution
-//! (which output row, which leaf reductions, which factor-row scalings, in
-//! emission order). [`Plan::execute`] then replays the schedule against
-//! fresh factor matrices, computing only the value-dependent output `y`,
-//! and reuses a memoized [`SimResult`] instead of re-simulating.
+//! captures all of that once: a [`ReplaySchedule`], a flat record of
+//! every semantic output contribution (which output row, which leaf
+//! reductions, which factor-row scalings, in emission order), plus the
+//! simulator's per-block [`CostTable`] of the emitted [`KernelLaunch`].
+//! [`Plan::execute`] then replays the schedule against fresh factor
+//! matrices, computing only the value-dependent output `y`, and reuses a
+//! memoized [`SimResult`] instead of re-simulating.
+//!
+//! A plan does not keep the instruction stream: its packed words are
+//! several times the bytes of the format that emitted them. Capture runs
+//! the simulator's cost pass over the stream under the capture context and
+//! drops it; every later simulation is the scheduling pass over the kept
+//! [`CostTable`] (under any fault plan — fault draws key only on the
+//! launch name and block index). The plan keeps the layout it was captured
+//! from instead, and re-emits on demand through the kernel's own capture
+//! body: `Plan::simulate_ranges` cuts any set of block ranges (the tiles
+//! of an out-of-core fit, every device's tiles of a shard model) from one
+//! emission, simulating each range as soon as the emission passes its end,
+//! and [`Plan::launch`] re-emits the whole launch into a lazily filled
+//! cell for tools that drive the simulator themselves. Plans read from a
+//! plan file and streamed shard plans keep no layout; they simulate as an
+//! empty launch.
 //!
 //! Replay is one loop over a block range, on the calling thread. It
 //! computes each contribution's accumulator with the same `fill` /
@@ -28,12 +44,13 @@
 //! `run_verified`'s retries carry a different `attempt`, which re-keys the
 //! cache.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use dense::Matrix;
 use gpu_sim::{
-    simulate_instrumented, AddressSpace, FaultPlan, KernelLaunch, MemLease, SimProfile, SimResult,
+    cost_pass, schedule_pass, simulate, AddressSpace, BlockWork, CostTable, FaultPlan,
+    KernelLaunch, MemLease, SimProfile, SimResult,
 };
 use rayon::prelude::*;
 use simprof::FieldValue;
@@ -43,6 +60,7 @@ use tensor_formats::{BcsfOptions, Hbcsf};
 
 use super::common::{axpy_into, scale_by, AbftData, AbftSink, FactorAddrs, GpuContext, GpuRun};
 use super::exec::LaunchError;
+use super::kernel::{AnyFormat, MttkrpKernel};
 
 /// Which value-phase implementation a plan replays through, keyed off the
 /// captured rank. The specialized variants run the *same* per-element f32
@@ -452,6 +470,35 @@ pub(crate) enum CaptureMode<'a> {
     /// the schedule is serialized), so keeping the simulation instruction
     /// stream would only inflate capture-time peak memory.
     Sharded(ShardSeal<'a>),
+    /// Retain only the launch blocks inside the requested ranges, and no
+    /// schedule: a plan's re-emission ([`Plan::simulate_ranges`]).
+    Ranges(RangeCut<'a>),
+}
+
+/// The state of a [`CaptureMode::Ranges`] re-emission. Ranges are in
+/// launch-block indices, sorted and disjoint; range `k` holds the launch
+/// blocks whose index lies in `ranges[k]`, so a range past the last
+/// launched block — a kernel's trailing probe block has a schedule
+/// ordinal but no launch block — comes out clamped.
+pub(crate) struct RangeCut<'a> {
+    ranges: &'a [(usize, usize)],
+    /// The range the kept launch blocks belong to.
+    next: usize,
+    /// Launch blocks pushed so far.
+    pushed: usize,
+    sink: &'a mut dyn FnMut(usize, KernelLaunch),
+}
+
+impl RangeCut<'_> {
+    /// Hands the kept blocks to the sink as range `next`'s launch.
+    fn hand_out(&mut self, launch: &mut KernelLaunch) {
+        let name = launch.name.clone();
+        (self.sink)(
+            self.next,
+            std::mem::replace(launch, KernelLaunch::new(name)),
+        );
+        self.next += 1;
+    }
 }
 
 /// The state of a [`CaptureMode::Sharded`] capture.
@@ -475,8 +522,8 @@ pub(crate) struct PlanBuilder<'a> {
     mode: usize,
     rank: usize,
     out_rows: usize,
-    /// The simulated instruction stream; kernels push blocks directly.
-    pub launch: KernelLaunch,
+    /// The kept blocks of the simulated instruction stream.
+    launch: KernelLaunch,
     sched: ReplaySchedule,
     footprint: MemoryFootprint,
     capture: CaptureMode<'a>,
@@ -536,6 +583,32 @@ impl<'a> PlanBuilder<'a> {
         )
     }
 
+    /// A builder that keeps only the launch blocks inside `ranges` and
+    /// hands range `k`'s blocks to `sink` as soon as the emit passes its
+    /// end (see [`RangeCut`]).
+    fn new_ranges(
+        plan: &Plan,
+        ranges: &'a [(usize, usize)],
+        sink: &'a mut dyn FnMut(usize, KernelLaunch),
+    ) -> PlanBuilder<'a> {
+        assert!(
+            ranges.iter().all(|r| r.0 <= r.1) && ranges.windows(2).all(|w| w[0].1 <= w[1].0),
+            "re-emitted ranges must be sorted and disjoint"
+        );
+        Self::with_capture(
+            &plan.name,
+            plan.mode,
+            plan.rank,
+            plan.out_rows,
+            CaptureMode::Ranges(RangeCut {
+                ranges,
+                next: 0,
+                pushed: 0,
+                sink,
+            }),
+        )
+    }
+
     fn with_capture(
         name: &str,
         mode: usize,
@@ -586,18 +659,40 @@ impl<'a> PlanBuilder<'a> {
                 *contribs = 0;
                 *leaves = 0;
                 *chains = 0;
-                // Launch blocks are pushed by the kernels between our
-                // calls; a weights pass has no use for them.
-                self.launch.blocks.clear();
             }
             CaptureMode::Sharded(cut) => {
                 let block = cut.seen;
                 cut.seen += 1;
-                self.launch.blocks.clear();
                 self.seal_shards(Some(block));
                 self.sched.block_ptr.push(self.sched.rows.len() as u32);
             }
+            CaptureMode::Ranges(_) => {}
         }
+    }
+
+    /// Appends the next launch block, called once per block the kernel
+    /// launches, right after its `begin_block`. Only a full capture and a
+    /// re-emission keep blocks; the streaming captures drop them.
+    pub fn push_block(&mut self, block: BlockWork) {
+        match &mut self.capture {
+            CaptureMode::Full => self.launch.blocks.push(block),
+            CaptureMode::Ranges(cut) => {
+                let k = cut.pushed;
+                cut.pushed += 1;
+                while cut.next < cut.ranges.len() && cut.ranges[cut.next].1 <= k {
+                    cut.hand_out(&mut self.launch);
+                }
+                if cut.next < cut.ranges.len() && cut.ranges[cut.next].0 <= k {
+                    self.launch.blocks.push(block);
+                }
+            }
+            CaptureMode::WeightsOnly { .. } | CaptureMode::Sharded(_) => {}
+        }
+    }
+
+    /// Whether this capture records the replay schedule.
+    fn records_schedule(&self) -> bool {
+        matches!(self.capture, CaptureMode::Full | CaptureMode::Sharded(_))
     }
 
     /// Starts a contribution to output row `row` with accumulator seed
@@ -605,6 +700,9 @@ impl<'a> PlanBuilder<'a> {
     pub fn contrib(&mut self, row: usize, init: f32) {
         if let CaptureMode::WeightsOnly { contribs, .. } = &mut self.capture {
             *contribs += 1;
+            return;
+        }
+        if !self.records_schedule() {
             return;
         }
         self.sched.rows.push(row as u32);
@@ -622,6 +720,9 @@ impl<'a> PlanBuilder<'a> {
             *leaves += 1;
             return;
         }
+        if !self.records_schedule() {
+            return;
+        }
         self.sched.leaf_vals.push(val);
         self.sched.leaf_rows.push(row as u32);
     }
@@ -633,33 +734,47 @@ impl<'a> PlanBuilder<'a> {
             *chains += 1;
             return;
         }
+        if !self.records_schedule() {
+            return;
+        }
         self.sched.chain_modes.push(mode as u32);
         self.sched.chain_rows.push(row as u32);
     }
 
-    /// Seals the capture into an executable [`Plan`], with its schedule
-    /// arrays trimmed: the plan holds them for its whole life, and their
-    /// growth slack would be a fifth of them. (Shard plans are written out
-    /// and dropped, so `seal_shards` leaves theirs.) A
-    /// profiling `ctx` counts the plan's resident bytes: `plan.launch_bytes`
-    /// (the packed instruction stream) and `plan.schedule_bytes` (the
-    /// schedule arrays).
-    pub fn finish(mut self, ctx: &GpuContext) -> Plan {
+    /// Seals a full capture into an executable [`Plan`] that keeps
+    /// `source` to re-emit from. The simulator's cost pass runs over the
+    /// captured launch under `ctx` (its device, cost model, and — when
+    /// profiling — per-row atomic detail), and the launch is dropped: the
+    /// plan keeps the [`CostTable`]. The schedule arrays are trimmed: the
+    /// plan holds them for its whole life, and their growth slack would
+    /// be a fifth of them. (Shard plans are written out and dropped, so
+    /// `seal_shards` leaves theirs.) A profiling `ctx` counts the plan's
+    /// resident bytes: `plan.cost_bytes` (the cost table),
+    /// `plan.format_bytes` (the kept layout) and `plan.schedule_bytes`
+    /// (the schedule arrays).
+    pub fn finish(mut self, ctx: &GpuContext, source: Arc<AnyFormat>) -> Plan {
+        let launch = std::mem::take(&mut self.launch);
+        let costs = cost_pass(&ctx.device, &ctx.cost, &launch, ctx.profiling(), None);
+        drop(launch);
         let mut plan = self.seal();
         plan.sched.trim();
+        plan.costs = costs;
         if ctx.profiling() {
             ctx.registry
-                .add("plan.launch_bytes", plan.launch.op_bytes() as u64);
+                .add("plan.cost_bytes", plan.costs.bytes() as u64);
+            ctx.registry.add("plan.format_bytes", source.array_bytes());
             ctx.registry
                 .add("plan.schedule_bytes", plan.sched.bytes() as u64);
         }
+        plan.source = Some(Source {
+            format: source,
+            warps_per_block: ctx.warps_per_block,
+        });
         plan
     }
 
-    /// Seals the kept schedule into a [`Plan`], leaving an empty schedule
-    /// (same leaf mode) and launch behind. The kept launch is trimmed
-    /// once, here: a plan holds it for its whole life, and the growth
-    /// slack of its instruction streams would be a third of it. A shard
+    /// Seals the kept schedule into a [`Plan`] with no cost table and no
+    /// layout, leaving an empty schedule (same leaf mode) behind. A shard
     /// plan sealed this way has *local* block ordinals — correct for
     /// clean replay (the ordered fold is position-independent) but not
     /// for fault draws, which key on global ordinals.
@@ -670,20 +785,24 @@ impl<'a> PlanBuilder<'a> {
         sched.leaf_ptr.push(sched.leaf_vals.len() as u32);
         sched.chain_ptr.push(sched.chain_modes.len() as u32);
         sched.measure_reach();
-        let mut launch = std::mem::replace(&mut self.launch, KernelLaunch::new(&self.name));
-        launch.trim();
-        Plan {
-            name: self.name.clone(),
-            mode: self.mode,
-            rank: self.rank,
-            out_rows: self.out_rows,
-            dispatch: RankDispatch::for_rank(self.rank),
-            launch,
+        Plan::from_schedule(
+            &self.name,
+            self.mode,
+            self.rank,
+            self.out_rows,
             sched,
-            footprint: self.footprint,
-            sim_clean: OnceLock::new(),
-            sim_faulted: Mutex::new(None),
-            sim_tiled: Mutex::new(None),
+            self.footprint,
+        )
+    }
+
+    /// Hands a [`CaptureMode::Ranges`] re-emission's last ranges — the
+    /// open one and any after it, empty — to the sink.
+    fn finish_ranges(mut self) {
+        let CaptureMode::Ranges(cut) = &mut self.capture else {
+            panic!("finish_ranges on a capture that keeps no ranges");
+        };
+        while cut.next < cut.ranges.len() {
+            cut.hand_out(&mut self.launch);
         }
     }
 
@@ -719,7 +838,6 @@ impl<'a> PlanBuilder<'a> {
     /// # Panics
     /// If the builder was not created with [`PlanBuilder::new_sharded`].
     pub fn finish_shards(mut self) -> TensorResult<usize> {
-        self.launch.blocks.clear();
         self.seal_shards(None);
         let CaptureMode::Sharded(cut) = self.capture else {
             panic!("finish_shards on an unsharded capture");
@@ -759,6 +877,14 @@ impl<'a> PlanBuilder<'a> {
     }
 }
 
+/// What a plan keeps to re-emit its launch: the layout it was captured
+/// from and the capture's block geometry.
+#[derive(Debug)]
+struct Source {
+    format: Arc<AnyFormat>,
+    warps_per_block: usize,
+}
+
 /// A captured kernel launch: replayable against any factor values of the
 /// captured rank, with the structure-dependent simulation memoized.
 ///
@@ -777,11 +903,18 @@ pub struct Plan {
     /// the rank-keyed specialization and can be forced generic (benches,
     /// bit-identity tests).
     dispatch: RankDispatch,
-    launch: KernelLaunch,
     sched: ReplaySchedule,
     /// Device-memory requirements, sized at capture time.
     footprint: MemoryFootprint,
-    /// Fault-free simulation, computed once on first execute.
+    /// The simulator's cost pass over the captured launch; empty for a
+    /// plan with no layout.
+    costs: CostTable,
+    /// The layout to re-emit from; `None` for plans read from a plan file
+    /// and streamed shard plans.
+    source: Option<Source>,
+    /// The whole launch, re-emitted on the first [`Plan::launch`] call.
+    launch: OnceLock<KernelLaunch>,
+    /// Fault-free scheduling pass, computed once on first execute.
     sim_clean: OnceLock<(SimResult, SimProfile)>,
     /// Last faulted simulation keyed by its [`FaultPlan`] — `run_verified`
     /// retries re-execute under `plan.with_attempt(n)`, a different key.
@@ -792,6 +925,48 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// A plan over `sched` with no cost table and no layout.
+    fn from_schedule(
+        name: &str,
+        mode: usize,
+        rank: usize,
+        out_rows: usize,
+        sched: ReplaySchedule,
+        footprint: MemoryFootprint,
+    ) -> Plan {
+        Plan {
+            name: name.to_string(),
+            mode,
+            rank,
+            out_rows,
+            dispatch: RankDispatch::for_rank(rank),
+            sched,
+            footprint,
+            costs: CostTable::default(),
+            source: None,
+            launch: OnceLock::new(),
+            sim_clean: OnceLock::new(),
+            sim_faulted: Mutex::new(None),
+            sim_tiled: Mutex::new(None),
+        }
+    }
+
+    /// Captures `format` under the launch name `name` for rank `rank`:
+    /// the kernel's capture body into a full builder, sealed with `format`
+    /// kept to re-emit from.
+    pub(crate) fn capture(
+        ctx: &GpuContext,
+        name: &str,
+        format: Arc<AnyFormat>,
+        rank: usize,
+    ) -> Plan {
+        let mode = format.output_mode();
+        let out_rows = format.dims()[mode] as usize;
+        let mut pb = PlanBuilder::new(name, mode, rank, out_rows);
+        format.capture_into(rank, ctx.warps_per_block, &mut pb);
+        pb.finish(ctx, format)
+    }
+
     /// Kernel (launch) name.
     pub fn name(&self) -> &str {
         &self.name
@@ -834,15 +1009,71 @@ impl Plan {
         &self.footprint
     }
 
-    /// The captured instruction stream.
+    /// The captured instruction stream, re-emitted from the kept layout
+    /// on first call and kept from then on (an empty launch for a plan
+    /// with no layout). For tools and checks that drive the simulator
+    /// themselves; the plan's own simulations never need it.
     pub fn launch(&self) -> &KernelLaunch {
-        &self.launch
+        self.launch.get_or_init(|| {
+            let mut whole = None;
+            self.emit_ranges(&[(0, usize::MAX)], &mut |_, launch| whole = Some(launch));
+            whole.expect("one range, one launch")
+        })
     }
 
     /// Consumes the plan, yielding the captured launch (for tools that
     /// drive the simulator themselves, e.g. `balance_viz`).
     pub fn into_launch(self) -> KernelLaunch {
-        self.launch
+        self.launch();
+        self.launch.into_inner().expect("launch() filled the cell")
+    }
+
+    /// The simulator's cost pass over the captured launch.
+    pub fn costs(&self) -> &CostTable {
+        &self.costs
+    }
+
+    /// Re-emits the launch through the kept layout's capture body, handing
+    /// `sink` one launch per range of `ranges` (launch-block ranges,
+    /// sorted and disjoint), in order, each as soon as the emission passes
+    /// its end: range `(b0, b1)` holds the launch blocks `b0..b1` clamped
+    /// to the launch. One emission serves every range. A plan with no
+    /// layout hands out empty launches.
+    pub(crate) fn emit_ranges(
+        &self,
+        ranges: &[(usize, usize)],
+        sink: &mut dyn FnMut(usize, KernelLaunch),
+    ) {
+        let Some(src) = &self.source else {
+            for k in 0..ranges.len() {
+                sink(k, KernelLaunch::new(&self.name));
+            }
+            return;
+        };
+        let mut pb = PlanBuilder::new_ranges(self, ranges, sink);
+        src.format
+            .capture_into(self.rank, src.warps_per_block, &mut pb);
+        pb.finish_ranges();
+    }
+
+    /// The fault-free simulation of each of `ranges` (sorted, disjoint
+    /// schedule-block ranges, cut from the launch as launch-block indices
+    /// — as tiles and shards always were) as its own launch, `None` for a
+    /// range that holds no launch block, from one re-emission
+    /// ([`Plan::emit_ranges`]). Each range is simulated under `ctx`'s
+    /// device model as soon as the emission passes its end, then dropped.
+    pub(crate) fn simulate_ranges(
+        &self,
+        ctx: &GpuContext,
+        ranges: &[(usize, usize)],
+    ) -> Vec<Option<SimResult>> {
+        let mut sims = vec![None; ranges.len()];
+        self.emit_ranges(ranges, &mut |k, launch| {
+            if !launch.blocks.is_empty() {
+                sims[k] = Some(simulate(&ctx.device, &ctx.cost, &launch));
+            }
+        });
+        sims
     }
 
     /// The captured replay schedule.
@@ -973,9 +1204,30 @@ impl Plan {
         }
     }
 
+    /// The scheduling pass over the kept cost table under `plan`, recorded
+    /// into `ctx`'s registry and event stream. A context that records the
+    /// L2 address stream gets the launch's stream again, as a simulation
+    /// of the stream itself records it: the launch is re-emitted and
+    /// walked once more for the trace alone.
+    fn schedule_sim(&self, ctx: &GpuContext, plan: Option<&FaultPlan>) -> (SimResult, SimProfile) {
+        if let Some(rec) = ctx.memtrace.as_deref() {
+            self.emit_ranges(&[(0, usize::MAX)], &mut |_, launch| {
+                cost_pass(&ctx.device, &ctx.cost, &launch, false, Some(rec));
+            });
+        }
+        schedule_pass(
+            &ctx.device,
+            &self.name,
+            &self.costs,
+            &ctx.registry,
+            plan,
+            Some(&ctx.telemetry),
+        )
+    }
+
     /// The memoized simulation for `ctx`'s fault state. Faulted runs always
     /// keep the profile (the injected-fault ledger lives there); clean runs
-    /// keep it only when profiling, matching `finish_abft`.
+    /// keep it only when profiling.
     fn sim_for(&self, ctx: &GpuContext) -> (SimResult, Option<SimProfile>) {
         match ctx.fault_plan() {
             Some(plan) => {
@@ -993,14 +1245,7 @@ impl Plan {
                         out
                     }
                     _ => {
-                        let (sim, profile) = simulate_instrumented(
-                            &ctx.device,
-                            &ctx.cost,
-                            &self.launch,
-                            &ctx.registry,
-                            Some(plan),
-                            ctx.instruments(),
-                        );
+                        let (sim, profile) = self.schedule_sim(ctx, Some(plan));
                         *cached = Some((plan.clone(), sim.clone(), profile.clone()));
                         (sim, Some(profile))
                     }
@@ -1020,20 +1265,25 @@ impl Plan {
     /// it is identical across `--devices 1` and `--devices N` runs.
     pub(crate) fn clean_sim_cached(&self, ctx: &GpuContext) -> &(SimResult, SimProfile) {
         let hit = self.sim_clean.get().is_some();
-        let pair = self.sim_clean.get_or_init(|| {
-            simulate_instrumented(
-                &ctx.device,
-                &ctx.cost,
-                &self.launch,
-                &ctx.registry,
-                None,
-                ctx.instruments(),
-            )
-        });
+        let pair = self.sim_clean.get_or_init(|| self.schedule_sim(ctx, None));
         if hit {
             self.note_cache_hit(ctx, "clean");
         }
         pair
+    }
+
+    /// The fault-free simulation under `ctx`'s device model, recording
+    /// nothing: the memoized one when a replay has filled it, else a
+    /// scheduling pass of the kept cost table that is not memoized (so the
+    /// first replay still records and emits as usual).
+    pub fn clean_sim(&self, ctx: &GpuContext) -> SimResult {
+        match self.sim_clean.get() {
+            Some((sim, _)) => sim.clone(),
+            None => {
+                let quiet = simprof::Registry::disabled();
+                schedule_pass(&ctx.device, &self.name, &self.costs, &quiet, None, None).0
+            }
+        }
     }
 
     /// Emits a `plan-cache-hit` event: a replay was served from the
@@ -1190,18 +1440,6 @@ impl Plan {
         prefix
     }
 
-    /// The sub-launch covering schedule blocks `b0..b1` (clamped to the
-    /// launch's block count — the schedule can record a trailing probe
-    /// block past the last launched one).
-    pub(crate) fn sub_launch(&self, b0: usize, b1: usize) -> KernelLaunch {
-        let lo = b0.min(self.launch.blocks.len());
-        let hi = b1.min(self.launch.blocks.len());
-        KernelLaunch {
-            name: self.launch.name.clone(),
-            blocks: self.launch.blocks[lo..hi].to_vec(),
-        }
-    }
-
     /// The memoized aggregated tiled simulation for `budget`, filling via
     /// `compute` on miss (see `sim_tiled`).
     pub(crate) fn tiled_sim_cached(
@@ -1229,9 +1467,9 @@ impl Plan {
     /// output rows and leaf mode, then each schedule array as a `u64`
     /// count and its values. The captured instruction stream and
     /// footprint are deliberately not persisted: a deserialized plan
-    /// replays values bit-identically but carries an empty launch (no
-    /// machine-model simulation) — the streaming CPD driver computes
-    /// values only.
+    /// replays values bit-identically but keeps no cost table and no
+    /// layout (it simulates as an empty launch) — the streaming CPD
+    /// driver computes values only.
     pub(crate) fn write_schedule(&self, w: impl std::io::Write) -> std::io::Result<()> {
         let mut w = FrameWriter::new(w, SCHED_MAGIC, SCHED_VERSION)?;
         w.u32(self.name.len() as u32)?;
@@ -1294,19 +1532,14 @@ impl Plan {
             .check(out_rows)
             .map_err(|msg| TensorError::invalid("plan", msg))?;
         sched.measure_reach();
-        Ok(Plan {
-            name: name.clone(),
+        Ok(Plan::from_schedule(
+            &name,
             mode,
             rank,
             out_rows,
-            dispatch: RankDispatch::for_rank(rank),
-            launch: KernelLaunch::new(&name),
             sched,
-            footprint: MemoryFootprint::default(),
-            sim_clean: OnceLock::new(),
-            sim_faulted: Mutex::new(None),
-            sim_tiled: Mutex::new(None),
-        })
+            MemoryFootprint::default(),
+        ))
     }
 }
 
@@ -1342,7 +1575,7 @@ impl ModePlans {
                 let start = Instant::now();
                 let perm = sptensor::mode_orientation(t.order(), m);
                 let h = Hbcsf::build(t, &perm, opts);
-                let plan = super::hbcsf::plan_impl(ctx, &h, rank);
+                let plan = Arc::new(AnyFormat::Hbcsf(h)).capture_shared(ctx, rank);
                 (plan, start.elapsed().as_secs_f64())
             })
             .collect();
@@ -1354,13 +1587,14 @@ impl ModePlans {
     }
 
     /// Captures plans for pre-built per-mode HB-CSF formats
-    /// (`formats[m].perm[0] == m` expected).
+    /// (`formats[m].perm[0] == m` expected). Each plan keeps a copy of its
+    /// format; [`ModePlans::build_hbcsf`] keeps the formats it builds.
     pub fn from_formats(ctx: &GpuContext, formats: &[Hbcsf], rank: usize) -> ModePlans {
         let built: Vec<(Plan, f64)> = formats
             .par_iter()
             .map(|h| {
                 let start = Instant::now();
-                let plan = super::hbcsf::plan_impl(ctx, h, rank);
+                let plan = Arc::new(AnyFormat::Hbcsf(h.clone())).capture_shared(ctx, rank);
                 (plan, start.elapsed().as_secs_f64())
             })
             .collect();
@@ -1407,8 +1641,11 @@ impl ModePlans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::{BuildOptions, KernelKind, MttkrpKernel};
     use crate::reference::random_factors;
+    use gpu_sim::{simulate_instrumented, SimInstruments};
     use proptest::prelude::*;
+    use simprof::Registry;
     use sptensor::dims::identity_perm;
     use sptensor::synth::uniform_random;
     use tensor_formats::{BcsfOptions, Hbcsf};
@@ -1438,7 +1675,7 @@ mod tests {
     fn fixture() -> (Plan, Vec<u8>) {
         let ctx = GpuContext::tiny();
         let h = Hbcsf::build(&tensor(), &identity_perm(4), BcsfOptions::default());
-        let plan = super::super::hbcsf::plan_impl(&ctx, &h, 4);
+        let plan = h.capture(&ctx, 4);
         let mut bytes = Vec::new();
         plan.write_schedule(&mut bytes).unwrap();
         (plan, bytes)
@@ -1580,7 +1817,7 @@ mod tests {
             ..BcsfOptions::default()
         };
         let h = Hbcsf::build(&t, &identity_perm(4), opts);
-        let plan = super::super::hbcsf::plan_impl(&GpuContext::tiny(), &h, rank);
+        let plan = h.capture(&GpuContext::tiny(), rank);
         let s = plan.schedule();
         let inside = (1..s.num_blocks())
             .filter(|&b| {
@@ -1664,5 +1901,184 @@ mod tests {
             Err(TensorError::Frame(sptensor::frame::FrameError::Checksum))
         ));
         assert!(read(&stamped(&bad)).is_ok());
+    }
+
+    /// The launch a full capture of `format` produces, before the builder
+    /// drops it.
+    fn captured_launch(ctx: &GpuContext, format: &AnyFormat, plan: &Plan) -> KernelLaunch {
+        let mut pb = PlanBuilder::new(plan.name(), plan.mode(), plan.rank(), plan.out_rows());
+        format.capture_into(plan.rank(), ctx.warps_per_block, &mut pb);
+        pb.launch
+    }
+
+    fn same_launch(a: &KernelLaunch, b: &KernelLaunch) -> bool {
+        a.name == b.name && a.blocks == b.blocks
+    }
+
+    fn same_profile(a: &SimProfile, b: &SimProfile) -> bool {
+        a.blocks == b.blocks
+            && a.placements == b.placements
+            && a.atomic_rows == b.atomic_rows
+            && a.faults == b.faults
+            && a.timeline.spans == b.timeline.spans
+    }
+
+    /// Every kernel's layout of `t` for its first and last mode.
+    fn layouts(t: &CooTensor) -> Vec<AnyFormat> {
+        let order = t.order();
+        let mut out = Vec::new();
+        for kind in KernelKind::ALL {
+            if kind.check_order(order).is_err() {
+                continue;
+            }
+            for mode in [0, order - 1] {
+                out.push(AnyFormat::build(kind, t, mode, &BuildOptions::default()).unwrap());
+            }
+        }
+        out
+    }
+
+    /// Third- and fourth-order fixtures, the fourth with heavy slices so
+    /// B-CSF splits fibers and slices across blocks.
+    fn fidelity_tensors() -> [CooTensor; 2] {
+        [
+            uniform_random(&[9, 14, 11], 700, 0x3D),
+            uniform_random(&[3, 10, 9, 8], 900, 0x4D),
+        ]
+    }
+
+    #[test]
+    fn every_kernel_reemits_its_capture_and_schedules_it_bit_for_bit() {
+        let specs = [
+            None,
+            Some(FaultPlan::parse("bitflip:0.3,abort:0.2,straggler:0.5", 7).unwrap()),
+            Some(FaultPlan::parse("abort:1.0,straggler:0.25", 3).unwrap()),
+            Some(
+                FaultPlan::parse("bitflip:0.5,abort:0.3", 11)
+                    .unwrap()
+                    .with_attempt(2),
+            ),
+        ];
+        for t in fidelity_tensors() {
+            let factors = random_factors(&t, 4, 5);
+            for format in layouts(&t) {
+                for profiled in [false, true] {
+                    let ctx = match profiled {
+                        true => GpuContext::tiny().with_profiling(),
+                        false => GpuContext::tiny(),
+                    };
+                    let plan = Arc::new(format.clone()).capture_shared(&ctx, 4);
+                    let what = format!("{} order {} profiled {profiled}", plan.name(), t.order());
+                    let whole = captured_launch(&ctx, &format, &plan);
+                    assert!(!whole.blocks.is_empty(), "{what}: empty fixture");
+                    assert!(
+                        same_launch(plan.launch(), &whole),
+                        "{what}: re-emission differs"
+                    );
+                    for spec in &specs {
+                        let reg = match profiled {
+                            true => Registry::new(),
+                            false => Registry::disabled(),
+                        };
+                        let direct = simulate_instrumented(
+                            &ctx.device,
+                            &ctx.cost,
+                            &whole,
+                            &reg,
+                            spec.as_ref(),
+                            SimInstruments::default(),
+                        );
+                        let parts = schedule_pass(
+                            &ctx.device,
+                            plan.name(),
+                            plan.costs(),
+                            &reg,
+                            spec.as_ref(),
+                            None,
+                        );
+                        assert_eq!(direct.0, parts.0, "{what} {spec:?}");
+                        assert!(same_profile(&direct.1, &parts.1), "{what} {spec:?}");
+                        // The memoized path a replay takes.
+                        let run_ctx = match spec {
+                            Some(p) => ctx.clone().with_faults(p.clone()),
+                            None => ctx.clone(),
+                        };
+                        let run = plan.execute(&run_ctx, &factors).unwrap();
+                        assert_eq!(run.sim, direct.0, "{what} {spec:?}: replay");
+                        assert_eq!(run.profile.is_some(), profiled || spec.is_some());
+                        if let Some(p) = &run.profile {
+                            assert!(same_profile(p, &direct.1), "{what} {spec:?}: replay");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An F-COO layout whose nonzeros fill its first-pass blocks exactly,
+    /// so the capture records a probe block with no launch block, and
+    /// its second-pass blocks follow: schedule ordinals past the probe
+    /// are one ahead of launch indices.
+    fn probe_fixture() -> AnyFormat {
+        let mut t = CooTensor::new(vec![16, 32, 8]);
+        for i in 0..16u32 {
+            for j in 0..32u32 {
+                for k in 0..4u32 {
+                    t.push(&[i, j, (k + i) % 8], 1.0 + (i + j + k) as f32);
+                }
+            }
+        }
+        // 2048 nonzeros: two full blocks of 4 warps × 32 lanes × 8.
+        AnyFormat::build(KernelKind::Fcoo, &t, 0, &BuildOptions::default()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Per-range simulations from one re-emission equal simulating the
+        /// slices of the full launch a parent-style copy cuts: schedule
+        /// range `(b0, b1)` holds launch blocks `b0..b1` clamped to the
+        /// launch, and a range with no launch block simulates to nothing.
+        #[test]
+        fn any_block_split_simulates_the_full_launch_slices(
+            pick in 0usize..1 << 16,
+            cut_picks in proptest::collection::vec(0usize..1 << 16, 0..6),
+        ) {
+            let ctx = GpuContext::tiny();
+            let mut formats: Vec<AnyFormat> = fidelity_tensors().iter().flat_map(layouts).collect();
+            formats.push(probe_fixture());
+            let format = &formats[pick % formats.len()];
+            let plan = Arc::new(format.clone()).capture_shared(&ctx, 4);
+            let whole = captured_launch(&ctx, format, &plan);
+            let nblocks = plan.schedule().num_blocks();
+            let mut cuts: Vec<usize> = cut_picks.iter().map(|c| c % (nblocks + 1)).collect();
+            cuts.extend([0, nblocks]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            let ranges: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+            let sims = plan.simulate_ranges(&ctx, &ranges);
+            prop_assert_eq!(sims.len(), ranges.len());
+            let launched = whole.blocks.len();
+            for (&(b0, b1), sim) in ranges.iter().zip(&sims) {
+                let slice = KernelLaunch {
+                    name: whole.name.clone(),
+                    blocks: whole.blocks[b0.min(launched)..b1.min(launched)].to_vec(),
+                };
+                let expected = (!slice.blocks.is_empty())
+                    .then(|| simulate(&ctx.device, &ctx.cost, &slice));
+                prop_assert_eq!(sim, &expected, "{} range {:?}", plan.name(), (b0, b1));
+            }
+        }
+    }
+
+    #[test]
+    fn probe_fixture_has_a_probe_block() {
+        let ctx = GpuContext::tiny();
+        let format = probe_fixture();
+        let plan = Arc::new(format.clone()).capture_shared(&ctx, 4);
+        let launched = captured_launch(&ctx, &format, &plan).blocks.len();
+        // Two first-pass blocks, the probe, then second-pass blocks.
+        assert_eq!(plan.schedule().num_blocks(), launched + 1);
+        assert!(launched > 2, "no second-pass block follows the probe");
     }
 }

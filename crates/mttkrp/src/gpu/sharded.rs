@@ -215,8 +215,9 @@ pub struct ShardModel {
 /// Per-device model-phase result.
 struct DeviceFit {
     report: DeviceShardReport,
-    sim: SimResult,
-    failed: bool,
+    /// The tiles the memory walker chose; `None` when every GPU rung
+    /// refused.
+    tiles: Option<Vec<(usize, usize)>>,
 }
 
 impl ShardModel {
@@ -366,8 +367,15 @@ impl ShardModel {
             .enumerate()
             .map(|(d, &range)| fit_device(ctx, plan, opts, &prefix, d, range, &device_mems[d]))
             .collect();
+        // One re-emission of the plan cuts every device's tiles: they are
+        // consecutive ranges of the schedule, in device order.
+        let tiles: Vec<(usize, usize)> = fits
+            .iter()
+            .flat_map(|f| f.tiles.iter().flatten().copied())
+            .collect();
+        let mut tile_sims = plan.simulate_ranges(ctx, &tiles).into_iter();
 
-        let cpu_fallback = fits.iter().any(|f| f.failed);
+        let cpu_fallback = fits.iter().any(|f| f.tiles.is_none());
         let mut shards = Vec::with_capacity(spec.devices);
         let mut node_sim = ooc::cpu_fallback_sim(plan);
         node_sim.kernel = format!("{}+sharded[{}]", plan.name(), spec.devices);
@@ -377,8 +385,12 @@ impl ShardModel {
         let mut weighted_mean_block = 0.0f64;
         let mut compute_seconds = 0.0f64;
         let mut busy_seconds = 0.0f64;
-        for f in fits {
-            let sim = &f.sim;
+        for mut f in fits {
+            let ran: Vec<Option<SimResult>> = tile_sims.by_ref().take(f.report.tiles_run).collect();
+            let sim = &ooc::aggregate_tiled_sim(ctx, plan, &ran);
+            f.report.sim_time_s = sim.time_s;
+            f.report.makespan_cycles = sim.makespan_cycles;
+            f.report.total_flops = sim.total_flops;
             // Devices run concurrently: the node's critical path is the
             // slowest device; counters still add across the node.
             compute_seconds = compute_seconds.max(sim.time_s);
@@ -642,7 +654,7 @@ impl ShardModel {
 }
 
 /// Fits one device's shard with the memory walker ([`ooc::fit_range`]
-/// in the device's namespace) and simulates the tiles it chose.
+/// in the device's namespace). The caller simulates the tiles it chose.
 fn fit_device(
     ctx: &GpuContext,
     plan: &Plan,
@@ -674,17 +686,8 @@ fn fit_device(
         report.oom_events = fit.oom_events;
         tiles = fit.tiles;
     }
-    let ranges = tiles.as_deref().unwrap_or_default();
-    report.tiles_run = ranges.len();
-    let sim = ooc::aggregate_tiled_sim(ctx, plan, ranges);
-    report.sim_time_s = sim.time_s;
-    report.makespan_cycles = sim.makespan_cycles;
-    report.total_flops = sim.total_flops;
-    DeviceFit {
-        report,
-        sim,
-        failed: tiles.is_none(),
-    }
+    report.tiles_run = tiles.as_ref().map_or(0, Vec::len);
+    DeviceFit { report, tiles }
 }
 
 #[cfg(test)]

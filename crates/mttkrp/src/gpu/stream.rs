@@ -111,7 +111,7 @@ impl ShardStore {
 fn capture_weight_prefix(ctx: &GpuContext, h: &Hbcsf, rank: usize) -> Vec<u64> {
     let mode = h.perm[0];
     let mut pb = PlanBuilder::new_weights_only("hb-csf", mode, rank, h.dims[mode] as usize);
-    super::hbcsf::capture_into(ctx, h, rank, &mut pb);
+    super::hbcsf::capture_into(h, rank, ctx.warps_per_block, &mut pb);
     pb.finish_weight_prefix()
 }
 
@@ -138,7 +138,7 @@ pub fn capture_sharded_hbcsf(
         &ranges,
         &mut put,
     );
-    super::hbcsf::capture_into(ctx, h, rank, &mut pb);
+    super::hbcsf::capture_into(h, rank, ctx.warps_per_block, &mut pb);
     pb.finish_shards()
 }
 
@@ -349,7 +349,7 @@ pub fn cpd_als_streamed(
 mod tests {
     use super::*;
     use crate::cpd::cpd_als_planned;
-    use crate::gpu::ModePlans;
+    use crate::gpu::{ModePlans, MttkrpKernel};
     use sptensor::dims::identity_perm;
     use sptensor::synth::uniform_random;
     use sptensor::{CooSource, DuplicatePolicy};
@@ -365,7 +365,7 @@ mod tests {
         let ctx = GpuContext::tiny();
         let t = uniform_random(&[20, 30, 40], 1_500, 9);
         let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
-        let full = super::super::hbcsf::plan_impl(&ctx, &h, 8);
+        let full = h.capture(&ctx, 8);
         assert_eq!(
             capture_weight_prefix(&ctx, &h, 8),
             full.block_weight_prefix()
@@ -378,7 +378,7 @@ mod tests {
         let t = uniform_random(&[18, 22, 26], 1_200, 10);
         let factors = crate::reference::random_factors(&t, 8, 77);
         let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
-        let full = super::super::hbcsf::plan_impl(&ctx, &h, 8);
+        let full = h.capture(&ctx, 8);
         let expect = full.execute(&ctx, &factors).unwrap().y;
         for devices in [1usize, 3, 7] {
             let dir = tmp(&format!("cap{devices}"));
@@ -398,7 +398,7 @@ mod tests {
         let t = uniform_random(&[3, 4, 5], 6, 3);
         let factors = crate::reference::random_factors(&t, 8, 80);
         let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
-        let full = super::super::hbcsf::plan_impl(&ctx, &h, 8);
+        let full = h.capture(&ctx, 8);
         let blocks = full.schedule().num_blocks();
         let devices = blocks + 3;
         let dir = tmp("wide");
@@ -453,9 +453,7 @@ mod tests {
         // A shard whose output differs from shard 0's.
         let other = uniform_random(&[25, 22, 26], 1_200, 13);
         let ho = Hbcsf::build(&other, &identity_perm(3), BcsfOptions::default());
-        store
-            .put(0, 1, &super::super::hbcsf::plan_impl(&ctx, &ho, 8))
-            .unwrap();
+        store.put(0, 1, &ho.capture(&ctx, 8)).unwrap();
         assert!(invalid(replay_mode(&store, 0, 8, &factors)));
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -467,7 +465,7 @@ mod tests {
         let t = uniform_random(&[12, 14, 16], 600, 11);
         let factors = crate::reference::random_factors(&t, 8, 78);
         let h = Hbcsf::build(&t, &identity_perm(3), BcsfOptions::default());
-        let full = super::super::hbcsf::plan_impl(&ctx, &h, 8);
+        let full = h.capture(&ctx, 8);
         let mut buf = Vec::new();
         full.write_schedule(&mut buf).unwrap();
         let back = Plan::read_schedule(&buf[..], buf.len() as u64).unwrap();

@@ -608,7 +608,7 @@ impl Service {
                 // cpu-reference: exact values, modeled as a fixed
                 // slowdown over the clean single-device simulation.
                 let y = mttkrp::reference::mttkrp(t, factors, plan.mode());
-                let seconds = ctx.simulate(plan.launch()).time_s * self.cfg.cpu_slowdown;
+                let seconds = plan.clean_sim(ctx).time_s * self.cfg.cpu_slowdown;
                 Some((seconds, 0, y))
             }
         }

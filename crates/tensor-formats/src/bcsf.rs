@@ -206,8 +206,16 @@ fn split_fibers(csf: &Csf, threshold: usize) -> Csf {
     let old_idx = &csf.level_idx[fl];
     let old_ptr = &csf.level_ptr[fl];
 
-    let mut new_idx: Vec<Index> = Vec::with_capacity(old_idx.len());
-    let mut new_ptr: Vec<u32> = Vec::with_capacity(old_ptr.len());
+    // ceil-div segments, each <= threshold.
+    let segs = |g: usize| {
+        ((old_ptr[g + 1] - old_ptr[g]) as usize)
+            .div_ceil(threshold)
+            .max(1)
+    };
+    // Reserved at their final lengths: a plan keeps the tree for its life.
+    let total: usize = (0..old_idx.len()).map(segs).sum();
+    let mut new_idx: Vec<Index> = Vec::with_capacity(total);
+    let mut new_ptr: Vec<u32> = Vec::with_capacity(total + 1);
     // For remapping the parent level: segments created per old fiber prefix.
     let mut seg_prefix: Vec<u32> = Vec::with_capacity(old_ptr.len());
     seg_prefix.push(0);
@@ -215,11 +223,8 @@ fn split_fibers(csf: &Csf, threshold: usize) -> Csf {
     for (g, &idx) in old_idx.iter().enumerate() {
         let lo = old_ptr[g] as usize;
         let hi = old_ptr[g + 1] as usize;
-        let len = hi - lo;
         let mut start = lo;
-        // ceil-div segments, each <= threshold.
-        let segs = len.div_ceil(threshold).max(1);
-        for _ in 0..segs {
+        for _ in 0..segs(g) {
             new_ptr.push(start as u32);
             new_idx.push(idx);
             start = start.saturating_add(threshold).min(hi);
@@ -316,6 +321,8 @@ fn assign_blocks(csf: &Csf, options: &BcsfOptions) -> Vec<BlockAssignment> {
             }
         }
     }
+    // The count is known only now; a plan keeps the list for its life.
+    blocks.shrink_to_fit();
     blocks
 }
 

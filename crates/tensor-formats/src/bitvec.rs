@@ -64,6 +64,13 @@ impl BitVec {
     }
 }
 
+impl crate::storage::ArrayBytes for BitVec {
+    /// The backing words, whole.
+    fn array_bytes(&self) -> u64 {
+        std::mem::size_of_val(self.words.as_slice()) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

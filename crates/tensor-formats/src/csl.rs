@@ -69,10 +69,14 @@ impl Csl {
     pub fn from_csf_slices(csf: &Csf, slices: &[usize]) -> Csl {
         let order = csf.order();
         let nlev = order - 1;
-        let mut slice_ptr = vec![0u32];
+        // Every array is reserved at its final length: an HB-CSF plan
+        // keeps these for its whole life, so growth slack would stay too.
+        let nnz: usize = slices.iter().map(|&s| csf.slice_nnz(s)).sum();
+        let mut slice_ptr = Vec::with_capacity(slices.len() + 1);
+        slice_ptr.push(0u32);
         let mut slice_idx = Vec::with_capacity(slices.len());
-        let mut coord: Vec<Vec<Index>> = vec![Vec::new(); order - 1];
-        let mut vals = Vec::new();
+        let mut coord: Vec<Vec<Index>> = (1..order).map(|_| Vec::with_capacity(nnz)).collect();
+        let mut vals = Vec::with_capacity(nnz);
 
         for &s in slices {
             slice_idx.push(csf.level_idx[0][s]);

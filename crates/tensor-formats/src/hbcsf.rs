@@ -257,8 +257,19 @@ fn slice_fibers_all_singleton(csf: &Csf, s: usize, fl: usize) -> bool {
 fn extract_slices(csf: &Csf, slices: &[usize]) -> Csf {
     let nlev = csf.order() - 1;
     let m: usize = slices.iter().map(|&s| csf.slice_nnz(s)).sum();
-    let mut level_idx: Vec<Vec<Index>> = vec![Vec::new(); nlev];
-    let mut level_ptr: Vec<Vec<u32>> = vec![Vec::new(); nlev];
+    // Groups per level, so every array is reserved at its final length:
+    // an HB-CSF plan keeps them for its whole life.
+    let mut groups = vec![0usize; nlev];
+    for &s in slices {
+        let (mut lo, mut hi) = (s, s + 1);
+        for (l, g) in groups.iter_mut().enumerate() {
+            *g += hi - lo;
+            let ptr = &csf.level_ptr[l];
+            (lo, hi) = (ptr[lo] as usize, ptr[hi] as usize);
+        }
+    }
+    let mut level_idx: Vec<Vec<Index>> = groups.iter().map(|&g| Vec::with_capacity(g)).collect();
+    let mut level_ptr: Vec<Vec<u32>> = groups.iter().map(|&g| Vec::with_capacity(g + 1)).collect();
     let mut leaf_idx = Vec::with_capacity(m);
     let mut vals = Vec::with_capacity(m);
     for &s in slices {

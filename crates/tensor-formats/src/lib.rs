@@ -42,4 +42,4 @@ pub use csl::Csl;
 pub use fcoo::Fcoo;
 pub use hbcsf::{Hbcsf, SliceClass};
 pub use hicoo::Hicoo;
-pub use storage::IndexBytes;
+pub use storage::{ArrayBytes, IndexBytes};

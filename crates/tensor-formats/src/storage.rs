@@ -75,6 +75,78 @@ impl IndexBytes for Fcoo {
     }
 }
 
+/// Bytes of every array a format instance holds in memory — indices and
+/// values alike, unlike [`IndexBytes`]' paper accounting — counted at
+/// their lengths (growth slack excluded). This is what a plan that keeps
+/// its layout holds.
+pub trait ArrayBytes {
+    fn array_bytes(&self) -> u64;
+}
+
+/// Bytes of the elements of `v`.
+fn bytes_of<T>(v: &[T]) -> u64 {
+    std::mem::size_of_val(v) as u64
+}
+
+/// Bytes of the elements of every array in `vs`.
+fn nested_bytes<T>(vs: &[Vec<T>]) -> u64 {
+    vs.iter().map(|v| bytes_of(v)).sum()
+}
+
+impl ArrayBytes for CooTensor {
+    fn array_bytes(&self) -> u64 {
+        let inds: u64 = (0..self.order())
+            .map(|m| bytes_of(self.mode_indices(m)))
+            .sum();
+        inds + bytes_of(self.values())
+    }
+}
+
+impl ArrayBytes for Csf {
+    fn array_bytes(&self) -> u64 {
+        nested_bytes(&self.level_idx)
+            + nested_bytes(&self.level_ptr)
+            + bytes_of(&self.leaf_idx)
+            + bytes_of(&self.vals)
+    }
+}
+
+impl ArrayBytes for Bcsf {
+    fn array_bytes(&self) -> u64 {
+        self.csf.array_bytes() + bytes_of(&self.blocks)
+    }
+}
+
+impl ArrayBytes for Csl {
+    fn array_bytes(&self) -> u64 {
+        bytes_of(&self.slice_ptr)
+            + bytes_of(&self.slice_idx)
+            + nested_bytes(&self.coord)
+            + bytes_of(&self.vals)
+    }
+}
+
+impl ArrayBytes for Fcoo {
+    fn array_bytes(&self) -> u64 {
+        nested_bytes(&self.coord)
+            + bytes_of(&self.vals)
+            + self.slice_flag.array_bytes()
+            + self.fiber_flag.array_bytes()
+            + bytes_of(&self.slice_ids)
+            + bytes_of(&self.chunk_start_slice)
+    }
+}
+
+impl ArrayBytes for Hbcsf {
+    fn array_bytes(&self) -> u64 {
+        bytes_of(&self.classes)
+            + nested_bytes(&self.coo_coord)
+            + bytes_of(&self.coo_vals)
+            + self.csl.array_bytes()
+            + self.bcsf.array_bytes()
+    }
+}
+
 impl IndexBytes for Hicoo {
     /// Per block: one pointer word and `N` block-coordinate words; per
     /// nonzero: `N` one-byte offsets.

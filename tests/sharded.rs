@@ -14,7 +14,7 @@ use mttkrp_repro::mttkrp::gpu::{
 use mttkrp_repro::mttkrp::reference::random_factors;
 use mttkrp_repro::mttkrp::{AbftOptions, CpdOptions, ResilienceOptions};
 use mttkrp_repro::simprof::RunManifest;
-use mttkrp_repro::sptensor::synth::uniform_random;
+use mttkrp_repro::sptensor::synth::{standin, uniform_random, SynthConfig};
 use mttkrp_repro::sptensor::CooTensor;
 
 const RANK: usize = 8;
@@ -477,4 +477,72 @@ fn build_time_ooms_count_once_per_model() {
         recorded, per_device,
         "launches re-counted the build's refusals"
     );
+}
+
+/// A lost device's wasted compute is drawn once, when its grid model is
+/// built: neither the ABFT retries of one launch nor a CPD's launches over
+/// a mode's model may charge it again. Pinned on the darpa stand-in at
+/// 60k entries, rank 32, four devices, `bitflip:0.05,device-loss:0.5`
+/// seed 7 — three attempts on two survivors.
+#[test]
+fn lost_device_time_counts_once_per_model() {
+    let faults = FaultPlan::parse("bitflip:0.05,device-loss:0.5", 7).unwrap();
+    let ctx = GpuContext::default().with_faults(faults);
+    let grid = GridSpec::new(4, Interconnect::nvlink());
+    let t = standin("darpa")
+        .unwrap()
+        .generate(&SynthConfig::default().with_nnz(60_000));
+    let factors = random_factors(&t, 32, 42);
+    let format = AnyFormat::build(KernelKind::Hbcsf, &t, 0, &BuildOptions::default()).unwrap();
+    let args = LaunchArgs::new(&factors).with_tensor(&t);
+    let plan = Executor::new(ctx.clone()).capture(&format, &args).unwrap();
+    let model = ShardModel::build(&ctx, &plan, &grid, &OocOptions::default()).report();
+    assert_eq!(model.devices, 2, "two devices lost");
+    assert!(model.wasted_seconds > 0.0);
+    let clean = model.compute_seconds - model.wasted_seconds;
+
+    let out = Executor::new(ctx.clone())
+        .with_grid(grid.clone())
+        .with_abft(AbftOptions::default())
+        .execute(&plan, &args)
+        .expect("valid launch");
+    assert_eq!(out.abft.expect("verified").attempts, 3);
+    let merged = out.grid.unwrap();
+    assert_eq!(merged.wasted_seconds, model.wasted_seconds);
+    let once = model.wasted_seconds + 3.0 * clean;
+    assert!((merged.compute_seconds - once).abs() <= 1e-12 * once);
+    let total = once + merged.allreduce_seconds;
+    assert!((merged.total_seconds - total).abs() <= 1e-12 * total);
+
+    // A CPD charges each mode model's waste once, however many launches
+    // run over it (device loss alone: one attempt per launch).
+    let lossy = GpuContext::default().with_faults(FaultPlan::parse("device-loss:0.5", 7).unwrap());
+    let opts = CpdOptions {
+        rank: 4,
+        max_iters: 2,
+        tol: 0.0,
+        seed: 17,
+    };
+    let plans = ModePlans::build_hbcsf(&GpuContext::default(), &t, opts.rank, Default::default());
+    let (_, _, record) = cpd_als_sharded(
+        &t,
+        &opts,
+        &ResilienceOptions::default(),
+        &lossy,
+        &plans,
+        &grid,
+        &OocOptions::default(),
+        None,
+    );
+    let models: Vec<_> = (0..t.order())
+        .map(|m| ShardModel::build(&lossy, plans.plan(m), &grid, &OocOptions::default()).report())
+        .collect();
+    assert!(models.iter().all(|m| m.wasted_seconds > 0.0));
+    let per_mode = record.launches as f64 / t.order() as f64;
+    assert_eq!(per_mode, 2.0, "one launch per mode and iteration");
+    let expect: f64 = models
+        .iter()
+        .map(|m| m.wasted_seconds + per_mode * (m.compute_seconds - m.wasted_seconds))
+        .sum();
+    assert!((record.compute_seconds - expect).abs() <= 1e-12 * expect);
 }

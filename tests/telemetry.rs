@@ -16,11 +16,12 @@ use std::sync::Arc;
 
 use mttkrp_repro::gpu_sim::Interconnect;
 use mttkrp_repro::mttkrp::cpd::{cpd_als_planned, cpd_als_sharded, CpdOptions, ResilienceOptions};
-use mttkrp_repro::mttkrp::gpu::{GpuContext, GridSpec, ModePlans, OocOptions};
+use mttkrp_repro::mttkrp::gpu::{AnyFormat, GpuContext, GridSpec, ModePlans, OocOptions};
 use mttkrp_repro::simprof::{RingSink, Telemetry, TelemetrySink, EVENT_SCHEMA_VERSION};
+use mttkrp_repro::sptensor;
 use mttkrp_repro::sptensor::synth::{standin, SynthConfig};
 use mttkrp_repro::sptensor::CooTensor;
-use mttkrp_repro::tensor_formats::BcsfOptions;
+use mttkrp_repro::tensor_formats::{BcsfOptions, Hbcsf};
 
 fn tensor() -> CooTensor {
     standin("nell2").unwrap().generate(&SynthConfig::tiny())
@@ -175,12 +176,19 @@ fn capture_counts_resident_plan_bytes() {
     let t = tensor();
     let ctx = GpuContext::default().with_profiling();
     let plans = ModePlans::build_hbcsf(&ctx, &t, opts().rank, BcsfOptions::default());
-    let sum = |bytes: &dyn Fn(usize) -> usize| (0..plans.len()).map(bytes).sum::<usize>() as u64;
-    let launch = sum(&|m| plans.plan(m).launch().op_bytes());
-    let schedule = sum(&|m| plans.plan(m).schedule().bytes());
-    assert!(launch > 0 && schedule > 0);
-    assert_eq!(ctx.registry.counter("plan.launch_bytes"), launch);
+    let sum = |bytes: &dyn Fn(usize) -> u64| (0..plans.len()).map(bytes).sum::<u64>();
+    let costs = sum(&|m| plans.plan(m).costs().bytes() as u64);
+    let schedule = sum(&|m| plans.plan(m).schedule().bytes() as u64);
+    let format = sum(&|m| {
+        let perm = sptensor::mode_orientation(t.order(), m);
+        AnyFormat::Hbcsf(Hbcsf::build(&t, &perm, BcsfOptions::default())).array_bytes()
+    });
+    assert!(costs > 0 && format > 0 && schedule > 0);
+    assert_eq!(ctx.registry.counter("plan.cost_bytes"), costs);
+    assert_eq!(ctx.registry.counter("plan.format_bytes"), format);
     assert_eq!(ctx.registry.counter("plan.schedule_bytes"), schedule);
+    // The instruction stream is not resident: nothing counts it.
+    assert_eq!(ctx.registry.counter("plan.launch_bytes"), 0);
 
     // A disabled registry records nothing.
     let plain = GpuContext::default();
