@@ -31,10 +31,11 @@
 //! computes each contribution's accumulator with the same `fill` /
 //! [`axpy_into`] / [`scale_by`] sequence the emitting kernel performs and
 //! folds it into `y` at once, in emission order, so the output is bit-for-
-//! bit the emit-and-run output. Fault-free, the fold holds the current
-//! output row in registers across its run of contributions and writes it
-//! back when the row changes, as the HB-CSF kernel keeps a slice's partial
-//! sum on chip; each lane still sees `y += 1.0 * acc` per contribution.
+//! bit the emit-and-run output. The schedule keeps output rows as runs,
+//! so fault-free the fold holds a run's row in registers from the run's
+//! start to its end and compares no row per contribution, as the HB-CSF
+//! kernel keeps a slice's partial sum on chip; each lane still sees
+//! `y += 1.0 * acc` per contribution.
 //! For the ranks [`RankDispatch`] specializes the accumulator is a
 //! `[f32; R]`, so the inner loops have compile-time trip counts.
 //!
@@ -158,35 +159,68 @@ impl MemoryFootprint {
     }
 }
 
+/// A run of consecutive contributions that share one key: an output row
+/// ([`ReplaySchedule`]'s row runs) or a chain pattern id (its pattern
+/// runs). The run ends before contribution `end` and starts where the
+/// run before it ends (the first at contribution 0).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    key: u32,
+    end: u32,
+}
+
+/// Extends the last run of `runs` to `end` if it has key `key`, else
+/// opens a new run.
+fn push_run(runs: &mut Vec<Run>, key: u32, end: u32) {
+    match runs.last_mut() {
+        Some(last) if last.key == key => last.end = end,
+        _ => runs.push(Run { key, end }),
+    }
+}
+
 /// The value-dependent half of a captured kernel, stored structure-of-
 /// arrays: every semantic output contribution in emission order, grouped
-/// by thread block (CSR-style `block_ptr`).
+/// by thread block (CSR-style `block_ptr`). Nothing it stores can be
+/// derived from the rest: output rows are kept once per run of
+/// contributions to one row, and chain modes once per distinct chain-mode
+/// sequence (a *pattern*; a plan has one or two), with a run table naming
+/// the pattern of each contribution.
 ///
-/// One contribution `c` replays as:
+/// The replay walks the row runs and the pattern runs beside the
+/// contributions. At a row run's start it opens the run's output row; at
+/// a pattern run's start it looks up the pattern's factor matrices once.
+/// One contribution `c` then replays as:
 /// 1. leaf range empty → `acc.fill(init_vals[c])` (flat kernels seed the
 ///    accumulator with the nonzero value); otherwise `acc.fill(0.0)` then
 ///    `axpy_into(acc, leaf_vals[k], factors[leaf_mode].row(leaf_rows[k]))`
 ///    per leaf (the fiber kernels' leaf reduction);
-/// 2. `scale_by(acc, factors[chain_modes[j]].row(chain_rows[j]))` per
-///    chain entry (the Hadamard fold through the remaining modes);
-/// 3. `y[rows[c]] += acc` — folded sequentially in emission order.
+/// 2. `scale_by(acc, factors[modes[j]].row(chain_rows[at + j]))` for each
+///    mode `modes[j]` of the run's pattern, where `at` advances by the
+///    pattern's length per contribution (the Hadamard fold through the
+///    remaining modes);
+/// 3. `y[row] += acc` into the open row — folded sequentially in
+///    emission order.
 #[derive(Debug, Clone)]
 pub struct ReplaySchedule {
     /// Factor mode the leaf reduction reads (fiber kernels only).
     leaf_mode: usize,
     /// Contribution range starts per block; `block_ptr[b]..block_ptr[b+1]`.
     block_ptr: Vec<u32>,
-    /// Output row per contribution.
-    rows: Vec<u32>,
+    /// Output-row runs: each run's contributions fold into row `key`.
+    row_runs: Vec<Run>,
     /// Accumulator seed per contribution (used when its leaf range is empty).
     init_vals: Vec<f32>,
     /// Leaf range starts per contribution (into `leaf_vals`/`leaf_rows`).
     leaf_ptr: Vec<u32>,
     leaf_vals: Vec<f32>,
     leaf_rows: Vec<u32>,
-    /// Chain range starts per contribution (into `chain_modes`/`chain_rows`).
-    chain_ptr: Vec<u32>,
-    chain_modes: Vec<u32>,
+    /// Chain patterns, CSR: pattern `p` scales by the factor modes
+    /// `pattern_modes[pattern_ptr[p]..pattern_ptr[p + 1]]`, in order.
+    pattern_ptr: Vec<u32>,
+    pattern_modes: Vec<u32>,
+    /// Pattern runs: each contribution of a run takes one chain row per
+    /// mode of pattern `key`, from `chain_rows` in contribution order.
+    pattern_runs: Vec<Run>,
     chain_rows: Vec<u32>,
     /// Rows replay reads per factor: entry `m` is one more than the
     /// largest row of mode `m` a leaf or chain term names (0 if none),
@@ -202,13 +236,14 @@ impl ReplaySchedule {
         ReplaySchedule {
             leaf_mode,
             block_ptr: Vec::new(),
-            rows: Vec::new(),
+            row_runs: Vec::new(),
             init_vals: Vec::new(),
             leaf_ptr: Vec::new(),
             leaf_vals: Vec::new(),
             leaf_rows: Vec::new(),
-            chain_ptr: Vec::new(),
-            chain_modes: Vec::new(),
+            pattern_ptr: vec![0],
+            pattern_modes: Vec::new(),
+            pattern_runs: Vec::new(),
             chain_rows: Vec::new(),
             reach: Vec::new(),
         }
@@ -225,13 +260,14 @@ impl ReplaySchedule {
     /// the reach table are not counted).
     pub fn bytes(&self) -> usize {
         4 * (self.block_ptr.len()
-            + self.rows.len()
+            + 2 * self.row_runs.len()
             + self.init_vals.len()
             + self.leaf_ptr.len()
             + self.leaf_vals.len()
             + self.leaf_rows.len()
-            + self.chain_ptr.len()
-            + self.chain_modes.len()
+            + self.pattern_ptr.len()
+            + self.pattern_modes.len()
+            + 2 * self.pattern_runs.len()
             + self.chain_rows.len())
     }
 
@@ -239,21 +275,47 @@ impl ReplaySchedule {
     /// as its plan.
     fn trim(&mut self) {
         self.block_ptr.shrink_to_fit();
-        self.rows.shrink_to_fit();
+        self.row_runs.shrink_to_fit();
         self.init_vals.shrink_to_fit();
         self.leaf_ptr.shrink_to_fit();
         self.leaf_vals.shrink_to_fit();
         self.leaf_rows.shrink_to_fit();
-        self.chain_ptr.shrink_to_fit();
-        self.chain_modes.shrink_to_fit();
+        self.pattern_ptr.shrink_to_fit();
+        self.pattern_modes.shrink_to_fit();
+        self.pattern_runs.shrink_to_fit();
         self.chain_rows.shrink_to_fit();
+    }
+
+    /// The factor modes of pattern `p`.
+    fn pattern(&self, p: u32) -> &[u32] {
+        let p = p as usize;
+        &self.pattern_modes[self.pattern_ptr[p] as usize..self.pattern_ptr[p + 1] as usize]
+    }
+
+    /// The id of the pattern `modes`, added to the table if new.
+    fn pattern_id(&mut self, modes: &[u32]) -> u32 {
+        if let Some(run) = self.pattern_runs.last() {
+            if self.pattern(run.key) == modes {
+                return run.key;
+            }
+        }
+        let count = self.pattern_ptr.len() as u32 - 1;
+        if let Some(p) = (0..count).find(|&p| self.pattern(p) == modes) {
+            return p;
+        }
+        self.pattern_modes.extend_from_slice(modes);
+        self.pattern_ptr.push(self.pattern_modes.len() as u32);
+        count
     }
 
     /// Checks the structure replay indexes by: each pointer array starts
     /// at 0, never decreases and ends at the length of the arrays it
-    /// indexes; there is one seed and one leaf and chain range per
-    /// contribution; every output row is below `out_rows`. A schedule read
-    /// from disk passes this before it can replay.
+    /// indexes; there is one seed and one leaf range per contribution;
+    /// the row and pattern runs are non-empty and end at the contribution
+    /// count; every output row is below `out_rows`, every pattern id names
+    /// a pattern and every factor mode is below [`MAX_MODES`]; the chain
+    /// rows are as many as the pattern runs take. A schedule read from
+    /// disk passes this before it can replay.
     fn check(&self, out_rows: usize) -> Result<(), &'static str> {
         /// `ptr` is a CSR pointer array over `len` entries.
         fn csr(ptr: &[u32], len: usize) -> bool {
@@ -261,37 +323,73 @@ impl ReplaySchedule {
                 && ptr.last().is_some_and(|&e| e as usize == len)
                 && ptr.windows(2).all(|w| w[0] <= w[1])
         }
-        let n = self.rows.len();
+        /// `runs` are non-empty and cover `n` contributions.
+        fn covers(runs: &[Run], n: usize) -> bool {
+            let mut start = 0;
+            runs.iter().all(|r| {
+                let ok = r.end > start;
+                start = r.end;
+                ok
+            }) && start as usize == n
+        }
+        let n = self.init_vals.len();
         if !csr(&self.block_ptr, n) {
             return Err("replay schedule: block pointers do not cover the contributions");
         }
-        if self.init_vals.len() != n {
-            return Err("replay schedule: seed count differs from the contribution count");
-        }
-        if self.leaf_ptr.len() != n + 1 || self.chain_ptr.len() != n + 1 {
-            return Err(
-                "replay schedule: leaf or chain pointer count differs from the contributions",
-            );
+        if self.leaf_ptr.len() != n + 1 {
+            return Err("replay schedule: leaf pointer count differs from the contributions");
         }
         if self.leaf_vals.len() != self.leaf_rows.len()
             || !csr(&self.leaf_ptr, self.leaf_vals.len())
         {
             return Err("replay schedule: leaf pointers do not cover the leaf terms");
         }
-        if self.chain_modes.len() != self.chain_rows.len()
-            || !csr(&self.chain_ptr, self.chain_modes.len())
-        {
-            return Err("replay schedule: chain pointers do not cover the chain terms");
+        if !covers(&self.row_runs, n) {
+            return Err("replay schedule: row runs do not cover the contributions");
         }
-        if self.rows.iter().any(|&r| r as usize >= out_rows) {
+        if self.row_runs.iter().any(|r| r.key as usize >= out_rows) {
             return Err("replay schedule: output row out of range");
         }
-        if self.chain_modes.iter().any(|&m| m >= MAX_MODES)
+        if !csr(&self.pattern_ptr, self.pattern_modes.len()) {
+            return Err("replay schedule: pattern pointers do not cover the pattern modes");
+        }
+        if !covers(&self.pattern_runs, n) {
+            return Err("replay schedule: pattern runs do not cover the contributions");
+        }
+        let patterns = self.pattern_ptr.len() as u32 - 1;
+        if self.pattern_runs.iter().any(|r| r.key >= patterns) {
+            return Err("replay schedule: pattern id out of range");
+        }
+        if self.pattern_modes.iter().any(|&m| m >= MAX_MODES)
             || (!self.leaf_rows.is_empty() && self.leaf_mode >= MAX_MODES as usize)
         {
             return Err("replay schedule: factor mode out of range");
         }
+        let mut start = 0u64;
+        let chain_terms = self.pattern_runs.iter().try_fold(0u64, |sum, r| {
+            let terms = (u64::from(r.end) - start) * self.pattern(r.key).len() as u64;
+            start = u64::from(r.end);
+            sum.checked_add(terms)
+        });
+        if chain_terms != Some(self.chain_rows.len() as u64) {
+            return Err("replay schedule: chain rows differ from what the pattern runs take");
+        }
         Ok(())
+    }
+
+    /// Calls `visit(mode, row)` for every chain term, in order.
+    fn for_each_chain_term(&self, mut visit: impl FnMut(u32, u32)) {
+        let mut rows = self.chain_rows.iter();
+        let mut start = 0;
+        for run in &self.pattern_runs {
+            let modes = self.pattern(run.key);
+            for _ in start..run.end {
+                for (&m, &row) in modes.iter().zip(rows.by_ref()) {
+                    visit(m, row);
+                }
+            }
+            start = run.end;
+        }
     }
 
     /// Fills [`ReplaySchedule::reach`] from the leaf and chain terms.
@@ -306,10 +404,44 @@ impl ReplaySchedule {
         if let Some(&top) = self.leaf_rows.iter().max() {
             note(self.leaf_mode, top);
         }
-        for (&mode, &row) in self.chain_modes.iter().zip(&self.chain_rows) {
-            note(mode as usize, row);
-        }
+        self.for_each_chain_term(|mode, row| note(mode as usize, row));
         self.reach = reach;
+    }
+}
+
+/// Walks a schedule's pattern runs forward: the chain-row offset of
+/// contribution `at`, for `at` that never decrease across calls.
+struct ChainCursor<'s> {
+    sched: &'s ReplaySchedule,
+    /// The pattern run holding the last contribution asked for.
+    run: usize,
+    /// The contribution that run starts at, and its chain-row offset.
+    start: u32,
+    chain: usize,
+}
+
+impl<'s> ChainCursor<'s> {
+    fn new(sched: &'s ReplaySchedule) -> ChainCursor<'s> {
+        ChainCursor {
+            sched,
+            run: 0,
+            start: 0,
+            chain: 0,
+        }
+    }
+
+    fn offset(&mut self, at: u32) -> usize {
+        let s = self.sched;
+        while let Some(r) = s.pattern_runs.get(self.run) {
+            if r.end > at {
+                let width = s.pattern(r.key).len();
+                return self.chain + (at - self.start) as usize * width;
+            }
+            self.chain += (r.end - self.start) as usize * s.pattern(r.key).len();
+            self.start = r.end;
+            self.run += 1;
+        }
+        self.chain
     }
 }
 
@@ -383,28 +515,45 @@ impl Lanes for Vec<f32> {
     }
 }
 
-/// Where [`Plan::replay_range`] commits each contribution's accumulator.
+/// Where [`Plan::replay_range`] commits each contribution's accumulator:
+/// into the output row of the row run the replay walks.
 trait Fold {
     fn begin_block(&mut self, y: &mut Matrix, block: usize);
-    fn commit(&mut self, y: &mut Matrix, row: usize, acc: &[f32]);
+    /// Starts a run of contributions to output row `row`.
+    fn open(&mut self, y: &mut Matrix, row: usize);
+    /// Folds one contribution into the open row.
+    fn commit(&mut self, y: &mut Matrix, acc: &[f32]);
 }
 
-impl Fold for AbftSink {
+/// The faulted fold: every contribution goes through the sink, which
+/// checksums it and latches the block's bit flip, as the emitting kernels
+/// commit.
+struct Checked<'s> {
+    sink: &'s mut AbftSink,
+    row: usize,
+}
+
+impl Fold for Checked<'_> {
     #[inline]
     fn begin_block(&mut self, y: &mut Matrix, block: usize) {
-        AbftSink::begin_block(self, y, block);
+        self.sink.begin_block(y, block);
     }
 
     #[inline]
-    fn commit(&mut self, y: &mut Matrix, row: usize, acc: &[f32]) {
-        self.contribute(y, row, acc);
+    fn open(&mut self, _: &mut Matrix, row: usize) {
+        self.row = row;
+    }
+
+    #[inline]
+    fn commit(&mut self, y: &mut Matrix, acc: &[f32]) {
+        self.sink.contribute(y, self.row, acc);
     }
 }
 
-/// The fault-free fold: the current output row lives in `sum` across its
-/// run of contributions and is written back when the row changes and
-/// when the range ends ([`HeldRow::store`]), the way the HB-CSF kernel
-/// keeps a slice's partial sum on chip.
+/// The fault-free fold: the open output row lives in `sum` across its
+/// run of contributions, loaded at the run's start and written back when
+/// the next run opens and when the range ends ([`HeldRow::store`]), the
+/// way the HB-CSF kernel keeps a slice's partial sum on chip.
 struct HeldRow<A> {
     row: Option<usize>,
     sum: A,
@@ -423,12 +572,14 @@ impl<A: Lanes> Fold for HeldRow<A> {
     fn begin_block(&mut self, _: &mut Matrix, _: usize) {}
 
     #[inline]
-    fn commit(&mut self, y: &mut Matrix, row: usize, acc: &[f32]) {
-        if self.row != Some(row) {
-            self.store(y);
-            self.sum.as_mut().copy_from_slice(y.row(row));
-            self.row = Some(row);
-        }
+    fn open(&mut self, y: &mut Matrix, row: usize) {
+        self.store(y);
+        self.sum.as_mut().copy_from_slice(y.row(row));
+        self.row = Some(row);
+    }
+
+    #[inline]
+    fn commit(&mut self, _: &mut Matrix, acc: &[f32]) {
         self.sum.add_scaled(1.0, acc);
     }
 }
@@ -476,16 +627,17 @@ pub(crate) enum CaptureMode<'a> {
 }
 
 /// The state of a [`CaptureMode::Ranges`] re-emission. Ranges are in
-/// launch-block indices, sorted and disjoint; range `k` holds the launch
-/// blocks whose index lies in `ranges[k]`, so a range past the last
-/// launched block — a kernel's trailing probe block has a schedule
-/// ordinal but no launch block — comes out clamped.
+/// schedule-block ordinals, sorted and disjoint; range `k` holds the
+/// launch blocks whose ordinal lies in `ranges[k]`. An ordinal with no
+/// launch block — F-COO's probe past its first pass — adds nothing to its
+/// range.
 pub(crate) struct RangeCut<'a> {
     ranges: &'a [(usize, usize)],
     /// The range the kept launch blocks belong to.
     next: usize,
-    /// Launch blocks pushed so far.
-    pushed: usize,
+    /// Blocks begun so far; the block being emitted is ordinal
+    /// `begun - 1`.
+    begun: usize,
     sink: &'a mut dyn FnMut(usize, KernelLaunch),
 }
 
@@ -525,8 +677,13 @@ pub(crate) struct PlanBuilder<'a> {
     /// The kept blocks of the simulated instruction stream.
     launch: KernelLaunch,
     sched: ReplaySchedule,
+    /// The chain modes of the open contribution, so far.
+    chain_open: Vec<u32>,
     footprint: MemoryFootprint,
     capture: CaptureMode<'a>,
+    /// The per-contribution schedule the compact one is checked against.
+    #[cfg(test)]
+    oracle: Option<tests::SoaSchedule>,
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -603,7 +760,7 @@ impl<'a> PlanBuilder<'a> {
             CaptureMode::Ranges(RangeCut {
                 ranges,
                 next: 0,
-                pushed: 0,
+                begun: 0,
                 sink,
             }),
         )
@@ -623,8 +780,19 @@ impl<'a> PlanBuilder<'a> {
             out_rows,
             launch: KernelLaunch::new(name),
             sched: ReplaySchedule::empty(0),
+            chain_open: Vec::new(),
             footprint: MemoryFootprint::default(),
             capture,
+            #[cfg(test)]
+            oracle: None,
+        }
+    }
+
+    /// Hands the emission to the test oracle, when one is set.
+    #[cfg(test)]
+    fn tap(&mut self, f: impl FnOnce(&mut tests::SoaSchedule)) {
+        if let Some(o) = &mut self.oracle {
+            f(o);
         }
     }
 
@@ -643,8 +811,10 @@ impl<'a> PlanBuilder<'a> {
     /// kernels called `sink.begin_block` (once per block ordinal, in
     /// emission order), so fault draws key identically at replay.
     pub fn begin_block(&mut self) {
+        #[cfg(test)]
+        self.tap(|o| o.begin_block());
         match &mut self.capture {
-            CaptureMode::Full => self.sched.block_ptr.push(self.sched.rows.len() as u32),
+            CaptureMode::Full => self.sched.block_ptr.push(self.sched.init_vals.len() as u32),
             CaptureMode::WeightsOnly {
                 weights,
                 started,
@@ -664,9 +834,9 @@ impl<'a> PlanBuilder<'a> {
                 let block = cut.seen;
                 cut.seen += 1;
                 self.seal_shards(Some(block));
-                self.sched.block_ptr.push(self.sched.rows.len() as u32);
+                self.sched.block_ptr.push(self.sched.init_vals.len() as u32);
             }
-            CaptureMode::Ranges(_) => {}
+            CaptureMode::Ranges(cut) => cut.begun += 1,
         }
     }
 
@@ -674,11 +844,12 @@ impl<'a> PlanBuilder<'a> {
     /// launches, right after its `begin_block`. Only a full capture and a
     /// re-emission keep blocks; the streaming captures drop them.
     pub fn push_block(&mut self, block: BlockWork) {
+        #[cfg(test)]
+        self.tap(|o| o.push_block());
         match &mut self.capture {
             CaptureMode::Full => self.launch.blocks.push(block),
             CaptureMode::Ranges(cut) => {
-                let k = cut.pushed;
-                cut.pushed += 1;
+                let k = cut.begun - 1;
                 while cut.next < cut.ranges.len() && cut.ranges[cut.next].1 <= k {
                     cut.hand_out(&mut self.launch);
                 }
@@ -698,6 +869,8 @@ impl<'a> PlanBuilder<'a> {
     /// Starts a contribution to output row `row` with accumulator seed
     /// `init` (used only if no leaves follow).
     pub fn contrib(&mut self, row: usize, init: f32) {
+        #[cfg(test)]
+        self.tap(|o| o.contrib(row, init));
         if let CaptureMode::WeightsOnly { contribs, .. } = &mut self.capture {
             *contribs += 1;
             return;
@@ -705,17 +878,30 @@ impl<'a> PlanBuilder<'a> {
         if !self.records_schedule() {
             return;
         }
-        self.sched.rows.push(row as u32);
-        self.sched.init_vals.push(init);
-        self.sched.leaf_ptr.push(self.sched.leaf_vals.len() as u32);
-        self.sched
-            .chain_ptr
-            .push(self.sched.chain_modes.len() as u32);
+        self.close_contrib();
+        let s = &mut self.sched;
+        s.init_vals.push(init);
+        s.leaf_ptr.push(s.leaf_vals.len() as u32);
+        push_run(&mut s.row_runs, row as u32, s.init_vals.len() as u32);
+    }
+
+    /// Ends the open contribution, if any: its chain modes join the
+    /// pattern runs.
+    fn close_contrib(&mut self) {
+        let s = &mut self.sched;
+        let n = s.init_vals.len() as u32;
+        if s.pattern_runs.last().map_or(0, |r| r.end) < n {
+            let p = s.pattern_id(&self.chain_open);
+            push_run(&mut s.pattern_runs, p, n);
+            self.chain_open.clear();
+        }
     }
 
     /// Appends a leaf term `val × factors[leaf_mode].row(row)` to the
     /// current contribution.
     pub fn leaf(&mut self, val: f32, row: usize) {
+        #[cfg(test)]
+        self.tap(|o| o.leaf(val, row));
         if let CaptureMode::WeightsOnly { leaves, .. } = &mut self.capture {
             *leaves += 1;
             return;
@@ -730,6 +916,8 @@ impl<'a> PlanBuilder<'a> {
     /// Appends a Hadamard scaling by `factors[mode].row(row)` to the
     /// current contribution.
     pub fn chain(&mut self, mode: usize, row: usize) {
+        #[cfg(test)]
+        self.tap(|o| o.chain(mode, row));
         if let CaptureMode::WeightsOnly { chains, .. } = &mut self.capture {
             *chains += 1;
             return;
@@ -737,7 +925,7 @@ impl<'a> PlanBuilder<'a> {
         if !self.records_schedule() {
             return;
         }
-        self.sched.chain_modes.push(mode as u32);
+        self.chain_open.push(mode as u32);
         self.sched.chain_rows.push(row as u32);
     }
 
@@ -779,11 +967,11 @@ impl<'a> PlanBuilder<'a> {
     /// clean replay (the ordered fold is position-independent) but not
     /// for fault draws, which key on global ordinals.
     fn seal(&mut self) -> Plan {
+        self.close_contrib();
         let fresh = ReplaySchedule::empty(self.sched.leaf_mode);
         let mut sched = std::mem::replace(&mut self.sched, fresh);
-        sched.block_ptr.push(sched.rows.len() as u32);
+        sched.block_ptr.push(sched.init_vals.len() as u32);
         sched.leaf_ptr.push(sched.leaf_vals.len() as u32);
-        sched.chain_ptr.push(sched.chain_modes.len() as u32);
         sched.measure_reach();
         Plan::from_schedule(
             &self.name,
@@ -915,7 +1103,9 @@ pub struct Plan {
     /// The whole launch, re-emitted on the first [`Plan::launch`] call.
     launch: OnceLock<KernelLaunch>,
     /// Fault-free scheduling pass, computed once on first execute.
-    sim_clean: OnceLock<(SimResult, SimProfile)>,
+    sim_clean: OnceLock<SimResult>,
+    /// Its profile, kept only once a profiling context has asked for it.
+    clean_profile: OnceLock<SimProfile>,
     /// Last faulted simulation keyed by its [`FaultPlan`] — `run_verified`
     /// retries re-execute under `plan.with_attempt(n)`, a different key.
     sim_faulted: Mutex<Option<(FaultPlan, SimResult, SimProfile)>>,
@@ -946,6 +1136,7 @@ impl Plan {
             source: None,
             launch: OnceLock::new(),
             sim_clean: OnceLock::new(),
+            clean_profile: OnceLock::new(),
             sim_faulted: Mutex::new(None),
             sim_tiled: Mutex::new(None),
         }
@@ -1034,11 +1225,11 @@ impl Plan {
     }
 
     /// Re-emits the launch through the kept layout's capture body, handing
-    /// `sink` one launch per range of `ranges` (launch-block ranges,
+    /// `sink` one launch per range of `ranges` (schedule-block ordinals,
     /// sorted and disjoint), in order, each as soon as the emission passes
-    /// its end: range `(b0, b1)` holds the launch blocks `b0..b1` clamped
-    /// to the launch. One emission serves every range. A plan with no
-    /// layout hands out empty launches.
+    /// its end: range `(b0, b1)` holds the launch blocks of ordinals
+    /// `b0..b1` (see [`RangeCut`]). One emission serves every range. A
+    /// plan with no layout hands out empty launches.
     pub(crate) fn emit_ranges(
         &self,
         ranges: &[(usize, usize)],
@@ -1057,9 +1248,9 @@ impl Plan {
     }
 
     /// The fault-free simulation of each of `ranges` (sorted, disjoint
-    /// schedule-block ranges, cut from the launch as launch-block indices
-    /// — as tiles and shards always were) as its own launch, `None` for a
-    /// range that holds no launch block, from one re-emission
+    /// schedule-block ranges, as tiles and shards are cut) as its own
+    /// launch, `None` for a range that holds no launch block, from one
+    /// re-emission
     /// ([`Plan::emit_ranges`]). Each range is simulated under `ctx`'s
     /// device model as soon as the emission passes its end, then dropped.
     pub(crate) fn simulate_ranges(
@@ -1252,8 +1443,13 @@ impl Plan {
                 }
             }
             None => {
-                let (sim, profile) = self.clean_sim_cached(ctx);
-                (sim.clone(), ctx.profiling().then(|| profile.clone()))
+                let sim = self.clean_sim_cached(ctx).clone();
+                let profile = ctx.profiling().then(|| {
+                    self.clean_profile
+                        .get_or_init(|| self.quiet_schedule(ctx).1)
+                        .clone()
+                });
+                (sim, profile)
             }
         }
     }
@@ -1263,13 +1459,30 @@ impl Plan {
     /// depends only on the captured launch and the device model — never on
     /// device count or fault state — so the telemetry clock advanced from
     /// it is identical across `--devices 1` and `--devices N` runs.
-    pub(crate) fn clean_sim_cached(&self, ctx: &GpuContext) -> &(SimResult, SimProfile) {
+    ///
+    /// The profile the pass yields is kept only under a profiling `ctx`;
+    /// a later profiling context that finds none recomputes it through a
+    /// quiet pass ([`Plan::quiet_schedule`]), which records nothing.
+    pub(crate) fn clean_sim_cached(&self, ctx: &GpuContext) -> &SimResult {
         let hit = self.sim_clean.get().is_some();
-        let pair = self.sim_clean.get_or_init(|| self.schedule_sim(ctx, None));
+        let sim = self.sim_clean.get_or_init(|| {
+            let (sim, profile) = self.schedule_sim(ctx, None);
+            if ctx.profiling() {
+                let _ = self.clean_profile.set(profile);
+            }
+            sim
+        });
         if hit {
             self.note_cache_hit(ctx, "clean");
         }
-        pair
+        sim
+    }
+
+    /// The fault-free scheduling pass over the kept cost table, recording
+    /// nothing: no counters, no events, no address stream.
+    fn quiet_schedule(&self, ctx: &GpuContext) -> (SimResult, SimProfile) {
+        let quiet = simprof::Registry::disabled();
+        schedule_pass(&ctx.device, &self.name, &self.costs, &quiet, None, None)
     }
 
     /// The fault-free simulation under `ctx`'s device model, recording
@@ -1278,11 +1491,8 @@ impl Plan {
     /// first replay still records and emits as usual).
     pub fn clean_sim(&self, ctx: &GpuContext) -> SimResult {
         match self.sim_clean.get() {
-            Some((sim, _)) => sim.clone(),
-            None => {
-                let quiet = simprof::Registry::disabled();
-                schedule_pass(&ctx.device, &self.name, &self.costs, &quiet, None, None).0
-            }
+            Some(sim) => sim.clone(),
+            None => self.quiet_schedule(ctx).0,
         }
     }
 
@@ -1338,7 +1548,10 @@ impl Plan {
         b1: usize,
     ) {
         match sink {
-            Some(sink) => self.fold_range::<A>(y, factors, sink, b0, b1),
+            Some(sink) => {
+                let mut checked = Checked { sink, row: 0 };
+                self.fold_range::<A>(y, factors, &mut checked, b0, b1);
+            }
             None => {
                 let mut held = HeldRow {
                     row: None,
@@ -1350,9 +1563,11 @@ impl Plan {
         }
     }
 
-    /// The replay loop: computes each contribution's accumulator exactly
-    /// as the emitting kernel did (seed or leaf reduction, then the
-    /// Hadamard chain) and hands it to `fold` at once.
+    /// The replay loop: walks the blocks, the row runs and the pattern
+    /// runs together, and computes each contribution's accumulator
+    /// exactly as the emitting kernel did (seed or leaf reduction, then
+    /// the Hadamard chain) and hands it to `fold` at once. A range that
+    /// starts inside a run finds the run by binary search.
     fn fold_range<A: Lanes>(
         &self,
         y: &mut Matrix,
@@ -1362,33 +1577,67 @@ impl Plan {
         b1: usize,
     ) {
         let s = &self.sched;
+        let b1 = b1.min(s.num_blocks());
+        if b0 >= b1 {
+            return;
+        }
         let mut acc = A::zeroed(self.rank);
         // A compile-time constant for the array arms.
         let r = acc.as_ref().len();
         let leaf = factors.get(s.leaf_mode).map_or(&[][..], Matrix::data);
-        for b in b0..b1.min(s.num_blocks()) {
+        let lo = s.block_ptr[b0];
+        let mut row_runs = s.row_runs[s.row_runs.partition_point(|run| run.end <= lo)..].iter();
+        let mut cursor = ChainCursor::new(s);
+        let mut at = cursor.offset(lo);
+        let mut pattern_runs = s.pattern_runs[cursor.run..].iter();
+        // The open runs' ends; a run opens when the walk reaches its end.
+        let (mut row_end, mut pattern_end) = (lo, lo);
+        let mut modes: Vec<&[f32]> = Vec::new();
+        let mut c = lo;
+        for b in b0..b1 {
             fold.begin_block(y, b);
-            let (lo, hi) = (s.block_ptr[b] as usize, s.block_ptr[b + 1] as usize);
-            let contribs = s.rows[lo..hi]
-                .iter()
-                .zip(&s.init_vals[lo..hi])
-                .zip(s.leaf_ptr[lo..=hi].windows(2))
-                .zip(s.chain_ptr[lo..=hi].windows(2));
-            for (((&i, &seed), l), c) in contribs {
-                let (l0, l1) = (l[0] as usize, l[1] as usize);
-                if l0 == l1 {
-                    acc.splat(seed);
-                } else {
-                    acc.splat(0.0);
-                    for (&v, &row) in s.leaf_vals[l0..l1].iter().zip(&s.leaf_rows[l0..l1]) {
-                        acc.add_scaled(v, factor_row(leaf, row, r));
+            let block_end = s.block_ptr[b + 1];
+            while c < block_end {
+                if c == row_end {
+                    let run = row_runs.next().expect("row runs cover the contributions");
+                    fold.open(y, run.key as usize);
+                    row_end = run.end;
+                }
+                if c == pattern_end {
+                    let run = pattern_runs
+                        .next()
+                        .expect("pattern runs cover the contributions");
+                    modes.clear();
+                    modes.extend(
+                        s.pattern(run.key)
+                            .iter()
+                            .map(|&m| factors[m as usize].data()),
+                    );
+                    pattern_end = run.end;
+                }
+                let stop = block_end.min(row_end).min(pattern_end);
+                let (c0, c1) = (c as usize, stop as usize);
+                let width = modes.len();
+                let contribs = s.init_vals[c0..c1]
+                    .iter()
+                    .zip(s.leaf_ptr[c0..=c1].windows(2));
+                for (&seed, l) in contribs {
+                    let (l0, l1) = (l[0] as usize, l[1] as usize);
+                    if l0 == l1 {
+                        acc.splat(seed);
+                    } else {
+                        acc.splat(0.0);
+                        for (&v, &row) in s.leaf_vals[l0..l1].iter().zip(&s.leaf_rows[l0..l1]) {
+                            acc.add_scaled(v, factor_row(leaf, row, r));
+                        }
                     }
+                    for (&m, &row) in modes.iter().zip(&s.chain_rows[at..at + width]) {
+                        acc.mul_by(factor_row(m, row, r));
+                    }
+                    at += width;
+                    fold.commit(y, acc.as_ref());
                 }
-                let (c0, c1) = (c[0] as usize, c[1] as usize);
-                for (&m, &row) in s.chain_modes[c0..c1].iter().zip(&s.chain_rows[c0..c1]) {
-                    acc.mul_by(factor_row(factors[m as usize].data(), row, r));
-                }
-                fold.commit(y, i as usize, acc.as_ref());
+                c = stop;
             }
         }
     }
@@ -1428,13 +1677,15 @@ impl Plan {
         let nblocks = s.num_blocks();
         let mut prefix = Vec::with_capacity(nblocks + 1);
         prefix.push(0u64);
+        let mut cursor = ChainCursor::new(s);
+        let mut chain_lo = 0;
         for b in 0..nblocks {
-            let (lo, hi) = (s.block_ptr[b] as usize, s.block_ptr[b + 1] as usize);
-            let mut w = 1 + (hi - lo) as u64;
-            if hi > lo {
-                w += u64::from(s.leaf_ptr[hi] - s.leaf_ptr[lo]);
-                w += u64::from(s.chain_ptr[hi] - s.chain_ptr[lo]);
-            }
+            let (lo, hi) = (s.block_ptr[b], s.block_ptr[b + 1]);
+            let chain_hi = cursor.offset(hi);
+            let mut w = 1 + u64::from(hi - lo);
+            w += u64::from(s.leaf_ptr[hi as usize] - s.leaf_ptr[lo as usize]);
+            w += (chain_hi - chain_lo) as u64;
+            chain_lo = chain_hi;
             prefix.push(prefix[b] + w);
         }
         prefix
@@ -1465,7 +1716,8 @@ impl Plan {
     /// SoA arrays, little-endian) for the streaming shard store, as a
     /// frame of magic [`SCHED_MAGIC`]: the kernel name, mode, rank,
     /// output rows and leaf mode, then each schedule array as a `u64`
-    /// count and its values. The captured instruction stream and
+    /// count of `u32` words and its words — a run table as `(key, end)`
+    /// word pairs. The captured instruction stream and
     /// footprint are deliberately not persisted: a deserialized plan
     /// replays values bit-identically but keeps no cost table and no
     /// layout (it simulates as an empty launch) — the streaming CPD
@@ -1479,20 +1731,18 @@ impl Plan {
         w.u64(self.out_rows as u64)?;
         let s = &self.sched;
         w.u32(s.leaf_mode as u32)?;
-        w.u64(s.block_ptr.len() as u64)?;
-        w.u32s(s.block_ptr.iter().copied())?;
-        w.u64(s.rows.len() as u64)?;
-        w.u32s(s.rows.iter().copied())?;
-        w.u64(s.init_vals.len() as u64)?;
-        w.u32s(s.init_vals.iter().map(|v| v.to_bits()))?;
-        w.u64(s.leaf_ptr.len() as u64)?;
-        w.u32s(s.leaf_ptr.iter().copied())?;
-        w.u64(s.leaf_vals.len() as u64)?;
-        w.u32s(s.leaf_vals.iter().map(|v| v.to_bits()))?;
-        for a in [&s.leaf_rows, &s.chain_ptr, &s.chain_modes, &s.chain_rows] {
-            w.u64(a.len() as u64)?;
-            w.u32s(a.iter().copied())?;
-        }
+        let bits = |v: &f32| v.to_bits();
+        let pair = |r: &Run| [r.key, r.end];
+        section(&mut w, s.block_ptr.iter().copied())?;
+        section(&mut w, s.row_runs.iter().flat_map(pair))?;
+        section(&mut w, s.init_vals.iter().map(bits))?;
+        section(&mut w, s.leaf_ptr.iter().copied())?;
+        section(&mut w, s.leaf_vals.iter().map(bits))?;
+        section(&mut w, s.leaf_rows.iter().copied())?;
+        section(&mut w, s.pattern_ptr.iter().copied())?;
+        section(&mut w, s.pattern_modes.iter().copied())?;
+        section(&mut w, s.pattern_runs.iter().flat_map(pair))?;
+        section(&mut w, s.chain_rows.iter().copied())?;
         w.finish()?.flush()
     }
 
@@ -1509,21 +1759,31 @@ impl Plan {
         let out_rows = r.u64()? as usize;
         let leaf_mode = r.u32()? as usize;
         let mut u32s = || r.u64().and_then(|n| r.u32s(n));
-        let block_ptr = u32s()?;
-        let rows = u32s()?;
-        let init_vals = u32s()?.into_iter().map(f32::from_bits).collect();
-        let leaf_ptr = u32s()?;
-        let leaf_vals = u32s()?.into_iter().map(f32::from_bits).collect();
+        let floats = |words: Vec<u32>| words.into_iter().map(f32::from_bits).collect();
+        let runs = |words: Vec<u32>| match words.len() % 2 {
+            0 => Ok(words
+                .chunks_exact(2)
+                .map(|w| Run {
+                    key: w[0],
+                    end: w[1],
+                })
+                .collect()),
+            _ => Err(TensorError::invalid(
+                "plan",
+                "replay schedule: a run table holds an odd word count",
+            )),
+        };
         let mut sched = ReplaySchedule {
             leaf_mode,
-            block_ptr,
-            rows,
-            init_vals,
-            leaf_ptr,
-            leaf_vals,
+            block_ptr: u32s()?,
+            row_runs: runs(u32s()?)?,
+            init_vals: floats(u32s()?),
+            leaf_ptr: u32s()?,
+            leaf_vals: floats(u32s()?),
             leaf_rows: u32s()?,
-            chain_ptr: u32s()?,
-            chain_modes: u32s()?,
+            pattern_ptr: u32s()?,
+            pattern_modes: u32s()?,
+            pattern_runs: runs(u32s()?)?,
             chain_rows: u32s()?,
             reach: Vec::new(),
         };
@@ -1543,12 +1803,22 @@ impl Plan {
     }
 }
 
+/// Writes one schedule array: its `u32` word count, then its words.
+fn section<W: std::io::Write>(
+    w: &mut FrameWriter<W>,
+    words: impl Iterator<Item = u32> + Clone,
+) -> std::io::Result<()> {
+    w.u64(words.clone().count() as u64)?;
+    w.u32s(words)
+}
+
 /// Magic of a serialized [`ReplaySchedule`] ("sptk plan"), a schema over
 /// [`sptensor::frame`].
 const SCHED_MAGIC: &[u8; 4] = b"SPL1";
-/// Version 2 frames the sections under a checksum trailer; version 1 had
-/// no version field and no trailer.
-const SCHED_VERSION: u32 = 2;
+/// Version 3 keeps output rows as row runs and chain modes as patterns;
+/// version 2 kept a row, a chain pointer and the chain modes per
+/// contribution, and version 1 had no version field and no trailer.
+const SCHED_VERSION: u32 = 3;
 
 /// Per-mode HB-CSF plans for a CPD hot loop: build all formats and capture
 /// all plans once (fanned over rayon — mode builds are independent), then
@@ -1651,20 +1921,28 @@ mod tests {
     use tensor_formats::{BcsfOptions, Hbcsf};
 
     /// The serialized schedule arrays, in file order.
-    const ARRAYS: [&str; 9] = [
+    const ARRAYS: [&str; 10] = [
         "block_ptr",
-        "rows",
+        "row_runs",
         "init_vals",
         "leaf_ptr",
         "leaf_vals",
         "leaf_rows",
-        "chain_ptr",
-        "chain_modes",
+        "pattern_ptr",
+        "pattern_modes",
+        "pattern_runs",
         "chain_rows",
     ];
 
     /// The structural arrays, whose every element the check covers.
-    const STRUCTURAL: [&str; 4] = ["block_ptr", "rows", "leaf_ptr", "chain_ptr"];
+    const STRUCTURAL: [&str; 6] = [
+        "block_ptr",
+        "row_runs",
+        "leaf_ptr",
+        "pattern_ptr",
+        "pattern_modes",
+        "pattern_runs",
+    ];
 
     /// The fixture's 4-way tensor (4 modes, so contributions carry chains).
     fn tensor() -> CooTensor {
@@ -1720,7 +1998,10 @@ mod tests {
     fn schedule_check_accepts_what_capture_writes() {
         let (plan, bytes) = fixture();
         let back = read(&bytes).unwrap();
-        assert_eq!(back.schedule().rows.len(), plan.schedule().rows.len());
+        assert_eq!(
+            back.schedule().contributions(),
+            plan.schedule().contributions()
+        );
         for (name, (_, len)) in ARRAYS.iter().zip(arrays(&bytes)) {
             assert!(len > 0, "fixture must exercise {name}");
         }
@@ -1766,7 +2047,7 @@ mod tests {
 
     /// The arrays that index factors. A flip there can still read as a
     /// plan, so the factors check must refuse what the read lets through.
-    const FACTOR_INDICES: [&str; 3] = ["leaf_rows", "chain_modes", "chain_rows"];
+    const FACTOR_INDICES: [&str; 3] = ["leaf_rows", "pattern_modes", "chain_rows"];
 
     #[test]
     fn flipped_factor_indices_are_typed_errors() {
@@ -1791,7 +2072,7 @@ mod tests {
                 refused(&bad, &format!("{name}[{i}] bit 31"));
             }
         }
-        // A chain mode one past the last factor reads as a plan.
+        // A pattern mode one past the last factor reads as a plan.
         let (at, len) = arrays(&bytes)[7];
         for i in 0..len {
             let word = at + 8 + 4 * i;
@@ -1800,9 +2081,9 @@ mod tests {
             let plan = read(&stamped(&bad)).unwrap();
             match plan.validate_factors(&factors) {
                 Err(LaunchError::FactorCount { expected, got }) => {
-                    assert_eq!((expected, got), (5, 4), "chain_modes[{i}]")
+                    assert_eq!((expected, got), (5, 4), "pattern_modes[{i}]")
                 }
-                other => panic!("chain_modes[{i}] = 4: {other:?}"),
+                other => panic!("pattern_modes[{i}] = 4: {other:?}"),
             }
         }
     }
@@ -1821,8 +2102,8 @@ mod tests {
         let s = plan.schedule();
         let inside = (1..s.num_blocks())
             .filter(|&b| {
-                let c = s.block_ptr[b] as usize;
-                c > 0 && c < s.rows.len() && s.rows[c - 1] == s.rows[c]
+                let c = s.block_ptr[b];
+                c > 0 && (c as usize) < s.init_vals.len() && s.row_runs.iter().all(|r| r.end != c)
             })
             .collect();
         (plan, random_factors(&t, rank, 11), inside)
@@ -2036,9 +2317,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Per-range simulations from one re-emission equal simulating the
-        /// slices of the full launch a parent-style copy cuts: schedule
-        /// range `(b0, b1)` holds launch blocks `b0..b1` clamped to the
-        /// launch, and a range with no launch block simulates to nothing.
+        /// launch blocks a full capture emits in each range: schedule range
+        /// `(b0, b1)` holds the launch blocks whose ordinals lie in it (the
+        /// probe ordinal has none), and a range with no launch block
+        /// simulates to nothing.
         #[test]
         fn any_block_split_simulates_the_full_launch_slices(
             pick in 0usize..1 << 16,
@@ -2049,7 +2331,7 @@ mod tests {
             formats.push(probe_fixture());
             let format = &formats[pick % formats.len()];
             let plan = Arc::new(format.clone()).capture_shared(&ctx, 4);
-            let whole = captured_launch(&ctx, format, &plan);
+            let (soa, whole) = oracle(&ctx, format, &plan);
             let nblocks = plan.schedule().num_blocks();
             let mut cuts: Vec<usize> = cut_picks.iter().map(|c| c % (nblocks + 1)).collect();
             cuts.extend([0, nblocks]);
@@ -2058,11 +2340,16 @@ mod tests {
             let ranges: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
             let sims = plan.simulate_ranges(&ctx, &ranges);
             prop_assert_eq!(sims.len(), ranges.len());
-            let launched = whole.blocks.len();
             for (&(b0, b1), sim) in ranges.iter().zip(&sims) {
                 let slice = KernelLaunch {
                     name: whole.name.clone(),
-                    blocks: whole.blocks[b0.min(launched)..b1.min(launched)].to_vec(),
+                    blocks: whole
+                        .blocks
+                        .iter()
+                        .zip(&soa.launched)
+                        .filter(|&(_, &o)| (b0..b1).contains(&o))
+                        .map(|(block, _)| block.clone())
+                        .collect(),
                 };
                 let expected = (!slice.blocks.is_empty())
                     .then(|| simulate(&ctx.device, &ctx.cost, &slice));
@@ -2080,5 +2367,374 @@ mod tests {
         // Two first-pass blocks, the probe, then second-pass blocks.
         assert_eq!(plan.schedule().num_blocks(), launched + 1);
         assert!(launched > 2, "no second-pass block follows the probe");
+        let (soa, whole) = oracle(&ctx, &format, &plan);
+        assert_eq!(&soa.launched[..3], &[0, 1, 3], "the probe is ordinal 2");
+        // Each ordinal alone: the probe simulates to nothing, and the
+        // ordinal after it to the launch block after the first pass.
+        let singles: Vec<(usize, usize)> = (0..=launched).map(|o| (o, o + 1)).collect();
+        let sims = plan.simulate_ranges(&ctx, &singles);
+        let block = |b: usize| KernelLaunch {
+            name: whole.name.clone(),
+            blocks: vec![whole.blocks[b].clone()],
+        };
+        assert_eq!(sims[2], None);
+        assert_eq!(sims[3], Some(simulate(&ctx.device, &ctx.cost, &block(2))));
+        assert_eq!(
+            sims[launched],
+            Some(simulate(&ctx.device, &ctx.cost, &block(launched - 1)))
+        );
+    }
+
+    /// One contribution, expanded: its block, output row, seed bits, leaf
+    /// range and chain `(mode, row)` terms.
+    type Contribution = (usize, u32, u32, (u32, u32), Vec<(u32, u32)>);
+
+    impl ReplaySchedule {
+        /// Every contribution in emission order, expanded from the runs
+        /// and patterns.
+        fn contributions(&self) -> Vec<Contribution> {
+            let mut rows = Vec::new();
+            let mut start = 0;
+            for r in &self.row_runs {
+                rows.extend(std::iter::repeat_n(r.key, (r.end - start) as usize));
+                start = r.end;
+            }
+            let mut chains = Vec::new();
+            let mut terms = self.chain_rows.iter();
+            let mut start = 0;
+            for r in &self.pattern_runs {
+                let modes = self.pattern(r.key);
+                for _ in start..r.end {
+                    chains.push(modes.iter().map(|&m| (m, *terms.next().unwrap())).collect());
+                }
+                start = r.end;
+            }
+            assert!(terms.next().is_none(), "chain rows left over");
+            let mut out = Vec::new();
+            for b in 0..self.num_blocks() {
+                for c in self.block_ptr[b] as usize..self.block_ptr[b + 1] as usize {
+                    let leaves = (self.leaf_ptr[c], self.leaf_ptr[c + 1]);
+                    let chain = std::mem::take(&mut chains[c]);
+                    out.push((b, rows[c], self.init_vals[c].to_bits(), leaves, chain));
+                }
+            }
+            out
+        }
+    }
+
+    /// The schedule as a capture kept it before row runs and chain
+    /// patterns: an output row, a leaf pointer and a chain pointer per
+    /// contribution, and a mode per chain term. The builder fills it
+    /// beside the compact schedule, through its hooks; it is the oracle
+    /// the compact schedule is checked against, and it writes the
+    /// version-2 plan file.
+    #[derive(Debug, Default)]
+    pub(super) struct SoaSchedule {
+        block_ptr: Vec<u32>,
+        /// The ordinal of each launch block, in launch order.
+        launched: Vec<usize>,
+        rows: Vec<u32>,
+        init_vals: Vec<f32>,
+        leaf_ptr: Vec<u32>,
+        leaf_vals: Vec<f32>,
+        leaf_rows: Vec<u32>,
+        chain_ptr: Vec<u32>,
+        chain_modes: Vec<u32>,
+        chain_rows: Vec<u32>,
+    }
+
+    impl SoaSchedule {
+        pub(super) fn begin_block(&mut self) {
+            self.block_ptr.push(self.rows.len() as u32);
+        }
+
+        pub(super) fn push_block(&mut self) {
+            self.launched.push(self.block_ptr.len() - 1);
+        }
+
+        pub(super) fn contrib(&mut self, row: usize, init: f32) {
+            self.rows.push(row as u32);
+            self.init_vals.push(init);
+            self.leaf_ptr.push(self.leaf_vals.len() as u32);
+            self.chain_ptr.push(self.chain_modes.len() as u32);
+        }
+
+        pub(super) fn leaf(&mut self, val: f32, row: usize) {
+            self.leaf_vals.push(val);
+            self.leaf_rows.push(row as u32);
+        }
+
+        pub(super) fn chain(&mut self, mode: usize, row: usize) {
+            self.chain_modes.push(mode as u32);
+            self.chain_rows.push(row as u32);
+        }
+
+        fn seal(&mut self) {
+            self.block_ptr.push(self.rows.len() as u32);
+            self.leaf_ptr.push(self.leaf_vals.len() as u32);
+            self.chain_ptr.push(self.chain_modes.len() as u32);
+        }
+
+        fn contributions(&self) -> Vec<Contribution> {
+            let mut out = Vec::new();
+            for b in 0..self.block_ptr.len() - 1 {
+                for c in self.block_ptr[b] as usize..self.block_ptr[b + 1] as usize {
+                    let (c0, c1) = (self.chain_ptr[c] as usize, self.chain_ptr[c + 1] as usize);
+                    let chain = (c0..c1)
+                        .map(|j| (self.chain_modes[j], self.chain_rows[j]))
+                        .collect();
+                    let leaves = (self.leaf_ptr[c], self.leaf_ptr[c + 1]);
+                    out.push((b, self.rows[c], self.init_vals[c].to_bits(), leaves, chain));
+                }
+            }
+            out
+        }
+
+        /// The per-contribution replay loop: `y[row] += acc` per
+        /// contribution, through one sink under `ctx`'s fault plan.
+        fn replay(
+            &self,
+            ctx: &GpuContext,
+            plan: &Plan,
+            factors: &[Matrix],
+        ) -> (Matrix, Option<AbftData>) {
+            let leaf_mode = plan.schedule().leaf_mode;
+            let mut y = Matrix::zeros(plan.out_rows(), plan.rank());
+            let mut sink = ctx
+                .fault_plan()
+                .is_some()
+                .then(|| ctx.abft_sink(plan.name(), plan.out_rows()));
+            for b in 0..self.block_ptr.len() - 1 {
+                if let Some(s) = sink.as_mut() {
+                    s.begin_block(&mut y, b);
+                }
+                for c in self.block_ptr[b] as usize..self.block_ptr[b + 1] as usize {
+                    let mut acc = vec![0.0; plan.rank()];
+                    let (l0, l1) = (self.leaf_ptr[c] as usize, self.leaf_ptr[c + 1] as usize);
+                    if l0 == l1 {
+                        acc.fill(self.init_vals[c]);
+                    }
+                    for k in l0..l1 {
+                        let row = factors[leaf_mode].row(self.leaf_rows[k] as usize);
+                        axpy_into(&mut acc, self.leaf_vals[k], row);
+                    }
+                    for j in self.chain_ptr[c] as usize..self.chain_ptr[c + 1] as usize {
+                        let row =
+                            factors[self.chain_modes[j] as usize].row(self.chain_rows[j] as usize);
+                        scale_by(&mut acc, row);
+                    }
+                    let i = self.rows[c] as usize;
+                    match sink.as_mut() {
+                        Some(s) => s.contribute(&mut y, i, &acc),
+                        None => axpy_into(y.row_mut(i), 1.0, &acc),
+                    }
+                }
+            }
+            let abft = sink.and_then(|mut s| {
+                s.flush(&mut y);
+                s.into_data()
+            });
+            (y, abft)
+        }
+
+        /// The version-2 plan file of `plan` over this schedule: the
+        /// same header, then the nine per-contribution arrays.
+        fn write_v2(&self, plan: &Plan) -> Vec<u8> {
+            let mut w = FrameWriter::new(Vec::new(), SCHED_MAGIC, 2).unwrap();
+            w.u32(plan.name().len() as u32).unwrap();
+            w.bytes(plan.name().as_bytes()).unwrap();
+            w.u32(plan.mode() as u32).unwrap();
+            w.u32(plan.rank() as u32).unwrap();
+            w.u64(plan.out_rows() as u64).unwrap();
+            w.u32(plan.schedule().leaf_mode as u32).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for a in [
+                &self.block_ptr,
+                &self.rows,
+                &bits(&self.init_vals),
+                &self.leaf_ptr,
+                &bits(&self.leaf_vals),
+                &self.leaf_rows,
+                &self.chain_ptr,
+                &self.chain_modes,
+                &self.chain_rows,
+            ] {
+                w.u64(a.len() as u64).unwrap();
+                w.u32s(a.iter().copied()).unwrap();
+            }
+            w.finish().unwrap()
+        }
+    }
+
+    /// The per-contribution oracle of `plan`'s emission from `format`,
+    /// and the launch a full capture emits.
+    fn oracle(ctx: &GpuContext, format: &AnyFormat, plan: &Plan) -> (SoaSchedule, KernelLaunch) {
+        let mut pb = PlanBuilder::new(plan.name(), plan.mode(), plan.rank(), plan.out_rows());
+        pb.oracle = Some(SoaSchedule::default());
+        format.capture_into(plan.rank(), ctx.warps_per_block, &mut pb);
+        let mut soa = pb.oracle.take().expect("the oracle was set");
+        soa.seal();
+        (soa, pb.launch)
+    }
+
+    /// Every kernel's layout of `t` for every mode.
+    fn all_mode_layouts(t: &CooTensor) -> Vec<AnyFormat> {
+        let order = t.order();
+        let mut out = Vec::new();
+        for kind in KernelKind::ALL {
+            if kind.check_order(order).is_err() {
+                continue;
+            }
+            for mode in 0..order {
+                out.push(AnyFormat::build(kind, t, mode, &BuildOptions::default()).unwrap());
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Over every kernel, 3rd and 4th order and every mode, the
+        /// compact schedule expands to the contributions the emission
+        /// produced — block, row, seed, leaf range and chain terms — and
+        /// replays to the per-contribution loop's bits, clean and under
+        /// bit flips (checksums and flipped rows included).
+        #[test]
+        fn compact_schedule_expands_to_the_emission(
+            seed in 0u64..1_000,
+            specialized in any::<bool>(),
+        ) {
+            let rank = if specialized { 16 } else { 5 };
+            let tensors = [
+                uniform_random(&[9, 14, 11], 500, seed),
+                uniform_random(&[3, 10, 9, 8], 700, seed + 1),
+            ];
+            let spec = FaultPlan::parse("bitflip:0.5", seed).expect("spec parses");
+            let contexts = [GpuContext::tiny(), GpuContext::tiny().with_faults(spec)];
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let f64_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for t in &tensors {
+                let factors = random_factors(t, rank, seed + 2);
+                for format in all_mode_layouts(t) {
+                    let plan = Arc::new(format.clone()).capture_shared(&contexts[0], rank);
+                    let (soa, _) = oracle(&contexts[0], &format, &plan);
+                    let what = format!("{} mode {} order {}", plan.name(), plan.mode(), t.order());
+                    prop_assert_eq!(plan.schedule().contributions(), soa.contributions(), "{}", what);
+                    for ctx in &contexts {
+                        let run = plan.execute(ctx, &factors).unwrap();
+                        let (y, abft) = soa.replay(ctx, &plan, &factors);
+                        prop_assert_eq!(bits(&run.y), bits(&y), "{}", what);
+                        prop_assert_eq!(run.abft.is_some(), abft.is_some());
+                        if let (Some(a), Some(o)) = (run.abft, abft) {
+                            prop_assert_eq!(f64_bits(&a.check), f64_bits(&o.check), "{}", what);
+                            prop_assert_eq!(f64_bits(&a.abs), f64_bits(&o.abs), "{}", what);
+                            prop_assert_eq!(a.corrupted_rows, o.corrupted_rows, "{}", what);
+                            prop_assert_eq!(a.flips_applied, o.flips_applied, "{}", what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A hand-emitted schedule whose blocks mix chain patterns (two of
+    /// them of one length, one empty) and whose row runs cross block ends
+    /// expands to its emission and replays like the oracle, whole and cut
+    /// at every block, clean and under bit flips.
+    #[test]
+    fn mixed_patterns_and_rows_replay_like_the_oracle() {
+        type Emit<'e> = (usize, f32, &'e [(f32, usize)], &'e [(usize, usize)]);
+        let blocks: [&[Emit]; 4] = [
+            &[
+                (0, 1.5, &[], &[(1, 2), (2, 0)]),
+                (0, 2.0, &[], &[(2, 1), (1, 0)]),
+                (1, 0.0, &[(0.5, 2)], &[(1, 1)]),
+            ],
+            &[(1, 3.0, &[], &[(1, 2), (2, 0)]), (2, 1.0, &[], &[])],
+            &[],
+            &[(0, 0.0, &[(1.0, 1), (2.0, 0)], &[(2, 2), (1, 1)])],
+        ];
+        let mut pb = PlanBuilder::new("hand", 0, 4, 3);
+        pb.oracle = Some(SoaSchedule::default());
+        pb.set_leaf_mode(3);
+        for block in blocks {
+            pb.begin_block();
+            for &(row, seed, leaves, chain) in block {
+                pb.contrib(row, seed);
+                for &(v, k) in leaves {
+                    pb.leaf(v, k);
+                }
+                for &(m, j) in chain {
+                    pb.chain(m, j);
+                }
+            }
+        }
+        let mut soa = pb.oracle.take().expect("the oracle was set");
+        soa.seal();
+        let plan = pb.seal();
+        assert_eq!(plan.schedule().pattern_ptr.len() - 1, 4);
+        assert_eq!(plan.schedule().contributions(), soa.contributions());
+        let factors: Vec<Matrix> = (0..4).map(|m| Matrix::random(3, 4, 90 + m)).collect();
+        let spec = FaultPlan::parse("bitflip:0.9", 5).expect("spec parses");
+        for ctx in [GpuContext::tiny(), GpuContext::tiny().with_faults(spec)] {
+            let (want, want_abft) = soa.replay(&ctx, &plan, &factors);
+            for cut in 0..=blocks.len() {
+                let (y, abft) = plan.replay_ranges(&ctx, &factors, &[(0, cut), (cut, 4)]);
+                assert_eq!(y, want, "cut at {cut}");
+                assert_eq!(
+                    abft.map(|a| a.corrupted_rows),
+                    want_abft.as_ref().map(|a| a.corrupted_rows.clone())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_2_plan_files_are_unsupported() {
+        let ctx = GpuContext::tiny();
+        let format = AnyFormat::Hbcsf(Hbcsf::build(
+            &tensor(),
+            &identity_perm(4),
+            BcsfOptions::default(),
+        ));
+        let plan = Arc::new(format.clone()).capture_shared(&ctx, 4);
+        let (soa, _) = oracle(&ctx, &format, &plan);
+        let v2 = soa.write_v2(&plan);
+        assert!(matches!(
+            read(&v2),
+            Err(TensorError::Frame(
+                sptensor::frame::FrameError::UnsupportedVersion(2)
+            ))
+        ));
+    }
+
+    /// A plan's schedule holds one run per row change and one pattern per
+    /// distinct chain-mode sequence, and the file is smaller than the
+    /// per-contribution version-2 file of the same emission.
+    #[test]
+    fn compact_schedule_keeps_runs_and_patterns_only() {
+        let ctx = GpuContext::tiny();
+        let format = AnyFormat::Hbcsf(Hbcsf::build(
+            &tensor(),
+            &identity_perm(4),
+            BcsfOptions::default(),
+        ));
+        let plan = Arc::new(format.clone()).capture_shared(&ctx, 4);
+        let (soa, _) = oracle(&ctx, &format, &plan);
+        let s = plan.schedule();
+        let changes = 1 + soa.rows.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(s.row_runs.len(), changes);
+        let mut sequences: Vec<&[u32]> = soa
+            .chain_ptr
+            .windows(2)
+            .map(|w| &soa.chain_modes[w[0] as usize..w[1] as usize])
+            .collect();
+        sequences.sort_unstable();
+        sequences.dedup();
+        assert_eq!(s.pattern_ptr.len() - 1, sequences.len());
+        let mut bytes = Vec::new();
+        plan.write_schedule(&mut bytes).unwrap();
+        assert!(bytes.len() < soa.write_v2(&plan).len());
     }
 }

@@ -279,7 +279,7 @@ impl ShardModel {
         let prefix = plan.block_weight_prefix();
         let ranges = shard_ranges(&prefix, spec.devices);
         let total_weight = prefix[prefix.len() - 1].max(1);
-        let (clean_sim, _) = plan.clean_sim_cached(ctx);
+        let clean_sim = plan.clean_sim_cached(ctx);
         let mut wasted = 0.0f64;
         if let Some(fp) = ctx.device_fault_plan() {
             for &d in &lost {
@@ -543,7 +543,7 @@ impl ShardModel {
             // by `shard-*` events instead, which are excluded from the
             // cross-device stability contract.
             let tel = &ctx.telemetry;
-            let (clean_sim, _) = plan.clean_sim_cached(ctx);
+            let clean_sim = plan.clean_sim_cached(ctx);
             let canonical_us = clean_sim.time_s * 1e6;
             if tel.enabled() {
                 let span = tel.new_span();
